@@ -66,26 +66,52 @@ class ConstrainedSolveReport:
     converged: bool
 
 
-def project_psd(A, shift: float = 0.0) -> np.ndarray:
+def project_psd(A, shift=0.0) -> np.ndarray:
     """Project onto symmetric matrices with eigenvalues >= ``shift``.
 
-    Symmetrizes ``A``, then raises every eigenvalue below ``shift`` to
-    ``shift``. This is the Frobenius-nearest point of the shifted
-    semidefinite cone to the symmetric part of ``A``.
+    ``A`` is one square matrix or a ``(..., r, r)`` stack of them, and
+    ``shift`` is a scalar or one value per matrix. Each matrix is
+    symmetrized, then every eigenvalue below its shift is raised to it.
+    This is the Frobenius-nearest point of the shifted semidefinite cone
+    to the symmetric part of the matrix. A stack goes through one
+    batched eigendecomposition.
     """
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise InvalidInputError(f"matrix must be square, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise InvalidInputError("matrix contains non-finite entries")
-    B = 0.5 * (A + A.T)
-    w, Q = la.eigh(B)
-    S = (Q * np.maximum(w, shift)) @ Q.T
-    return 0.5 * (S + S.T)
+    shift = np.asarray(shift, dtype=float)
+    if shift.ndim and shift.shape != A.shape[:-2]:
+        raise InvalidParameterError(
+            f"need a scalar shift or one per matrix {A.shape[:-2]}, "
+            f"got shape {shift.shape}"
+        )
+    B = 0.5 * (A + np.swapaxes(A, -1, -2))
+    w, Q = np.linalg.eigh(B)
+    w = np.maximum(w, shift[..., None])
+    S = (Q * w[..., None, :]) @ np.swapaxes(Q, -1, -2)
+    return 0.5 * (S + np.swapaxes(S, -1, -2))
 
 
-def _objective(Z, D, rhs):
-    return float(np.linalg.norm(Z @ D - rhs) ** 2)
+class _RidgeStep:
+    """The map X -> X (2 G + rho I)^-1 for a symmetric positive
+    semidefinite Gram matrix G.
+
+    G is factored once as V diag(lam) V^T; a penalty change then only
+    recomputes the vector 1 / (2 lam + rho).
+    """
+
+    def __init__(self, gram, rho: float):
+        lam, self._V = np.linalg.eigh(gram)
+        self._twice_lam = 2.0 * np.maximum(lam, 0.0)
+        self.set_penalty(rho)
+
+    def set_penalty(self, rho: float) -> None:
+        self._gain = 1.0 / (self._twice_lam + rho)
+
+    def __call__(self, X) -> np.ndarray:
+        return ((X @ self._V) * self._gain) @ self._V.T
 
 
 def infer_constrained(
@@ -164,38 +190,34 @@ def infer_constrained(
         Ds[rows] /= block_scale[b]
     # Scaled unknowns P_b' = block_scale[b] * P_b, so the lower bound
     # omega on the mass and stiffness spectra scales the same way.
-    shifts = (omega * block_scale[0], 0.0, omega * block_scale[2])
+    shifts = np.array([omega * block_scale[0], 0.0, omega * block_scale[2]])
 
-    def proj(P):
-        Z = np.empty_like(P)
-        for b, shift in enumerate(shifts):
-            cols = slice(b * r, (b + 1) * r)
-            Z[:, cols] = project_psd(P[:, cols], shift)
-        return Z
+    def proj(X):
+        # The r x 3r iterate viewed as the (3, r, r) stack of its blocks.
+        blocks = project_psd(X.reshape(r, 3, r).swapaxes(0, 1), shifts)
+        return blocks.swapaxes(0, 1).reshape(r, k)
 
-    def unscale(Z):
-        out = np.empty_like(Z)
-        for b in range(3):
-            cols = slice(b * r, (b + 1) * r)
-            out[:, cols] = Z[:, cols] / block_scale[b]
-        return out
-
-    DDt = Ds @ Ds.T
-    Drhs_t = Ds @ rhs.T
     rho = float(penalty)
+    ridge = _RidgeStep(Ds @ Ds.T, rho)
+    rhs_data = 2.0 * (rhs @ Ds.T)
 
-    def factor(rho_val):
-        return la.cho_factor(2.0 * DDt + rho_val * np.eye(k))
-
-    chol = factor(rho)
-
-    # Warm start from the projected unconstrained minimizer.
+    # Thin SVD Ds = W diag(s) Qt. Besides the warm start it gives the
+    # objective in reduced form: with Z_s the scaled iterate,
+    # ||Z D - F||^2 = ||Z_s W diag(s) - F Qt^T||^2 + ||F - F Qt^T Qt||^2,
+    # where the second term is constant, so a traced step does no work
+    # over the N snapshots.
     if np.any(Ds):
         W, s, Qt = la.svd(Ds, full_matrices=False)
         filt = np.where(s > 1e-12 * s[0], 1.0, 0.0) / np.where(s > 0.0, s, 1.0)
-        P = ((rhs @ Qt.T) * filt) @ W.T
     else:
-        P = np.zeros((r, k))
+        W, s, Qt = np.zeros((k, 0)), np.zeros(0), np.zeros((0, D.shape[1]))
+        filt = s  # empty
+    rhs_range = rhs @ Qt.T
+    data_range = W * s
+    rhs_tail = float(np.linalg.norm(rhs - rhs_range @ Qt) ** 2)
+
+    # Warm start from the projected unconstrained minimizer.
+    P = (rhs_range * filt) @ W.T
     Z = proj(P)
     U = np.zeros_like(P)
 
@@ -208,8 +230,7 @@ def infer_constrained(
 
     for it in range(1, max_iter + 1):
         iterations = it
-        rhs_step = 2.0 * Drhs_t + rho * (Z - U).T
-        P = la.cho_solve(chol, rhs_step).T
+        P = ridge(rhs_data + rho * (Z - U))
         Z_prev = Z
         Z = proj(P + U)
         U = U + P - Z
@@ -217,7 +238,8 @@ def infer_constrained(
         primal = float(np.linalg.norm(P - Z))
         dual = float(rho * np.linalg.norm(Z - Z_prev))
         if trace is not None:
-            trace.append((it, _objective(unscale(Z), D, rhs), primal, dual))
+            objective = np.linalg.norm(Z @ data_range - rhs_range) ** 2
+            trace.append((it, float(objective) + rhs_tail, primal, dual))
 
         eps_pri = scale * tol_abs + tol_rel * max(
             np.linalg.norm(P), np.linalg.norm(Z)
@@ -231,12 +253,12 @@ def infer_constrained(
             if primal > _ADAPT_RATIO * dual and rho * _ADAPT_FACTOR <= _PENALTY_RANGE[1]:
                 rho *= _ADAPT_FACTOR
                 U = U / _ADAPT_FACTOR
-                chol = factor(rho)
+                ridge.set_penalty(rho)
                 last_adapt = it
             elif dual > _ADAPT_RATIO * primal and rho / _ADAPT_FACTOR >= _PENALTY_RANGE[0]:
                 rho /= _ADAPT_FACTOR
                 U = U * _ADAPT_FACTOR
-                chol = factor(rho)
+                ridge.set_penalty(rho)
                 last_adapt = it
 
     if trace_path is not None:
@@ -248,7 +270,7 @@ def infer_constrained(
                     f"{FLOAT_FORMAT % dua}\n"
                 )
 
-    Z_out = unscale(Z)
+    Z_out = Z / np.repeat(block_scale, r)
     rom = StructuredRom(
         mass=Z_out[:, :r],
         damping=Z_out[:, r:2 * r],
@@ -257,7 +279,7 @@ def infer_constrained(
         omega=omega,
     )
     report = ConstrainedSolveReport(
-        objective=_objective(Z_out, D, rhs),
+        objective=float(np.linalg.norm(Z_out @ D - rhs) ** 2),
         iterations=iterations,
         primal_residual=primal,
         dual_residual=dual,

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
+from .copinf import project_psd
 from .errors import (
     DegenerateInputError,
     IllConditionedModesError,
@@ -29,6 +30,7 @@ from .errors import (
     MissingDataError,
     NoViableLambdaError,
     NotSeparableError,
+    SingularOperatorError,
 )
 from .model import SecondOrderOperators
 from .newmark import IntegratorConfig, simulate
@@ -199,7 +201,8 @@ def _replay_error(rom: MassNormalizedRom, validation: ReducedTrajectoryData) -> 
             config,
             t0=t0,
         )
-    except Exception:
+    except (SingularOperatorError, InvalidInputError, np.linalg.LinAlgError,
+            FloatingPointError):
         return float("inf")
     Q = replay.displacement
     ref = validation.displacement[:, 1:Q.shape[1] + 1]
@@ -331,16 +334,11 @@ def nearest_spd(A, shift: float = 0.0) -> np.ndarray:
     positive definite.
     """
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim != 2:
         raise InvalidInputError(f"matrix must be square, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise InvalidInputError("matrix contains non-finite entries")
+    S = project_psd(A, 0.0)
     if shift < 0.0:
         raise InvalidParameterError(f"shift must be nonnegative, got {shift}")
-    B = 0.5 * (A + A.T)
-    w, Q = la.eigh(B)
-    S = (Q * np.clip(w, 0.0, None)) @ Q.T
-    S = 0.5 * (S + S.T)
     if shift > 0.0:
         S += shift * np.eye(A.shape[0])
     return S

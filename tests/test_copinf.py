@@ -4,9 +4,11 @@ convergence trace."""
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 from mechrom.copinf import (
     DEFAULT_OMEGA,
+    _RidgeStep,
     infer_constrained,
     project_psd,
 )
@@ -89,6 +91,85 @@ class TestProjectPsd:
         bad[0, 0] = np.inf
         with pytest.raises(InvalidInputError, match="non-finite"):
             project_psd(bad)
+
+    def test_stack_with_per_matrix_shifts(self, rng):
+        A = rng.standard_normal((3, 4, 4))
+        shifts = [0.3, 0.0, 1e-2]
+        S = project_psd(A, shifts)
+        assert S.shape == A.shape
+        for b in range(3):
+            np.testing.assert_allclose(
+                S[b], project_psd(A[b], shifts[b]), rtol=1e-12, atol=1e-12
+            )
+
+    def test_stack_with_scalar_shift(self, rng):
+        A = rng.standard_normal((2, 3, 3, 3))
+        S = project_psd(A, 0.5)
+        for idx in np.ndindex(2, 3):
+            np.testing.assert_allclose(
+                S[idx], project_psd(A[idx], 0.5), rtol=1e-12, atol=1e-12
+            )
+
+    def test_shift_count_must_match_stack(self, rng):
+        with pytest.raises(InvalidParameterError, match="shift"):
+            project_psd(rng.standard_normal((3, 2, 2)), [0.0, 1.0])
+
+
+def direct_objective(rom, D, rhs):
+    P = np.hstack([rom.mass, rom.damping, rom.stiffness])
+    return float(np.linalg.norm(P @ D - rhs) ** 2)
+
+
+class TestTraceObjective:
+    """The trace evaluates the objective in reduced form; each row must
+    agree with a direct evaluation at that iterate. A solve capped at j
+    iterations returns the j-th iterate, so its last trace row is
+    compared with the objective of the returned model."""
+
+    def check_rows(self, D, rhs, tmp_path):
+        path = tmp_path / "trace.csv"
+        for max_iter in (1, 3, 30, 200):
+            rom, report = infer_constrained(
+                D, rhs, max_iter=max_iter, trace_path=path
+            )
+            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            assert rows[-1, 0] == report.iterations
+            want = direct_objective(rom, D, rhs)
+            assert abs(rows[-1, 1] - want) <= 1e-10 * want
+
+    def test_singular_values_spanning_fourteen_decades(self, rng, tmp_path):
+        r, N = 3, 40
+        W, _ = np.linalg.qr(rng.standard_normal((3 * r, 3 * r)))
+        Q, _ = np.linalg.qr(rng.standard_normal((N, 3 * r)))
+        D = (W * np.logspace(0, -14, 3 * r)) @ Q.T
+        assert np.linalg.cond(D) > 1e13
+        # Definite operators explain the data up to noise outside the
+        # row space of D, so the constant term carries the objective.
+        noise = rng.standard_normal((r, N))
+        noise -= (noise @ Q) @ Q.T
+        operators = np.hstack([random_spd(rng, r) for _ in range(3)])
+        rhs = operators @ D + 1e-3 * noise
+        self.check_rows(D, rhs, tmp_path)
+
+    def test_more_unknowns_than_snapshots(self, rng, tmp_path):
+        r, N = 4, 7
+        D = rng.standard_normal((3 * r, N))
+        rhs = rng.standard_normal((r, N))
+        self.check_rows(D, rhs, tmp_path)
+
+
+class TestRidgeStep:
+    @pytest.mark.parametrize("N", [30, 5])
+    def test_matches_dense_solve_after_penalty_changes(self, rng, N):
+        Ds = rng.standard_normal((9, N))
+        gram = Ds @ Ds.T
+        X = rng.standard_normal((3, 9))
+        step = _RidgeStep(gram, 1.0)
+        for rho in (1.0, 2.0, 4.0, 0.5, 1e-3, 1e3):
+            step.set_penalty(rho)
+            want = la.solve(2.0 * gram + rho * np.eye(9), X.T).T
+            got = step(X)
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 class TestInferConstrained:

@@ -14,7 +14,9 @@ from mechrom.errors import (
     MissingDataError,
     NoViableLambdaError,
     NotSeparableError,
+    SingularOperatorError,
 )
+from mechrom import opinf
 from mechrom.model import SecondOrderSystem
 from mechrom.newmark import IntegratorConfig, simulate
 from mechrom.opinf import (
@@ -26,6 +28,7 @@ from mechrom.opinf import (
     separate_operators,
 )
 from mechrom.pod import PodBasis, mass_normalized_form
+from mechrom.roms import MassNormalizedRom
 from mechrom.snapshots import assemble_opinf_data, project
 
 from tests._helpers import random_spd
@@ -233,6 +236,36 @@ class TestSelectLambda:
         single = make_constant_trajectory(np.array([0.5]), value=1.0)
         with pytest.raises(InsufficientDataError, match="two snapshots"):
             select_lambda(D, rhs, [0.0], project(single, identity_basis(1)))
+
+
+class TestReplayFailures:
+    def test_singular_model_scores_inf(self):
+        rdata = scalar_validation_data(t_end=0.1)
+        # With the trapezoidal rule the effective matrix
+        # 1 + (dt / 2) c vanishes exactly at this damping.
+        rom = MassNormalizedRom(
+            damping=[[-1.0 / (0.5 * rdata.dt)]], stiffness=[[0.0]],
+            input_map=[[1.0]],
+        )
+        with pytest.raises(SingularOperatorError):
+            simulate(rom.operators(), lambda t: np.zeros(1),
+                     rdata.displacement[:, 0], rdata.velocity[:, 0],
+                     IntegratorConfig(dt=rdata.dt, t_end=0.05))
+        assert opinf._replay_error(rom, rdata) == float("inf")
+
+    def test_programming_error_propagates(self, monkeypatch):
+        rdata = scalar_validation_data(t_end=0.1)
+        D, rhs = assemble_opinf_data(rdata)
+
+        def broken_sampler(t):
+            raise TypeError("sampler bug")
+
+        def simulate_with_broken_sampler(model, sampler, *args, **kwargs):
+            return simulate(model, broken_sampler, *args, **kwargs)
+
+        monkeypatch.setattr(opinf, "simulate", simulate_with_broken_sampler)
+        with pytest.raises(TypeError, match="sampler bug"):
+            select_lambda(D, rhs, [0.0], rdata)
 
 
 def make_constant_trajectory(times, value, with_input=True):
