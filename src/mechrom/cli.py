@@ -25,10 +25,11 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -61,7 +62,17 @@ from .opinf import infer, select_lambda
 from .copinf import DEFAULT_OMEGA, infer_constrained
 from .pod import PodBasis, compute_basis, intrusive_reduce
 from .roms import MassNormalizedRom, StructuredRom
-from .snapshots import TrajectoryData, load_csv, project, save_csv
+from .snapshots import (
+    CSV_NAMES,
+    TrajectoryData,
+    assemble_force_data,
+    assemble_opinf_data,
+    load_csv,
+    project,
+    read_matrix_csv,
+    save_csv,
+    write_matrix_csv,
+)
 
 __all__ = ["ExperimentConfig", "load_config", "run", "main"]
 
@@ -86,135 +97,19 @@ class UsageError(MechromError):
 # Configuration.
 # ---------------------------------------------------------------------------
 
-_KNOWN_KEYS = {
-    "system": {
-        "kind", "n", "masses", "stiffnesses", "alpha_r", "beta_r",
-        "input_nodes", "x0", "v0", "mass_path", "damping_path",
-        "stiffness_path", "input_path",
-    },
-    "integrator": {"dt", "gamma", "beta", "alpha"},
-    "input": {
-        "waveform", "amplitude", "frequency", "angular_frequency", "phase",
-        "value", "f0", "f1", "sweep_time",
-    },
-    "training": {"t_end"},
-    "testing": {"t_end"},
-    "basis": {"rank", "tol", "energy"},
-    "inference": {"methods", "lambda_grid", "omega"},
-    "output": {"directory", "seed"},
-}
 
-
-@dataclass
-class ExperimentConfig:
-    """Fully resolved pipeline configuration; every field has its final
-    value, defaults included, so the manifest can dump it verbatim."""
-
-    # system
-    kind: str = "chain"
-    n: int | None = None
-    masses: list = field(default_factory=list)
-    stiffnesses: list = field(default_factory=list)
-    alpha_r: float = 0.0
-    beta_r: float = 0.0
-    input_nodes: list = field(default_factory=lambda: [0])
-    x0: list = field(default_factory=list)
-    v0: list = field(default_factory=list)
-    mass_path: str | None = None
-    damping_path: str | None = None
-    stiffness_path: str | None = None
-    input_path: str | None = None
-    # integrator
-    dt: float = 0.0
-    gamma: float | None = None
-    beta: float | None = None
-    alpha: float = 0.0
-    # input signal
-    waveform: str = "sine"
-    amplitude: float = 1.0
-    frequency: float | None = None
-    angular_frequency: float | None = None
-    phase: float = 0.0
-    value: float = 1.0
-    f0: float | None = None
-    f1: float | None = None
-    sweep_time: float | None = None
-    # horizons
-    train_t_end: float = 0.0
-    test_t_end: float = 0.0
-    # basis
-    rank: int | None = None
-    tol: float | None = None
-    energy: float | None = None
-    # inference
-    methods: list = field(default_factory=lambda: list(_METHODS))
-    lambda_grid: list = field(default_factory=lambda: list(DEFAULT_LAMBDA_GRID))
-    omega: float = DEFAULT_OMEGA
-    # output
-    directory: str = ""
-    seed: int = 0
-
-    def manifest_dict(self) -> dict:
-        return {
-            "system": {
-                "kind": self.kind,
-                "n": self.n,
-                "masses": self.masses,
-                "stiffnesses": self.stiffnesses,
-                "alpha_r": self.alpha_r,
-                "beta_r": self.beta_r,
-                "input_nodes": self.input_nodes,
-                "x0": self.x0,
-                "v0": self.v0,
-                "mass_path": self.mass_path,
-                "damping_path": self.damping_path,
-                "stiffness_path": self.stiffness_path,
-                "input_path": self.input_path,
-            },
-            "integrator": {
-                "dt": self.dt,
-                "gamma": (
-                    self.gamma if self.gamma is not None
-                    else (1.0 - 2.0 * self.alpha) / 2.0
-                ),
-                "beta": (
-                    self.beta if self.beta is not None
-                    else (1.0 - self.alpha) ** 2 / 4.0
-                ),
-                "alpha": self.alpha,
-            },
-            "input": {
-                "waveform": self.waveform,
-                "amplitude": self.amplitude,
-                "frequency": self.frequency,
-                "angular_frequency": self.angular_frequency,
-                "phase": self.phase,
-                "value": self.value,
-                "f0": self.f0,
-                "f1": self.f1,
-                "sweep_time": self.sweep_time,
-            },
-            "training": {"t_end": self.train_t_end},
-            "testing": {"t_end": self.test_t_end},
-            "basis": {
-                "rank": self.rank,
-                "tol": self.tol,
-                "energy": self.energy,
-            },
-            "inference": {
-                "methods": self.methods,
-                "lambda_grid": self.lambda_grid,
-                "omega": self.omega,
-            },
-            "output": {"directory": self.directory, "seed": self.seed},
-        }
+def _parse_str(section, key, raw):
+    return raw
 
 
 def _parse_float(section, key, raw):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise UsageError(f"[{section}] {key} must be a number, got {raw!r}")
+    if not math.isfinite(value):
+        raise UsageError(f"[{section}] {key} must be finite, got {raw!r}")
+    return value
 
 
 def _parse_int(section, key, raw):
@@ -226,11 +121,115 @@ def _parse_int(section, key, raw):
 
 def _parse_float_list(section, key, raw):
     try:
-        return [float(p) for p in raw.split(",") if p.strip()]
+        values = [float(p) for p in raw.split(",") if p.strip()]
     except ValueError:
         raise UsageError(
             f"[{section}] {key} must be a comma-separated number list"
         )
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"[{section}] {key} must be finite, got {raw!r}")
+    return values
+
+
+def _parse_int_list(section, key, raw):
+    try:
+        return [int(p) for p in raw.split(",") if p.strip()]
+    except ValueError:
+        raise UsageError(f"[{section}] {key} must be a comma list of ints")
+
+
+def _parse_str_list(section, key, raw):
+    return [p.strip() for p in raw.split(",") if p.strip()]
+
+
+def _parse_grid(section, key, raw):
+    if raw == "default":
+        return list(DEFAULT_LAMBDA_GRID)
+    return _parse_float_list(section, key, raw)
+
+
+def _option(section, parse, default=None, *, key=None, factory=None):
+    """A config field read from ``[section] key`` by ``parse``; the key
+    is the field name unless given."""
+    metadata = {"section": section, "key": key, "parse": parse}
+    if factory is not None:
+        return field(default_factory=factory, metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
+@dataclass
+class ExperimentConfig:
+    """Fully resolved pipeline configuration; every field has its final
+    value, defaults included, so the manifest can dump it verbatim.
+
+    Each field declares the INI section and key it is read from and the
+    parser of its value; this table is the only list of config keys.
+    """
+
+    kind: str = _option("system", _parse_str, "chain")
+    n: int | None = _option("system", _parse_int)
+    masses: list = _option("system", _parse_float_list, factory=list)
+    stiffnesses: list = _option("system", _parse_float_list, factory=list)
+    alpha_r: float = _option("system", _parse_float, 0.0)
+    beta_r: float = _option("system", _parse_float, 0.0)
+    input_nodes: list = _option("system", _parse_int_list, factory=lambda: [0])
+    x0: list = _option("system", _parse_float_list, factory=list)
+    v0: list = _option("system", _parse_float_list, factory=list)
+    mass_path: str | None = _option("system", _parse_str)
+    damping_path: str | None = _option("system", _parse_str)
+    stiffness_path: str | None = _option("system", _parse_str)
+    input_path: str | None = _option("system", _parse_str)
+    dt: float = _option("integrator", _parse_float, 0.0)
+    gamma: float | None = _option("integrator", _parse_float)
+    beta: float | None = _option("integrator", _parse_float)
+    alpha: float = _option("integrator", _parse_float, 0.0)
+    waveform: str = _option("input", _parse_str, "sine")
+    amplitude: float = _option("input", _parse_float, 1.0)
+    frequency: float | None = _option("input", _parse_float)
+    angular_frequency: float | None = _option("input", _parse_float)
+    phase: float = _option("input", _parse_float, 0.0)
+    value: float = _option("input", _parse_float, 1.0)
+    f0: float | None = _option("input", _parse_float)
+    f1: float | None = _option("input", _parse_float)
+    sweep_time: float | None = _option("input", _parse_float)
+    train_t_end: float = _option("training", _parse_float, 0.0, key="t_end")
+    test_t_end: float = _option("testing", _parse_float, 0.0, key="t_end")
+    rank: int | None = _option("basis", _parse_int)
+    tol: float | None = _option("basis", _parse_float)
+    energy: float | None = _option("basis", _parse_float)
+    methods: list = _option("inference", _parse_str_list,
+                            factory=lambda: list(_METHODS))
+    lambda_grid: list = _option("inference", _parse_grid,
+                                factory=lambda: list(DEFAULT_LAMBDA_GRID))
+    omega: float = _option("inference", _parse_float, DEFAULT_OMEGA)
+    directory: str = _option("output", _parse_str, "")
+    seed: int = _option("output", _parse_int, 0)
+
+    def manifest_dict(self) -> dict:
+        """The configuration by INI section and key, with the gamma and
+        beta the integrator resolves when they are unset."""
+        out = {}
+        for name, (section, key) in _INI_KEYS.items():
+            out.setdefault(section, {})[key] = getattr(self, name)
+        scheme = _integrator(self)
+        out["integrator"].update(gamma=scheme.gamma, beta=scheme.beta)
+        return out
+
+
+# Field name -> (section, key) for every config field.
+_INI_KEYS = {
+    f.name: (f.metadata["section"], f.metadata["key"] or f.name)
+    for f in fields(ExperimentConfig)
+}
+_KNOWN_KEYS = {
+    section: {k for s, k in _INI_KEYS.values() if s == section}
+    for section, _ in _INI_KEYS.values()
+}
+
+# [system] keys read under one kind only; the other kind leaves them at
+# their defaults.
+_CHAIN_KEYS = ("n", "masses", "stiffnesses", "input_nodes")
+_FILES_KEYS = ("mass_path", "damping_path", "stiffness_path", "input_path")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -251,75 +250,55 @@ def load_config(path) -> ExperimentConfig:
             if key not in _KNOWN_KEYS[section]:
                 raise UsageError(f"unknown key {key!r} in section [{section}]")
 
-    cfg = ExperimentConfig()
-
     def get(section, key, default=None):
         if parser.has_option(section, key):
             return parser.get(section, key).strip()
         return default
 
-    # system
-    cfg.kind = get("system", "kind", "chain")
+    cfg = ExperimentConfig()
+    cfg.kind = get("system", "kind", cfg.kind)
     if cfg.kind not in ("chain", "files"):
         raise UsageError(f"[system] kind must be chain or files, got {cfg.kind!r}")
     if cfg.kind == "chain":
-        raw_n = get("system", "n")
-        if raw_n is None:
+        skipped = _FILES_KEYS
+        # a single value broadcasts to every mass or spring below
+        cfg.masses, cfg.stiffnesses = [1.0], [1.0]
+    else:
+        skipped = _CHAIN_KEYS
+    for f in fields(cfg):
+        section, key = _INI_KEYS[f.name]
+        raw = get(section, key)
+        if raw is not None and f.name not in skipped:
+            setattr(cfg, f.name, f.metadata["parse"](section, key, raw))
+
+    # system
+    if cfg.kind == "chain":
+        if cfg.n is None:
             raise UsageError("[system] n is required for kind = chain")
-        cfg.n = _parse_int("system", "n", raw_n)
         if cfg.n < 1:
             raise UsageError(f"[system] n must be >= 1, got {cfg.n}")
-        masses = _parse_float_list("system", "masses", get("system", "masses", "1.0"))
-        cfg.masses = masses * cfg.n if len(masses) == 1 else masses
-        stiff = _parse_float_list(
-            "system", "stiffnesses", get("system", "stiffnesses", "1.0")
-        )
-        cfg.stiffnesses = stiff * (cfg.n + 1) if len(stiff) == 1 else stiff
-        nodes_raw = get("system", "input_nodes", "0")
-        try:
-            cfg.input_nodes = [int(p) for p in nodes_raw.split(",") if p.strip()]
-        except ValueError:
-            raise UsageError("[system] input_nodes must be a comma list of ints")
+        if len(cfg.masses) == 1:
+            cfg.masses = cfg.masses * cfg.n
+        if len(cfg.stiffnesses) == 1:
+            cfg.stiffnesses = cfg.stiffnesses * (cfg.n + 1)
     else:
-        for key in ("mass_path", "damping_path", "stiffness_path", "input_path"):
-            raw = get("system", key)
-            if raw is None:
+        for key in _FILES_KEYS:
+            if getattr(cfg, key) is None:
                 raise UsageError(f"[system] {key} is required for kind = files")
-            setattr(cfg, key, raw)
-    cfg.alpha_r = _parse_float("system", "alpha_r", get("system", "alpha_r", "0.0"))
-    cfg.beta_r = _parse_float("system", "beta_r", get("system", "beta_r", "0.0"))
-    for key in ("x0", "v0"):
-        raw = get("system", key)
-        if raw is not None:
-            setattr(cfg, key, _parse_float_list("system", key, raw))
 
-    # integrator
-    raw_dt = get("integrator", "dt")
-    if raw_dt is None:
-        raise UsageError("[integrator] dt is required")
-    cfg.dt = _parse_float("integrator", "dt", raw_dt)
+    for section, key in (("integrator", "dt"), ("training", "t_end"),
+                         ("testing", "t_end")):
+        if get(section, key) is None:
+            raise UsageError(f"[{section}] {key} is required")
     if cfg.dt <= 0.0:
         raise UsageError(f"[integrator] dt must be positive, got {cfg.dt}")
-    for key in ("gamma", "beta"):
-        raw = get("integrator", key)
-        if raw is not None:
-            setattr(cfg, key, _parse_float("integrator", key, raw))
-    cfg.alpha = _parse_float("integrator", "alpha", get("integrator", "alpha", "0.0"))
 
     # input signal
-    cfg.waveform = get("input", "waveform", "sine")
     if cfg.waveform not in _WAVEFORMS:
         raise UsageError(
             f"[input] waveform must be one of {', '.join(_WAVEFORMS)}, "
             f"got {cfg.waveform!r}"
         )
-    cfg.amplitude = _parse_float("input", "amplitude", get("input", "amplitude", "1.0"))
-    cfg.phase = _parse_float("input", "phase", get("input", "phase", "0.0"))
-    cfg.value = _parse_float("input", "value", get("input", "value", "1.0"))
-    for key in ("frequency", "angular_frequency", "f0", "f1", "sweep_time"):
-        raw = get("input", key)
-        if raw is not None:
-            setattr(cfg, key, _parse_float("input", key, raw))
     if cfg.waveform == "sine":
         given = (cfg.frequency is not None) + (cfg.angular_frequency is not None)
         if given != 1:
@@ -333,11 +312,6 @@ def load_config(path) -> ExperimentConfig:
             raise UsageError("[input] sweep_time must be positive")
 
     # horizons
-    for section, attr in (("training", "train_t_end"), ("testing", "test_t_end")):
-        raw = get(section, "t_end")
-        if raw is None:
-            raise UsageError(f"[{section}] t_end is required")
-        setattr(cfg, attr, _parse_float(section, "t_end", raw))
     if cfg.train_t_end < cfg.dt:
         raise UsageError("[training] t_end must cover at least one step")
     if cfg.test_t_end < cfg.train_t_end:
@@ -346,19 +320,9 @@ def load_config(path) -> ExperimentConfig:
             f"[training] t_end ({cfg.train_t_end})"
         )
 
-    # basis
-    raw_rank = get("basis", "rank")
-    if raw_rank is not None:
-        cfg.rank = _parse_int("basis", "rank", raw_rank)
-    for key in ("tol", "energy"):
-        raw = get("basis", key)
-        if raw is not None:
-            setattr(cfg, key, _parse_float("basis", key, raw))
     _check_basis_selectors(cfg)
 
     # inference
-    methods_raw = get("inference", "methods", ",".join(_METHODS))
-    cfg.methods = [p.strip() for p in methods_raw.split(",") if p.strip()]
     if not cfg.methods:
         raise UsageError("[inference] methods must not be empty")
     for method in cfg.methods:
@@ -367,24 +331,12 @@ def load_config(path) -> ExperimentConfig:
                 f"[inference] unknown method {method!r}; "
                 f"choose from {', '.join(_METHODS)}"
             )
-    grid_raw = get("inference", "lambda_grid", "default")
-    if grid_raw == "default":
-        cfg.lambda_grid = list(DEFAULT_LAMBDA_GRID)
-    else:
-        cfg.lambda_grid = _parse_float_list("inference", "lambda_grid", grid_raw)
-        if not cfg.lambda_grid:
-            raise UsageError("[inference] lambda_grid must not be empty")
-        if any(g < 0.0 for g in cfg.lambda_grid):
-            raise UsageError("[inference] lambda_grid values must be >= 0")
-    cfg.omega = _parse_float("inference", "omega", get("inference", "omega",
-                                                       repr(DEFAULT_OMEGA)))
+    if not cfg.lambda_grid:
+        raise UsageError("[inference] lambda_grid must not be empty")
+    if any(g < 0.0 for g in cfg.lambda_grid):
+        raise UsageError("[inference] lambda_grid values must be >= 0")
     if cfg.omega <= 0.0:
         raise UsageError(f"[inference] omega must be positive, got {cfg.omega}")
-
-    # output
-    cfg.directory = get("output", "directory", "")
-    raw_seed = get("output", "seed", "0")
-    cfg.seed = _parse_int("output", "seed", raw_seed)
     return cfg
 
 
@@ -415,16 +367,23 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         if not methods:
             raise UsageError("--method must name at least one method")
         cfg.methods = methods
-    if getattr(args, "rank", None) is not None:
-        cfg.rank, cfg.tol, cfg.energy = args.rank, None, None
-    if getattr(args, "tol", None) is not None:
-        cfg.rank, cfg.tol, cfg.energy = None, args.tol, None
+    rank, tol = getattr(args, "rank", None), getattr(args, "tol", None)
+    if rank is not None and tol is not None:
+        raise UsageError("--rank and --tol are mutually exclusive")
+    if rank is not None:
+        cfg.rank, cfg.tol, cfg.energy = rank, None, None
+    if tol is not None:
+        cfg.rank, cfg.tol, cfg.energy = None, tol, None
     _check_basis_selectors(cfg)
     if getattr(args, "lam", None) is not None:
+        if not math.isfinite(args.lam):
+            raise UsageError(f"--lambda must be finite, got {args.lam}")
         if args.lam < 0.0:
             raise UsageError(f"--lambda must be >= 0, got {args.lam}")
         cfg.lambda_grid = [args.lam]
     if getattr(args, "omega", None) is not None:
+        if not math.isfinite(args.omega):
+            raise UsageError(f"--omega must be finite, got {args.omega}")
         if args.omega <= 0.0:
             raise UsageError(f"--omega must be positive, got {args.omega}")
         cfg.omega = args.omega
@@ -516,19 +475,50 @@ def _initial_conditions(cfg: ExperimentConfig, n: int):
     return expand(cfg.x0, "x0"), expand(cfg.v0, "v0")
 
 
+def _integrator(cfg: ExperimentConfig) -> IntegratorConfig:
+    """The scheme over the test window: the full model and every reduced
+    replay integrate with it, and the manifest records its gamma, beta."""
+    return IntegratorConfig(
+        dt=cfg.dt, t_end=cfg.test_t_end, gamma=cfg.gamma, beta=cfg.beta,
+        alpha=cfg.alpha,
+    )
+
+
 def _train_columns(cfg: ExperimentConfig) -> int:
     return IntegratorConfig(dt=cfg.dt, t_end=cfg.train_t_end).num_steps
 
 
-def _slice_columns(data: TrajectoryData, count: int) -> TrajectoryData:
-    return TrajectoryData(
-        times=data.times[:count],
-        displacement=data.displacement[:, :count],
-        velocity=data.velocity[:, :count],
-        acceleration=data.acceleration[:, :count],
-        input=None if data.input is None else data.input[:, :count],
-        force=None if data.force is None else data.force[:, :count],
-    )
+def _check_training_window(count: int, available: int) -> None:
+    if available < count:
+        raise InvalidInputError(
+            f"the training window needs {count} snapshots, fom/test holds "
+            f"{available}"
+        )
+
+
+def _fom_paths(outdir, blocks) -> dict:
+    """Paths of those of ``blocks`` that the stored full-model trajectory
+    holds; it is written once, over the test window."""
+    base = os.path.join(outdir, "fom", "test")
+    paths = {key: os.path.join(base, CSV_NAMES[key]) for key in blocks}
+    return {key: path for key, path in paths.items() if os.path.exists(path)}
+
+
+def _load_fom_displacement(outdir, max_rows=None):
+    """Times and displacement block of the stored full-model trajectory."""
+    paths = _fom_paths(outdir, ("displacement",))
+    if not paths:
+        raise MissingDataError("no displacement file to load")
+    return read_matrix_csv(paths["displacement"], max_rows)
+
+
+def _load_training(cfg: ExperimentConfig, outdir, blocks) -> TrajectoryData:
+    """The training window of the stored full-model trajectory: its
+    first training columns, of ``blocks`` only."""
+    count = _train_columns(cfg)
+    data = load_csv(_fom_paths(outdir, blocks), max_rows=count)
+    _check_training_window(count, data.num_snapshots)
+    return data
 
 
 def _basis_dir(outdir):
@@ -559,10 +549,25 @@ def _load_basis(outdir) -> PodBasis:
     return PodBasis(modes=modes, singular_values=np.asarray(svals))
 
 
-def _load_train_projected(cfg, outdir):
-    train = load_csv(os.path.join(outdir, "fom", "train"))
-    basis = _load_basis(outdir)
-    return project(train, basis), basis
+def _save_operators(directory, symmetric, **operators) -> None:
+    """Write each operator to ``<name>.mtx`` under ``directory``. The
+    input map is rectangular, so it is stored general in any case."""
+    os.makedirs(directory, exist_ok=True)
+    for name, A in operators.items():
+        symmetry = "symmetric" if symmetric and name != "input" else "general"
+        save_matrix(os.path.join(directory, f"{name}.mtx"), A,
+                    symmetry=symmetry)
+
+
+def _load_operators(directory, names, stage) -> dict:
+    """The operators ``names`` that ``stage`` wrote under ``directory``."""
+    paths = {name: os.path.join(directory, f"{name}.mtx") for name in names}
+    for name, path in paths.items():
+        if not os.path.exists(path):
+            raise MissingDataError(
+                f"no {name}.mtx under {directory}; run the {stage} stage first"
+            )
+    return {name: load_matrix(path) for name, path in paths.items()}
 
 
 def _write_table_csv(path, header, rows):
@@ -581,22 +586,17 @@ def stage_simulate(cfg: ExperimentConfig, outdir) -> None:
     system = _build_system(cfg)
     sampler = _input_sampler(cfg, system.m)
     x0, v0 = _initial_conditions(cfg, system.n)
-    config = IntegratorConfig(
-        dt=cfg.dt, t_end=cfg.test_t_end, gamma=cfg.gamma, beta=cfg.beta,
-        alpha=cfg.alpha,
-    )
-    data = simulate(system, sampler, x0, v0, config)
-    n_train = _train_columns(cfg)
+    data = simulate(system, sampler, x0, v0, _integrator(cfg))
     save_csv(data, os.path.join(outdir, "fom", "test"))
-    save_csv(_slice_columns(data, n_train), os.path.join(outdir, "fom", "train"))
-    print(f"simulate: {n_train} training and {data.num_snapshots} test snapshots")
+    print(f"simulate: {_train_columns(cfg)} training and "
+          f"{data.num_snapshots} test snapshots")
 
 
 def stage_basis(cfg: ExperimentConfig, outdir) -> None:
-    train = load_csv(os.path.join(outdir, "fom", "train"))
-    basis = compute_basis(
-        train.displacement, rank=cfg.rank, tol=cfg.tol, energy=cfg.energy
-    )
+    count = _train_columns(cfg)
+    times, X = _load_fom_displacement(outdir, count)
+    _check_training_window(count, times.size)
+    basis = compute_basis(X, rank=cfg.rank, tol=cfg.tol, energy=cfg.energy)
     bdir = _basis_dir(outdir)
     os.makedirs(bdir, exist_ok=True)
     save_matrix(os.path.join(bdir, "modes.mtx"), basis.modes, symmetry="general")
@@ -617,18 +617,17 @@ def stage_basis(cfg: ExperimentConfig, outdir) -> None:
 def stage_infer(cfg: ExperimentConfig, outdir) -> None:
     if "opinf" not in cfg.methods:
         return
-    from .snapshots import assemble_opinf_data
-
-    rdata, basis = _load_train_projected(cfg, outdir)
+    train = _load_training(
+        cfg, outdir, ("displacement", "velocity", "acceleration", "input")
+    )
+    basis = _load_basis(outdir)
+    rdata = project(train, basis)
     D, rhs = assemble_opinf_data(rdata)
     lam, trials = select_lambda(D, rhs, cfg.lambda_grid, rdata)
     rom, report = infer(D, rhs, lam, basis=basis)
     mdir = os.path.join(outdir, "opinf")
-    os.makedirs(mdir, exist_ok=True)
-    save_matrix(os.path.join(mdir, "damping.mtx"), rom.damping, symmetry="general")
-    save_matrix(os.path.join(mdir, "stiffness.mtx"), rom.stiffness,
-                symmetry="general")
-    save_matrix(os.path.join(mdir, "input.mtx"), rom.input_map, symmetry="general")
+    _save_operators(mdir, symmetric=False, damping=rom.damping,
+                    stiffness=rom.stiffness, input=rom.input_map)
     _write_table_csv(
         os.path.join(mdir, "lambda_table.csv"),
         "lambda,train_residual,validation_error,operator_norm",
@@ -642,21 +641,19 @@ def stage_infer(cfg: ExperimentConfig, outdir) -> None:
 def stage_infer_constrained(cfg: ExperimentConfig, outdir) -> None:
     if "copinf" not in cfg.methods:
         return
-    from .snapshots import assemble_force_data
-
-    rdata, basis = _load_train_projected(cfg, outdir)
-    D, rhs = assemble_force_data(rdata)
+    train = _load_training(
+        cfg, outdir, ("displacement", "velocity", "acceleration", "force")
+    )
+    basis = _load_basis(outdir)
+    D, rhs = assemble_force_data(project(train, basis))
     mdir = os.path.join(outdir, "copinf")
     os.makedirs(mdir, exist_ok=True)
     rom, report = infer_constrained(
         D, rhs, omega=cfg.omega, basis=basis,
         trace_path=os.path.join(mdir, "trace.csv"),
     )
-    save_matrix(os.path.join(mdir, "mass.mtx"), rom.mass, symmetry="symmetric")
-    save_matrix(os.path.join(mdir, "damping.mtx"), rom.damping,
-                symmetry="symmetric")
-    save_matrix(os.path.join(mdir, "stiffness.mtx"), rom.stiffness,
-                symmetry="symmetric")
+    _save_operators(mdir, symmetric=True, mass=rom.mass, damping=rom.damping,
+                    stiffness=rom.stiffness)
     print(
         f"infer-constrained: objective {report.objective:.6e} after "
         f"{report.iterations} iterations"
@@ -667,13 +664,9 @@ def stage_infer_constrained(cfg: ExperimentConfig, outdir) -> None:
 def _replay_reduced(cfg, operators, basis, system, x0, v0):
     """Integrate a reduced model over the test window and lift it."""
     sampler = _input_sampler(cfg, system.m)
-    config = IntegratorConfig(
-        dt=cfg.dt, t_end=cfg.test_t_end, gamma=cfg.gamma, beta=cfg.beta,
-        alpha=cfg.alpha,
-    )
     Vt = basis.modes.T
     reduced = simulate(
-        operators, sampler, Vt @ x0, Vt @ v0, config
+        operators, sampler, Vt @ x0, Vt @ v0, _integrator(cfg)
     )
     return basis.modes @ reduced.displacement, reduced
 
@@ -681,71 +674,50 @@ def _replay_reduced(cfg, operators, basis, system, x0, v0):
 def stage_evaluate(cfg: ExperimentConfig, outdir) -> None:
     system = _build_system(cfg)
     basis = _load_basis(outdir)
-    test = load_csv(os.path.join(outdir, "fom", "test"))
+    times, X = _load_fom_displacement(outdir)
     x0, v0 = _initial_conditions(cfg, system.n)
     Bred = basis.modes.T @ system.input_map
 
     for method in cfg.methods:
         if method == "pod":
             reduced = intrusive_reduce(system, basis)
-            pdir = os.path.join(outdir, "pod")
-            os.makedirs(pdir, exist_ok=True)
-            save_matrix(os.path.join(pdir, "mass.mtx"), reduced.mass,
-                        symmetry="symmetric")
-            save_matrix(os.path.join(pdir, "damping.mtx"), reduced.damping,
-                        symmetry="symmetric")
-            save_matrix(os.path.join(pdir, "stiffness.mtx"), reduced.stiffness,
-                        symmetry="symmetric")
-            save_matrix(os.path.join(pdir, "input.mtx"), reduced.input_map,
-                        symmetry="general")
+            _save_operators(
+                os.path.join(outdir, "pod"), symmetric=True,
+                mass=reduced.mass, damping=reduced.damping,
+                stiffness=reduced.stiffness, input=reduced.input_map,
+            )
             operators = reduced.operators
         elif method == "opinf":
-            mdir = os.path.join(outdir, "opinf")
-            for name in ("damping.mtx", "stiffness.mtx", "input.mtx"):
-                if not os.path.exists(os.path.join(mdir, name)):
-                    raise MissingDataError(
-                        f"no {name} under {mdir}; run the infer stage first"
-                    )
+            ops = _load_operators(os.path.join(outdir, "opinf"),
+                                  ("damping", "stiffness", "input"), "infer")
             rom = MassNormalizedRom(
-                damping=load_matrix(os.path.join(mdir, "damping.mtx")),
-                stiffness=load_matrix(os.path.join(mdir, "stiffness.mtx")),
-                input_map=load_matrix(os.path.join(mdir, "input.mtx")),
-                basis=basis,
+                damping=ops["damping"], stiffness=ops["stiffness"],
+                input_map=ops["input"], basis=basis,
             )
             operators = rom.operators()
         else:
-            mdir = os.path.join(outdir, "copinf")
-            for name in ("mass.mtx", "damping.mtx", "stiffness.mtx"):
-                if not os.path.exists(os.path.join(mdir, name)):
-                    raise MissingDataError(
-                        f"no {name} under {mdir}; run the infer-constrained "
-                        "stage first"
-                    )
             rom = StructuredRom(
-                mass=load_matrix(os.path.join(mdir, "mass.mtx")),
-                damping=load_matrix(os.path.join(mdir, "damping.mtx")),
-                stiffness=load_matrix(os.path.join(mdir, "stiffness.mtx")),
+                **_load_operators(os.path.join(outdir, "copinf"),
+                                  ("mass", "damping", "stiffness"),
+                                  "infer-constrained"),
                 basis=basis,
                 omega=cfg.omega,
             )
             operators = rom.operators(input_map=Bred)
 
         lifted, reduced_traj = _replay_reduced(cfg, operators, basis, system, x0, v0)
-        if lifted.shape[1] != test.num_snapshots:
+        if lifted.shape[1] != times.size:
             raise InvalidInputError(
                 f"replay produced {lifted.shape[1]} snapshots, test data has "
-                f"{test.num_snapshots}"
+                f"{times.size}"
             )
         rom_dir = os.path.join(outdir, f"rom_{method}")
         os.makedirs(rom_dir, exist_ok=True)
-        from .snapshots import _write_matrix_csv
-
-        _write_matrix_csv(
-            os.path.join(rom_dir, "displacement.csv"), test.times, lifted, "x"
+        write_matrix_csv(
+            os.path.join(rom_dir, "displacement.csv"), times, lifted, "x"
         )
         series = relative_error(
-            test.displacement, lifted, times=test.times,
-            phase_split=cfg.train_t_end,
+            X, lifted, times=times, phase_split=cfg.train_t_end,
         )
         save_error_series(series, os.path.join(outdir, f"errors_{method}.csv"))
         print(f"evaluate: {method} max relative error {series.max_eps:.6e}")
@@ -835,13 +807,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_COMMANDS = {
-    "simulate": [("simulate", stage_simulate)],
-    "basis": [("basis", stage_basis)],
-    "infer": [("infer", stage_infer)],
-    "infer-constrained": [("infer_constrained", stage_infer_constrained)],
-    "evaluate": [("evaluate", stage_evaluate)],
-}
+_COMMANDS = {name.replace("_", "-"): (name, fn) for name, fn in _STAGES}
 
 _DATA_ERRORS = (
     FormatError,
@@ -870,30 +836,24 @@ def main(argv=None) -> int:
             stage = "run"
             run(cfg, outdir)
         else:
-            for stage, fn in _COMMANDS[args.command]:
-                os.makedirs(outdir, exist_ok=True)
-                try:
-                    fn(cfg, outdir)
-                except (MechromError, OSError) as exc:
-                    _tag_stage(exc, stage)
-                    raise
-    except UsageError as exc:
-        print(f"error in stage '{getattr(exc, 'stage', stage)}': {exc}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    except InvalidParameterError as exc:
-        print(f"error in stage '{getattr(exc, 'stage', stage)}': {exc}",
-              file=sys.stderr)
-        return EXIT_USAGE
+            stage, fn = _COMMANDS[args.command]
+            os.makedirs(outdir, exist_ok=True)
+            try:
+                fn(cfg, outdir)
+            except (MechromError, OSError) as exc:
+                _tag_stage(exc, stage)
+                raise
+    except (UsageError, InvalidParameterError) as exc:
+        error, code = exc, EXIT_USAGE
     except _NUMERICAL_ERRORS as exc:
-        print(f"error in stage '{getattr(exc, 'stage', stage)}': {exc}",
-              file=sys.stderr)
-        return EXIT_NUMERICAL
+        error, code = exc, EXIT_NUMERICAL
     except _DATA_ERRORS as exc:
-        print(f"error in stage '{getattr(exc, 'stage', stage)}': {exc}",
-              file=sys.stderr)
-        return EXIT_DATA
-    return EXIT_OK
+        error, code = exc, EXIT_DATA
+    else:
+        return EXIT_OK
+    print(f"error in stage '{getattr(error, 'stage', stage)}': {error}",
+          file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

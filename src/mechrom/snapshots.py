@@ -34,6 +34,8 @@ __all__ = [
     "finite_difference_derivatives",
     "save_csv",
     "load_csv",
+    "write_matrix_csv",
+    "read_matrix_csv",
 ]
 
 # Relative tolerance on time-grid uniformity.
@@ -250,7 +252,9 @@ def finite_difference_derivatives(displacement, dt: float):
 # ---------------------------------------------------------------------------
 
 
-def _write_matrix_csv(path, times, A, prefix):
+def write_matrix_csv(path, times, A, prefix):
+    """Write one block: a ``t,<prefix>_1,...`` header, then a row per
+    entry of ``times`` holding that time and column of ``A``."""
     n = A.shape[0]
     header = "t," + ",".join(f"{prefix}_{i + 1}" for i in range(n))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
@@ -261,7 +265,10 @@ def _write_matrix_csv(path, times, A, prefix):
             fh.write(",".join(row) + "\n")
 
 
-def _read_matrix_csv(path):
+def read_matrix_csv(path, max_rows=None):
+    """Read one block written by :func:`write_matrix_csv`; returns the
+    times and the matrix with one column per time. With ``max_rows``,
+    only the first ``max_rows`` snapshots are read."""
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].strip():
@@ -275,6 +282,8 @@ def _read_matrix_csv(path):
     times = []
     cols = []
     for lineno, ln in enumerate(lines[1:], start=2):
+        if len(times) == max_rows:
+            break
         if not ln.strip():
             continue
         parts = ln.split(",")
@@ -313,19 +322,20 @@ def save_csv(data: TrajectoryData, directory) -> list:
         if A is None:
             continue
         path = os.path.join(directory, CSV_NAMES[key])
-        _write_matrix_csv(path, data.times, A, _CSV_PREFIX[key])
+        write_matrix_csv(path, data.times, A, _CSV_PREFIX[key])
         written.append(path)
     return written
 
 
-def load_csv(source) -> TrajectoryData:
+def load_csv(source, max_rows=None) -> TrajectoryData:
     """Read a trajectory back from CSV files.
 
     ``source`` is either a directory written by :func:`save_csv` or a
     mapping from block name (displacement, velocity, acceleration,
     input, force) to file path. The displacement, velocity, and
     acceleration blocks are required; time columns must agree exactly
-    across files.
+    across files. With ``max_rows``, only the first ``max_rows``
+    snapshots are read.
     """
     if isinstance(source, (str, os.PathLike)):
         paths = {}
@@ -343,7 +353,7 @@ def load_csv(source) -> TrajectoryData:
     times = None
     blocks = {}
     for key, path in paths.items():
-        t, A = _read_matrix_csv(path)
+        t, A = read_matrix_csv(path, max_rows)
         if times is None:
             times = t
         elif t.shape != times.shape or np.any(t != times):

@@ -10,12 +10,14 @@ import pytest
 
 from mechrom import __version__
 from mechrom.cli import (
+    _KNOWN_KEYS,
     DEFAULT_LAMBDA_GRID,
     UsageError,
     load_config,
     main,
 )
-from mechrom.model import build_mass_spring_chain, save_matrix
+from mechrom.model import build_mass_spring_chain, load_matrix, save_matrix
+from mechrom.pod import compute_basis
 from mechrom.snapshots import load_csv
 
 # A deliberately tiny experiment so full pipeline runs stay fast: a four
@@ -296,6 +298,17 @@ class TestLoadConfig:
         with pytest.raises(UsageError, match="input_nodes must be a comma list"):
             load_config(path)
 
+    @pytest.mark.parametrize("updates, message", [
+        ({"integrator": {"dt": "nan"}}, r"\[integrator\] dt must be finite"),
+        ({"training": {"t_end": "inf"}}, r"\[training\] t_end must be finite"),
+        ({"inference": {"omega": "nan"}}, r"\[inference\] omega must be finite"),
+        ({"inference": {"lambda_grid": "0.0, inf"}},
+         r"\[inference\] lambda_grid must be finite"),
+    ])
+    def test_non_finite_numbers_rejected(self, tmp_path, updates, message):
+        with pytest.raises(UsageError, match=message):
+            load_config(config_file(tmp_path, updates))
+
     def test_output_section_parsed(self, tmp_path):
         path = config_file(tmp_path, {
             "output": {"directory": "artifacts", "seed": "7"},
@@ -303,6 +316,81 @@ class TestLoadConfig:
         cfg = load_config(path)
         assert cfg.directory == "artifacts"
         assert cfg.seed == 7
+
+
+FILES_SYSTEM = {"kind": "files", "mass_path": "M.mtx",
+                "damping_path": "E.mtx", "stiffness_path": "K.mtx",
+                "input_path": "B.mtx"}
+
+# (section, key) -> (field, raw value, parsed value), one per config key.
+KEY_SAMPLES = {
+    ("system", "kind"): ("kind", "files", "files"),
+    ("system", "n"): ("n", "3", 3),
+    ("system", "masses"): ("masses", "2.0", [2.0] * 4),
+    ("system", "stiffnesses"): ("stiffnesses", "1, 2, 3, 4, 5",
+                                [1.0, 2.0, 3.0, 4.0, 5.0]),
+    ("system", "alpha_r"): ("alpha_r", "0.5", 0.5),
+    ("system", "beta_r"): ("beta_r", "0.25", 0.25),
+    ("system", "input_nodes"): ("input_nodes", "1, 2", [1, 2]),
+    ("system", "x0"): ("x0", "0.1", [0.1]),
+    ("system", "v0"): ("v0", "0.2, 0.3, 0.4, 0.5", [0.2, 0.3, 0.4, 0.5]),
+    ("system", "mass_path"): ("mass_path", "M2.mtx", "M2.mtx"),
+    ("system", "damping_path"): ("damping_path", "E2.mtx", "E2.mtx"),
+    ("system", "stiffness_path"): ("stiffness_path", "K2.mtx", "K2.mtx"),
+    ("system", "input_path"): ("input_path", "B2.mtx", "B2.mtx"),
+    ("integrator", "dt"): ("dt", "0.01", 0.01),
+    ("integrator", "gamma"): ("gamma", "0.6", 0.6),
+    ("integrator", "beta"): ("beta", "0.3", 0.3),
+    ("integrator", "alpha"): ("alpha", "-0.1", -0.1),
+    ("input", "waveform"): ("waveform", "constant", "constant"),
+    ("input", "amplitude"): ("amplitude", "2.0", 2.0),
+    ("input", "frequency"): ("frequency", "3.0", 3.0),
+    ("input", "angular_frequency"): ("angular_frequency", "6.0", 6.0),
+    ("input", "phase"): ("phase", "0.5", 0.5),
+    ("input", "value"): ("value", "2.5", 2.5),
+    ("input", "f0"): ("f0", "1.5", 1.5),
+    ("input", "f1"): ("f1", "4.5", 4.5),
+    ("input", "sweep_time"): ("sweep_time", "0.75", 0.75),
+    ("training", "t_end"): ("train_t_end", "0.3", 0.3),
+    ("testing", "t_end"): ("test_t_end", "0.6", 0.6),
+    ("basis", "rank"): ("rank", "3", 3),
+    ("basis", "tol"): ("tol", "0.1", 0.1),
+    ("basis", "energy"): ("energy", "0.9", 0.9),
+    ("inference", "methods"): ("methods", "pod, opinf", ["pod", "opinf"]),
+    ("inference", "lambda_grid"): ("lambda_grid", "0.0, 0.5", [0.0, 0.5]),
+    ("inference", "omega"): ("omega", "1e-6", 1e-6),
+    ("output", "directory"): ("directory", "elsewhere", "elsewhere"),
+    ("output", "seed"): ("seed", "5", 5),
+}
+
+
+class TestConfigTable:
+    def test_samples_cover_every_key(self):
+        assert set(KEY_SAMPLES) == {
+            (section, key) for section, keys in _KNOWN_KEYS.items()
+            for key in keys
+        }
+
+    @pytest.mark.parametrize("section, key", sorted(KEY_SAMPLES))
+    def test_key_reaches_field_and_manifest(self, tmp_path, section, key):
+        name, raw, parsed = KEY_SAMPLES[(section, key)]
+        updates = {section: {key: raw}}
+        drop = []
+        if name in FILES_SYSTEM:
+            updates["system"] = {**FILES_SYSTEM, **updates.get("system", {})}
+            drop.append(("system", "n"))
+        if name == "angular_frequency":
+            drop.append(("input", "frequency"))
+        if section == "basis" and key != "rank":
+            drop.append(("basis", "rank"))
+        cfg = load_config(config_file(tmp_path, updates, drop))
+        assert getattr(cfg, name) == parsed
+        assert cfg.manifest_dict()[section][key] == parsed
+
+    def test_manifest_keys_are_the_known_keys(self, tmp_path):
+        manifest = load_config(config_file(tmp_path)).manifest_dict()
+        assert {section: set(keys) for section, keys in manifest.items()} \
+            == _KNOWN_KEYS
 
 
 class TestInvocationErrors:
@@ -333,6 +421,25 @@ class TestInvocationErrors:
                      "--omega", "0.0"])
         assert code == 1
         assert "--omega must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--omega", "--lambda"])
+    def test_non_finite_override(self, tmp_path, capsys, flag):
+        cfg = config_file(tmp_path)
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                     flag, "nan"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{flag} must be finite" in err
+        assert "stage 'configure'" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_rank_and_tol_together_rejected(self, tmp_path, capsys):
+        cfg = config_file(tmp_path)
+        code = main(["basis", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--rank", "3", "--tol", "0.5"])
+        assert code == 1
+        assert "--rank and --tol are mutually exclusive" in \
+            capsys.readouterr().err
 
     def test_unknown_flag_exits_with_usage_code(self, tmp_path):
         cfg = config_file(tmp_path)
@@ -376,8 +483,7 @@ class TestPipeline:
     def test_run_writes_expected_tree(self, small_run):
         _, out = small_run
         tree = tree_bytes(out)
-        fom = {f"fom/{split}/{block}.csv"
-               for split in ("train", "test")
+        fom = {f"fom/test/{block}.csv"
                for block in ("displacement", "velocity", "acceleration",
                              "input", "force")}
         expected = fom | {
@@ -395,17 +501,20 @@ class TestPipeline:
         }
         assert {path.replace(os.sep, "/") for path in tree} == expected
 
-    def test_snapshot_counts_match_config(self, small_run):
-        _, out = small_run
-        train = load_csv(os.path.join(out, "fom", "train"))
+    def test_snapshot_counts_match_config(self, small_run, tmp_path, capsys):
+        cfg, out = small_run
         test = load_csv(os.path.join(out, "fom", "test"))
-        assert train.num_snapshots == 10
         assert test.num_snapshots == 20
-        assert train.n == 4
-        # the training block is a prefix of the test block
+        assert test.n == 4
+        # the training window is the first ten columns of the one store
+        assert not (out / "fom" / "train").exists()
         np.testing.assert_array_equal(
-            train.displacement, test.displacement[:, :10]
+            load_matrix(out / "basis" / "modes.mtx"),
+            compute_basis(test.displacement[:, :10], rank=2).modes,
         )
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert ("simulate: 10 training and 20 test snapshots"
+                in capsys.readouterr().out)
 
     def test_manifest_records_resolved_defaults(self, small_run):
         _, out = small_run
@@ -531,12 +640,14 @@ def station_run(tmp_path_factory):
 
 
 class TestStationProtocol:
-    def test_emits_all_artifacts(self, station_run):
-        _, out = station_run
-        train = load_csv(os.path.join(out, "fom", "train"))
+    def test_emits_all_artifacts(self, station_run, tmp_path, capsys):
+        cfg, out = station_run
         test = load_csv(os.path.join(out, "fom", "test"))
-        assert train.num_snapshots == 700
         assert test.num_snapshots == 2100
+        assert not (out / "fom" / "train").exists()
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert ("simulate: 700 training and 2100 test snapshots"
+                in capsys.readouterr().out)
         for method in ("pod", "opinf", "copinf"):
             assert (out / f"errors_{method}.csv").exists()
             assert (out / f"rom_{method}" / "displacement.csv").exists()
@@ -594,6 +705,20 @@ class TestStageFailures:
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         data = load_csv(os.path.join(out, "fom", "test"))
         assert data.n == 3
+
+    def test_training_window_beyond_stored_trajectory(self, tmp_path, capsys):
+        cfg = config_file(tmp_path)
+        out = tmp_path / "artifacts"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        longer = config_file(
+            tmp_path, {"training": {"t_end": "0.5"}, "testing": {"t_end": "0.5"}},
+            name="longer.ini",
+        )
+        code = main(["basis", "--config", longer, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error in stage 'basis'" in err
+        assert "needs 25 snapshots, fom/test holds 20" in err
 
     def test_evaluate_before_pipeline_is_data_error(self, tmp_path, capsys):
         cfg = config_file(tmp_path)

@@ -22,6 +22,7 @@ from mechrom.snapshots import (
     finite_difference_derivatives,
     load_csv,
     project,
+    read_matrix_csv,
     save_csv,
 )
 
@@ -389,6 +390,21 @@ class TestCsvRoundTrip:
             }
         )
         np.testing.assert_allclose(back.displacement, data.displacement)
+
+    def test_max_rows_reads_a_column_prefix(self, rng, tmp_path):
+        save_csv(make_trajectory(rng, n=3, N=9, m=2), tmp_path)
+        full = load_csv(tmp_path)
+        # a malformed row past the prefix is never parsed
+        path = tmp_path / "force.csv"
+        path.write_text(path.read_text() + "not,a,row\n")
+        back = load_csv(tmp_path, max_rows=4)
+        np.testing.assert_array_equal(back.times, full.times[:4])
+        for name in ("displacement", "velocity", "acceleration", "input",
+                     "force"):
+            np.testing.assert_array_equal(getattr(back, name),
+                                          getattr(full, name)[:, :4])
+        _, X = read_matrix_csv(tmp_path / "displacement.csv", max_rows=20)
+        np.testing.assert_array_equal(X, full.displacement)
 
 
 class TestCsvErrors:
