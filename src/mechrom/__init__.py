@@ -10,6 +10,7 @@ serves as the reference these data-driven models are judged against.
 
 from .errors import (
     DegenerateInputError,
+    DivergenceError,
     FormatError,
     IllConditionedModesError,
     InsufficientDataError,
@@ -26,7 +27,6 @@ from .errors import (
 __version__ = "0.1.0"
 
 from .model import (
-    SecondOrderOperators,
     SecondOrderSystem,
     build_mass_spring_chain,
     force_at,
@@ -54,7 +54,6 @@ from .pod import (
     mass_normalized_form,
     projection_error,
 )
-from .roms import MassNormalizedRom, StructuredRom
 from .opinf import (
     LambdaTrial,
     SolveReport,
@@ -90,8 +89,8 @@ __all__ = [
     "IllConditionedModesError",
     "NoViableLambdaError",
     "InvalidComparisonError",
+    "DivergenceError",
     # model
-    "SecondOrderOperators",
     "SecondOrderSystem",
     "build_mass_spring_chain",
     "rayleigh_damping",
@@ -121,9 +120,6 @@ __all__ = [
     "projection_error",
     "intrusive_reduce",
     "mass_normalized_form",
-    # reduced models
-    "MassNormalizedRom",
-    "StructuredRom",
     # regression
     "SolveReport",
     "LambdaTrial",

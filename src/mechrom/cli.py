@@ -36,6 +36,7 @@ import numpy as np
 from . import __version__
 from .errors import (
     DegenerateInputError,
+    DivergenceError,
     FormatError,
     IllConditionedModesError,
     InsufficientDataError,
@@ -61,7 +62,6 @@ from .newmark import IntegratorConfig, simulate
 from .opinf import infer, select_lambda
 from .copinf import DEFAULT_OMEGA, infer_constrained
 from .pod import PodBasis, compute_basis, intrusive_reduce
-from .roms import MassNormalizedRom, StructuredRom
 from .snapshots import (
     CSV_NAMES,
     TrajectoryData,
@@ -234,7 +234,9 @@ _FILES_KEYS = ("mass_path", "damping_path", "stiffness_path", "input_path")
 
 def load_config(path) -> ExperimentConfig:
     """Parse and validate an INI configuration file."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # No interpolation: a "%" in a value (a directory name, say) is literal.
+    parser = configparser.ConfigParser(interpolation=None,
+                                       inline_comment_prefixes=("#", ";"))
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -661,66 +663,62 @@ def stage_infer_constrained(cfg: ExperimentConfig, outdir) -> None:
     )
 
 
-def _replay_reduced(cfg, operators, basis, system, x0, v0):
-    """Integrate a reduced model over the test window and lift it."""
-    sampler = _input_sampler(cfg, system.m)
-    Vt = basis.modes.T
-    reduced = simulate(
-        operators, sampler, Vt @ x0, Vt @ v0, _integrator(cfg)
-    )
-    return basis.modes @ reduced.displacement, reduced
-
-
 def stage_evaluate(cfg: ExperimentConfig, outdir) -> None:
     system = _build_system(cfg)
     basis = _load_basis(outdir)
+    V = basis.modes
     times, X = _load_fom_displacement(outdir)
     x0, v0 = _initial_conditions(cfg, system.n)
-    Bred = basis.modes.T @ system.input_map
 
+    diverged = []
     for method in cfg.methods:
         if method == "pod":
-            reduced = intrusive_reduce(system, basis)
+            model = intrusive_reduce(system, basis)
             _save_operators(
                 os.path.join(outdir, "pod"), symmetric=True,
-                mass=reduced.mass, damping=reduced.damping,
-                stiffness=reduced.stiffness, input=reduced.input_map,
+                mass=model.mass, damping=model.damping,
+                stiffness=model.stiffness, input=model.input_map,
             )
-            operators = reduced.operators
         elif method == "opinf":
             ops = _load_operators(os.path.join(outdir, "opinf"),
                                   ("damping", "stiffness", "input"), "infer")
-            rom = MassNormalizedRom(
-                damping=ops["damping"], stiffness=ops["stiffness"],
-                input_map=ops["input"], basis=basis,
-            )
-            operators = rom.operators()
+            model = SecondOrderSystem(np.eye(basis.rank), ops["damping"],
+                                      ops["stiffness"], ops["input"])
         else:
-            rom = StructuredRom(
+            model = SecondOrderSystem(
                 **_load_operators(os.path.join(outdir, "copinf"),
                                   ("mass", "damping", "stiffness"),
                                   "infer-constrained"),
-                basis=basis,
-                omega=cfg.omega,
+                input_map=V.T @ system.input_map,
             )
-            operators = rom.operators(input_map=Bred)
 
-        lifted, reduced_traj = _replay_reduced(cfg, operators, basis, system, x0, v0)
-        if lifted.shape[1] != times.size:
-            raise InvalidInputError(
-                f"replay produced {lifted.shape[1]} snapshots, test data has "
-                f"{times.size}"
+        # A diverged replay overflows quietly here; it is reported below,
+        # once every method has written its artifacts.
+        with np.errstate(over="ignore", invalid="ignore"):
+            reduced = simulate(model, _input_sampler(cfg, model.m), V.T @ x0,
+                               V.T @ v0, _integrator(cfg))
+            lifted = V @ reduced.displacement
+            if lifted.shape[1] != times.size:
+                raise InvalidInputError(
+                    f"replay produced {lifted.shape[1]} snapshots, test data "
+                    f"has {times.size}"
+                )
+            series = relative_error(
+                X, lifted, times=times, phase_split=cfg.train_t_end,
             )
         rom_dir = os.path.join(outdir, f"rom_{method}")
         os.makedirs(rom_dir, exist_ok=True)
         write_matrix_csv(
             os.path.join(rom_dir, "displacement.csv"), times, lifted, "x"
         )
-        series = relative_error(
-            X, lifted, times=times, phase_split=cfg.train_t_end,
-        )
         save_error_series(series, os.path.join(outdir, f"errors_{method}.csv"))
         print(f"evaluate: {method} max relative error {series.max_eps:.6e}")
+        if not np.all(np.isfinite(lifted)):
+            diverged.append(method)
+    if diverged:
+        raise DivergenceError(
+            f"the replay of {', '.join(diverged)} left the finite range"
+        )
 
 
 _STAGES = [
@@ -823,6 +821,7 @@ _NUMERICAL_ERRORS = (
     NotSeparableError,
     IllConditionedModesError,
     NoViableLambdaError,
+    DivergenceError,
 )
 
 

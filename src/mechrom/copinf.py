@@ -22,8 +22,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .errors import InvalidInputError, InvalidParameterError
-from .model import FLOAT_FORMAT
-from .roms import StructuredRom
+from .model import FLOAT_FORMAT, SecondOrderSystem
 
 __all__ = [
     "ConstrainedSolveReport",
@@ -147,7 +146,10 @@ def infer_constrained(
 
     Returns
     -------
-    (StructuredRom, ConstrainedSolveReport)
+    (SecondOrderSystem, ConstrainedSolveReport)
+        The model has no input map. Its operators are exactly symmetric
+        and satisfy eigmin(mass) >= omega, eigmin(stiffness) >= omega
+        and eigmin(damping) >= 0 up to round-off.
     """
     D = np.asarray(D, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -270,13 +272,14 @@ def infer_constrained(
                     f"{FLOAT_FORMAT % dua}\n"
                 )
 
+    # Each block is a project_psd output divided by one scalar, so it is
+    # exactly symmetric.
     Z_out = Z / np.repeat(block_scale, r)
-    rom = StructuredRom(
+    rom = SecondOrderSystem(
         mass=Z_out[:, :r],
         damping=Z_out[:, r:2 * r],
         stiffness=Z_out[:, 2 * r:],
         basis=basis,
-        omega=omega,
     )
     report = ConstrainedSolveReport(
         objective=float(np.linalg.norm(Z_out @ D - rhs) ** 2),

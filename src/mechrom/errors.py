@@ -18,6 +18,7 @@ __all__ = [
     "IllConditionedModesError",
     "NoViableLambdaError",
     "InvalidComparisonError",
+    "DivergenceError",
 ]
 
 
@@ -92,3 +93,7 @@ class NoViableLambdaError(MechromError):
 
 class InvalidComparisonError(MechromError):
     """Two objects cannot be compared: incompatible shapes or bases."""
+
+
+class DivergenceError(MechromError):
+    """A replayed model left the finite range."""

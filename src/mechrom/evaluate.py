@@ -14,8 +14,7 @@ from .errors import (
     InvalidInputError,
     SingularOperatorError,
 )
-from .model import FLOAT_FORMAT
-from .roms import MassNormalizedRom
+from .model import FLOAT_FORMAT, SecondOrderSystem
 
 __all__ = [
     "ErrorSeries",
@@ -117,18 +116,25 @@ def _same_basis(a, b) -> bool:
     )
 
 
-def operator_closeness(reference: MassNormalizedRom,
-                       candidate: MassNormalizedRom) -> OperatorCloseness:
+def operator_closeness(reference: SecondOrderSystem,
+                       candidate: SecondOrderSystem) -> OperatorCloseness:
     """Operator-space distance between two mass-normalized models.
 
-    Both models must live in the same reduced coordinates: equal
-    dimensions and the same basis (identical object or equal mode
-    matrices; two models without a basis attached are comparable).
+    Both models must have the identity as their mass, an input map, and
+    live in the same reduced coordinates: equal dimensions and the same
+    basis (identical object or equal mode matrices; two models without a
+    basis attached are comparable).
     """
-    if reference.r != candidate.r or reference.m != candidate.m:
+    for model in (reference, candidate):
+        if not model.mass_normalized or model.input_map is None:
+            raise InvalidInputError(
+                "operator_closeness needs mass-normalized models (identity "
+                "mass) with input maps"
+            )
+    if reference.n != candidate.n or reference.m != candidate.m:
         raise InvalidComparisonError(
-            f"model dimensions disagree: ({reference.r}, {reference.m}) "
-            f"vs ({candidate.r}, {candidate.m})"
+            f"model dimensions disagree: ({reference.n}, {reference.m}) "
+            f"vs ({candidate.n}, {candidate.m})"
         )
     if not (reference.basis is None and candidate.basis is None) and not _same_basis(
         reference.basis, candidate.basis

@@ -3,24 +3,29 @@
 A model is the operator quadruple (mass, damping, stiffness, input map)
 of the governing equations
 
-    mass @ x'' + damping @ x' + stiffness @ x = input_map @ u(t),
+    mass @ x'' + damping @ x' + stiffness @ x = input_map @ u(t).
 
-with symmetric mass, damping, and stiffness. Builders for proportional
-damping and for mass-spring chain benchmarks live here, together with a
-plain-text sparse matrix format used for all operator files.
+Full models and reduced models share the one container
+:class:`SecondOrderSystem`. Builders for proportional damping and for
+mass-spring chain benchmarks live here, together with a plain-text
+sparse matrix format used for all operator files.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import FormatError, InvalidInputError, InvalidParameterError
 
+if TYPE_CHECKING:  # pragma: no cover
+    from .pod import PodBasis
+
 __all__ = [
-    "SecondOrderOperators",
     "SecondOrderSystem",
+    "symmetric_part",
     "rayleigh_damping",
     "build_mass_spring_chain",
     "force_at",
@@ -44,62 +49,33 @@ def _as_2d(name: str, A) -> np.ndarray:
     return A
 
 
-@dataclass(frozen=True)
-class SecondOrderOperators:
-    """Raw operator bundle (mass, damping, stiffness, input map).
-
-    No symmetry is assumed or enforced; reduced models produced by
-    regression are generally nonsymmetric. ``input_map`` may be None for
-    models driven by a direct force signal instead of an input signal.
-    """
-
-    mass: np.ndarray
-    damping: np.ndarray
-    stiffness: np.ndarray
-    input_map: np.ndarray | None = None
-
-    def __post_init__(self):
-        M = _as_2d("mass", self.mass)
-        C = _as_2d("damping", self.damping)
-        K = _as_2d("stiffness", self.stiffness)
-        n = M.shape[0]
-        for name, A in (("mass", M), ("damping", C), ("stiffness", K)):
-            if A.shape != (n, n):
-                raise InvalidInputError(
-                    f"{name} must be {n}x{n}, got {A.shape[0]}x{A.shape[1]}"
-                )
-        B = self.input_map
-        if B is not None:
-            B = _as_2d("input_map", B)
-            if B.shape[0] != n:
-                raise InvalidInputError(
-                    f"input_map must have {n} rows, got {B.shape[0]}"
-                )
-        object.__setattr__(self, "mass", M)
-        object.__setattr__(self, "damping", C)
-        object.__setattr__(self, "stiffness", K)
-        object.__setattr__(self, "input_map", B)
-
-    @property
-    def n(self) -> int:
-        return self.mass.shape[0]
-
-    @property
-    def m(self) -> int:
-        return 0 if self.input_map is None else self.input_map.shape[1]
+def symmetric_part(A) -> np.ndarray:
+    """The symmetric part ``(A + A.T) / 2``; an exactly symmetric ``A``
+    comes back unchanged."""
+    return 0.5 * (A + A.T)
 
 
 @dataclass(frozen=True)
 class SecondOrderSystem:
-    """Validated second-order model with symmetric structural operators.
+    """Second-order model ``mass x'' + damping x' + stiffness x = input_map u``.
+
+    Full, projected, mass-normalized and constrained reduced models all
+    use this one type. The operators are stored as given after a shape
+    and finiteness check; no symmetry is imposed here. Producers that
+    promise symmetric operators (``load_system``, ``intrusive_reduce``,
+    ``separate_operators``) apply :func:`symmetric_part` themselves.
 
     Parameters
     ----------
     mass, damping, stiffness : (n, n) ndarray
-        Structural operators. They are symmetrized on construction, so
-        any skew part of the inputs is discarded.
-    input_map : (n, m) ndarray
-        Maps the m-channel input signal to nodal forces.
+        Structural operators. A mass-normalized model carries the
+        identity as its mass.
+    input_map : (n, m) ndarray, optional
+        Maps the m-channel input signal to forces. None for a model
+        fitted to force data, which is driven by a force signal or given
+        an input map with ``dataclasses.replace``.
+    basis : PodBasis, optional
+        The basis whose coordinates a reduced model lives in.
     label : str
         Free-form tag carried through artifacts.
     """
@@ -107,28 +83,27 @@ class SecondOrderSystem:
     mass: np.ndarray
     damping: np.ndarray
     stiffness: np.ndarray
-    input_map: np.ndarray
+    input_map: np.ndarray | None = None
+    basis: "PodBasis | None" = None
     label: str = ""
 
     def __post_init__(self):
-        M = _as_2d("mass", self.mass)
-        C = _as_2d("damping", self.damping)
-        K = _as_2d("stiffness", self.stiffness)
-        B = _as_2d("input_map", self.input_map)
-        n = M.shape[0]
-        for name, A in (("mass", M), ("damping", C), ("stiffness", K)):
+        n = _as_2d("mass", self.mass).shape[0]
+        for name in ("mass", "damping", "stiffness"):
+            A = _as_2d(name, getattr(self, name))
             if A.shape != (n, n):
                 raise InvalidInputError(
                     f"{name} must be {n}x{n}, got {A.shape[0]}x{A.shape[1]}"
                 )
-        if B.shape[0] != n or B.shape[1] < 1:
-            raise InvalidInputError(
-                f"input_map must be {n}xm with m >= 1, got {B.shape[0]}x{B.shape[1]}"
-            )
-        object.__setattr__(self, "mass", 0.5 * (M + M.T))
-        object.__setattr__(self, "damping", 0.5 * (C + C.T))
-        object.__setattr__(self, "stiffness", 0.5 * (K + K.T))
-        object.__setattr__(self, "input_map", B)
+            object.__setattr__(self, name, A)
+        if self.input_map is not None:
+            B = _as_2d("input_map", self.input_map)
+            if B.shape[0] != n or B.shape[1] < 1:
+                raise InvalidInputError(
+                    f"input_map must be {n}xm with m >= 1, "
+                    f"got {B.shape[0]}x{B.shape[1]}"
+                )
+            object.__setattr__(self, "input_map", B)
 
     @property
     def n(self) -> int:
@@ -137,14 +112,17 @@ class SecondOrderSystem:
 
     @property
     def m(self) -> int:
-        """Number of input channels."""
-        return self.input_map.shape[1]
+        """Number of input channels, zero without an input map."""
+        return 0 if self.input_map is None else self.input_map.shape[1]
 
     @property
-    def operators(self) -> SecondOrderOperators:
-        return SecondOrderOperators(
-            self.mass, self.damping, self.stiffness, self.input_map
-        )
+    def mass_normalized(self) -> bool:
+        """True when the mass is exactly the identity."""
+        return bool(np.array_equal(self.mass, np.eye(self.n)))
+
+
+# ``perfbench/checks.py`` imports the model type under its former name.
+SecondOrderOperators = SecondOrderSystem
 
 
 def rayleigh_damping(mass, stiffness, alpha_r: float, beta_r: float) -> np.ndarray:
@@ -375,6 +353,9 @@ def load_system(mass_path, damping_path, stiffness_path, input_path,
                 label: str = "") -> SecondOrderSystem:
     """Assemble a model from four operator files.
 
+    Mass, damping, and stiffness are replaced by their symmetric parts,
+    so a general-storage file with a skew part gives symmetric operators.
+
     Raises
     ------
     FormatError
@@ -382,18 +363,12 @@ def load_system(mass_path, damping_path, stiffness_path, input_path,
     InvalidInputError
         If the operator dimensions are mutually inconsistent.
     """
-    M = load_matrix(mass_path)
-    C = load_matrix(damping_path)
-    K = load_matrix(stiffness_path)
-    B = load_matrix(input_path)
-    n = M.shape[0]
-    if M.shape != (n, n) or C.shape != (n, n) or K.shape != (n, n):
-        raise InvalidInputError(
-            "mass, damping, and stiffness files must agree on a square size; "
-            f"got {M.shape}, {C.shape}, {K.shape}"
-        )
-    if B.shape[0] != n:
-        raise InvalidInputError(
-            f"input map has {B.shape[0]} rows, structural operators have {n}"
-        )
-    return SecondOrderSystem(M, C, K, B, label=label)
+    system = SecondOrderSystem(
+        load_matrix(mass_path), load_matrix(damping_path),
+        load_matrix(stiffness_path), load_matrix(input_path), label=label,
+    )
+    return replace(
+        system, mass=symmetric_part(system.mass),
+        damping=symmetric_part(system.damping),
+        stiffness=symmetric_part(system.stiffness),
+    )

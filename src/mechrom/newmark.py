@@ -55,8 +55,12 @@ class IntegratorConfig:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise InvalidParameterError(f"dt must be positive, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise InvalidParameterError(
+                f"dt must be positive and finite, got {self.dt}"
+            )
+        if not math.isfinite(self.t_end):
+            raise InvalidParameterError(f"t_end must be finite, got {self.t_end}")
         if not -1.0 / 3.0 <= self.alpha <= 0.0:
             raise InvalidParameterError(
                 f"alpha must lie in [-1/3, 0], got {self.alpha}"
@@ -199,8 +203,8 @@ def simulate(model, sampler, x0, v0, config: IntegratorConfig,
 
     Parameters
     ----------
-    model : SecondOrderSystem or SecondOrderOperators
-        Operators of the model to integrate.
+    model : SecondOrderSystem
+        The model to integrate; ``drive='input'`` needs its input map.
     sampler : callable
         ``sampler(t)`` returning the excitation at time t. With
         ``drive='input'`` it returns the m-channel input signal, which

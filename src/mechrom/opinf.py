@@ -32,9 +32,8 @@ from .errors import (
     NotSeparableError,
     SingularOperatorError,
 )
-from .model import SecondOrderOperators
+from .model import SecondOrderSystem, symmetric_part
 from .newmark import IntegratorConfig, simulate
-from .roms import MassNormalizedRom
 from .snapshots import ReducedTrajectoryData
 
 __all__ = [
@@ -127,7 +126,8 @@ def infer(D, rhs, lam: float = 0.0, basis=None):
 
     Returns
     -------
-    (MassNormalizedRom, SolveReport)
+    (SecondOrderSystem, SolveReport)
+        The model has the identity as its mass.
     """
     D = np.asarray(D, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -152,12 +152,12 @@ def infer(D, rhs, lam: float = 0.0, basis=None):
     residual = float(np.linalg.norm(P @ D - rhs))
     condition = float(s[0] / s[-1]) if s[-1] > 0.0 else float("inf")
     rank_estimate = int(np.count_nonzero(s > RANK_TOL * s[0])) if s[0] > 0 else 0
-    rom = MassNormalizedRom(
+    rom = SecondOrderSystem(
+        mass=np.eye(r),
         damping=-P[:, :r],
         stiffness=-P[:, r:2 * r],
         input_map=P[:, 2 * r:],
         basis=basis,
-        lam=lam,
     )
     return rom, SolveReport(
         residual=residual,
@@ -177,7 +177,7 @@ class LambdaTrial:
     operator_norm: float
 
 
-def _replay_error(rom: MassNormalizedRom, validation: ReducedTrajectoryData) -> float:
+def _replay_error(rom: SecondOrderSystem, validation: ReducedTrajectoryData) -> float:
     """Worst relative displacement error of the model replaying the
     validation window from its first snapshot. Returns inf when the
     replay leaves the finite range."""
@@ -194,7 +194,7 @@ def _replay_error(rom: MassNormalizedRom, validation: ReducedTrajectoryData) -> 
     config = IntegratorConfig(dt=dt, t_end=float(times[-1] - times[0]))
     try:
         replay = simulate(
-            rom.operators(),
+            rom,
             sampler,
             validation.displacement[:, 0],
             validation.velocity[:, 0],
@@ -272,7 +272,7 @@ def select_lambda(D, rhs, grid, validation: ReducedTrajectoryData):
     return best_lam, trials
 
 
-def separate_operators(rom: MassNormalizedRom) -> SecondOrderOperators:
+def separate_operators(rom: SecondOrderSystem) -> SecondOrderSystem:
     """Recover individual mass, damping, and stiffness maps from a
     mass-normalized model.
 
@@ -288,11 +288,17 @@ def separate_operators(rom: MassNormalizedRom) -> SecondOrderOperators:
 
     Raises
     ------
+    InvalidInputError
+        When the model's mass is not exactly the identity.
     NotSeparableError
         When the stiffness map has a complex or nonpositive eigenvalue.
     IllConditionedModesError
         When the eigenvector matrix has condition beyond 1e12.
     """
+    if not rom.mass_normalized:
+        raise InvalidInputError(
+            "separate_operators needs a mass-normalized model (identity mass)"
+        )
     w, Phi = la.eig(rom.stiffness)
     if np.any(w.imag != 0.0):
         raise NotSeparableError(
@@ -314,15 +320,14 @@ def separate_operators(rom: MassNormalizedRom) -> SecondOrderOperators:
         )
 
     Phi_inv = la.inv(Phi)
-    stiffness = Phi_inv.T @ np.diag(w) @ Phi_inv
-    stiffness = 0.5 * (stiffness + stiffness.T)
-    mass = Phi_inv.T @ Phi_inv
-    mass = 0.5 * (mass + mass.T)
-    return SecondOrderOperators(
+    mass = symmetric_part(Phi_inv.T @ Phi_inv)
+    return SecondOrderSystem(
         mass=mass,
         damping=mass @ rom.damping,
-        stiffness=stiffness,
-        input_map=mass @ rom.input_map,
+        stiffness=symmetric_part(Phi_inv.T @ np.diag(w) @ Phi_inv),
+        input_map=None if rom.input_map is None else mass @ rom.input_map,
+        basis=rom.basis,
+        label=rom.label,
     )
 
 

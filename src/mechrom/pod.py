@@ -20,8 +20,7 @@ from .errors import (
     InvalidParameterError,
     SingularOperatorError,
 )
-from .model import SecondOrderSystem
-from .roms import MassNormalizedRom
+from .model import SecondOrderSystem, symmetric_part
 
 __all__ = [
     "PodBasis",
@@ -182,8 +181,8 @@ def intrusive_reduce(system: SecondOrderSystem, basis: PodBasis) -> SecondOrderS
     """Congruence reduction of every operator with the mode matrix.
 
     Structural operators become V.T @ A @ V, the input map V.T @ B. The
-    result is a valid model of dimension r; symmetry is restored exactly
-    after the two-sided product.
+    result is a valid model of dimension r carrying ``basis``; symmetry
+    is restored exactly after the two-sided product.
     """
     V = basis.modes
     if system.n != V.shape[0]:
@@ -191,22 +190,23 @@ def intrusive_reduce(system: SecondOrderSystem, basis: PodBasis) -> SecondOrderS
             f"model dimension {system.n} does not match basis rows {V.shape[0]}"
         )
     return SecondOrderSystem(
-        mass=V.T @ system.mass @ V,
-        damping=V.T @ system.damping @ V,
-        stiffness=V.T @ system.stiffness @ V,
-        input_map=V.T @ system.input_map,
+        mass=symmetric_part(V.T @ system.mass @ V),
+        damping=symmetric_part(V.T @ system.damping @ V),
+        stiffness=symmetric_part(V.T @ system.stiffness @ V),
+        input_map=None if system.input_map is None else V.T @ system.input_map,
+        basis=basis,
         label=(system.label + "-r%d" % basis.rank).lstrip("-"),
     )
 
 
-def mass_normalized_form(reduced: SecondOrderSystem,
-                         basis: PodBasis | None = None) -> MassNormalizedRom:
+def mass_normalized_form(reduced: SecondOrderSystem) -> SecondOrderSystem:
     """Divide a reduced model by its mass matrix.
 
-    Returns the damping, stiffness, and input maps of the equivalent
-    model whose acceleration coefficient is the identity. The reduced
-    mass must be safely invertible.
+    Returns the equivalent model with the identity as its mass, keeping
+    the basis and label. The reduced mass must be safely invertible.
     """
+    if reduced.input_map is None:
+        raise InvalidInputError("model has no input map to normalize")
     M = reduced.mass
     s = la.svdvals(M)
     if s[-1] == 0.0 or s[0] / s[-1] > _MASS_COND_LIMIT:
@@ -217,10 +217,11 @@ def mass_normalized_form(reduced: SecondOrderSystem,
     rhs = np.hstack([reduced.damping, reduced.stiffness, reduced.input_map])
     sol = la.solve(M, rhs, assume_a="sym")
     r = reduced.n
-    return MassNormalizedRom(
+    return SecondOrderSystem(
+        mass=np.eye(r),
         damping=sol[:, :r],
         stiffness=sol[:, r:2 * r],
         input_map=sol[:, 2 * r:],
-        basis=basis,
-        lam=0.0,
+        basis=reduced.basis,
+        label=reduced.label,
     )

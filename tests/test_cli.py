@@ -760,6 +760,42 @@ class TestStageFailures:
         assert "x0 has 2 entries for dimension 4" in err
         assert "error in stage 'simulate'" in err
 
+    def test_diverging_replay_is_numerical_error(self, tmp_path, capsys):
+        # At dt = 1e-4 the trapezoidal rule maps the unstable pair +-1e4 of
+        # q'' = 1e8 q to the step multiplier 3, so 1000 steps overflow.
+        cfg = config_file(tmp_path, {
+            "integrator": {"dt": "1e-4"},
+            "training": {"t_end": "0.001"},
+            "testing": {"t_end": "0.1"},
+        })
+        out = tmp_path / "artifacts"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["basis", "--config", cfg, "--out", str(out)]) == 0
+        os.makedirs(out / "opinf")
+        save_matrix(out / "opinf" / "damping.mtx", np.zeros((2, 2)))
+        save_matrix(out / "opinf" / "stiffness.mtx", -1e8 * np.eye(2))
+        save_matrix(out / "opinf" / "input.mtx", np.ones((2, 1)))
+        capsys.readouterr()
+        code = main(["evaluate", "--config", cfg, "--out", str(out),
+                     "--method", "opinf,pod"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error in stage 'evaluate'" in err
+        assert "opinf" in err and "pod" not in err
+        # every method still writes its error series
+        for method in ("opinf", "pod"):
+            assert os.path.exists(out / f"errors_{method}.csv")
+
+    def test_percent_in_config_value_is_literal(self, tmp_path):
+        cfg = config_file(tmp_path, {"output": {"directory": "out%1"}})
+        cwd = os.getcwd()
+        os.chdir(tmp_path)
+        try:
+            assert main(["simulate", "--config", cfg]) == 0
+        finally:
+            os.chdir(cwd)
+        assert os.path.isdir(tmp_path / "out%1" / "fom" / "test")
+
     def test_evaluate_mismatched_lengths_names_both(self, small_run, tmp_path,
                                                     capsys):
         # reuse the finished artifacts but ask evaluate for a longer test

@@ -253,7 +253,8 @@ class TestInferConstrained:
         rhs = rng.standard_normal((2, 20))
         rom, _ = infer_constrained(D, rhs, omega=1e-7, basis=basis)
         assert rom.basis is basis
-        assert rom.omega == 1e-7
+        assert rom.input_map is None
+        assert la.eigvalsh(rom.mass).min() >= 1e-7 - 1e-10
         assert DEFAULT_OMEGA == 1e-8
 
     def test_trace_csv(self, rng, tmp_path):

@@ -19,8 +19,8 @@ from mechrom.evaluate import (
     relative_error,
     save_error_series,
 )
+from mechrom.model import SecondOrderSystem
 from mechrom.pod import PodBasis
-from mechrom.roms import MassNormalizedRom
 
 from tests._helpers import random_spd
 
@@ -81,7 +81,8 @@ class TestRelativeError:
 
 
 def make_rom(rng, r=2, m=1, basis=None):
-    return MassNormalizedRom(
+    return SecondOrderSystem(
+        mass=np.eye(r),
         damping=rng.standard_normal((r, r)),
         stiffness=rng.standard_normal((r, r)),
         input_map=rng.standard_normal((r, m)),
@@ -101,12 +102,8 @@ class TestOperatorCloseness:
         )
 
     def test_scalar_distance(self):
-        a = MassNormalizedRom(
-            damping=[[1.0]], stiffness=[[2.0]], input_map=[[1.0]]
-        )
-        b = MassNormalizedRom(
-            damping=[[1.0]], stiffness=[[2.5]], input_map=[[1.0]]
-        )
+        a = SecondOrderSystem([[1.0]], [[1.0]], [[2.0]], [[1.0]])
+        b = SecondOrderSystem([[1.0]], [[1.0]], [[2.5]], [[1.0]])
         out = operator_closeness(a, b)
         assert out.stiffness == pytest.approx(0.5, rel=1e-15)
         assert out.stiffness_rel == pytest.approx(0.25, rel=1e-15)
@@ -137,6 +134,14 @@ class TestOperatorCloseness:
             operator_closeness(
                 make_rom(rng, basis=basis_a), make_rom(rng, basis=basis_b)
             )
+
+    def test_rejects_non_identity_mass(self, rng):
+        rom = make_rom(rng)
+        scaled = SecondOrderSystem(2.0 * rom.mass, rom.damping, rom.stiffness,
+                                   rom.input_map)
+        for pair in ((rom, scaled), (scaled, rom)):
+            with pytest.raises(InvalidInputError, match="identity mass"):
+                operator_closeness(*pair)
 
     def test_equal_mode_matrices_are_comparable(self, rng):
         modes = np.eye(4)[:, :2]

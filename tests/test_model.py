@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mechrom import (
-    SecondOrderOperators,
     SecondOrderSystem,
     build_mass_spring_chain,
     force_at,
@@ -102,15 +101,11 @@ def test_force_at_zero_input():
 
 
 def test_force_at_unit_column():
-    ops = SecondOrderOperators(
+    sys_ = SecondOrderSystem(
         mass=np.eye(2),
         damping=np.zeros((2, 2)),
         stiffness=np.eye(2),
         input_map=np.array([[1.0], [0.0]]),
-    )
-    sys_ = SecondOrderSystem(
-        mass=ops.mass, damping=ops.damping, stiffness=ops.stiffness,
-        input_map=ops.input_map,
     )
     assert force_at(sys_, [3.0]) == pytest.approx([3.0, 0.0])
 
@@ -136,13 +131,31 @@ def test_force_at_length_mismatch():
         force_at(sys_, [1.0, 2.0])
 
 
-def test_construction_symmetrizes():
+def test_construction_stores_operators_as_given():
     A = np.array([[1.0, 1e-13], [0.0, 1.0]])
     sys_ = SecondOrderSystem(
         mass=A, damping=np.zeros((2, 2)), stiffness=np.eye(2),
-        input_map=np.ones((2, 1)),
     )
-    assert np.array_equal(sys_.mass, sys_.mass.T)
+    assert np.array_equal(sys_.mass, A)
+    assert sys_.input_map is None and sys_.m == 0
+    assert sys_.basis is None and sys_.label == ""
+
+
+def test_construction_rejects_bad_operators():
+    with pytest.raises(InvalidInputError, match="damping must be 2x2"):
+        SecondOrderSystem(np.eye(2), np.eye(3), np.eye(2))
+    with pytest.raises(InvalidInputError, match="damping must be a 2-D"):
+        SecondOrderSystem(np.eye(2), None, np.eye(2))
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        SecondOrderSystem(np.eye(2), np.eye(2), np.diag([1.0, np.inf]))
+    with pytest.raises(InvalidInputError, match="input_map"):
+        SecondOrderSystem(np.eye(2), np.eye(2), np.eye(2), np.ones((3, 1)))
+
+
+def test_mass_normalized_means_exact_identity():
+    assert SecondOrderSystem(np.eye(2), np.eye(2), np.eye(2)).mass_normalized
+    near = np.eye(2) + 1e-15
+    assert not SecondOrderSystem(near, np.eye(2), np.eye(2)).mass_normalized
 
 
 # ---------------------------------------------------------------- matrix files
@@ -161,7 +174,8 @@ def test_matrix_roundtrip_symmetric(rng, tmp_path):
     path = os.path.join(tmp_path, "s.mtx")
     save_matrix(path, A, symmetry="symmetric")
     # lower triangle only on disk
-    body = open(path).read().splitlines()[2:]
+    with open(path) as fh:
+        body = fh.read().splitlines()[2:]
     for line in body:
         i, j, _ = line.split()
         assert int(i) >= int(j)
@@ -172,7 +186,8 @@ def test_matrix_skips_exact_zeros(tmp_path):
     A = np.array([[1.0, 0.0], [0.0, 0.0]])
     path = os.path.join(tmp_path, "z.mtx")
     save_matrix(path, A, symmetry="general")
-    lines = open(path).read().splitlines()
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     assert lines[1].split()[2] == "1"
     assert load_matrix(path) == pytest.approx(A)
 
@@ -231,6 +246,23 @@ def test_load_system_scalar_files(tmp_path):
     )
     for A in (sys_.mass, sys_.damping, sys_.stiffness, sys_.input_map):
         np.testing.assert_allclose(A, [[1.0]])
+
+
+def test_load_system_symmetrizes_general_files(tmp_path, rng):
+    paths = {
+        f"{key}_path": os.path.join(tmp_path, f"{key}.mtx")
+        for key in ("mass", "damping", "stiffness", "input")
+    }
+    skewed = {key: random_spd(rng, 3) + rng.standard_normal((3, 3))
+              for key in ("mass", "damping", "stiffness")}
+    for key, A in skewed.items():
+        save_matrix(paths[f"{key}_path"], A, symmetry="general")
+    save_matrix(paths["input_path"], np.ones((3, 1)), symmetry="general")
+    sys_ = load_system(**paths)
+    for key, A in skewed.items():
+        S = getattr(sys_, key)
+        assert np.array_equal(S, S.T)
+        assert np.array_equal(S, 0.5 * (A + A.T))
 
 
 def test_load_system_dimension_mismatch(tmp_path):

@@ -54,6 +54,15 @@ def test_config_validation():
         IntegratorConfig(dt=0.01, t_end=1.0, alpha=0.1)
 
 
+@pytest.mark.parametrize("dt, t_end", [
+    (float("nan"), 1.0), (float("inf"), 1.0),
+    (0.01, float("nan")), (0.01, float("inf")),
+])
+def test_config_rejects_non_finite_grid(dt, t_end):
+    with pytest.raises(InvalidParameterError, match="finite"):
+        IntegratorConfig(dt=dt, t_end=t_end)
+
+
 def test_step_count_contract():
     cfg = IntegratorConfig(dt=0.1, t_end=1.0)
     assert cfg.num_steps == 10

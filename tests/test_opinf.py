@@ -28,7 +28,6 @@ from mechrom.opinf import (
     separate_operators,
 )
 from mechrom.pod import PodBasis, mass_normalized_form
-from mechrom.roms import MassNormalizedRom
 from mechrom.snapshots import assemble_opinf_data, project
 
 from tests._helpers import random_spd
@@ -129,7 +128,6 @@ class TestInfer:
         assert report.condition >= 1.0
         assert report.lam == 1e-4
         assert report.solver == "svd"
-        assert rom.lam == 1e-4
 
     def test_few_samples_warn(self, rng):
         D, rhs = synthesize(rng, 0.1, 1.0, 1.0, N=2)
@@ -157,7 +155,7 @@ def scalar_validation_data(damping=0.4, stiffness=4.0, t_end=2.0):
         mass=[[1.0]], damping=[[damping]], stiffness=[[stiffness]], input_map=[[1.0]]
     )
     data = simulate(
-        sys1.operators,
+        sys1,
         lambda t: np.array([np.sin(3.0 * t)]),
         np.array([0.5]),
         np.array([0.0]),
@@ -243,12 +241,12 @@ class TestReplayFailures:
         rdata = scalar_validation_data(t_end=0.1)
         # With the trapezoidal rule the effective matrix
         # 1 + (dt / 2) c vanishes exactly at this damping.
-        rom = MassNormalizedRom(
-            damping=[[-1.0 / (0.5 * rdata.dt)]], stiffness=[[0.0]],
-            input_map=[[1.0]],
+        rom = SecondOrderSystem(
+            mass=[[1.0]], damping=[[-1.0 / (0.5 * rdata.dt)]],
+            stiffness=[[0.0]], input_map=[[1.0]],
         )
         with pytest.raises(SingularOperatorError):
-            simulate(rom.operators(), lambda t: np.zeros(1),
+            simulate(rom, lambda t: np.zeros(1),
                      rdata.displacement[:, 0], rdata.velocity[:, 0],
                      IntegratorConfig(dt=rdata.dt, t_end=0.05))
         assert opinf._replay_error(rom, rdata) == float("inf")
@@ -289,9 +287,8 @@ def simulate_free_constant(N):
 
 class TestSeparateOperators:
     def test_already_modal(self):
-        from mechrom.roms import MassNormalizedRom
-
-        rom = MassNormalizedRom(
+        rom = SecondOrderSystem(
+            mass=np.eye(2),
             damping=np.diag([0.1, 0.2]),
             stiffness=np.diag([4.0, 9.0]),
             input_map=np.array([[1.0], [1.0]]),
@@ -326,9 +323,8 @@ class TestSeparateOperators:
             assert np.linalg.eigvalsh(ops.mass).min() > 0.0
 
     def test_negative_eigenvalue_not_separable(self):
-        from mechrom.roms import MassNormalizedRom
-
-        rom = MassNormalizedRom(
+        rom = SecondOrderSystem(
+            mass=np.eye(2),
             damping=np.zeros((2, 2)),
             stiffness=np.diag([4.0, -1.0]),
             input_map=np.ones((2, 1)),
@@ -338,9 +334,8 @@ class TestSeparateOperators:
         assert exc.value.eigenvalues is not None
 
     def test_complex_eigenvalues_not_separable(self):
-        from mechrom.roms import MassNormalizedRom
-
-        rom = MassNormalizedRom(
+        rom = SecondOrderSystem(
+            mass=np.eye(2),
             damping=np.zeros((2, 2)),
             stiffness=np.array([[0.0, 1.0], [-1.0, 0.0]]),
             input_map=np.ones((2, 1)),
@@ -349,15 +344,23 @@ class TestSeparateOperators:
             separate_operators(rom)
 
     def test_near_defective_modes(self):
-        from mechrom.roms import MassNormalizedRom
-
-        rom = MassNormalizedRom(
+        rom = SecondOrderSystem(
+            mass=np.eye(2),
             damping=np.zeros((2, 2)),
             stiffness=np.array([[1.0, 1.0], [0.0, 1.0 + 1e-14]]),
             input_map=np.ones((2, 1)),
         )
         with pytest.raises(IllConditionedModesError, match="condition"):
             separate_operators(rom)
+
+    def test_rejects_non_identity_mass(self, rng):
+        sys3 = SecondOrderSystem(
+            mass=random_spd(rng, 3), damping=random_spd(rng, 3, eigmin=0.0),
+            stiffness=random_spd(rng, 3), input_map=np.ones((3, 1)),
+        )
+        with pytest.raises(InvalidInputError, match="identity mass"):
+            separate_operators(sys3)
+        separate_operators(mass_normalized_form(sys3))
 
 
 def grid_search_psd_distance(A, center, width=1.0, rounds=40, points=13):

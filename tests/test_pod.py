@@ -221,6 +221,18 @@ class TestIntrusiveReduce:
         with pytest.raises(InvalidInputError, match="does not match"):
             intrusive_reduce(random_system(rng, 5), random_basis(rng, 4, 2))
 
+    def test_exactly_symmetric_and_carries_basis(self, rng):
+        sys9 = random_system(rng, 9)
+        basis = random_basis(rng, 9, 4)
+        red = intrusive_reduce(sys9, basis)
+        V = basis.modes
+        for name in ("mass", "damping", "stiffness"):
+            A = getattr(red, name)
+            assert np.array_equal(A, A.T)
+            P = V.T @ getattr(sys9, name) @ V
+            assert np.array_equal(A, 0.5 * (P + P.T))
+        assert red.basis is basis
+
 
 class TestMassNormalizedForm:
     def test_identity_mass_is_noop(self, rng):
@@ -258,6 +270,8 @@ class TestMassNormalizedForm:
         with pytest.raises(SingularOperatorError, match="condition"):
             mass_normalized_form(sys2)
 
-    def test_lam_defaults_to_zero(self, rng):
-        rom = mass_normalized_form(random_system(rng, 2))
-        assert rom.lam == 0.0
+    def test_identity_mass_and_basis_kept(self, rng):
+        basis = random_basis(rng, 4, 2)
+        rom = mass_normalized_form(intrusive_reduce(random_system(rng, 4), basis))
+        assert np.array_equal(rom.mass, np.eye(2)) and rom.mass_normalized
+        assert rom.basis is basis
