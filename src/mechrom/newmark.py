@@ -38,6 +38,10 @@ __all__ = [
     "simulate",
 ]
 
+# Largest model dimension stepped by the precomputed 3n x 3n transition;
+# above it the factorized solve is cheaper per step (timings in README.md).
+_TRANSITION_MAX_N = 128
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -164,6 +168,28 @@ def initial_acceleration(model, x0, v0, f0) -> np.ndarray:
     return a0
 
 
+def _advance(model, solve, x, v, a, f_next, f_curr, config: IntegratorConfig):
+    """The scheme's one step: ``(x, v, a)`` at the start of a step and the
+    forces at its end and start give ``(x, v, a)`` at its end.
+
+    Every argument may be a vector or a block of columns; the step is
+    linear, so on identity blocks it yields the step's matrices.
+    """
+    dt = config.dt
+    gamma, beta, alpha = config.gamma, config.beta, config.alpha
+    pred_x = x + dt * v + dt**2 * (0.5 - beta) * a
+    pred_v = v + dt * (1.0 - gamma) * a
+    c = 1.0 + alpha
+    f_eff = c * f_next - alpha * f_curr
+    rhs = (
+        f_eff
+        - model.damping @ (c * pred_v - alpha * v)
+        - model.stiffness @ (c * pred_x - alpha * x)
+    )
+    a_next = solve(rhs)
+    return pred_x + beta * dt**2 * a_next, pred_v + gamma * dt * a_next, a_next
+
+
 def step(model, state: IntegratorState, f_next, f_curr,
          config: IntegratorConfig, _solver: _EffectiveSolver | None = None
          ) -> IntegratorState:
@@ -174,32 +200,60 @@ def step(model, state: IntegratorState, f_next, f_curr,
     """
     if _solver is None:
         _solver = _EffectiveSolver(model, config)
-    dt = config.dt
-    gamma, beta, alpha = config.gamma, config.beta, config.alpha
-    f_next = np.asarray(f_next, dtype=float).ravel()
-    f_curr = np.asarray(f_curr, dtype=float).ravel()
+    x, v, a = _advance(
+        model, _solver.solve, state.x, state.v, state.a,
+        np.asarray(f_next, dtype=float).ravel(),
+        np.asarray(f_curr, dtype=float).ravel(), config,
+    )
+    return IntegratorState(x=x, v=v, a=a, t=state.t + config.dt)
 
-    pred_x = state.x + dt * state.v + dt**2 * (0.5 - beta) * state.a
-    pred_v = state.v + dt * (1.0 - gamma) * state.a
-    c = 1.0 + alpha
-    f_eff = c * f_next - alpha * f_curr
-    rhs = (
-        f_eff
-        - model.damping @ (c * pred_v - alpha * state.v)
-        - model.stiffness @ (c * pred_x - alpha * state.x)
-    )
-    a_next = _solver.solve(rhs)
-    return IntegratorState(
-        x=pred_x + beta * dt**2 * a_next,
-        v=pred_v + gamma * dt * a_next,
-        a=a_next,
-        t=state.t + dt,
-    )
+
+def _transition(model, solver: _EffectiveSolver, config: IntegratorConfig):
+    """The step as one matrix ``T`` (3n x 5n) with
+    ``s_next = T @ (s, f_next, f_curr)`` on ``s = (x, v, a)``."""
+    n = model.mass.shape[0]
+    rows = np.split(np.eye(5 * n), 5)
+    return np.vstack(_advance(model, solver.solve, *rows, config))
+
+
+def _integrate_transition(T, s0, forces):
+    """``(X, Xd, Xdd)``, one column per step end, from ``s_{k+1} = A s_k
+    + g_{k+1}`` with ``A`` and the two force maps read off ``T``."""
+    n = forces.shape[0]
+    A, G_next, G_curr = T[:, :3 * n], T[:, 3 * n:4 * n], T[:, 4 * n:]
+    states = np.empty((forces.shape[1], 3 * n))
+    states[0] = s0
+    states[1:] = forces[:, 1:].T @ G_next.T + forces[:, :-1].T @ G_curr.T
+    for k in range(states.shape[0] - 1):
+        states[k + 1] += A @ states[k]
+    return states[1:, :n].T, states[1:, n:2 * n].T, states[1:, 2 * n:].T
+
+
+def _integrate_factorized(model, solver: _EffectiveSolver, x, v, a, forces,
+                          config: IntegratorConfig):
+    """``(X, Xd, Xdd)``, one column per step end, one solve per step."""
+    n, N = forces.shape[0], forces.shape[1] - 1
+    X = np.empty((n, N))
+    Xd = np.empty((n, N))
+    Xdd = np.empty((n, N))
+    for k in range(N):
+        x, v, a = _advance(model, solver.solve, x, v, a,
+                           forces[:, k + 1], forces[:, k], config)
+        X[:, k] = x
+        Xd[:, k] = v
+        Xdd[:, k] = a
+    return X, Xd, Xdd
 
 
 def simulate(model, sampler, x0, v0, config: IntegratorConfig,
              drive: str = "input", t0: float = 0.0) -> TrajectoryData:
     """Integrate from ``t0`` and collect snapshots at the step ends.
+
+    Models of dimension up to ``_TRANSITION_MAX_N`` advance by the
+    precomputed transition ``s_{k+1} = A s_k + g_{k+1}`` on
+    ``s = (x, v, a)``, one small matrix-vector product per step; larger
+    models, and any model whose transition is not finite, solve with the
+    factorized effective matrix at every step.
 
     Parameters
     ----------
@@ -211,7 +265,10 @@ def simulate(model, sampler, x0, v0, config: IntegratorConfig,
         is mapped to forces through the model's input map and recorded
         together with the resulting force history. With
         ``drive='force'`` it returns the n-channel nodal force directly
-        and no input history is recorded.
+        and no input history is recorded. It is called once at every
+        instant t0, t0 + dt, ..., in order, before the first step; an
+        excitation of the wrong length at any instant raises
+        :class:`InvalidInputError` and no trajectory is returned.
     x0, v0 : (n,) array_like or None
         Initial displacement and velocity; None means zero.
     config : IntegratorConfig
@@ -235,48 +292,35 @@ def simulate(model, sampler, x0, v0, config: IntegratorConfig,
             f"{x0.shape[0]} and {v0.shape[0]}"
         )
 
-    def excitation(t: float):
-        raw = np.asarray(sampler(t), dtype=float).ravel()
-        if drive == "input":
-            if raw.shape[0] != model.input_map.shape[1]:
-                raise InvalidInputError(
-                    f"sampler returned {raw.shape[0]} channels, input map "
-                    f"expects {model.input_map.shape[1]}"
-                )
-            return raw, model.input_map @ raw
-        if raw.shape[0] != n:
-            raise InvalidInputError(
-                f"sampler returned force of length {raw.shape[0]}, "
-                f"model dimension is {n}"
-            )
-        return None, raw
-
     solver = _EffectiveSolver(model, config)
     N = config.num_steps
     times = t0 + config.dt * np.arange(1, N + 1)
 
-    u0, f0 = excitation(t0)
-    state = IntegratorState(x=x0, v=v0, a=initial_acceleration(model, x0, v0, f0),
-                            t=t0)
+    width = model.input_map.shape[1] if drive == "input" else n
+    samples = np.empty((N + 1, width))
+    for k, t in enumerate((t0, *times)):
+        raw = np.asarray(sampler(t), dtype=float).ravel()
+        if raw.shape[0] != width:
+            raise InvalidInputError(
+                f"sampler returned {raw.shape[0]} channels, input map "
+                f"expects {width}" if drive == "input" else
+                f"sampler returned force of length {raw.shape[0]}, "
+                f"model dimension is {n}"
+            )
+        samples[k] = raw
+    U = samples[1:].T if drive == "input" else None
 
-    X = np.empty((n, N))
-    Xd = np.empty((n, N))
-    Xdd = np.empty((n, N))
-    F = np.empty((n, N))
-    U = None if u0 is None else np.empty((u0.shape[0], N))
-
-    f_curr = f0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(N):
-            u_next, f_next = excitation(times[k])
-            state = step(model, state, f_next, f_curr, config, _solver=solver)
-            X[:, k] = state.x
-            Xd[:, k] = state.v
-            Xdd[:, k] = state.a
-            F[:, k] = f_next
-            if U is not None:
-                U[:, k] = u_next
-            f_curr = f_next
+        forces = model.input_map @ samples.T if drive == "input" else samples.T
+        a0 = initial_acceleration(model, x0, v0, forces[:, 0])
+        T = _transition(model, solver, config) if n <= _TRANSITION_MAX_N else None
+        if T is not None and np.all(np.isfinite(T)):
+            X, Xd, Xdd = _integrate_transition(
+                T, np.concatenate([x0, v0, a0]), forces
+            )
+        else:
+            X, Xd, Xdd = _integrate_factorized(model, solver, x0, v0, a0,
+                                               forces, config)
 
     return TrajectoryData(
         times=times,
@@ -284,5 +328,5 @@ def simulate(model, sampler, x0, v0, config: IntegratorConfig,
         velocity=Xd,
         acceleration=Xdd,
         input=U,
-        force=F,
+        force=forces[:, 1:],
     )

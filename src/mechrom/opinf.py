@@ -246,13 +246,15 @@ def select_lambda(D, rhs, grid, validation: ReducedTrajectoryData):
     for lam in grid:
         rom, report = infer(D, rhs, lam, basis=validation.basis)
         err = _replay_error(rom, validation)
-        norm = float(
-            np.sqrt(
-                np.linalg.norm(rom.damping) ** 2
-                + np.linalg.norm(rom.stiffness) ** 2
-                + np.linalg.norm(rom.input_map) ** 2
+        # Operators near the largest double have an infinite norm here.
+        with np.errstate(over="ignore"):
+            norm = float(
+                np.sqrt(
+                    np.linalg.norm(rom.damping) ** 2
+                    + np.linalg.norm(rom.stiffness) ** 2
+                    + np.linalg.norm(rom.input_map) ** 2
+                )
             )
-        )
         trials.append(
             LambdaTrial(
                 lam=lam,

@@ -786,6 +786,32 @@ class TestStageFailures:
         for method in ("opinf", "pod"):
             assert os.path.exists(out / f"errors_{method}.csv")
 
+    @pytest.mark.parametrize("x0, damping, stiffness, input_scale", [
+        # Operators near the largest double overflow the transition; the
+        # factorized step from x0 overflows too.
+        ("0.05", 1.79e308, 1.79e308, 1.0),
+        # A finite transition whose force term g overflows: negative
+        # damping leaves an effective matrix of 0.01 I at dt = 0.02.
+        ("0.0", -99.0, 0.0, 1e307),
+    ])
+    def test_non_finite_transition_is_numerical_error(
+            self, tmp_path, capsys, x0, damping, stiffness, input_scale):
+        cfg = config_file(tmp_path, {"system": {"x0": x0}})
+        out = tmp_path / "artifacts"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["basis", "--config", cfg, "--out", str(out)]) == 0
+        os.makedirs(out / "opinf")
+        save_matrix(out / "opinf" / "damping.mtx", damping * np.eye(2))
+        save_matrix(out / "opinf" / "stiffness.mtx", stiffness * np.eye(2))
+        save_matrix(out / "opinf" / "input.mtx", input_scale * np.ones((2, 1)))
+        capsys.readouterr()
+        code = main(["evaluate", "--config", cfg, "--out", str(out),
+                     "--method", "opinf,pod"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error in stage 'evaluate'" in err
+        assert "opinf" in err and "pod" not in err
+
     def test_percent_in_config_value_is_literal(self, tmp_path):
         cfg = config_file(tmp_path, {"output": {"directory": "out%1"}})
         cwd = os.getcwd()

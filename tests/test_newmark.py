@@ -11,7 +11,12 @@ from mechrom import (
     simulate,
     step,
 )
-from mechrom.errors import InvalidParameterError, SingularOperatorError
+from mechrom import newmark
+from mechrom.errors import (
+    InvalidInputError,
+    InvalidParameterError,
+    SingularOperatorError,
+)
 
 from ._helpers import random_spd
 
@@ -263,3 +268,126 @@ def test_second_order_accuracy_ratio():
         errs.append(np.max(np.abs(data.displacement[0] - np.cos(data.times))))
     ratio = errs[0] / errs[1]
     assert 3.5 <= ratio <= 4.5
+
+
+# ------------------------------------------------- transition against step
+
+
+def random_stable_system(rng, n, m=2):
+    return SecondOrderSystem(
+        mass=random_spd(rng, n), damping=random_spd(rng, n, eigmin=0.0),
+        stiffness=10.0 * random_spd(rng, n), input_map=rng.standard_normal((n, m)),
+    )
+
+
+def step_loop(sys_, sampler, x0, v0, cfg, drive, t0):
+    """Reference trajectory: one ``step`` call per step."""
+    def force(t):
+        raw = np.asarray(sampler(t), dtype=float)
+        return sys_.input_map @ raw if drive == "input" else raw
+
+    f_curr = force(t0)
+    state = IntegratorState(x0, v0, initial_acceleration(sys_, x0, v0, f_curr), t0)
+    states = []
+    for k in range(1, cfg.num_steps + 1):
+        f_next = force(t0 + k * cfg.dt)
+        state = step(sys_, state, f_next, f_curr, cfg)
+        states.append(state)
+        f_curr = f_next
+    return [np.column_stack([getattr(s, name) for s in states])
+            for name in ("x", "v", "a")]
+
+
+def forbid(monkeypatch, name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} must not run for this model")
+    monkeypatch.setattr(newmark, name, fail)
+
+
+@pytest.mark.parametrize("drive", ["input", "force"])
+@pytest.mark.parametrize("alpha", [0.0, -0.1])
+@pytest.mark.parametrize("n", [1, 4, 26, newmark._TRANSITION_MAX_N + 1])
+def test_simulate_matches_step_loop(rng, monkeypatch, n, alpha, drive):
+    sys_ = random_stable_system(rng, n)
+    cfg = IntegratorConfig(dt=0.01, t_end=0.6, alpha=alpha)
+    t0 = 0.37
+    if drive == "input":
+        sampler = lambda t: np.array([np.sin(3.0 * t), np.cos(5.0 * t)])
+    else:
+        phase = rng.uniform(0.0, np.pi, n)
+        sampler = lambda t: np.sin(4.0 * t + phase)
+    x0 = rng.standard_normal(n)
+    v0 = rng.standard_normal(n)
+    # Small models take the transition, large ones the factorized solve.
+    if n <= newmark._TRANSITION_MAX_N:
+        forbid(monkeypatch, "_integrate_factorized")
+    else:
+        forbid(monkeypatch, "_transition")
+    data = simulate(sys_, sampler, x0, v0, cfg, drive=drive, t0=t0)
+    expected = step_loop(sys_, sampler, x0, v0, cfg, drive, t0)
+    for got, ref in zip(
+        (data.displacement, data.velocity, data.acceleration), expected
+    ):
+        assert got.shape == ref.shape == (n, 60)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert data.times == pytest.approx(t0 + 0.01 * np.arange(1, 61), rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, newmark._TRANSITION_MAX_N + 1])
+def test_singular_effective_matrix_on_both_paths(n):
+    zero = np.zeros((n, n))
+    sys_ = SecondOrderSystem(zero, zero, zero, np.ones((n, 1)))
+    with pytest.raises(SingularOperatorError):
+        simulate(sys_, zero_sampler, None, None,
+                 IntegratorConfig(dt=0.01, t_end=0.1))
+
+
+def test_overflowing_transition_steps_by_solve():
+    # Operators near the largest double overflow the transition's
+    # intermediate sums, although the step itself stays finite: the
+    # model is stepped by the factorized solve and ends where ``step``
+    # does.
+    huge = 1.79e308
+    sys_ = scalar_system(1.0, huge, huge)
+    cfg = IntegratorConfig(dt=0.01, t_end=0.1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        T = newmark._transition(sys_, newmark._EffectiveSolver(sys_, cfg), cfg)
+    assert not np.all(np.isfinite(T))
+    sampler = lambda t: np.array([np.sin(t)])
+    data = simulate(sys_, sampler, None, None, cfg)
+    expected = step_loop(sys_, sampler, np.zeros(1), np.zeros(1), cfg,
+                         "input", 0.0)
+    assert np.all(np.isfinite(data.displacement))
+    assert np.array_equal(data.displacement, expected[0])
+
+
+# ---------------------------------------------------------- sampler contract
+
+
+def test_sampler_called_once_per_instant_in_order():
+    sys_ = scalar_system(1.0, 0.1, 1.0)
+    calls = []
+
+    def sampler(t):
+        calls.append(t)
+        return np.zeros(1)
+
+    simulate(sys_, sampler, None, None, IntegratorConfig(dt=0.1, t_end=1.0),
+             t0=2.0)
+    assert calls == pytest.approx(2.0 + 0.1 * np.arange(11), rel=1e-15)
+
+
+@pytest.mark.parametrize("drive", ["input", "force"])
+def test_late_bad_sample_raises_before_integrating(monkeypatch, drive):
+    sys_ = scalar_system(1.0, 0.1, 1.0)
+    cfg = IntegratorConfig(dt=0.01, t_end=1.0)
+
+    def sampler(t):
+        return np.zeros(2 if t > 0.9 else 1)
+
+    forbid(monkeypatch, "_transition")
+    forbid(monkeypatch, "_integrate_factorized")
+    result = None
+    with pytest.raises(InvalidInputError, match="sampler returned"):
+        result = simulate(sys_, sampler, None, None, cfg, drive=drive)
+    assert result is None

@@ -16,7 +16,7 @@ from mechrom.errors import (
     NotSeparableError,
     SingularOperatorError,
 )
-from mechrom import opinf
+from mechrom import newmark, opinf
 from mechrom.model import SecondOrderSystem
 from mechrom.newmark import IntegratorConfig, simulate
 from mechrom.opinf import (
@@ -250,6 +250,38 @@ class TestReplayFailures:
                      rdata.displacement[:, 0], rdata.velocity[:, 0],
                      IntegratorConfig(dt=rdata.dt, t_end=0.05))
         assert opinf._replay_error(rom, rdata) == float("inf")
+
+    @pytest.mark.parametrize("rom, transition_finite", [
+        # Operators near the largest double overflow the transition's
+        # sums; the model is stepped by the factorized solve, whose first
+        # step from the validation state overflows as well.
+        (SecondOrderSystem([[1.0]], [[1.79e308]], [[1.79e308]], [[1.0]]),
+         False),
+        # A tiny mass: the transition is finite, but its force term g
+        # overflows once the input has grown tenfold in the window.
+        (SecondOrderSystem([[1e-300]], [[0.0]], [[0.0]], [[1.67e9]]), True),
+    ])
+    def test_non_finite_transition_scores_inf(self, monkeypatch, rom,
+                                              transition_finite):
+        rdata = scalar_validation_data(t_end=0.1)
+        config = IntegratorConfig(dt=rdata.dt, t_end=0.09)
+        with np.errstate(over="ignore", invalid="ignore"):
+            T = newmark._transition(
+                rom, newmark._EffectiveSolver(rom, config), config
+            )
+        assert np.all(np.isfinite(T)) == transition_finite
+        D, rhs = assemble_opinf_data(rdata)
+        fit = opinf.infer
+
+        def infer_with_bad_candidate(D, rhs, lam, basis=None):
+            fitted, report = fit(D, rhs, lam, basis=basis)
+            return (rom if lam == 1.0 else fitted), report
+
+        monkeypatch.setattr(opinf, "infer", infer_with_bad_candidate)
+        lam, trials = select_lambda(D, rhs, [0.0, 1.0], rdata)
+        assert lam == 0.0
+        assert trials[0].validation_error <= 1e-8
+        assert trials[1].validation_error == float("inf")
 
     def test_programming_error_propagates(self, monkeypatch):
         rdata = scalar_validation_data(t_end=0.1)
