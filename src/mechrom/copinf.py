@@ -10,12 +10,16 @@ order. The solver is an operator-splitting iteration: an unconstrained
 ridge step in the stacked unknown P = [M, E, K], a per-block projection
 onto the shifted semidefinite cones, and a scaled dual update, with the
 penalty parameter adapted to balance the primal and dual residuals.
-The returned operators always come from the projected iterate, so the
-constraints hold whether or not the iteration converged.
+The projection leaves a block that a Cholesky factorization shows to be
+inside its cone as it is, and eigendecomposes only the others; near
+the solution that is usually the damping block alone. The returned
+operators always come from the projected iterate, so the constraints
+hold whether or not the iteration converged.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,28 +73,63 @@ def project_psd(A, shift=0.0) -> np.ndarray:
     """Project onto symmetric matrices with eigenvalues >= ``shift``.
 
     ``A`` is one square matrix or a ``(..., r, r)`` stack of them, and
-    ``shift`` is a scalar or one value per matrix. Each matrix is
-    symmetrized, then every eigenvalue below its shift is raised to it.
-    This is the Frobenius-nearest point of the shifted semidefinite cone
-    to the symmetric part of the matrix. A stack goes through one
-    batched eigendecomposition.
+    ``shift`` is a finite scalar or one finite value per matrix. Each
+    matrix is symmetrized, then every eigenvalue below its shift is
+    raised to it. This is the Frobenius-nearest point of the shifted
+    semidefinite cone to the symmetric part of the matrix.
+
+    A Cholesky factorization of the symmetric part minus ``shift * I``
+    tells whether it already lies in its cone; such a matrix is its own
+    projection and is returned as it is. Only the matrices that fail
+    this test go through one batched eigendecomposition.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise InvalidInputError(f"matrix must be square, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise InvalidInputError("matrix contains non-finite entries")
     shift = np.asarray(shift, dtype=float)
     if shift.ndim and shift.shape != A.shape[:-2]:
         raise InvalidParameterError(
             f"need a scalar shift or one per matrix {A.shape[:-2]}, "
             f"got shape {shift.shape}"
         )
+    if not np.all(np.isfinite(shift)):
+        raise InvalidParameterError(f"shift must be finite, got {shift}")
+    count = math.prod(A.shape[:-2])
+    stack = A.reshape((count,) + A.shape[-2:])
+    shifts = np.broadcast_to(shift, A.shape[:-2]).reshape(count)
+    return _project_stack(stack, shifts).reshape(A.shape)
+
+
+def _project_stack(A, shifts) -> np.ndarray:
+    """``project_psd`` of an ``(m, r, r)`` stack with one shift per
+    matrix, for callers that have checked the shape and the shifts.
+
+    Raises InvalidInputError when ``A`` has a non-finite entry: a
+    Cholesky factorization of a NaN matrix returns NaNs instead of
+    failing, so without this check such a matrix would pass as inside
+    its cone.
+    """
+    if not np.all(np.isfinite(A)):
+        raise InvalidInputError("matrix contains non-finite entries")
     B = 0.5 * (A + np.swapaxes(A, -1, -2))
-    w, Q = np.linalg.eigh(B)
-    w = np.maximum(w, shift[..., None])
-    S = (Q * w[..., None, :]) @ np.swapaxes(Q, -1, -2)
-    return 0.5 * (S + np.swapaxes(S, -1, -2))
+    shifted = B - shifts[:, None, None] * np.eye(B.shape[-1])
+    outside = []
+    for i, block in enumerate(shifted):
+        try:
+            np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            outside.append(i)
+    if outside:
+        w, Q = np.linalg.eigh(B[outside])
+        w = np.maximum(w, shifts[outside, None])
+        S = (Q * w[..., None, :]) @ np.swapaxes(Q, -1, -2)
+        B[outside] = 0.5 * (S + np.swapaxes(S, -1, -2))
+    return B
+
+
+def _norm(X) -> float:
+    """Frobenius norm of an array."""
+    return math.sqrt(np.vdot(X, X))
 
 
 class _RidgeStep:
@@ -196,7 +235,7 @@ def infer_constrained(
 
     def proj(X):
         # The r x 3r iterate viewed as the (3, r, r) stack of its blocks.
-        blocks = project_psd(X.reshape(r, 3, r).swapaxes(0, 1), shifts)
+        blocks = _project_stack(X.reshape(r, 3, r).swapaxes(0, 1), shifts)
         return blocks.swapaxes(0, 1).reshape(r, k)
 
     rho = float(penalty)
@@ -237,16 +276,14 @@ def infer_constrained(
         Z = proj(P + U)
         U = U + P - Z
 
-        primal = float(np.linalg.norm(P - Z))
-        dual = float(rho * np.linalg.norm(Z - Z_prev))
+        primal = _norm(P - Z)
+        dual = rho * _norm(Z - Z_prev)
         if trace is not None:
-            objective = np.linalg.norm(Z @ data_range - rhs_range) ** 2
-            trace.append((it, float(objective) + rhs_tail, primal, dual))
+            objective = _norm(Z @ data_range - rhs_range) ** 2
+            trace.append((it, objective + rhs_tail, primal, dual))
 
-        eps_pri = scale * tol_abs + tol_rel * max(
-            np.linalg.norm(P), np.linalg.norm(Z)
-        )
-        eps_dual = scale * tol_abs + tol_rel * rho * np.linalg.norm(U)
+        eps_pri = scale * tol_abs + tol_rel * max(_norm(P), _norm(Z))
+        eps_dual = scale * tol_abs + tol_rel * rho * _norm(U)
         if primal <= eps_pri and dual <= eps_dual:
             converged = True
             break

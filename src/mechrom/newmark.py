@@ -145,7 +145,12 @@ class _EffectiveSolver:
 
 def initial_acceleration(model, x0, v0, f0) -> np.ndarray:
     """Acceleration consistent with the balance at the initial instant,
-    from M a0 = f0 - C v0 - K x0."""
+    from M a0 = f0 - C v0 - K x0.
+
+    Raises InvalidInputError when that balance is not finite (operators
+    near the largest double can overflow it) and SingularOperatorError
+    when M cannot be solved with.
+    """
     x0 = np.asarray(x0, dtype=float).ravel()
     v0 = np.asarray(v0, dtype=float).ravel()
     f0 = np.asarray(f0, dtype=float).ravel()
@@ -155,7 +160,12 @@ def initial_acceleration(model, x0, v0, f0) -> np.ndarray:
             f"initial data must have length {n}, got "
             f"{x0.shape[0]}, {v0.shape[0]}, {f0.shape[0]}"
         )
-    rhs = f0 - model.damping @ v0 - model.stiffness @ x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = f0 - model.damping @ v0 - model.stiffness @ x0
+    if not np.all(np.isfinite(rhs)):
+        raise InvalidInputError(
+            "initial balance f0 - C v0 - K x0 is not finite"
+        )
     try:
         with np.errstate(invalid="ignore", divide="ignore"), \
                 warnings.catch_warnings():

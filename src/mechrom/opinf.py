@@ -343,9 +343,11 @@ def nearest_spd(A, shift: float = 0.0) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise InvalidInputError(f"matrix must be square, got shape {A.shape}")
+    if not (np.isfinite(shift) and shift >= 0.0):
+        raise InvalidParameterError(
+            f"shift must be finite and nonnegative, got {shift}"
+        )
     S = project_psd(A, 0.0)
-    if shift < 0.0:
-        raise InvalidParameterError(f"shift must be nonnegative, got {shift}")
     if shift > 0.0:
         S += shift * np.eye(A.shape[0])
     return S

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
+from mechrom import copinf
 from mechrom.copinf import (
     DEFAULT_OMEGA,
     _RidgeStep,
+    _project_stack,
     infer_constrained,
     project_psd,
 )
@@ -113,6 +115,79 @@ class TestProjectPsd:
     def test_shift_count_must_match_stack(self, rng):
         with pytest.raises(InvalidParameterError, match="shift"):
             project_psd(rng.standard_normal((3, 2, 2)), [0.0, 1.0])
+
+    @pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf, [0.0, np.nan]])
+    def test_non_finite_shift_rejected(self, shift):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            project_psd(np.stack([np.eye(2), np.eye(2)]), shift)
+
+
+def eigh_projection(A, shifts):
+    """The projection with every matrix eigendecomposed, as a reference."""
+    if not np.all(np.isfinite(A)):
+        raise InvalidInputError("matrix contains non-finite entries")
+    B = 0.5 * (A + np.swapaxes(A, -1, -2))
+    w, Q = np.linalg.eigh(B)
+    w = np.maximum(w, np.asarray(shifts)[:, None])
+    S = (Q * w[..., None, :]) @ np.swapaxes(Q, -1, -2)
+    return 0.5 * (S + np.swapaxes(S, -1, -2))
+
+
+class TestCholeskyTest:
+    """A block that a Cholesky factorization shows to be inside its
+    shifted cone is returned as its symmetric part; only the others are
+    eigendecomposed."""
+
+    def test_interior_stack_skips_eigh(self, rng, monkeypatch):
+        A = np.stack([random_spd(rng, 5, eigmin=1.0) for _ in range(3)])
+        A += 1e-3 * rng.standard_normal(A.shape)
+        want = 0.5 * (A + np.swapaxes(A, -1, -2))
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh called on an interior stack")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        np.testing.assert_array_equal(project_psd(A, [0.5, 0.0, 1e-8]), want)
+        np.testing.assert_array_equal(project_psd(A[0], 0.5), want[0])
+
+    def test_mixed_stack_matches_eigh_reference(self, rng, monkeypatch):
+        inside = random_spd(rng, 4, eigmin=1.0)
+        outside = rng.standard_normal((4, 4)) - 2.0 * np.eye(4)
+        A = np.stack([inside, outside])
+        shifts = np.array([0.5, 0.1])
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        S = project_psd(A, shifts)
+        assert calls == [(1, 4, 4)]
+        np.testing.assert_array_equal(S[0], 0.5 * (inside + inside.T))
+        for b in range(2):
+            want = eigh_projection(A[b:b + 1], shifts[b:b + 1])[0]
+            np.testing.assert_allclose(S[b], want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("shift", [0.0, 0.3, 1e-8])
+    def test_eigenvalue_at_shift(self, rng, shift):
+        Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        w = np.array([shift, shift + 0.5, 1.0, 2.0, 3.0, 4.0])
+        B = (Q * w) @ Q.T
+        B = 0.5 * (B + B.T)
+        S = project_psd(B, shift)
+        np.testing.assert_array_equal(S, S.T)
+        bound = shift - 64 * np.finfo(float).eps * np.linalg.norm(B, 2)
+        assert np.linalg.eigvalsh(S).min() >= bound
+        np.testing.assert_allclose(S, B, rtol=0.0, atol=1e-12)
+
+    def test_non_finite_stack_rejected(self):
+        # A NaN matrix factors into NaNs without an error, so the kernel
+        # must not take it for a matrix inside its cone.
+        A = np.full((1, 3, 3), np.nan)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            _project_stack(A, np.zeros(1))
 
 
 def direct_objective(rom, D, rhs):
@@ -280,6 +355,42 @@ class TestInferConstrained:
         assert report.iterations >= 1
         assert np.isfinite(report.primal_residual)
         assert np.isfinite(report.dual_residual)
+
+    @pytest.mark.parametrize("r", [1, 4, 26])
+    @pytest.mark.parametrize("damping_sign", [1.0, -1.0])
+    def test_matches_eigh_projection_reference(self, rng, monkeypatch, r,
+                                               damping_sign):
+        # A rank-deficient damping keeps that block near its cone's
+        # boundary while mass and stiffness stay inside theirs; with the
+        # sign flipped the damping is pushed onto the boundary.
+        N = 4 * r + 10
+        G = rng.standard_normal((r, max(1, r // 3)))
+        operators = np.hstack(
+            [random_spd(rng, r), damping_sign * (G @ G.T), random_spd(rng, r)]
+        )
+        D = rng.standard_normal((3 * r, N))
+        rhs = operators @ D + 0.1 * rng.standard_normal((r, N))
+
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            if a.ndim == 3:
+                sizes.append(a.shape[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        rom, report = infer_constrained(D, rhs)
+        # The Cholesky test spared at least one block somewhere.
+        assert min(sizes) < 3
+        monkeypatch.setattr(copinf, "_project_stack", eigh_projection)
+        ref, ref_report = infer_constrained(D, rhs)
+
+        assert report.converged and ref_report.converged
+        assert report.iterations == ref_report.iterations
+        got = np.hstack([rom.mass, rom.damping, rom.stiffness])
+        want = np.hstack([ref.mass, ref.damping, ref.stiffness])
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_validation_errors(self, rng):
         good_D = rng.standard_normal((3, 8))

@@ -106,6 +106,16 @@ def test_initial_acceleration_against_solve(rng):
     assert resid <= 1e-10 * (1 + np.linalg.norm(f0))
 
 
+def test_initial_acceleration_overflowing_balance():
+    # K x0 = 2e308 overflows; the balance is reported, not solved with.
+    sys_ = scalar_system(1.0, 0.0, 1e308)
+    with pytest.raises(InvalidInputError, match="balance"):
+        initial_acceleration(sys_, np.array([2.0]), np.zeros(1), np.zeros(1))
+    with pytest.raises(InvalidInputError, match="balance"):
+        simulate(sys_, zero_sampler, np.array([2.0]), np.zeros(1),
+                 IntegratorConfig(dt=0.01, t_end=0.1))
+
+
 def test_initial_acceleration_singular_mass():
     sys_ = SecondOrderSystem(
         mass=np.zeros((1, 1)), damping=np.zeros((1, 1)),

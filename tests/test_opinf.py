@@ -150,14 +150,14 @@ def identity_basis(r):
     return PodBasis(modes=np.eye(r), singular_values=np.ones(r))
 
 
-def scalar_validation_data(damping=0.4, stiffness=4.0, t_end=2.0):
+def scalar_validation_data(damping=0.4, stiffness=4.0, t_end=2.0, x0=0.5):
     sys1 = SecondOrderSystem(
         mass=[[1.0]], damping=[[damping]], stiffness=[[stiffness]], input_map=[[1.0]]
     )
     data = simulate(
         sys1,
         lambda t: np.array([np.sin(3.0 * t)]),
-        np.array([0.5]),
+        np.array([x0]),
         np.array([0.0]),
         IntegratorConfig(dt=0.01, t_end=t_end),
     )
@@ -270,6 +270,26 @@ class TestReplayFailures:
                 rom, newmark._EffectiveSolver(rom, config), config
             )
         assert np.all(np.isfinite(T)) == transition_finite
+        D, rhs = assemble_opinf_data(rdata)
+        fit = opinf.infer
+
+        def infer_with_bad_candidate(D, rhs, lam, basis=None):
+            fitted, report = fit(D, rhs, lam, basis=basis)
+            return (rom if lam == 1.0 else fitted), report
+
+        monkeypatch.setattr(opinf, "infer", infer_with_bad_candidate)
+        lam, trials = select_lambda(D, rhs, [0.0, 1.0], rdata)
+        assert lam == 0.0
+        assert trials[0].validation_error <= 1e-8
+        assert trials[1].validation_error == float("inf")
+
+    def test_overflowing_initial_balance_scores_inf(self, monkeypatch):
+        # The replay starts near x = 2, where K x overflows: simulate
+        # raises InvalidInputError before any step, and the candidate
+        # scores inf instead of ending the sweep.
+        rdata = scalar_validation_data(t_end=0.1, x0=2.0)
+        assert rdata.displacement[0, 0] > 1.79
+        rom = SecondOrderSystem([[1.0]], [[0.0]], [[1e308]], [[1.0]])
         D, rhs = assemble_opinf_data(rdata)
         fit = opinf.infer
 
@@ -473,3 +493,8 @@ class TestNearestSpd:
             nearest_spd(bad)
         with pytest.raises(InvalidParameterError, match="shift"):
             nearest_spd(np.eye(2), shift=-0.5)
+
+    @pytest.mark.parametrize("shift", [np.nan, np.inf])
+    def test_non_finite_shift_rejected(self, shift):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            nearest_spd(np.eye(2), shift=shift)
