@@ -640,6 +640,14 @@ def stage_infer(cfg: ExperimentConfig, outdir) -> None:
           f"(residual {report.residual:.3e})")
 
 
+# How the infer-constrained line names the solver's stop reason.
+_STOP_LABELS = {
+    "converged": "converged",
+    "stalled": "objective stalled",
+    "cap": "iteration limit",
+}
+
+
 def stage_infer_constrained(cfg: ExperimentConfig, outdir) -> None:
     if "copinf" not in cfg.methods:
         return
@@ -658,8 +666,7 @@ def stage_infer_constrained(cfg: ExperimentConfig, outdir) -> None:
                     stiffness=rom.stiffness)
     print(
         f"infer-constrained: objective {report.objective:.6e} after "
-        f"{report.iterations} iterations"
-        + ("" if report.converged else " (iteration limit)")
+        f"{report.iterations} iterations ({_STOP_LABELS[report.stop_reason]})"
     )
 
 

@@ -6,15 +6,29 @@ find symmetric operators (M, E, K) minimizing
     || M Qdd + E Qd + K Q - F ||_F^2
 
 subject to M >= omega I, K >= omega I, and E >= 0 in the semidefinite
-order. The solver is an operator-splitting iteration: an unconstrained
-ridge step in the stacked unknown P = [M, E, K], a per-block projection
-onto the shifted semidefinite cones, and a scaled dual update, with the
-penalty parameter adapted to balance the primal and dual residuals.
-The projection leaves a block that a Cholesky factorization shows to be
+order. The solver is an over-relaxed operator-splitting iteration
+(Boyd et al., "Distributed Optimization and Statistical Learning via
+ADMM", 2011, §3.4.3): an unconstrained ridge step in the stacked unknown
+P = [M, E, K], a per-block projection of the relaxed iterate onto the
+shifted semidefinite cones, and a scaled dual update, with the penalty
+parameter adapted to balance the primal and dual residuals. The
+projection leaves a block that a Cholesky factorization shows to be
 inside its cone as it is, and eigendecomposes only the others; near
-the solution that is usually the damping block alone. The returned
-operators always come from the projected iterate, so the constraints
-hold whether or not the iteration converged.
+the solution that is usually the damping block alone.
+
+The iteration stops for one of three reasons, reported as
+``ConstrainedSolveReport.stop_reason``:
+
+- ``"converged"``: the primal and dual residuals meet the absolute and
+  relative tolerances of Boyd et al. (§3.3.1);
+- ``"stalled"``: over a window of iterations the objective moved by
+  less than a fixed fraction of ||F||^2. A problem whose data the
+  operators fit almost exactly has a flat set of minimizers, on which
+  the residuals need not fall below their tolerances;
+- ``"cap"``: the iteration limit was reached first.
+
+The returned operators always come from the projected iterate, so the
+constraints hold whatever the reason.
 """
 
 from __future__ import annotations
@@ -37,7 +51,7 @@ __all__ = [
 DEFAULT_OMEGA = 1e-8
 DEFAULT_PENALTY = 1.0
 DEFAULT_TOL_ABS = 1e-9
-DEFAULT_TOL_REL = 1e-9
+DEFAULT_TOL_REL = 1e-4
 DEFAULT_MAX_ITER = 50000
 
 # Residual balancing: grow or shrink the penalty by _ADAPT_FACTOR when
@@ -52,21 +66,42 @@ _ADAPT_EVERY = 25
 _ADAPT_CUTOFF = 500
 _PENALTY_RANGE = (1e-8, 1e8)
 
+# Over-relaxation factor alpha in (0, 2): the cone projection and the
+# dual update see alpha * P + (1 - alpha) * Z_prev in place of P. At 1.8
+# the README solve (r=26) needs 18,937 iterations against 23,711 at 1.
+_RELAX = 1.8
+
+# Objective-stall test: every _STALL_WINDOW iterations, stop when the
+# objective moved by at most _STALL_TOL * ||F||^2 since the previous
+# window. Per 500 iterations the README solve still moves by 4.5e-11
+# ||F||^2 at iteration 18,500, just before its residuals converge, and
+# the CLI test problem (r=2, an almost exact fit) by 5.2e-12 ||F||^2
+# at iteration 1,000; the threshold sits between the two.
+_STALL_WINDOW = 500
+_STALL_TOL = 1.5e-11
+
 
 @dataclass(frozen=True)
 class ConstrainedSolveReport:
     """Diagnostics of one constrained solve.
 
     ``objective`` is evaluated at the projected (feasible) iterate that
-    the returned model is built from. ``converged`` is False when the
-    iteration limit was reached first; the model is still feasible.
+    the returned model is built from. ``stop_reason`` is
+    ``"converged"`` (residual tolerances met), ``"stalled"`` (objective
+    stopped moving) or ``"cap"`` (iteration limit reached first). The
+    model is feasible in every case.
     """
 
     objective: float
     iterations: int
     primal_residual: float
     dual_residual: float
-    converged: bool
+    stop_reason: str
+
+    @property
+    def converged(self) -> bool:
+        """True when the residual tolerances stopped the iteration."""
+        return self.stop_reason == "converged"
 
 
 def project_psd(A, shift=0.0) -> np.ndarray:
@@ -178,10 +213,15 @@ def infer_constrained(
     basis : PodBasis, optional
         Attached to the returned model.
     penalty, tol_abs, tol_rel, max_iter
-        Splitting iteration controls.
+        Splitting iteration controls: the initial penalty, the absolute
+        and relative residual tolerances (positive and finite) and the
+        iteration limit. The iteration stops at the first of residual
+        convergence, an objective stall and ``max_iter``; the report
+        says which.
     trace_path : str, optional
         When given, a CSV with one row per iteration (iteration,
-        objective, primal and dual residual) is written there.
+        objective, primal and dual residual) is written there, up to
+        and including the iteration that stopped the solve.
 
     Returns
     -------
@@ -207,10 +247,12 @@ def infer_constrained(
         raise InvalidInputError("regression data contains non-finite entries")
     if omega <= 0.0 or not np.isfinite(omega):
         raise InvalidParameterError(f"omega must be positive, got {omega}")
-    if penalty <= 0.0 or tol_abs <= 0.0 or tol_rel <= 0.0:
-        raise InvalidParameterError(
-            "penalty and tolerances must be positive"
-        )
+    for name, value in (("penalty", penalty), ("tol_abs", tol_abs),
+                        ("tol_rel", tol_rel)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise InvalidParameterError(
+                f"{name} must be positive and finite, got {value}"
+            )
     if max_iter < 1:
         raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter}")
 
@@ -245,8 +287,8 @@ def infer_constrained(
     # Thin SVD Ds = W diag(s) Qt. Besides the warm start it gives the
     # objective in reduced form: with Z_s the scaled iterate,
     # ||Z D - F||^2 = ||Z_s W diag(s) - F Qt^T||^2 + ||F - F Qt^T Qt||^2,
-    # where the second term is constant, so a traced step does no work
-    # over the N snapshots.
+    # where the second term is constant, so neither a traced step nor
+    # the stall test does work over the N snapshots.
     if np.any(Ds):
         W, s, Qt = la.svd(Ds, full_matrices=False)
         filt = np.where(s > 1e-12 * s[0], 1.0, 0.0) / np.where(s > 0.0, s, 1.0)
@@ -262,31 +304,45 @@ def infer_constrained(
     Z = proj(P)
     U = np.zeros_like(P)
 
+    def objective_in_range(Z):
+        # The reduced-form objective without its constant second term.
+        return _norm(Z @ data_range - rhs_range) ** 2
+
     scale = float(np.sqrt(P.size))
+    stall_tol = _STALL_TOL * float(np.vdot(rhs, rhs))
+    stall_ref = objective_in_range(Z)
     trace = [] if trace_path is not None else None
     iterations = 0
     primal = dual = float("inf")
-    converged = False
+    stop_reason = "cap"
     last_adapt = 0
 
     for it in range(1, max_iter + 1):
         iterations = it
         P = ridge(rhs_data + rho * (Z - U))
         Z_prev = Z
-        Z = proj(P + U)
-        U = U + P - Z
+        P_relaxed = _RELAX * P + (1.0 - _RELAX) * Z_prev
+        Z = proj(P_relaxed + U)
+        U = U + P_relaxed - Z
 
         primal = _norm(P - Z)
         dual = rho * _norm(Z - Z_prev)
+        window_end = it % _STALL_WINDOW == 0
+        if trace is not None or window_end:
+            objective = objective_in_range(Z)
         if trace is not None:
-            objective = _norm(Z @ data_range - rhs_range) ** 2
             trace.append((it, objective + rhs_tail, primal, dual))
 
         eps_pri = scale * tol_abs + tol_rel * max(_norm(P), _norm(Z))
         eps_dual = scale * tol_abs + tol_rel * rho * _norm(U)
         if primal <= eps_pri and dual <= eps_dual:
-            converged = True
+            stop_reason = "converged"
             break
+        if window_end:
+            if abs(stall_ref - objective) <= stall_tol:
+                stop_reason = "stalled"
+                break
+            stall_ref = objective
 
         if it <= _ADAPT_CUTOFF and it - last_adapt >= _ADAPT_EVERY:
             if primal > _ADAPT_RATIO * dual and rho * _ADAPT_FACTOR <= _PENALTY_RANGE[1]:
@@ -323,6 +379,6 @@ def infer_constrained(
         iterations=iterations,
         primal_residual=primal,
         dual_residual=dual,
-        converged=converged,
+        stop_reason=stop_reason,
     )
     return rom, report

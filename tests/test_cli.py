@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from mechrom import __version__
+from mechrom import __version__, cli
 from mechrom.cli import (
     _KNOWN_KEYS,
     DEFAULT_LAMBDA_GRID,
@@ -479,6 +479,29 @@ class TestPipeline:
         assert "infer-constrained: objective " in stdout
         for method in ("pod", "opinf", "copinf"):
             assert f"evaluate: {method} max relative error " in stdout
+
+    @pytest.mark.parametrize("max_iter, ending", [
+        (None, "iterations (objective stalled)"),
+        (5, "after 5 iterations (iteration limit)"),
+    ])
+    def test_constrained_line_names_stop_reason(self, tmp_path, capsys,
+                                                monkeypatch, max_iter,
+                                                ending):
+        # The test experiment is fitted almost exactly, so its solve
+        # stops on the objective stall; a low cap stops it at the limit.
+        if max_iter is not None:
+            solve = cli.infer_constrained
+            monkeypatch.setattr(
+                cli, "infer_constrained",
+                lambda *args, **kw: solve(*args, max_iter=max_iter, **kw),
+            )
+        cfg = config_file(tmp_path)
+        out = tmp_path / "artifacts"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("infer-constrained: ")]
+        assert len(lines) == 1
+        assert lines[0].endswith(ending)
 
     def test_run_writes_expected_tree(self, small_run):
         _, out = small_run

@@ -15,7 +15,10 @@ from mechrom.copinf import (
     project_psd,
 )
 from mechrom.errors import InvalidInputError, InvalidParameterError
-from mechrom.pod import PodBasis
+from mechrom.model import build_mass_spring_chain
+from mechrom.newmark import IntegratorConfig, simulate
+from mechrom.pod import PodBasis, compute_basis
+from mechrom.snapshots import assemble_force_data, project
 
 from tests._helpers import random_spd
 
@@ -269,6 +272,7 @@ class TestInferConstrained:
             rel = np.linalg.norm(got - want) / np.linalg.norm(want)
             assert rel <= 1e-6
         assert report.objective <= 1e-10
+        assert report.stop_reason == "converged"
         assert report.converged
 
     def test_zero_data_degenerate(self):
@@ -285,6 +289,7 @@ class TestInferConstrained:
         D = rng.standard_normal((9, 30))
         rhs = rng.standard_normal((3, 30))
         rom, report = infer_constrained(D, rhs, omega=1e-8, max_iter=5)
+        assert report.stop_reason == "cap"
         assert not report.converged
         assert report.iterations == 5
         assert np.linalg.eigvalsh(rom.mass).min() >= 1e-8 - 1e-10
@@ -409,3 +414,110 @@ class TestInferConstrained:
             infer_constrained(good_D, good_rhs, penalty=-1.0)
         with pytest.raises(InvalidParameterError, match="max_iter"):
             infer_constrained(good_D, good_rhs, max_iter=0)
+
+
+def cli_problem():
+    """The regression data of the CLI tests' experiment: a 4-mass chain
+    driven at its first mass, ten training snapshots, a rank-2 basis.
+    Definite operators fit it to about 2e-9 of ||F||^2."""
+    chain = build_mass_spring_chain(
+        4, np.ones(4), np.full(5, 10.0), alpha_r=0.02, beta_r=0.005
+    )
+    data = simulate(
+        chain, lambda t: np.array([np.sin(2.0 * np.pi * t)]),
+        np.zeros(4), np.zeros(4), IntegratorConfig(dt=0.02, t_end=0.2),
+    )
+    basis = compute_basis(data.displacement, rank=2)
+    return assemble_force_data(project(data, basis))
+
+
+def chain_problem(n, rank, t_end):
+    """Regression data of a uniform chain driven at 10 Hz at its first
+    mass, with the README experiment's springs and damping."""
+    chain = build_mass_spring_chain(
+        n, np.ones(n), np.full(n + 1, 1e4), alpha_r=0.01, beta_r=1e-4
+    )
+    data = simulate(
+        chain, lambda t: np.array([np.sin(20.0 * np.pi * t)]),
+        np.zeros(n), np.zeros(n), IntegratorConfig(dt=1e-3, t_end=t_end),
+    )
+    basis = compute_basis(data.displacement, rank=rank)
+    return assemble_force_data(project(data, basis))
+
+
+def well_posed_problem(rng, r, damping_sign=1.0):
+    """Definite operators plus noise, with more snapshots than unknowns.
+    A negative ``damping_sign`` flips the damping block, so its cone
+    constraint binds at the optimum."""
+    N = 4 * r + 10
+    operators = np.hstack([random_spd(rng, r),
+                           damping_sign * random_spd(rng, r, eigmin=0.1),
+                           random_spd(rng, r)])
+    D = rng.standard_normal((3 * r, N))
+    return D, operators @ D + 0.1 * rng.standard_normal((r, N))
+
+
+class TestStopReasons:
+    """The report says why the iteration stopped: residual convergence,
+    an objective that stopped moving, or the iteration limit."""
+
+    def test_exact_fit_problem_stalls(self):
+        D, rhs = cli_problem()
+        rom, report = infer_constrained(D, rhs)
+        assert report.stop_reason == "stalled"
+        assert not report.converged
+        assert report.iterations <= 2000
+        assert report.objective <= 1e-8 * np.sum(rhs**2)
+        assert np.linalg.eigvalsh(rom.mass).min() >= DEFAULT_OMEGA - 1e-10
+        assert np.linalg.eigvalsh(rom.stiffness).min() >= DEFAULT_OMEGA - 1e-10
+        assert np.linalg.eigvalsh(rom.damping).min() >= -1e-10
+
+    def test_multi_window_solve_converges(self):
+        # This solve still lowers its objective by about 1e-9 ||F||^2 per
+        # window when the residual test fires, so the stall test must
+        # let it run on through several windows.
+        D, rhs = chain_problem(60, 20, 0.5)
+        _, report = infer_constrained(D, rhs)
+        assert report.stop_reason == "converged"
+        assert report.iterations > 3 * copinf._STALL_WINDOW
+
+    @pytest.mark.parametrize("problem, max_iter, reason", [
+        ("random", copinf.DEFAULT_MAX_ITER, "converged"),
+        ("cli", copinf.DEFAULT_MAX_ITER, "stalled"),
+        ("random", 5, "cap"),
+    ])
+    def test_trace_has_one_row_per_iteration(self, rng, tmp_path, problem,
+                                             max_iter, reason):
+        D, rhs = cli_problem() if problem == "cli" else well_posed_problem(rng, 3)
+        path = tmp_path / "trace.csv"
+        _, report = infer_constrained(D, rhs, max_iter=max_iter,
+                                      trace_path=path)
+        assert report.stop_reason == reason
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        np.testing.assert_array_equal(
+            rows[:, 0], np.arange(1, report.iterations + 1)
+        )
+
+    @pytest.mark.parametrize("control", ["penalty", "tol_abs", "tol_rel"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_control_rejected(self, rng, control, value):
+        D, rhs = well_posed_problem(rng, 2)
+        with pytest.raises(InvalidParameterError, match=control):
+            infer_constrained(D, rhs, **{control: value})
+
+
+class TestOverRelaxation:
+    """The over-relaxed iteration reaches the same optimum as the plain
+    one (relaxation factor 1): at the default tolerances the two
+    objectives agree to 1e-6 relative."""
+
+    @pytest.mark.parametrize("r", [1, 4, 26])
+    @pytest.mark.parametrize("damping_sign", [1.0, -1.0])
+    def test_matches_unrelaxed_reference(self, rng, monkeypatch, r,
+                                         damping_sign):
+        D, rhs = well_posed_problem(rng, r, damping_sign)
+        _, report = infer_constrained(D, rhs)
+        monkeypatch.setattr(copinf, "_RELAX", 1.0)
+        _, ref = infer_constrained(D, rhs)
+        assert report.converged and ref.converged
+        assert abs(report.objective - ref.objective) <= 1e-6 * ref.objective
