@@ -6,9 +6,11 @@ of the governing equations
     mass @ x'' + damping @ x' + stiffness @ x = input_map @ u(t).
 
 Full models and reduced models share the one container
-:class:`SecondOrderSystem`. Builders for proportional damping and for
-mass-spring chain benchmarks live here, together with a plain-text
-sparse matrix format used for all operator files.
+:class:`SecondOrderSystem`: full models hold ``scipy.sparse`` CSR
+structural operators, reduced models dense arrays. Builders for
+proportional damping and for mass-spring chain benchmarks live here,
+together with a plain-text sparse matrix format used for all operator
+files.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import FormatError, InvalidInputError, InvalidParameterError
 
@@ -40,18 +43,23 @@ __all__ = [
 FLOAT_FORMAT = "%.17g"
 
 
-def _as_2d(name: str, A) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
+def _as_2d(name: str, A):
+    """``A`` as a finite 2-D float array, or as CSR if it is sparse."""
+    if sp.issparse(A):
+        A = sp.csr_array(A, dtype=float)
+        values = A.data
+    else:
+        A = values = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise InvalidInputError(f"{name} must be a 2-D array, got ndim={A.ndim}")
-    if not np.all(np.isfinite(A)):
+    if not np.all(np.isfinite(values)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return A
 
 
-def symmetric_part(A) -> np.ndarray:
-    """The symmetric part ``(A + A.T) / 2``; an exactly symmetric ``A``
-    comes back unchanged."""
+def symmetric_part(A):
+    """The symmetric part ``(A + A.T) / 2``, dense or sparse as ``A`` is;
+    an exactly symmetric ``A`` comes back unchanged."""
     return 0.5 * (A + A.T)
 
 
@@ -65,10 +73,17 @@ class SecondOrderSystem:
     promise symmetric operators (``load_system``, ``intrusive_reduce``,
     ``separate_operators``) apply :func:`symmetric_part` themselves.
 
+    Full models (``build_mass_spring_chain``, ``load_system``) hold
+    sparse structural operators; reduced models hold dense ones. The
+    storage decides how ``newmark`` factors the model: SuperLU for a
+    sparse effective matrix, dense LU otherwise.
+
     Parameters
     ----------
-    mass, damping, stiffness : (n, n) ndarray
-        Structural operators. A mass-normalized model carries the
+    mass, damping, stiffness : (n, n) ndarray or scipy.sparse matrix
+        Structural operators. A sparse operator is stored as a CSR
+        array (use ``.toarray()`` for dense work) and its stored values
+        are checked for finiteness. A mass-normalized model carries the
         identity as its mass.
     input_map : (n, m) ndarray, optional
         Maps the m-channel input signal to forces. None for a model
@@ -97,7 +112,8 @@ class SecondOrderSystem:
                 )
             object.__setattr__(self, name, A)
         if self.input_map is not None:
-            B = _as_2d("input_map", self.input_map)
+            B = self.input_map
+            B = _as_2d("input_map", B.toarray() if sp.issparse(B) else B)
             if B.shape[0] != n or B.shape[1] < 1:
                 raise InvalidInputError(
                     f"input_map must be {n}xm with m >= 1, "
@@ -118,18 +134,23 @@ class SecondOrderSystem:
     @property
     def mass_normalized(self) -> bool:
         """True when the mass is exactly the identity."""
-        return bool(np.array_equal(self.mass, np.eye(self.n)))
+        M = self.mass
+        if sp.issparse(M):
+            return (M.count_nonzero() == self.n
+                    and bool(np.all(M.diagonal() == 1.0)))
+        return bool(np.array_equal(M, np.eye(self.n)))
 
 
 # ``perfbench/checks.py`` imports the model type under its former name.
 SecondOrderOperators = SecondOrderSystem
 
 
-def rayleigh_damping(mass, stiffness, alpha_r: float, beta_r: float) -> np.ndarray:
+def rayleigh_damping(mass, stiffness, alpha_r: float, beta_r: float):
     """Proportional damping ``alpha_r * mass + beta_r * stiffness``.
 
     Both coefficients must be nonnegative so that the result is positive
-    semidefinite whenever mass and stiffness are positive definite.
+    semidefinite whenever mass and stiffness are positive definite. Two
+    sparse operators give a CSR result, otherwise it is dense.
     """
     M = _as_2d("mass", mass)
     K = _as_2d("stiffness", stiffness)
@@ -161,6 +182,8 @@ def build_mass_spring_chain(
     ``K[i, i] = k[i] + k[i + 1]`` and ``K[i, i + 1] = K[i + 1, i] = -k[i + 1]``
     where ``k[j]`` is the j-th spring constant. The mass matrix is
     ``diag(masses)`` and damping is Rayleigh with the given coefficients.
+    All three are CSR arrays with no dense n x n array formed; the
+    stiffness stores its 3n - 2 band entries.
 
     Parameters
     ----------
@@ -179,6 +202,7 @@ def build_mass_spring_chain(
     Returns
     -------
     SecondOrderSystem
+        Sparse mass, damping and stiffness, dense (n, m) input map.
     """
     if n < 1:
         raise InvalidParameterError(f"chain needs at least one mass, got n={n}")
@@ -205,13 +229,11 @@ def build_mass_spring_chain(
                 f"input node {node} outside range [0, {n - 1}]"
             )
 
-    M = np.diag(masses)
-    K = np.zeros((n, n))
-    for i in range(n):
-        K[i, i] = stiffnesses[i] + stiffnesses[i + 1]
-        if i + 1 < n:
-            K[i, i + 1] = -stiffnesses[i + 1]
-            K[i + 1, i] = -stiffnesses[i + 1]
+    M = sp.csr_array(sp.diags(masses))
+    coupling = -stiffnesses[1:-1]
+    K = sp.csr_array(sp.diags(
+        [coupling, stiffnesses[:-1] + stiffnesses[1:], coupling], [-1, 0, 1]
+    ))
     C = rayleigh_damping(M, K, alpha_r, beta_r)
     B = np.zeros((n, len(input_nodes)))
     for j, node in enumerate(input_nodes):
@@ -242,11 +264,13 @@ _HEADER_PREFIX = "%%matrix coordinate real"
 
 
 def save_matrix(path, A, symmetry: str = "general") -> None:
-    """Write a dense array to the coordinate text format.
+    """Write a dense or sparse array to the coordinate text format.
 
-    Exact zeros are not stored. ``symmetry='symmetric'`` stores the lower
-    triangle only and requires a square input; the strict symmetry of the
-    input is not checked, the upper triangle is simply ignored.
+    Exact zeros are not stored, and entries are written in row-major
+    order, so a sparse array and its dense form give the same bytes.
+    ``symmetry='symmetric'`` stores the lower triangle only and requires
+    a square input; the strict symmetry of the input is not checked, the
+    upper triangle is simply ignored.
     """
     A = _as_2d("matrix", A)
     if symmetry not in ("general", "symmetric"):
@@ -254,25 +278,34 @@ def save_matrix(path, A, symmetry: str = "general") -> None:
     rows, cols = A.shape
     if symmetry == "symmetric" and rows != cols:
         raise InvalidParameterError("symmetric storage requires a square matrix")
-    entries = []
-    for i in range(rows):
-        jmax = i + 1 if symmetry == "symmetric" else cols
-        for j in range(jmax):
-            v = A[i, j]
-            if v != 0.0:
-                entries.append((i + 1, j + 1, v))
+    if sp.issparse(A):
+        A = A.copy()
+        A.sum_duplicates()  # sorts each row's column indices
+        i = np.repeat(np.arange(rows), np.diff(A.indptr))
+        j, v = A.indices, A.data
+        keep = v != 0.0
+        if symmetry == "symmetric":
+            keep &= j <= i
+        i, j, v = i[keep], j[keep], v[keep]
+    else:
+        i, j = np.nonzero(np.tril(A) if symmetry == "symmetric" else A)
+        v = A[i, j]
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{_HEADER_PREFIX} {symmetry}\n")
-        fh.write(f"{rows} {cols} {len(entries)}\n")
-        for i, j, v in entries:
-            fh.write(f"{i} {j} {FLOAT_FORMAT % v}\n")
+        fh.write(f"{rows} {cols} {v.size}\n")
+        fh.write("".join(
+            f"{a} {b} {FLOAT_FORMAT % x}\n"
+            for a, b, x in zip((i + 1).tolist(), (j + 1).tolist(), v.tolist())
+        ))
 
 
-def load_matrix(path) -> np.ndarray:
-    """Read a coordinate text file back into a dense array.
+def _read_coordinates(path):
+    """``(shape, rows, cols, values)`` of a coordinate text file, with
+    zero-based indices; a symmetric file's off-diagonal entries are
+    listed a second time, mirrored, after all stored entries.
 
-    Symmetric files are mirrored into a full dense matrix. Any malformed
-    line raises :class:`FormatError` carrying the 1-based line number.
+    Any malformed line raises :class:`FormatError` carrying the 1-based
+    line number.
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
@@ -312,8 +345,10 @@ def load_matrix(path) -> np.ndarray:
             line=len(lines),
         )
 
-    A = np.zeros((rows, cols))
-    for lineno, ln in data_lines:
+    I = np.empty(nnz, dtype=np.intp)
+    J = np.empty(nnz, dtype=np.intp)
+    values = np.empty(nnz)
+    for k, (lineno, ln) in enumerate(data_lines):
         parts = ln.split()
         if len(parts) != 3:
             raise FormatError("entry must be 'row col value'", path=path, line=lineno)
@@ -331,10 +366,31 @@ def load_matrix(path) -> np.ndarray:
             raise FormatError(
                 "upper-triangle entry in symmetric file", path=path, line=lineno
             )
-        A[i - 1, j - 1] += v
-        if symmetry == "symmetric" and i != j:
-            A[j - 1, i - 1] += v
+        I[k], J[k], values[k] = i - 1, j - 1, v
+    if symmetry == "symmetric":
+        off = I != J
+        I, J = np.concatenate([I, J[off]]), np.concatenate([J, I[off]])
+        values = np.concatenate([values, values[off]])
+    return (rows, cols), I, J, values
+
+
+def load_matrix(path) -> np.ndarray:
+    """Read a coordinate text file back into a dense array.
+
+    Symmetric files are mirrored into a full dense matrix and duplicate
+    entries are summed. Any malformed line raises :class:`FormatError`
+    carrying the 1-based line number.
+    """
+    shape, I, J, values = _read_coordinates(path)
+    A = np.zeros(shape)
+    np.add.at(A, (I, J), values)
     return A
+
+
+def _load_sparse(path):
+    """A coordinate text file as a CSR array, never dense."""
+    shape, I, J, values = _read_coordinates(path)
+    return sp.csr_array((values, (I, J)), shape=shape)
 
 
 def save_system(system: SecondOrderSystem, mass_path, damping_path,
@@ -351,10 +407,12 @@ def save_system(system: SecondOrderSystem, mass_path, damping_path,
 
 def load_system(mass_path, damping_path, stiffness_path, input_path,
                 label: str = "") -> SecondOrderSystem:
-    """Assemble a model from four operator files.
+    """Assemble a full model from four operator files.
 
-    Mass, damping, and stiffness are replaced by their symmetric parts,
-    so a general-storage file with a skew part gives symmetric operators.
+    Mass, damping, and stiffness come back as CSR arrays built straight
+    from the file entries (no dense n x n array is formed), replaced by
+    their symmetric parts, so a general-storage file with a skew part
+    gives symmetric operators. The input map is dense.
 
     Raises
     ------
@@ -364,8 +422,8 @@ def load_system(mass_path, damping_path, stiffness_path, input_path,
         If the operator dimensions are mutually inconsistent.
     """
     system = SecondOrderSystem(
-        load_matrix(mass_path), load_matrix(damping_path),
-        load_matrix(stiffness_path), load_matrix(input_path), label=label,
+        _load_sparse(mass_path), _load_sparse(damping_path),
+        _load_sparse(stiffness_path), load_matrix(input_path), label=label,
     )
     return replace(
         system, mass=symmetric_part(system.mass),

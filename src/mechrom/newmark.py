@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
+import scipy.sparse as sp
 
 from .errors import InvalidInputError, InvalidParameterError, SingularOperatorError
 from .snapshots import TrajectoryData
@@ -114,9 +115,22 @@ class IntegratorState:
         object.__setattr__(self, "a", a)
 
 
+def _splu(A, name: str):
+    """SuperLU factorization of a sparse matrix; an exactly singular one
+    raises SingularOperatorError."""
+    # Imported here: dense-only runs do not pay for scipy.sparse.linalg.
+    from scipy.sparse.linalg import splu
+
+    try:
+        return splu(sp.csc_array(A))
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise SingularOperatorError(f"{name}: {exc}") from exc
+
+
 class _EffectiveSolver:
-    """LU factorization of M + gamma dt (1+alpha) C + beta dt^2 (1+alpha) K,
-    computed once and reused for every step of a simulation."""
+    """Factorization of M + gamma dt (1+alpha) C + beta dt^2 (1+alpha) K,
+    computed once and reused for every step of a simulation: SuperLU
+    when the model's operators make it sparse, dense LU otherwise."""
 
     def __init__(self, model, config: IntegratorConfig):
         c = (1.0 + config.alpha)
@@ -125,22 +139,26 @@ class _EffectiveSolver:
             + config.gamma * config.dt * c * model.damping
             + config.beta * config.dt**2 * c * model.stiffness
         )
-        if not np.all(np.isfinite(S)):
+        sparse = sp.issparse(S)
+        if not np.all(np.isfinite(S.data if sparse else S)):
             raise InvalidInputError("effective matrix has non-finite entries")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", la.LinAlgWarning)
-                self._lu, self._piv = la.lu_factor(S)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise SingularOperatorError(f"effective matrix: {exc}") from exc
-        diag = np.abs(np.diag(self._lu))
+        if sparse:
+            lu = _splu(S, "effective matrix")
+            self.solve = lu.solve
+            diag = lu.U.diagonal()
+        else:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", la.LinAlgWarning)
+                    factors = la.lu_factor(S)
+            except np.linalg.LinAlgError as exc:  # pragma: no cover
+                raise SingularOperatorError(f"effective matrix: {exc}") from exc
+            self.solve = lambda rhs: la.lu_solve(factors, rhs, check_finite=False)
+            diag = np.diag(factors[0])
         if np.any(diag == 0.0) or not np.all(np.isfinite(diag)):
             raise SingularOperatorError(
                 "effective matrix is singular for this step size"
             )
-
-    def solve(self, rhs):
-        return la.lu_solve((self._lu, self._piv), rhs, check_finite=False)
 
 
 def initial_acceleration(model, x0, v0, f0) -> np.ndarray:
@@ -166,13 +184,17 @@ def initial_acceleration(model, x0, v0, f0) -> np.ndarray:
         raise InvalidInputError(
             "initial balance f0 - C v0 - K x0 is not finite"
         )
-    try:
-        with np.errstate(invalid="ignore", divide="ignore"), \
-                warnings.catch_warnings():
-            warnings.simplefilter("ignore", la.LinAlgWarning)
-            a0 = la.solve(model.mass, rhs)
-    except la.LinAlgError as exc:
-        raise SingularOperatorError(f"mass matrix: {exc}") from exc
+    if sp.issparse(model.mass):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            a0 = _splu(model.mass, "mass matrix").solve(rhs)
+    else:
+        try:
+            with np.errstate(invalid="ignore", divide="ignore"), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("ignore", la.LinAlgWarning)
+                a0 = la.solve(model.mass, rhs)
+        except la.LinAlgError as exc:
+            raise SingularOperatorError(f"mass matrix: {exc}") from exc
     if not np.all(np.isfinite(a0)):
         raise SingularOperatorError("mass matrix is singular")
     return a0
@@ -241,18 +263,24 @@ def _integrate_transition(T, s0, forces):
 
 def _integrate_factorized(model, solver: _EffectiveSolver, x, v, a, forces,
                           config: IntegratorConfig):
-    """``(X, Xd, Xdd)``, one column per step end, one solve per step."""
+    """``(X, Xd, Xdd)``, one column per step end, one solve per step.
+
+    The forces are read and the states stored as contiguous rows, and
+    the states returned as transposed views: strided column access to
+    (n, N) arrays took about a third of a sparse step's time at n = 1000.
+    """
     n, N = forces.shape[0], forces.shape[1] - 1
-    X = np.empty((n, N))
-    Xd = np.empty((n, N))
-    Xdd = np.empty((n, N))
+    F = np.ascontiguousarray(forces.T)
+    X = np.empty((N, n))
+    Xd = np.empty((N, n))
+    Xdd = np.empty((N, n))
     for k in range(N):
-        x, v, a = _advance(model, solver.solve, x, v, a,
-                           forces[:, k + 1], forces[:, k], config)
-        X[:, k] = x
-        Xd[:, k] = v
-        Xdd[:, k] = a
-    return X, Xd, Xdd
+        x, v, a = _advance(model, solver.solve, x, v, a, F[k + 1], F[k],
+                           config)
+        X[k] = x
+        Xd[k] = v
+        Xdd[k] = a
+    return X.T, Xd.T, Xdd.T
 
 
 def simulate(model, sampler, x0, v0, config: IntegratorConfig,
@@ -263,12 +291,16 @@ def simulate(model, sampler, x0, v0, config: IntegratorConfig,
     precomputed transition ``s_{k+1} = A s_k + g_{k+1}`` on
     ``s = (x, v, a)``, one small matrix-vector product per step; larger
     models, and any model whose transition is not finite, solve with the
-    factorized effective matrix at every step.
+    factorized effective matrix at every step. The operators' storage
+    picks the factorization: a model with sparse operators (a full
+    model) is factored once with SuperLU and stepped with sparse
+    products, a dense one (a reduced model) with dense LU.
 
     Parameters
     ----------
     model : SecondOrderSystem
-        The model to integrate; ``drive='input'`` needs its input map.
+        The model to integrate, with dense or sparse operators;
+        ``drive='input'`` needs its input map.
     sampler : callable
         ``sampler(t)`` returning the excitation at time t. With
         ``drive='input'`` it returns the m-channel input signal, which

@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,17 +27,17 @@ from ._helpers import random_spd
 
 def test_single_mass_chain():
     sys_ = build_mass_spring_chain(1, [1.0], [1.0, 1.0], 0.0, 0.0, (0,))
-    np.testing.assert_allclose(sys_.mass, [[1.0]])
-    np.testing.assert_allclose(sys_.stiffness, [[2.0]])
-    np.testing.assert_allclose(sys_.damping, [[0.0]])
+    np.testing.assert_allclose(sys_.mass.toarray(), [[1.0]])
+    np.testing.assert_allclose(sys_.stiffness.toarray(), [[2.0]])
+    np.testing.assert_allclose(sys_.damping.toarray(), [[0.0]])
     np.testing.assert_allclose(sys_.input_map, [[1.0]])
 
 
 def test_two_mass_chain_spectrum():
     sys_ = build_mass_spring_chain(2, [1.0, 1.0], [1.0, 1.0, 1.0], 0.0, 0.0, (0,))
-    np.testing.assert_allclose(sys_.stiffness, [[2.0, -1.0], [-1.0, 2.0]])
+    np.testing.assert_allclose(sys_.stiffness.toarray(), [[2.0, -1.0], [-1.0, 2.0]])
     # 2x2 eigenvalues by hand: trace 4, det 3
-    w = np.linalg.eigvalsh(sys_.stiffness)
+    w = np.linalg.eigvalsh(sys_.stiffness.toarray())
     assert w == pytest.approx([1.0, 3.0], abs=1e-12)
     assert w.min() > 0
 
@@ -44,9 +45,26 @@ def test_two_mass_chain_spectrum():
 def test_three_mass_chain_definiteness():
     sys_ = build_mass_spring_chain(3, [2.0] * 3, [5.0] * 4, 0.01, 0.001, (1,))
     for A in (sys_.mass, sys_.stiffness):
-        assert np.linalg.eigvalsh(A).min() > 0
-    assert np.linalg.eigvalsh(sys_.damping).min() >= -1e-12
+        assert np.linalg.eigvalsh(A.toarray()).min() > 0
+    assert np.linalg.eigvalsh(sys_.damping.toarray()).min() >= -1e-12
     assert sys_.n == 3 and sys_.m == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 300])
+def test_chain_operators_are_csr(n, rng):
+    masses = rng.uniform(0.5, 2.0, n)
+    springs = rng.uniform(1.0, 5.0, n + 1)
+    sys_ = build_mass_spring_chain(n, masses, springs, 0.1, 0.01, (0,))
+    for A in (sys_.mass, sys_.damping, sys_.stiffness):
+        assert sp.issparse(A) and A.format == "csr"
+    assert sys_.stiffness.nnz == 3 * n - 2
+    assert sys_.mass.nnz == n
+    assert isinstance(sys_.input_map, np.ndarray)
+    K = np.diag(springs[:-1] + springs[1:])
+    K -= np.diag(springs[1:-1], 1) + np.diag(springs[1:-1], -1)
+    assert np.array_equal(sys_.stiffness.toarray(), K)
+    assert np.array_equal(sys_.mass.toarray(), np.diag(masses))
+    assert np.array_equal(sys_.damping.toarray(), 0.1 * np.diag(masses) + 0.01 * K)
 
 
 def test_chain_rejects_bad_parameters():
@@ -152,6 +170,42 @@ def test_construction_rejects_bad_operators():
         SecondOrderSystem(np.eye(2), np.eye(2), np.eye(2), np.ones((3, 1)))
 
 
+def test_sparse_operators_are_stored_as_csr():
+    sys_ = SecondOrderSystem(
+        sp.coo_array(np.eye(3)), sp.csc_array((3, 3)),
+        sp.dia_array(2.0 * np.eye(3)), sp.csr_array(np.ones((3, 1))),
+    )
+    for A in (sys_.mass, sys_.damping, sys_.stiffness):
+        assert sp.issparse(A) and A.format == "csr"
+    assert isinstance(sys_.input_map, np.ndarray)
+    assert np.array_equal(sys_.stiffness.toarray(), 2.0 * np.eye(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sparse_operator_with_non_finite_entry_is_rejected(bad):
+    K = sp.csr_array(np.diag([1.0, bad, 1.0]))
+    with pytest.raises(InvalidInputError, match="stiffness contains non-finite"):
+        SecondOrderSystem(sp.csr_array(np.eye(3)), sp.csr_array((3, 3)), K)
+
+
+def test_sparse_operator_shape_mismatch_is_rejected():
+    with pytest.raises(InvalidInputError, match="damping must be 2x2"):
+        SecondOrderSystem(sp.csr_array(np.eye(2)), sp.csr_array((3, 3)),
+                          sp.csr_array(np.eye(2)))
+
+
+def test_mass_normalized_with_sparse_mass():
+    eye = sp.csr_array(np.eye(3))
+    assert SecondOrderSystem(eye, eye, eye).mass_normalized
+    # an explicitly stored zero does not change the matrix
+    padded = sp.csr_array((np.array([1.0, 0.0, 1.0, 1.0]),
+                           np.array([0, 2, 1, 2]), np.array([0, 2, 3, 4])))
+    assert SecondOrderSystem(padded, eye, eye).mass_normalized
+    for M in (np.diag([1.0, 1.0, 1.0 + 1e-15]), np.eye(3) + np.eye(3, k=1),
+              np.diag([1.0, 1.0, 0.0])):
+        assert not SecondOrderSystem(sp.csr_array(M), eye, eye).mass_normalized
+
+
 def test_mass_normalized_means_exact_identity():
     assert SecondOrderSystem(np.eye(2), np.eye(2), np.eye(2)).mass_normalized
     near = np.eye(2) + 1e-15
@@ -192,6 +246,51 @@ def test_matrix_skips_exact_zeros(tmp_path):
     assert load_matrix(path) == pytest.approx(A)
 
 
+def save_matrix_by_loop(path, A, symmetry):
+    """Reference writer: every entry of the dense array, row by row."""
+    rows, cols = A.shape
+    entries = []
+    for i in range(rows):
+        jmax = i + 1 if symmetry == "symmetric" else cols
+        for j in range(jmax):
+            v = A[i, j]
+            if v != 0.0:
+                entries.append((i + 1, j + 1, v))
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"%%matrix coordinate real {symmetry}\n")
+        fh.write(f"{rows} {cols} {len(entries)}\n")
+        for i, j, v in entries:
+            fh.write(f"{i} {j} {'%.17g' % v}\n")
+
+
+@pytest.mark.parametrize("symmetry, cols", [("general", 12), ("symmetric", 9)])
+def test_save_matrix_bytes_match_the_entry_loop(rng, tmp_path, symmetry, cols):
+    A = rng.standard_normal((9, cols)) * 10.0 ** rng.integers(-300, 300, (9, cols))
+    A[rng.random((9, cols)) < 0.6] = 0.0
+    A[0, 0], A[4, 2], A[2, 4], A[3, 1] = -0.0, 5e-324, -1.0, 0.0
+    def read(name):
+        with open(os.path.join(tmp_path, name), "rb") as fh:
+            return fh.read()
+    save_matrix_by_loop(os.path.join(tmp_path, "ref.mtx"), A, symmetry)
+    save_matrix(os.path.join(tmp_path, "dense.mtx"), A, symmetry=symmetry)
+    # a CSR input with unsorted column indices, a duplicate pair that
+    # cancels where A is zero, and a stored zero
+    C = sp.coo_array(A)
+    row = np.concatenate([C.row, [3, 3, 6]])
+    col = np.concatenate([C.col, [1, 1, 0]])
+    val = np.concatenate([C.data, [2.0, -2.0, 0.0]])
+    order = np.lexsort((rng.permutation(row.size), row))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=9))])
+    csr = sp.csr_array((val[order], col[order], indptr), shape=A.shape)
+    assert not csr.has_canonical_format
+    save_matrix(os.path.join(tmp_path, "csr.mtx"), sp.csr_array(A),
+                symmetry=symmetry)
+    save_matrix(os.path.join(tmp_path, "messy.mtx"), csr, symmetry=symmetry)
+    assert read("dense.mtx") == read("ref.mtx")
+    assert read("csr.mtx") == read("ref.mtx")
+    assert read("messy.mtx") == read("ref.mtx")
+
+
 def test_matrix_duplicate_entries_summed(tmp_path):
     path = os.path.join(tmp_path, "d.mtx")
     with open(path, "w") as fh:
@@ -228,10 +327,11 @@ def test_system_roundtrip(tmp_path, rng):
     }
     save_system(sys_, **paths)
     back = load_system(**paths)
-    for name in ("mass", "damping", "stiffness", "input_map"):
-        assert getattr(back, name) == pytest.approx(
-            getattr(sys_, name), rel=1e-15
+    for name in ("mass", "damping", "stiffness"):
+        assert getattr(back, name).toarray() == pytest.approx(
+            getattr(sys_, name).toarray(), rel=1e-15
         )
+    assert back.input_map == pytest.approx(sys_.input_map, rel=1e-15)
 
 
 def test_load_system_scalar_files(tmp_path):
@@ -244,8 +344,9 @@ def test_load_system_scalar_files(tmp_path):
         os.path.join(tmp_path, "stiffness.mtx"),
         os.path.join(tmp_path, "input.mtx"),
     )
-    for A in (sys_.mass, sys_.damping, sys_.stiffness, sys_.input_map):
-        np.testing.assert_allclose(A, [[1.0]])
+    for A in (sys_.mass, sys_.damping, sys_.stiffness):
+        np.testing.assert_allclose(A.toarray(), [[1.0]])
+    np.testing.assert_allclose(sys_.input_map, [[1.0]])
 
 
 def test_load_system_symmetrizes_general_files(tmp_path, rng):
@@ -260,9 +361,33 @@ def test_load_system_symmetrizes_general_files(tmp_path, rng):
     save_matrix(paths["input_path"], np.ones((3, 1)), symmetry="general")
     sys_ = load_system(**paths)
     for key, A in skewed.items():
-        S = getattr(sys_, key)
+        S = getattr(sys_, key).toarray()
         assert np.array_equal(S, S.T)
         assert np.array_equal(S, 0.5 * (A + A.T))
+
+
+@pytest.mark.parametrize("symmetry", ["symmetric", "general"])
+def test_load_system_is_csr_equal_to_symmetrized_load_matrix(tmp_path, rng,
+                                                              symmetry):
+    n = 12
+    paths = {
+        f"{key}_path": os.path.join(tmp_path, f"{key}.mtx")
+        for key in ("mass", "damping", "stiffness", "input")
+    }
+    for key in ("mass", "damping", "stiffness"):
+        A = random_spd(rng, n)
+        if symmetry == "general":
+            A = A + rng.standard_normal((n, n))  # a skew part
+        A[rng.random((n, n)) < 0.5] = 0.0
+        save_matrix(paths[f"{key}_path"], A, symmetry=symmetry)
+    save_matrix(paths["input_path"], rng.standard_normal((n, 2)))
+    sys_ = load_system(**paths)
+    for key in ("mass", "damping", "stiffness"):
+        S = getattr(sys_, key)
+        assert sp.issparse(S) and S.format == "csr"
+        D = load_matrix(paths[f"{key}_path"])
+        assert np.array_equal(S.toarray(), 0.5 * (D + D.T))
+    assert np.array_equal(sys_.input_map, load_matrix(paths["input_path"]))
 
 
 def test_load_system_dimension_mismatch(tmp_path):

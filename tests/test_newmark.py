@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse as sp
 
 from mechrom import (
     IntegratorConfig,
@@ -401,3 +402,78 @@ def test_late_bad_sample_raises_before_integrating(monkeypatch, drive):
     with pytest.raises(InvalidInputError, match="sampler returned"):
         result = simulate(sys_, sampler, None, None, cfg, drive=drive)
     assert result is None
+
+
+# ------------------------------------------------------------ sparse models
+
+
+def dense_copy(sys_):
+    return SecondOrderSystem(sys_.mass.toarray(), sys_.damping.toarray(),
+                             sys_.stiffness.toarray(), sys_.input_map)
+
+
+@pytest.mark.parametrize("drive", ["input", "force"])
+@pytest.mark.parametrize("alpha", [0.0, -0.1])
+@pytest.mark.parametrize("n, steps", [(200, 100), (1000, 50)])
+def test_sparse_trajectory_matches_dense(rng, monkeypatch, n, steps, alpha,
+                                         drive):
+    chain = build_mass_spring_chain(
+        n, rng.uniform(0.5, 2.0, n), rng.uniform(1e3, 5e3, n + 1),
+        alpha_r=0.01, beta_r=1e-4, input_nodes=(0, n // 2),
+    )
+    dense = dense_copy(chain)
+    cfg = IntegratorConfig(dt=1e-3, t_end=steps * 1e-3, alpha=alpha)
+    if drive == "input":
+        sampler = lambda t: np.array([np.sin(30.0 * t), np.cos(50.0 * t)])
+    else:
+        phase = rng.uniform(0.0, np.pi, n)
+        sampler = lambda t: np.sin(40.0 * t + phase)
+    x0 = rng.standard_normal(n)
+    v0 = rng.standard_normal(n)
+    expected = simulate(dense, sampler, x0, v0, cfg, drive=drive)
+    # The sparse model is factored by SuperLU, never by dense LU.
+    def dense_lu(*args, **kwargs):
+        raise AssertionError("dense LU must not factor a sparse model")
+
+    forbid(monkeypatch, "_transition")
+    monkeypatch.setattr(newmark.la, "lu_factor", dense_lu)
+    data = simulate(chain, sampler, x0, v0, cfg, drive=drive)
+    for name in ("displacement", "velocity", "acceleration"):
+        got, ref = getattr(data, name), getattr(expected, name)
+        assert got.shape == ref.shape == (n, steps)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_small_sparse_model_takes_the_transition(rng, monkeypatch):
+    chain = build_mass_spring_chain(8, np.ones(8), np.full(9, 50.0),
+                                    alpha_r=0.01, beta_r=1e-3)
+    cfg = IntegratorConfig(dt=0.01, t_end=0.5, alpha=-0.1)
+    sampler = lambda t: np.array([np.sin(3.0 * t)])
+    x0 = rng.standard_normal(8)
+    expected = simulate(dense_copy(chain), sampler, x0, None, cfg)
+    forbid(monkeypatch, "_integrate_factorized")
+    data = simulate(chain, sampler, x0, None, cfg)
+    ref = expected.displacement
+    assert np.max(np.abs(data.displacement - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [1, newmark._TRANSITION_MAX_N + 1])
+def test_singular_sparse_effective_matrix(n):
+    zero = sp.csr_array((n, n))
+    sys_ = SecondOrderSystem(zero, zero, zero, np.ones((n, 1)))
+    with pytest.raises(SingularOperatorError, match="effective matrix"):
+        simulate(sys_, zero_sampler, None, None,
+                 IntegratorConfig(dt=0.01, t_end=0.1))
+
+
+def test_singular_sparse_mass():
+    # The effective matrix is regular; only the mass solve fails.
+    mass = sp.csr_array(np.diag([1.0, 0.0]))
+    sys_ = SecondOrderSystem(mass, sp.csr_array((2, 2)),
+                             sp.csr_array(np.eye(2)), np.ones((2, 1)))
+    with pytest.raises(SingularOperatorError, match="mass matrix"):
+        initial_acceleration(sys_, np.zeros(2), np.zeros(2), np.zeros(2))
+    with pytest.raises(SingularOperatorError, match="mass matrix"):
+        simulate(sys_, zero_sampler, None, None,
+                 IntegratorConfig(dt=0.01, t_end=0.1))
+

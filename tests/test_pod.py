@@ -10,7 +10,7 @@ from mechrom.errors import (
     InvalidParameterError,
     SingularOperatorError,
 )
-from mechrom.model import SecondOrderSystem
+from mechrom.model import SecondOrderSystem, build_mass_spring_chain
 from mechrom.pod import (
     PodBasis,
     compute_basis,
@@ -232,6 +232,21 @@ class TestIntrusiveReduce:
             P = V.T @ getattr(sys9, name) @ V
             assert np.array_equal(A, 0.5 * (P + P.T))
         assert red.basis is basis
+
+    def test_sparse_model_reduces_like_its_dense_form(self, rng):
+        chain = build_mass_spring_chain(
+            40, rng.uniform(0.5, 2.0, 40), rng.uniform(1.0, 5.0, 41),
+            alpha_r=0.05, beta_r=1e-3, input_nodes=(0, 20),
+        )
+        dense = SecondOrderSystem(chain.mass.toarray(), chain.damping.toarray(),
+                                  chain.stiffness.toarray(), chain.input_map)
+        basis = random_basis(rng, 40, 6)
+        red = intrusive_reduce(chain, basis)
+        ref = intrusive_reduce(dense, basis)
+        for name in ("mass", "damping", "stiffness", "input_map"):
+            got, want = getattr(red, name), getattr(ref, name)
+            assert isinstance(got, np.ndarray) and got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestMassNormalizedForm:
