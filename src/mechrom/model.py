@@ -272,24 +272,19 @@ def save_matrix(path, A, symmetry: str = "general") -> None:
     a square input; the strict symmetry of the input is not checked, the
     upper triangle is simply ignored.
     """
-    A = _as_2d("matrix", A)
+    A = sp.csr_array(_as_2d("matrix", A), copy=True)
     if symmetry not in ("general", "symmetric"):
         raise InvalidParameterError(f"unknown symmetry tag {symmetry!r}")
     rows, cols = A.shape
     if symmetry == "symmetric" and rows != cols:
         raise InvalidParameterError("symmetric storage requires a square matrix")
-    if sp.issparse(A):
-        A = A.copy()
-        A.sum_duplicates()  # sorts each row's column indices
-        i = np.repeat(np.arange(rows), np.diff(A.indptr))
-        j, v = A.indices, A.data
-        keep = v != 0.0
-        if symmetry == "symmetric":
-            keep &= j <= i
-        i, j, v = i[keep], j[keep], v[keep]
-    else:
-        i, j = np.nonzero(np.tril(A) if symmetry == "symmetric" else A)
-        v = A[i, j]
+    A.sum_duplicates()  # sorts each row's column indices
+    i = np.repeat(np.arange(rows), np.diff(A.indptr))
+    j, v = A.indices, A.data
+    keep = v != 0.0
+    if symmetry == "symmetric":
+        keep &= j <= i
+    i, j, v = i[keep], j[keep], v[keep]
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{_HEADER_PREFIX} {symmetry}\n")
         fh.write(f"{rows} {cols} {v.size}\n")
@@ -412,7 +407,9 @@ def load_system(mass_path, damping_path, stiffness_path, input_path,
     Mass, damping, and stiffness come back as CSR arrays built straight
     from the file entries (no dense n x n array is formed), replaced by
     their symmetric parts, so a general-storage file with a skew part
-    gives symmetric operators. The input map is dense.
+    gives symmetric operators. The input map is dense. The operators are
+    CSR whatever their density, so ``simulate`` factors the model with
+    SuperLU.
 
     Raises
     ------

@@ -286,6 +286,7 @@ def test_save_matrix_bytes_match_the_entry_loop(rng, tmp_path, symmetry, cols):
     save_matrix(os.path.join(tmp_path, "csr.mtx"), sp.csr_array(A),
                 symmetry=symmetry)
     save_matrix(os.path.join(tmp_path, "messy.mtx"), csr, symmetry=symmetry)
+    assert not csr.has_canonical_format  # the caller's array is not sorted in place
     assert read("dense.mtx") == read("ref.mtx")
     assert read("csr.mtx") == read("ref.mtx")
     assert read("messy.mtx") == read("ref.mtx")
