@@ -51,7 +51,6 @@ from .errors import (
 )
 from .evaluate import relative_error, save_error_series
 from .model import (
-    FLOAT_FORMAT,
     SecondOrderSystem,
     build_mass_spring_chain,
     load_matrix,
@@ -73,6 +72,7 @@ from .snapshots import (
     save_csv,
     write_matrix_csv,
 )
+from .textio import FLOAT_FORMAT, read_table, write_table
 
 __all__ = ["ExperimentConfig", "load_config", "run", "main"]
 
@@ -535,20 +535,9 @@ def _load_basis(outdir) -> PodBasis:
             f"no basis artifacts under {outdir}; run the basis stage first"
         )
     modes = load_matrix(modes_path)
-    svals = []
-    with open(svals_path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    for lineno, ln in enumerate(lines[1:], start=2):
-        if not ln.strip():
-            continue
-        parts = ln.split(",")
-        if len(parts) != 2:
-            raise FormatError("expected 'index,sigma'", path=svals_path, line=lineno)
-        try:
-            svals.append(float(parts[1]))
-        except ValueError:
-            raise FormatError("non-numeric sigma", path=svals_path, line=lineno)
-    return PodBasis(modes=modes, singular_values=np.asarray(svals))
+    table = read_table(svals_path, 2, messages=[("expected 'index,sigma'",
+                                                 "non-numeric sigma")])
+    return PodBasis(modes=modes, singular_values=table[:, 1])
 
 
 def _save_operators(directory, symmetric, **operators) -> None:
@@ -570,13 +559,6 @@ def _load_operators(directory, names, stage) -> dict:
                 f"no {name}.mtx under {directory}; run the {stage} stage first"
             )
     return {name: load_matrix(path) for name, path in paths.items()}
-
-
-def _write_table_csv(path, header, rows):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(FLOAT_FORMAT % v for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -603,16 +585,11 @@ def stage_basis(cfg: ExperimentConfig, outdir) -> None:
     os.makedirs(bdir, exist_ok=True)
     save_matrix(os.path.join(bdir, "modes.mtx"), basis.modes, symmetry="general")
     s = basis.singular_values
-    _write_table_csv(
-        os.path.join(bdir, "singular_values.csv"),
-        "index,sigma",
-        [(i + 1, s[i]) for i in range(s.size)],
-    )
-    _write_table_csv(
-        os.path.join(bdir, "decay.csv"),
-        "index,ratio",
-        [(i + 1, s[i] / s[0]) for i in range(s.size)],
-    )
+    index = np.arange(1, s.size + 1)
+    write_table(os.path.join(bdir, "singular_values.csv"), "index,sigma",
+                np.column_stack([index, s]))
+    write_table(os.path.join(bdir, "decay.csv"), "index,ratio",
+                np.column_stack([index, s / s[0]]))
     print(f"basis: selected rank r = {basis.rank}")
 
 
@@ -630,7 +607,7 @@ def stage_infer(cfg: ExperimentConfig, outdir) -> None:
     mdir = os.path.join(outdir, "opinf")
     _save_operators(mdir, symmetric=False, damping=rom.damping,
                     stiffness=rom.stiffness, input=rom.input_map)
-    _write_table_csv(
+    write_table(
         os.path.join(mdir, "lambda_table.csv"),
         "lambda,train_residual,validation_error,operator_norm",
         [(t.lam, t.train_residual, t.validation_error, t.operator_norm)
@@ -656,14 +633,13 @@ def stage_infer_constrained(cfg: ExperimentConfig, outdir) -> None:
     )
     basis = _load_basis(outdir)
     D, rhs = assemble_force_data(project(train, basis))
+    rom, report = infer_constrained(D, rhs, omega=cfg.omega, basis=basis)
     mdir = os.path.join(outdir, "copinf")
-    os.makedirs(mdir, exist_ok=True)
-    rom, report = infer_constrained(
-        D, rhs, omega=cfg.omega, basis=basis,
-        trace_path=os.path.join(mdir, "trace.csv"),
-    )
     _save_operators(mdir, symmetric=True, mass=rom.mass, damping=rom.damping,
                     stiffness=rom.stiffness)
+    write_table(os.path.join(mdir, "trace.csv"),
+                "iteration,objective,primal_residual,dual_residual",
+                report.trace)
     print(
         f"infer-constrained: objective {report.objective:.6e} after "
         f"{report.iterations} iterations ({_STOP_LABELS[report.stop_reason]})"

@@ -34,13 +34,13 @@ constraints hold whatever the reason.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
 
 from .errors import InvalidInputError, InvalidParameterError
-from .model import FLOAT_FORMAT, SecondOrderSystem
+from .model import SecondOrderSystem
 
 __all__ = [
     "ConstrainedSolveReport",
@@ -90,6 +90,10 @@ class ConstrainedSolveReport:
     ``"converged"`` (residual tolerances met), ``"stalled"`` (objective
     stopped moving) or ``"cap"`` (iteration limit reached first). The
     model is feasible in every case.
+
+    ``trace`` has one row per iteration, up to and including the one
+    that stopped the solve: the iteration number, the objective (in
+    reduced form), and the primal and dual residuals.
     """
 
     objective: float
@@ -97,6 +101,7 @@ class ConstrainedSolveReport:
     primal_residual: float
     dual_residual: float
     stop_reason: str
+    trace: np.ndarray = field(repr=False, compare=False)
 
     @property
     def converged(self) -> bool:
@@ -196,7 +201,6 @@ def infer_constrained(
     tol_abs: float = DEFAULT_TOL_ABS,
     tol_rel: float = DEFAULT_TOL_REL,
     max_iter: int = DEFAULT_MAX_ITER,
-    trace_path=None,
 ):
     """Fit symmetric definite operators to reduced snapshot data.
 
@@ -218,10 +222,6 @@ def infer_constrained(
         iteration limit. The iteration stops at the first of residual
         convergence, an objective stall and ``max_iter``; the report
         says which.
-    trace_path : str, optional
-        When given, a CSV with one row per iteration (iteration,
-        objective, primal and dual residual) is written there, up to
-        and including the iteration that stopped the solve.
 
     Returns
     -------
@@ -311,14 +311,12 @@ def infer_constrained(
     scale = float(np.sqrt(P.size))
     stall_tol = _STALL_TOL * float(np.vdot(rhs, rhs))
     stall_ref = objective_in_range(Z)
-    trace = [] if trace_path is not None else None
-    iterations = 0
+    trace = []
     primal = dual = float("inf")
     stop_reason = "cap"
     last_adapt = 0
 
     for it in range(1, max_iter + 1):
-        iterations = it
         P = ridge(rhs_data + rho * (Z - U))
         Z_prev = Z
         P_relaxed = _RELAX * P + (1.0 - _RELAX) * Z_prev
@@ -327,18 +325,15 @@ def infer_constrained(
 
         primal = _norm(P - Z)
         dual = rho * _norm(Z - Z_prev)
-        window_end = it % _STALL_WINDOW == 0
-        if trace is not None or window_end:
-            objective = objective_in_range(Z)
-        if trace is not None:
-            trace.append((it, objective + rhs_tail, primal, dual))
+        objective = objective_in_range(Z)
+        trace.append((it, objective + rhs_tail, primal, dual))
 
         eps_pri = scale * tol_abs + tol_rel * max(_norm(P), _norm(Z))
         eps_dual = scale * tol_abs + tol_rel * rho * _norm(U)
         if primal <= eps_pri and dual <= eps_dual:
             stop_reason = "converged"
             break
-        if window_end:
+        if it % _STALL_WINDOW == 0:
             if abs(stall_ref - objective) <= stall_tol:
                 stop_reason = "stalled"
                 break
@@ -356,15 +351,6 @@ def infer_constrained(
                 ridge.set_penalty(rho)
                 last_adapt = it
 
-    if trace_path is not None:
-        with open(trace_path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("iteration,objective,primal_residual,dual_residual\n")
-            for it, obj, pri, dua in trace:
-                fh.write(
-                    f"{it},{FLOAT_FORMAT % obj},{FLOAT_FORMAT % pri},"
-                    f"{FLOAT_FORMAT % dua}\n"
-                )
-
     # Each block is a project_psd output divided by one scalar, so it is
     # exactly symmetric.
     Z_out = Z / np.repeat(block_scale, r)
@@ -376,9 +362,10 @@ def infer_constrained(
     )
     report = ConstrainedSolveReport(
         objective=float(np.linalg.norm(Z_out @ D - rhs) ** 2),
-        iterations=iterations,
+        iterations=len(trace),
         primal_residual=primal,
         dual_residual=dual,
         stop_reason=stop_reason,
+        trace=np.array(trace),
     )
     return rom, report

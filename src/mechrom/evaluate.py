@@ -14,7 +14,8 @@ from .errors import (
     InvalidInputError,
     SingularOperatorError,
 )
-from .model import FLOAT_FORMAT, SecondOrderSystem
+from .model import SecondOrderSystem
+from .textio import write_table
 
 __all__ = [
     "ErrorSeries",
@@ -208,11 +209,7 @@ def is_stable(mass, damping, stiffness, tol: float = 1e-10) -> bool:
 def save_error_series(series: ErrorSeries, path) -> None:
     """Write an error series as CSV rows (t, eps, phase)."""
     split = series.phase_split
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("t,eps,phase\n")
-        for t, e in zip(series.times, series.eps):
-            if split is not None and t <= split + 1e-9 * max(1.0, abs(split)):
-                phase = "train"
-            else:
-                phase = "test"
-            fh.write(f"{FLOAT_FORMAT % t},{FLOAT_FORMAT % e},{phase}\n")
+    train = (np.zeros(series.times.shape, dtype=bool) if split is None else
+             series.times <= split + 1e-9 * max(1.0, abs(split)))
+    write_table(path, "t,eps,phase", np.column_stack([series.times, series.eps]),
+                labels=np.where(train, "train", "test"))

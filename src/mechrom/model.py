@@ -22,6 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import FormatError, InvalidInputError, InvalidParameterError
+from .textio import read_header, read_table, row_line, write_table
 
 if TYPE_CHECKING:  # pragma: no cover
     from .pod import PodBasis
@@ -37,11 +38,6 @@ __all__ = [
     "save_system",
     "load_system",
 ]
-
-# Significant digits for every float written to text artifacts. 17 digits
-# round-trip IEEE doubles exactly, which the staged pipeline relies on.
-FLOAT_FORMAT = "%.17g"
-
 
 def _as_2d(name: str, A):
     """``A`` as a finite 2-D float array, or as CSR if it is sparse."""
@@ -87,8 +83,8 @@ class SecondOrderSystem:
         identity as its mass.
     input_map : (n, m) ndarray, optional
         Maps the m-channel input signal to forces. None for a model
-        fitted to force data, which is driven by a force signal or given
-        an input map with ``dataclasses.replace``.
+        fitted to force data, which is given an input map with
+        ``dataclasses.replace`` to be replayed.
     basis : PodBasis, optional
         The basis whose coordinates a reduced model lives in.
     label : str
@@ -285,29 +281,31 @@ def save_matrix(path, A, symmetry: str = "general") -> None:
     if symmetry == "symmetric":
         keep &= j <= i
     i, j, v = i[keep], j[keep], v[keep]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{_HEADER_PREFIX} {symmetry}\n")
-        fh.write(f"{rows} {cols} {v.size}\n")
-        fh.write("".join(
-            f"{a} {b} {FLOAT_FORMAT % x}\n"
-            for a, b, x in zip((i + 1).tolist(), (j + 1).tolist(), v.tolist())
-        ))
+    write_table(path, f"{_HEADER_PREFIX} {symmetry}\n{rows} {cols} {v.size}",
+                np.column_stack([i + 1, j + 1, v]), delimiter=" ")
+
+
+# (wrong number of fields, field not a number) messages of the size
+# line, the table's first row, and of an entry.
+_MTX_MESSAGES = (
+    ("size line must be 'rows cols nnz'", "size line must hold three integers"),
+    ("entry must be 'row col value'", "could not parse entry"),
+)
 
 
 def _read_coordinates(path):
-    """``(shape, rows, cols, values)`` of a coordinate text file, with
-    zero-based indices; a symmetric file's off-diagonal entries are
-    listed a second time, mirrored, after all stored entries.
+    """A coordinate text file as a COO array; a symmetric file's
+    off-diagonal entries are listed a second time, mirrored, after all
+    stored entries.
 
+    The size line and the entries are read as one three-column table.
     Any malformed line raises :class:`FormatError` carrying the 1-based
     line number.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+    header = read_header(path)
+    if header is None:
         raise FormatError("empty matrix file", path=path, line=1)
-
-    header = lines[0].strip()
+    header = header.strip()
     if not header.startswith(_HEADER_PREFIX):
         raise FormatError(
             f"expected header starting with {_HEADER_PREFIX!r}", path=path, line=1
@@ -315,58 +313,43 @@ def _read_coordinates(path):
     symmetry = header[len(_HEADER_PREFIX):].strip()
     if symmetry not in ("general", "symmetric"):
         raise FormatError(f"unknown symmetry tag {symmetry!r}", path=path, line=1)
-
-    if len(lines) < 2:
+    table = read_table(path, 3, delimiter=None, messages=_MTX_MESSAGES)
+    if not table.shape[0]:
         raise FormatError("missing size line", path=path, line=2)
-    parts = lines[1].split()
-    if len(parts) != 3:
-        raise FormatError("size line must be 'rows cols nnz'", path=path, line=2)
-    try:
-        rows, cols, nnz = (int(p) for p in parts)
-    except ValueError:
-        raise FormatError("size line must hold three integers", path=path, line=2)
+
+    def fail(message, row=0):
+        raise FormatError(message, path=path,
+                          line=row_line(path, row, delimiter=None))
+
+    # The size line, and the indices of each entry, are whole numbers.
+    whole = np.isfinite(table) & (np.trunc(table) == table)
+    if not whole[0].all():
+        fail("size line must hold three integers")
+    rows, cols, nnz = (int(x) for x in table[0])
     if rows < 1 or cols < 1 or nnz < 0:
-        raise FormatError("invalid matrix dimensions", path=path, line=2)
+        fail("invalid matrix dimensions")
     if symmetry == "symmetric" and rows != cols:
-        raise FormatError("symmetric matrix must be square", path=path, line=2)
-
-    data_lines = [
-        (idx + 1, ln) for idx, ln in enumerate(lines) if idx >= 2 and ln.strip()
-    ]
-    if len(data_lines) != nnz:
-        raise FormatError(
-            f"expected {nnz} entries, found {len(data_lines)}",
-            path=path,
-            line=len(lines),
-        )
-
-    I = np.empty(nnz, dtype=np.intp)
-    J = np.empty(nnz, dtype=np.intp)
-    values = np.empty(nnz)
-    for k, (lineno, ln) in enumerate(data_lines):
-        parts = ln.split()
-        if len(parts) != 3:
-            raise FormatError("entry must be 'row col value'", path=path, line=lineno)
-        try:
-            i = int(parts[0])
-            j = int(parts[1])
-            v = float(parts[2])
-        except ValueError:
-            raise FormatError("could not parse entry", path=path, line=lineno)
-        if not (1 <= i <= rows and 1 <= j <= cols):
-            raise FormatError(
-                f"index ({i}, {j}) outside {rows}x{cols}", path=path, line=lineno
-            )
-        if symmetry == "symmetric" and j > i:
-            raise FormatError(
-                "upper-triangle entry in symmetric file", path=path, line=lineno
-            )
-        I[k], J[k], values[k] = i - 1, j - 1, v
+        fail("symmetric matrix must be square")
+    if table.shape[0] != nnz + 1:
+        fail(f"expected {nnz} entries, found {table.shape[0] - 1}", row=None)
+    I, J, values = table[1:].T
+    parsed = whole[1:, :2].all(axis=1)
+    inside = (1 <= I) & (I <= rows) & (1 <= J) & (J <= cols)
+    upper = (J > I) & (symmetry == "symmetric")
+    bad = np.flatnonzero(~parsed | ~inside | upper)
+    if bad.size:
+        k = bad[0]
+        if not parsed[k]:
+            fail("could not parse entry", k + 1)
+        if not inside[k]:
+            fail(f"index ({int(I[k])}, {int(J[k])}) outside {rows}x{cols}", k + 1)
+        fail("upper-triangle entry in symmetric file", k + 1)
+    I, J = I.astype(np.intp) - 1, J.astype(np.intp) - 1
     if symmetry == "symmetric":
         off = I != J
         I, J = np.concatenate([I, J[off]]), np.concatenate([J, I[off]])
         values = np.concatenate([values, values[off]])
-    return (rows, cols), I, J, values
+    return sp.coo_array((values, (I, J)), shape=(rows, cols))
 
 
 def load_matrix(path) -> np.ndarray:
@@ -376,16 +359,7 @@ def load_matrix(path) -> np.ndarray:
     entries are summed. Any malformed line raises :class:`FormatError`
     carrying the 1-based line number.
     """
-    shape, I, J, values = _read_coordinates(path)
-    A = np.zeros(shape)
-    np.add.at(A, (I, J), values)
-    return A
-
-
-def _load_sparse(path):
-    """A coordinate text file as a CSR array, never dense."""
-    shape, I, J, values = _read_coordinates(path)
-    return sp.csr_array((values, (I, J)), shape=shape)
+    return _read_coordinates(path).toarray()
 
 
 def save_system(system: SecondOrderSystem, mass_path, damping_path,
@@ -419,8 +393,9 @@ def load_system(mass_path, damping_path, stiffness_path, input_path,
         If the operator dimensions are mutually inconsistent.
     """
     system = SecondOrderSystem(
-        _load_sparse(mass_path), _load_sparse(damping_path),
-        _load_sparse(stiffness_path), load_matrix(input_path), label=label,
+        _read_coordinates(mass_path), _read_coordinates(damping_path),
+        _read_coordinates(stiffness_path), load_matrix(input_path),
+        label=label,
     )
     return replace(
         system, mass=symmetric_part(system.mass),

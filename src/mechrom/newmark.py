@@ -284,7 +284,7 @@ def _integrate_factorized(model, solver: _EffectiveSolver, x, v, a, forces,
 
 
 def simulate(model, sampler, x0, v0, config: IntegratorConfig,
-             drive: str = "input", t0: float = 0.0) -> TrajectoryData:
+             t0: float = 0.0) -> TrajectoryData:
     """Integrate from ``t0`` and collect snapshots at the step ends.
 
     Models of dimension up to ``_TRANSITION_MAX_N`` advance by the
@@ -299,18 +299,17 @@ def simulate(model, sampler, x0, v0, config: IntegratorConfig,
     Parameters
     ----------
     model : SecondOrderSystem
-        The model to integrate, with dense or sparse operators;
-        ``drive='input'`` needs its input map.
+        The model to integrate, with dense or sparse operators and an
+        input map. A model fitted to force data is given one with
+        ``dataclasses.replace``.
     sampler : callable
-        ``sampler(t)`` returning the excitation at time t. With
-        ``drive='input'`` it returns the m-channel input signal, which
-        is mapped to forces through the model's input map and recorded
-        together with the resulting force history. With
-        ``drive='force'`` it returns the n-channel nodal force directly
-        and no input history is recorded. It is called once at every
-        instant t0, t0 + dt, ..., in order, before the first step; an
-        excitation of the wrong length at any instant raises
-        :class:`InvalidInputError` and no trajectory is returned.
+        ``sampler(t)`` returning the m-channel input signal at time t,
+        which is mapped to forces through the model's input map and
+        recorded together with the resulting force history. It is
+        called once at every instant t0, t0 + dt, ..., in order, before
+        the first step; an input of the wrong length at any instant
+        raises :class:`InvalidInputError` and no trajectory is
+        returned.
     x0, v0 : (n,) array_like or None
         Initial displacement and velocity; None means zero.
     config : IntegratorConfig
@@ -322,10 +321,8 @@ def simulate(model, sampler, x0, v0, config: IntegratorConfig,
         including the initial instant.
     """
     n = model.mass.shape[0]
-    if drive not in ("input", "force"):
-        raise InvalidParameterError(f"unknown drive mode {drive!r}")
-    if drive == "input" and model.input_map is None:
-        raise InvalidInputError("model has no input map; use drive='force'")
+    if model.input_map is None:
+        raise InvalidInputError("model has no input map")
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).ravel()
     v0 = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float).ravel()
     if x0.shape != (n,) or v0.shape != (n,):
@@ -338,22 +335,19 @@ def simulate(model, sampler, x0, v0, config: IntegratorConfig,
     N = config.num_steps
     times = t0 + config.dt * np.arange(1, N + 1)
 
-    width = model.input_map.shape[1] if drive == "input" else n
-    samples = np.empty((N + 1, width))
+    m = model.m
+    samples = np.empty((N + 1, m))
     for k, t in enumerate((t0, *times)):
         raw = np.asarray(sampler(t), dtype=float).ravel()
-        if raw.shape[0] != width:
+        if raw.shape[0] != m:
             raise InvalidInputError(
                 f"sampler returned {raw.shape[0]} channels, input map "
-                f"expects {width}" if drive == "input" else
-                f"sampler returned force of length {raw.shape[0]}, "
-                f"model dimension is {n}"
+                f"expects {m}"
             )
         samples[k] = raw
-    U = samples[1:].T if drive == "input" else None
 
     with np.errstate(over="ignore", invalid="ignore"):
-        forces = model.input_map @ samples.T if drive == "input" else samples.T
+        forces = model.input_map @ samples.T
         a0 = initial_acceleration(model, x0, v0, forces[:, 0])
         T = _transition(model, solver, config) if n <= _TRANSITION_MAX_N else None
         if T is not None and np.all(np.isfinite(T)):
@@ -369,6 +363,6 @@ def simulate(model, sampler, x0, v0, config: IntegratorConfig,
         displacement=X,
         velocity=Xd,
         acceleration=Xdd,
-        input=U,
+        input=samples[1:].T,
         force=forces[:, 1:],
     )

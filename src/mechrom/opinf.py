@@ -70,14 +70,13 @@ class SolveReport:
     condition: float
     rank_estimate: int
     lam: float
-    solver: str = "svd"
 
 
-def ridge_lstsq(D, rhs, lam: float = 0.0, rank_tol: float = RANK_TOL):
+def ridge_lstsq(D, rhs, lam: float = 0.0):
     """Minimize ||P D - rhs||_F^2 + lam ||P||_F^2 over P.
 
     Solved through the singular value decomposition of the data matrix.
-    At lam = 0 singular values below ``rank_tol`` times the largest are
+    At lam = 0 singular values below ``RANK_TOL`` times the largest are
     discarded and the minimum-norm solution is returned.
 
     Returns
@@ -103,7 +102,7 @@ def ridge_lstsq(D, rhs, lam: float = 0.0, rank_tol: float = RANK_TOL):
     if lam == 0.0:
         if s[0] == 0.0:
             raise DegenerateInputError("data matrix is identically zero")
-        filt = np.where(s > rank_tol * s[0], 1.0, 0.0) / np.where(s > 0.0, s, 1.0)
+        filt = np.where(s > RANK_TOL * s[0], 1.0, 0.0) / np.where(s > 0.0, s, 1.0)
     else:
         filt = s / (s**2 + lam)
     P = ((rhs @ Qt.T) * filt) @ W.T

@@ -22,8 +22,8 @@ from .errors import (
     InvalidInputError,
     MissingDataError,
 )
-from .model import FLOAT_FORMAT
 from .pod import PodBasis
+from .textio import read_header, read_table, write_table
 
 __all__ = [
     "TrajectoryData",
@@ -41,21 +41,11 @@ __all__ = [
 # Relative tolerance on time-grid uniformity.
 _GRID_RTOL = 1e-12
 
-# Fixed file names used by save_csv / load_csv when given a directory.
-CSV_NAMES = {
-    "displacement": "displacement.csv",
-    "velocity": "velocity.csv",
-    "acceleration": "acceleration.csv",
-    "input": "input.csv",
-    "force": "force.csv",
-}
-_CSV_PREFIX = {
-    "displacement": "x",
-    "velocity": "xd",
-    "acceleration": "xdd",
-    "input": "u",
-    "force": "f",
-}
+# The column-name prefix of each block, and the fixed file name that
+# save_csv / load_csv give it in a directory.
+_CSV_PREFIX = {"displacement": "x", "velocity": "xd", "acceleration": "xdd",
+               "input": "u", "force": "f"}
+CSV_NAMES = {key: f"{key}.csv" for key in _CSV_PREFIX}
 
 
 def _check_block(name, A, n_rows, n_cols):
@@ -247,61 +237,33 @@ def finite_difference_derivatives(displacement, dt: float):
 
 # ---------------------------------------------------------------------------
 # CSV exchange. One file per matrix; row layout "t, entry_1, ..., entry_k"
-# with a header row naming the columns. All floats carry 17 significant
-# digits so a write-read cycle is lossless.
+# with a header row naming the columns, in the format of ``textio``.
 # ---------------------------------------------------------------------------
 
 
 def write_matrix_csv(path, times, A, prefix):
     """Write one block: a ``t,<prefix>_1,...`` header, then a row per
     entry of ``times`` holding that time and column of ``A``."""
-    n = A.shape[0]
-    header = "t," + ",".join(f"{prefix}_{i + 1}" for i in range(n))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(header + "\n")
-        for j in range(times.size):
-            row = [FLOAT_FORMAT % times[j]]
-            row.extend(FLOAT_FORMAT % v for v in A[:, j])
-            fh.write(",".join(row) + "\n")
+    header = "t," + ",".join(f"{prefix}_{i + 1}" for i in range(A.shape[0]))
+    write_table(path, header, np.column_stack([times, A.T]))
 
 
 def read_matrix_csv(path, max_rows=None):
     """Read one block written by :func:`write_matrix_csv`; returns the
     times and the matrix with one column per time. With ``max_rows``,
     only the first ``max_rows`` snapshots are read."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].strip():
+    header = read_header(path)
+    if header is None or not header.strip():
         raise FormatError("empty snapshot file", path=path, line=1)
-    header = lines[0].split(",")
-    if len(header) < 2 or header[0].strip() != "t":
-        raise FormatError(
-            "header must be 't,<name>_1,...'", path=path, line=1
-        )
-    width = len(header)
-    times = []
-    cols = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        if len(times) == max_rows:
-            break
-        if not ln.strip():
-            continue
-        parts = ln.split(",")
-        if len(parts) != width:
-            raise FormatError(
-                f"expected {width} fields, found {len(parts)}",
-                path=path,
-                line=lineno,
-            )
-        try:
-            values = [float(p) for p in parts]
-        except ValueError:
-            raise FormatError("non-numeric field", path=path, line=lineno)
-        times.append(values[0])
-        cols.append(values[1:])
-    if not cols:
+    names = header.split(",")
+    if len(names) < 2 or names[0].strip() != "t":
+        raise FormatError("header must be 't,<name>_1,...'", path=path, line=1)
+    table = read_table(path, len(names), max_rows=max_rows)
+    if not table.shape[0]:
         raise InvalidInputError(f"{path}: no snapshots in file")
-    return np.asarray(times), np.asarray(cols).T
+    # The transpose of a contiguous (N, n) array, the layout the block had
+    # when it was parsed row by row, so products with it round as before.
+    return table[:, 0], np.ascontiguousarray(table[:, 1:]).T
 
 
 def save_csv(data: TrajectoryData, directory) -> list:
@@ -311,17 +273,11 @@ def save_csv(data: TrajectoryData, directory) -> list:
     """
     os.makedirs(directory, exist_ok=True)
     written = []
-    blocks = {
-        "displacement": data.displacement,
-        "velocity": data.velocity,
-        "acceleration": data.acceleration,
-        "input": data.input,
-        "force": data.force,
-    }
-    for key, A in blocks.items():
+    for key, name in CSV_NAMES.items():
+        A = getattr(data, key)
         if A is None:
             continue
-        path = os.path.join(directory, CSV_NAMES[key])
+        path = os.path.join(directory, name)
         write_matrix_csv(path, data.times, A, _CSV_PREFIX[key])
         written.append(path)
     return written
@@ -361,11 +317,4 @@ def load_csv(source, max_rows=None) -> TrajectoryData:
                 f"{path}: time column disagrees with other blocks"
             )
         blocks[key] = A
-    return TrajectoryData(
-        times=times,
-        displacement=blocks["displacement"],
-        velocity=blocks["velocity"],
-        acceleration=blocks["acceleration"],
-        input=blocks.get("input"),
-        force=blocks.get("force"),
-    )
+    return TrajectoryData(times=times, **blocks)

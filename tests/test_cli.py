@@ -523,6 +523,8 @@ class TestPipeline:
             "manifest.json", "timings.csv",
         }
         assert {path.replace(os.sep, "/") for path in tree} == expected
+        assert (read_lines(out / "copinf" / "trace.csv")[0]
+                == "iteration,objective,primal_residual,dual_residual")
 
     def test_snapshot_counts_match_config(self, small_run, tmp_path, capsys):
         cfg, out = small_run

@@ -204,18 +204,15 @@ class TestTraceObjective:
     iterations returns the j-th iterate, so its last trace row is
     compared with the objective of the returned model."""
 
-    def check_rows(self, D, rhs, tmp_path):
-        path = tmp_path / "trace.csv"
+    def check_rows(self, D, rhs):
         for max_iter in (1, 3, 30, 200):
-            rom, report = infer_constrained(
-                D, rhs, max_iter=max_iter, trace_path=path
-            )
-            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            rom, report = infer_constrained(D, rhs, max_iter=max_iter)
+            rows = report.trace
             assert rows[-1, 0] == report.iterations
             want = direct_objective(rom, D, rhs)
             assert abs(rows[-1, 1] - want) <= 1e-10 * want
 
-    def test_singular_values_spanning_fourteen_decades(self, rng, tmp_path):
+    def test_singular_values_spanning_fourteen_decades(self, rng):
         r, N = 3, 40
         W, _ = np.linalg.qr(rng.standard_normal((3 * r, 3 * r)))
         Q, _ = np.linalg.qr(rng.standard_normal((N, 3 * r)))
@@ -227,13 +224,13 @@ class TestTraceObjective:
         noise -= (noise @ Q) @ Q.T
         operators = np.hstack([random_spd(rng, r) for _ in range(3)])
         rhs = operators @ D + 1e-3 * noise
-        self.check_rows(D, rhs, tmp_path)
+        self.check_rows(D, rhs)
 
-    def test_more_unknowns_than_snapshots(self, rng, tmp_path):
+    def test_more_unknowns_than_snapshots(self, rng):
         r, N = 4, 7
         D = rng.standard_normal((3 * r, N))
         rhs = rng.standard_normal((r, N))
-        self.check_rows(D, rhs, tmp_path)
+        self.check_rows(D, rhs)
 
 
 class TestRidgeStep:
@@ -337,15 +334,12 @@ class TestInferConstrained:
         assert la.eigvalsh(rom.mass).min() >= 1e-7 - 1e-10
         assert DEFAULT_OMEGA == 1e-8
 
-    def test_trace_csv(self, rng, tmp_path):
+    def test_trace_csv(self, rng):
         D = rng.standard_normal((9, 30))
         rhs = rng.standard_normal((3, 30))
-        path = tmp_path / "trace.csv"
-        rom, report = infer_constrained(D, rhs, trace_path=path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "iteration,objective,primal_residual,dual_residual"
-        assert len(lines) - 1 == report.iterations
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        rom, report = infer_constrained(D, rhs)
+        rows = report.trace
+        assert rows.shape == (report.iterations, 4)
         assert rows[-1, 1] == pytest.approx(report.objective, rel=1e-12)
         # objective settles: no visible increase across the final tenth
         tail = rows[int(0.9 * len(rows)):, 1]
@@ -486,16 +480,13 @@ class TestStopReasons:
         ("cli", copinf.DEFAULT_MAX_ITER, "stalled"),
         ("random", 5, "cap"),
     ])
-    def test_trace_has_one_row_per_iteration(self, rng, tmp_path, problem,
-                                             max_iter, reason):
+    def test_trace_has_one_row_per_iteration(self, rng, problem, max_iter,
+                                             reason):
         D, rhs = cli_problem() if problem == "cli" else well_posed_problem(rng, 3)
-        path = tmp_path / "trace.csv"
-        _, report = infer_constrained(D, rhs, max_iter=max_iter,
-                                      trace_path=path)
+        _, report = infer_constrained(D, rhs, max_iter=max_iter)
         assert report.stop_reason == reason
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         np.testing.assert_array_equal(
-            rows[:, 0], np.arange(1, report.iterations + 1)
+            report.trace[:, 0], np.arange(1, report.iterations + 1)
         )
 
     @pytest.mark.parametrize("control", ["penalty", "tol_abs", "tol_rel"])

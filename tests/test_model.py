@@ -302,11 +302,24 @@ def test_matrix_duplicate_entries_summed(tmp_path):
 
 def test_matrix_parse_errors_carry_line_numbers(tmp_path):
     path = os.path.join(tmp_path, "bad.mtx")
-    with open(path, "w") as fh:
-        fh.write("%%matrix coordinate real general\n2 2 1\n1 junk 1.0\n")
-    with pytest.raises(FormatError) as err:
-        load_matrix(path)
-    assert ":3:" in str(err.value)
+    cases = [
+        ("general", "1 junk 1.0", "could not parse entry"),
+        ("general", "1 1.5 1.0", "could not parse entry"),
+        ("general", "1 2", "entry must be 'row col value'"),
+        ("general", "3 1 1.0", r"index \(3, 1\) outside 2x2"),
+        ("general", "1 0 1.0", r"index \(1, 0\) outside 2x2"),
+        ("symmetric", "1 2 1.0", "upper-triangle entry"),
+    ]
+    # Empty lines before the bad entry are skipped but still counted.
+    for gap in ("", "\n", "\n  \n"):
+        line = 4 + gap.count("\n")
+        for symmetry, entry, message in cases:
+            with open(path, "w") as fh:
+                fh.write(f"%%matrix coordinate real {symmetry}\n2 2 2\n"
+                         f"1 1 1.0\n{gap}{entry}\n")
+            with pytest.raises(FormatError, match=message) as err:
+                load_matrix(path)
+            assert f":{line}:" in str(err.value)
 
 
 def test_matrix_symmetric_rejects_upper_triangle(tmp_path):

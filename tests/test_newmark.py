@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -31,6 +33,12 @@ def scalar_system(m, e, k, b=1.0):
 
 def zero_sampler(t):
     return np.zeros(1)
+
+
+def force_driven(sys_):
+    """The model with an identity input map, so that its input signal is
+    the nodal force."""
+    return dataclasses.replace(sys_, input_map=np.eye(sys_.n))
 
 
 # ------------------------------------------------------------------- config
@@ -262,8 +270,8 @@ def test_force_drive_matches_input_drive():
     u = lambda t: np.array([np.sin(3 * t)])
     f = lambda t: sys_.input_map @ u(t)
     via_input = simulate(sys_, u, None, None, cfg)
-    via_force = simulate(sys_, f, None, None, cfg, drive="force")
-    assert via_force.input is None
+    via_force = simulate(force_driven(sys_), f, None, None, cfg)
+    assert np.array_equal(via_force.input, via_force.force)
     assert via_input.displacement == pytest.approx(
         via_force.displacement, rel=1e-14, abs=1e-300
     )
@@ -291,11 +299,10 @@ def random_stable_system(rng, n, m=2):
     )
 
 
-def step_loop(sys_, sampler, x0, v0, cfg, drive, t0):
+def step_loop(sys_, sampler, x0, v0, cfg, t0):
     """Reference trajectory: one ``step`` call per step."""
     def force(t):
-        raw = np.asarray(sampler(t), dtype=float)
-        return sys_.input_map @ raw if drive == "input" else raw
+        return sys_.input_map @ np.asarray(sampler(t), dtype=float)
 
     f_curr = force(t0)
     state = IntegratorState(x0, v0, initial_acceleration(sys_, x0, v0, f_curr), t0)
@@ -325,6 +332,7 @@ def test_simulate_matches_step_loop(rng, monkeypatch, n, alpha, drive):
     if drive == "input":
         sampler = lambda t: np.array([np.sin(3.0 * t), np.cos(5.0 * t)])
     else:
+        sys_ = force_driven(sys_)
         phase = rng.uniform(0.0, np.pi, n)
         sampler = lambda t: np.sin(4.0 * t + phase)
     x0 = rng.standard_normal(n)
@@ -334,8 +342,8 @@ def test_simulate_matches_step_loop(rng, monkeypatch, n, alpha, drive):
         forbid(monkeypatch, "_integrate_factorized")
     else:
         forbid(monkeypatch, "_transition")
-    data = simulate(sys_, sampler, x0, v0, cfg, drive=drive, t0=t0)
-    expected = step_loop(sys_, sampler, x0, v0, cfg, drive, t0)
+    data = simulate(sys_, sampler, x0, v0, cfg, t0=t0)
+    expected = step_loop(sys_, sampler, x0, v0, cfg, t0)
     for got, ref in zip(
         (data.displacement, data.velocity, data.acceleration), expected
     ):
@@ -366,8 +374,7 @@ def test_overflowing_transition_steps_by_solve():
     assert not np.all(np.isfinite(T))
     sampler = lambda t: np.array([np.sin(t)])
     data = simulate(sys_, sampler, None, None, cfg)
-    expected = step_loop(sys_, sampler, np.zeros(1), np.zeros(1), cfg,
-                         "input", 0.0)
+    expected = step_loop(sys_, sampler, np.zeros(1), np.zeros(1), cfg, 0.0)
     assert np.all(np.isfinite(data.displacement))
     assert np.array_equal(data.displacement, expected[0])
 
@@ -391,6 +398,8 @@ def test_sampler_called_once_per_instant_in_order():
 @pytest.mark.parametrize("drive", ["input", "force"])
 def test_late_bad_sample_raises_before_integrating(monkeypatch, drive):
     sys_ = scalar_system(1.0, 0.1, 1.0)
+    if drive == "force":
+        sys_ = force_driven(sys_)
     cfg = IntegratorConfig(dt=0.01, t_end=1.0)
 
     def sampler(t):
@@ -400,7 +409,7 @@ def test_late_bad_sample_raises_before_integrating(monkeypatch, drive):
     forbid(monkeypatch, "_integrate_factorized")
     result = None
     with pytest.raises(InvalidInputError, match="sampler returned"):
-        result = simulate(sys_, sampler, None, None, cfg, drive=drive)
+        result = simulate(sys_, sampler, None, None, cfg)
     assert result is None
 
 
@@ -426,18 +435,19 @@ def test_sparse_trajectory_matches_dense(rng, monkeypatch, n, steps, alpha,
     if drive == "input":
         sampler = lambda t: np.array([np.sin(30.0 * t), np.cos(50.0 * t)])
     else:
+        chain, dense = force_driven(chain), force_driven(dense)
         phase = rng.uniform(0.0, np.pi, n)
         sampler = lambda t: np.sin(40.0 * t + phase)
     x0 = rng.standard_normal(n)
     v0 = rng.standard_normal(n)
-    expected = simulate(dense, sampler, x0, v0, cfg, drive=drive)
+    expected = simulate(dense, sampler, x0, v0, cfg)
     # The sparse model is factored by SuperLU, never by dense LU.
     def dense_lu(*args, **kwargs):
         raise AssertionError("dense LU must not factor a sparse model")
 
     forbid(monkeypatch, "_transition")
     monkeypatch.setattr(newmark.la, "lu_factor", dense_lu)
-    data = simulate(chain, sampler, x0, v0, cfg, drive=drive)
+    data = simulate(chain, sampler, x0, v0, cfg)
     for name in ("displacement", "velocity", "acceleration"):
         got, ref = getattr(data, name), getattr(expected, name)
         assert got.shape == ref.shape == (n, steps)

@@ -397,6 +397,10 @@ class TestCsvRoundTrip:
         # a malformed row past the prefix is never parsed
         path = tmp_path / "force.csv"
         path.write_text(path.read_text() + "not,a,row\n")
+        # an empty line inside the prefix is skipped, not counted
+        path = tmp_path / "velocity.csv"
+        lines = path.read_text().split("\n")
+        path.write_text("\n".join(lines[:2] + [""] + lines[2:]))
         back = load_csv(tmp_path, max_rows=4)
         np.testing.assert_array_equal(back.times, full.times[:4])
         for name in ("displacement", "velocity", "acceleration", "input",
@@ -422,17 +426,26 @@ class TestCsvErrors:
     def test_header_only_file(self, rng, tmp_path):
         self.write_all(tmp_path, rng)
         path = tmp_path / "displacement.csv"
-        path.write_text("t,x_1,x_2\n")
-        with pytest.raises(InvalidInputError, match="no snapshots"):
-            load_csv(tmp_path)
+        for text in ("t,x_1,x_2\n", "t,x_1,x_2", "t,x_1,x_2\n\n"):
+            path.write_text(text)
+            with pytest.raises(InvalidInputError, match="no snapshots"):
+                load_csv(tmp_path)
 
     def test_ragged_row_reports_line(self, rng, tmp_path):
         self.write_all(tmp_path, rng)
         path = tmp_path / "velocity.csv"
-        lines = path.read_text().splitlines()
+        text = path.read_text()
+        lines = text.splitlines()
         lines[3] = lines[3].rsplit(",", 1)[0]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match="expected 3 fields, found 2") as exc:
+            load_csv(tmp_path)
+        assert ":4:" in str(exc.value)
+        # a whitespace-only line is a row, unlike an empty one
+        lines = text.splitlines()
+        lines[2:2] = ["", " "]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="expected 3 fields, found 1") as exc:
             load_csv(tmp_path)
         assert ":4:" in str(exc.value)
 
