@@ -14,7 +14,6 @@ from .errors import (
     FormatError,
     IllConditionedModesError,
     InsufficientDataError,
-    InvalidComparisonError,
     InvalidInputError,
     InvalidParameterError,
     MechromError,
@@ -29,7 +28,6 @@ __version__ = "0.1.0"
 from .model import (
     SecondOrderSystem,
     build_mass_spring_chain,
-    force_at,
     load_matrix,
     load_system,
     rayleigh_damping,
@@ -38,7 +36,6 @@ from .model import (
 )
 from .newmark import IntegratorConfig, IntegratorState, initial_acceleration, simulate, step
 from .snapshots import (
-    ReducedTrajectoryData,
     TrajectoryData,
     assemble_force_data,
     assemble_opinf_data,
@@ -51,14 +48,12 @@ from .pod import (
     PodBasis,
     compute_basis,
     intrusive_reduce,
-    mass_normalized_form,
     projection_error,
 )
 from .opinf import (
     LambdaTrial,
     SolveReport,
     infer,
-    nearest_spd,
     ridge_lstsq,
     select_lambda,
     separate_operators,
@@ -66,9 +61,7 @@ from .opinf import (
 from .copinf import ConstrainedSolveReport, infer_constrained, project_psd
 from .evaluate import (
     ErrorSeries,
-    OperatorCloseness,
     is_stable,
-    operator_closeness,
     pencil_spectrum,
     relative_error,
     save_error_series,
@@ -88,13 +81,11 @@ __all__ = [
     "NotSeparableError",
     "IllConditionedModesError",
     "NoViableLambdaError",
-    "InvalidComparisonError",
     "DivergenceError",
     # model
     "SecondOrderSystem",
     "build_mass_spring_chain",
     "rayleigh_damping",
-    "force_at",
     "save_matrix",
     "load_matrix",
     "save_system",
@@ -107,7 +98,6 @@ __all__ = [
     "simulate",
     # snapshots
     "TrajectoryData",
-    "ReducedTrajectoryData",
     "project",
     "assemble_opinf_data",
     "assemble_force_data",
@@ -119,7 +109,6 @@ __all__ = [
     "compute_basis",
     "projection_error",
     "intrusive_reduce",
-    "mass_normalized_form",
     # regression
     "SolveReport",
     "LambdaTrial",
@@ -127,7 +116,6 @@ __all__ = [
     "infer",
     "select_lambda",
     "separate_operators",
-    "nearest_spd",
     # constrained regression
     "ConstrainedSolveReport",
     "project_psd",
@@ -135,8 +123,6 @@ __all__ = [
     # evaluation
     "ErrorSeries",
     "relative_error",
-    "OperatorCloseness",
-    "operator_closeness",
     "pencil_spectrum",
     "is_stable",
     "save_error_series",

@@ -40,7 +40,6 @@ from .errors import (
     FormatError,
     IllConditionedModesError,
     InsufficientDataError,
-    InvalidComparisonError,
     InvalidInputError,
     InvalidParameterError,
     MechromError,
@@ -537,6 +536,9 @@ def _load_basis(outdir) -> PodBasis:
     modes = load_matrix(modes_path)
     table = read_table(svals_path, 2, messages=[("expected 'index,sigma'",
                                                  "non-numeric sigma")])
+    if not table.shape[0]:
+        raise FormatError("no singular values: the file has no rows",
+                          path=svals_path)
     return PodBasis(modes=modes, singular_values=table[:, 1])
 
 
@@ -599,11 +601,10 @@ def stage_infer(cfg: ExperimentConfig, outdir) -> None:
     train = _load_training(
         cfg, outdir, ("displacement", "velocity", "acceleration", "input")
     )
-    basis = _load_basis(outdir)
-    rdata = project(train, basis)
+    rdata = project(train, _load_basis(outdir))
     D, rhs = assemble_opinf_data(rdata)
     lam, trials = select_lambda(D, rhs, cfg.lambda_grid, rdata)
-    rom, report = infer(D, rhs, lam, basis=basis)
+    rom, report = infer(D, rhs, lam)
     mdir = os.path.join(outdir, "opinf")
     _save_operators(mdir, symmetric=False, damping=rom.damping,
                     stiffness=rom.stiffness, input=rom.input_map)
@@ -631,9 +632,8 @@ def stage_infer_constrained(cfg: ExperimentConfig, outdir) -> None:
     train = _load_training(
         cfg, outdir, ("displacement", "velocity", "acceleration", "force")
     )
-    basis = _load_basis(outdir)
-    D, rhs = assemble_force_data(project(train, basis))
-    rom, report = infer_constrained(D, rhs, omega=cfg.omega, basis=basis)
+    D, rhs = assemble_force_data(project(train, _load_basis(outdir)))
+    rom, report = infer_constrained(D, rhs, omega=cfg.omega)
     mdir = os.path.join(outdir, "copinf")
     _save_operators(mdir, symmetric=True, mass=rom.mass, damping=rom.damping,
                     stiffness=rom.stiffness)
@@ -793,7 +793,6 @@ _COMMANDS = {name.replace("_", "-"): (name, fn) for name, fn in _STAGES}
 _DATA_ERRORS = (
     FormatError,
     InvalidInputError,
-    InvalidComparisonError,
     MissingDataError,
     InsufficientDataError,
     OSError,

@@ -41,6 +41,7 @@ import scipy.linalg as la
 
 from .errors import InvalidInputError, InvalidParameterError
 from .model import SecondOrderSystem
+from .opinf import pinv_filter
 
 __all__ = [
     "ConstrainedSolveReport",
@@ -196,7 +197,6 @@ def infer_constrained(
     D,
     rhs,
     omega: float = DEFAULT_OMEGA,
-    basis=None,
     penalty: float = DEFAULT_PENALTY,
     tol_abs: float = DEFAULT_TOL_ABS,
     tol_rel: float = DEFAULT_TOL_REL,
@@ -214,8 +214,6 @@ def infer_constrained(
     omega : float
         Definiteness margin for the mass and stiffness blocks, > 0. The
         damping block is constrained with margin zero.
-    basis : PodBasis, optional
-        Attached to the returned model.
     penalty, tol_abs, tol_rel, max_iter
         Splitting iteration controls: the initial penalty, the absolute
         and relative residual tolerances (positive and finite) and the
@@ -291,7 +289,7 @@ def infer_constrained(
     # the stall test does work over the N snapshots.
     if np.any(Ds):
         W, s, Qt = la.svd(Ds, full_matrices=False)
-        filt = np.where(s > 1e-12 * s[0], 1.0, 0.0) / np.where(s > 0.0, s, 1.0)
+        filt = pinv_filter(s)
     else:
         W, s, Qt = np.zeros((k, 0)), np.zeros(0), np.zeros((0, D.shape[1]))
         filt = s  # empty
@@ -358,7 +356,6 @@ def infer_constrained(
         mass=Z_out[:, :r],
         damping=Z_out[:, r:2 * r],
         stiffness=Z_out[:, 2 * r:],
-        basis=basis,
     )
     report = ConstrainedSolveReport(
         objective=float(np.linalg.norm(Z_out @ D - rhs) ** 2),

@@ -17,7 +17,6 @@ __all__ = [
     "NotSeparableError",
     "IllConditionedModesError",
     "NoViableLambdaError",
-    "InvalidComparisonError",
     "DivergenceError",
 ]
 
@@ -89,10 +88,6 @@ class NoViableLambdaError(MechromError):
     def __init__(self, message, table=None):
         super().__init__(message)
         self.table = table
-
-
-class InvalidComparisonError(MechromError):
-    """Two objects cannot be compared: incompatible shapes or bases."""
 
 
 class DivergenceError(MechromError):

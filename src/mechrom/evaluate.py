@@ -1,4 +1,4 @@
-"""Error metrics, operator comparisons, and stability checks."""
+"""Error metrics and stability checks."""
 
 from __future__ import annotations
 
@@ -8,20 +8,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .errors import (
-    DegenerateInputError,
-    InvalidComparisonError,
-    InvalidInputError,
-    SingularOperatorError,
-)
-from .model import SecondOrderSystem
+from .errors import DegenerateInputError, InvalidInputError, SingularOperatorError
 from .textio import write_table
 
 __all__ = [
     "ErrorSeries",
     "relative_error",
-    "OperatorCloseness",
-    "operator_closeness",
     "pencil_spectrum",
     "is_stable",
     "save_error_series",
@@ -90,75 +82,6 @@ def relative_error(X_ref, X_approx, times=None, phase_split=None) -> ErrorSeries
         eps=eps,
         max_eps=float(eps.max()),
         phase_split=phase_split,
-    )
-
-
-@dataclass(frozen=True)
-class OperatorCloseness:
-    """Frobenius distances between two mass-normalized models, absolute
-    and relative to the reference operator norms."""
-
-    damping: float
-    stiffness: float
-    input_map: float
-    damping_rel: float
-    stiffness_rel: float
-    input_map_rel: float
-
-
-def _same_basis(a, b) -> bool:
-    if a is b:
-        return True
-    if a is None or b is None:
-        return False
-    return (
-        a.modes.shape == b.modes.shape
-        and np.array_equal(a.modes, b.modes)
-    )
-
-
-def operator_closeness(reference: SecondOrderSystem,
-                       candidate: SecondOrderSystem) -> OperatorCloseness:
-    """Operator-space distance between two mass-normalized models.
-
-    Both models must have the identity as their mass, an input map, and
-    live in the same reduced coordinates: equal dimensions and the same
-    basis (identical object or equal mode matrices; two models without a
-    basis attached are comparable).
-    """
-    for model in (reference, candidate):
-        if not model.mass_normalized or model.input_map is None:
-            raise InvalidInputError(
-                "operator_closeness needs mass-normalized models (identity "
-                "mass) with input maps"
-            )
-    if reference.n != candidate.n or reference.m != candidate.m:
-        raise InvalidComparisonError(
-            f"model dimensions disagree: ({reference.n}, {reference.m}) "
-            f"vs ({candidate.n}, {candidate.m})"
-        )
-    if not (reference.basis is None and candidate.basis is None) and not _same_basis(
-        reference.basis, candidate.basis
-    ):
-        raise InvalidComparisonError(
-            "models were reduced with different bases"
-        )
-
-    def pair(A, B):
-        d = float(np.linalg.norm(A - B))
-        ref = float(np.linalg.norm(A))
-        return d, d / ref if ref > 0.0 else float("inf") if d > 0.0 else 0.0
-
-    d_c, r_c = pair(reference.damping, candidate.damping)
-    d_k, r_k = pair(reference.stiffness, candidate.stiffness)
-    d_b, r_b = pair(reference.input_map, candidate.input_map)
-    return OperatorCloseness(
-        damping=d_c,
-        stiffness=d_k,
-        input_map=d_b,
-        damping_rel=r_c,
-        stiffness_rel=r_k,
-        input_map_rel=r_b,
     )
 
 

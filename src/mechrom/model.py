@@ -7,16 +7,16 @@ of the governing equations
 
 Full models and reduced models share the one container
 :class:`SecondOrderSystem`: full models hold ``scipy.sparse`` CSR
-structural operators, reduced models dense arrays. Builders for
-proportional damping and for mass-spring chain benchmarks live here,
-together with a plain-text sparse matrix format used for all operator
-files.
+structural operators, reduced models dense arrays. A reduced model holds
+its operators only; the basis it lives in stays with the caller.
+Builders for proportional damping and for mass-spring chain benchmarks
+live here, together with a plain-text sparse matrix format used for all
+operator files.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,15 +24,11 @@ import scipy.sparse as sp
 from .errors import FormatError, InvalidInputError, InvalidParameterError
 from .textio import read_header, read_table, row_line, write_table
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .pod import PodBasis
-
 __all__ = [
     "SecondOrderSystem",
     "symmetric_part",
     "rayleigh_damping",
     "build_mass_spring_chain",
-    "force_at",
     "save_matrix",
     "load_matrix",
     "save_system",
@@ -85,8 +81,6 @@ class SecondOrderSystem:
         Maps the m-channel input signal to forces. None for a model
         fitted to force data, which is given an input map with
         ``dataclasses.replace`` to be replayed.
-    basis : PodBasis, optional
-        The basis whose coordinates a reduced model lives in.
     label : str
         Free-form tag carried through artifacts.
     """
@@ -95,7 +89,6 @@ class SecondOrderSystem:
     damping: np.ndarray
     stiffness: np.ndarray
     input_map: np.ndarray | None = None
-    basis: "PodBasis | None" = None
     label: str = ""
 
     def __post_init__(self):
@@ -235,16 +228,6 @@ def build_mass_spring_chain(
     for j, node in enumerate(input_nodes):
         B[int(node), j] = 1.0
     return SecondOrderSystem(M, C, K, B, label=f"chain-n{n}")
-
-
-def force_at(system, u) -> np.ndarray:
-    """Nodal force realized by input value ``u`` through the input map."""
-    u = np.asarray(u, dtype=float).ravel()
-    if u.shape[0] != system.m:
-        raise InvalidParameterError(
-            f"input has {u.shape[0]} channels, model expects {system.m}"
-        )
-    return system.input_map @ u
 
 
 # ---------------------------------------------------------------------------

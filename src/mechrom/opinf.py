@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .copinf import project_psd
 from .errors import (
     DegenerateInputError,
     IllConditionedModesError,
@@ -34,7 +33,7 @@ from .errors import (
 )
 from .model import SecondOrderSystem, symmetric_part
 from .newmark import IntegratorConfig, simulate
-from .snapshots import ReducedTrajectoryData
+from .snapshots import TrajectoryData
 
 __all__ = [
     "SolveReport",
@@ -43,7 +42,6 @@ __all__ = [
     "infer",
     "select_lambda",
     "separate_operators",
-    "nearest_spd",
 ]
 
 # Singular values below RANK_TOL times the largest are treated as zero
@@ -70,6 +68,13 @@ class SolveReport:
     condition: float
     rank_estimate: int
     lam: float
+
+
+def pinv_filter(s) -> np.ndarray:
+    """Filter factors of the minimum-norm pseudo-inverse for the
+    nonincreasing singular values ``s``: 1 / s_i where s_i exceeds
+    ``RANK_TOL`` times the largest, zero elsewhere."""
+    return np.where(s > RANK_TOL * s[0], 1.0, 0.0) / np.where(s > 0.0, s, 1.0)
 
 
 def ridge_lstsq(D, rhs, lam: float = 0.0):
@@ -102,14 +107,14 @@ def ridge_lstsq(D, rhs, lam: float = 0.0):
     if lam == 0.0:
         if s[0] == 0.0:
             raise DegenerateInputError("data matrix is identically zero")
-        filt = np.where(s > RANK_TOL * s[0], 1.0, 0.0) / np.where(s > 0.0, s, 1.0)
+        filt = pinv_filter(s)
     else:
         filt = s / (s**2 + lam)
     P = ((rhs @ Qt.T) * filt) @ W.T
     return P, s
 
 
-def infer(D, rhs, lam: float = 0.0, basis=None):
+def infer(D, rhs, lam: float = 0.0):
     """Identify a mass-normalized reduced model from stacked data.
 
     Parameters
@@ -120,8 +125,6 @@ def infer(D, rhs, lam: float = 0.0, basis=None):
         Acceleration block.
     lam : float
         Regularization weight, >= 0.
-    basis : PodBasis, optional
-        Attached to the returned model for later comparisons.
 
     Returns
     -------
@@ -156,7 +159,6 @@ def infer(D, rhs, lam: float = 0.0, basis=None):
         damping=-P[:, :r],
         stiffness=-P[:, r:2 * r],
         input_map=P[:, 2 * r:],
-        basis=basis,
     )
     return rom, SolveReport(
         residual=residual,
@@ -176,7 +178,7 @@ class LambdaTrial:
     operator_norm: float
 
 
-def _replay_error(rom: SecondOrderSystem, validation: ReducedTrajectoryData) -> float:
+def _replay_error(rom: SecondOrderSystem, validation: TrajectoryData) -> float:
     """Worst relative displacement error of the model replaying the
     validation window from its first snapshot. Returns inf when the
     replay leaves the finite range."""
@@ -213,7 +215,7 @@ def _replay_error(rom: SecondOrderSystem, validation: ReducedTrajectoryData) -> 
     return float(np.linalg.norm(Q - ref, axis=0).max() / denom)
 
 
-def select_lambda(D, rhs, grid, validation: ReducedTrajectoryData):
+def select_lambda(D, rhs, grid, validation: TrajectoryData):
     """Sweep a grid of regularization weights and keep the best one.
 
     Each candidate model replays the validation window; the weight with
@@ -243,7 +245,7 @@ def select_lambda(D, rhs, grid, validation: ReducedTrajectoryData):
     best_lam = None
     best_err = float("inf")
     for lam in grid:
-        rom, report = infer(D, rhs, lam, basis=validation.basis)
+        rom, report = infer(D, rhs, lam)
         err = _replay_error(rom, validation)
         # Operators near the largest double have an infinite norm here.
         with np.errstate(over="ignore"):
@@ -327,26 +329,6 @@ def separate_operators(rom: SecondOrderSystem) -> SecondOrderSystem:
         damping=mass @ rom.damping,
         stiffness=symmetric_part(Phi_inv.T @ np.diag(w) @ Phi_inv),
         input_map=None if rom.input_map is None else mass @ rom.input_map,
-        basis=rom.basis,
         label=rom.label,
     )
 
-
-def nearest_spd(A, shift: float = 0.0) -> np.ndarray:
-    """Frobenius-nearest symmetric positive semidefinite matrix.
-
-    Symmetrize, then raise negative eigenvalues to zero. A positive
-    ``shift`` adds shift * I afterwards, making the result strictly
-    positive definite.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise InvalidInputError(f"matrix must be square, got shape {A.shape}")
-    if not (np.isfinite(shift) and shift >= 0.0):
-        raise InvalidParameterError(
-            f"shift must be finite and nonnegative, got {shift}"
-        )
-    S = project_psd(A, 0.0)
-    if shift > 0.0:
-        S += shift * np.eye(A.shape[0])
-    return S

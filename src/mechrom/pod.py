@@ -3,8 +3,7 @@
 The basis of rank r collects the r leading left singular vectors of the
 displacement snapshot matrix. Reduction is a congruence with the mode
 matrix, which keeps symmetry and definiteness of the structural
-operators; the mass-normalized form divides the reduced model by its
-reduced mass so the acceleration appears with an identity coefficient.
+operators.
 """
 
 from __future__ import annotations
@@ -14,12 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .errors import (
-    DegenerateInputError,
-    InvalidInputError,
-    InvalidParameterError,
-    SingularOperatorError,
-)
+from .errors import DegenerateInputError, InvalidInputError, InvalidParameterError
 from .model import SecondOrderSystem, symmetric_part
 
 __all__ = [
@@ -27,14 +21,9 @@ __all__ = [
     "compute_basis",
     "projection_error",
     "intrusive_reduce",
-    "mass_normalized_form",
 ]
 
 _ORTHONORMALITY_TOL = 1e-10
-
-# Reduced mass matrices with condition number beyond this cannot be
-# normalized away reliably.
-_MASS_COND_LIMIT = 1e14
 
 
 @dataclass(frozen=True)
@@ -68,7 +57,9 @@ class PodBasis:
             raise InvalidInputError(
                 f"mode matrix is not orthonormal (defect {gram_defect:.3e})"
             )
-        if s.size < 1 or np.any(s < 0.0) or np.any(np.diff(s) > 0.0):
+        if s.size < 1:
+            raise InvalidInputError("singular value spectrum is empty")
+        if np.any(s < 0.0) or np.any(np.diff(s) > 0.0):
             raise InvalidInputError(
                 "singular values must be nonnegative and nonincreasing"
             )
@@ -181,8 +172,8 @@ def intrusive_reduce(system: SecondOrderSystem, basis: PodBasis) -> SecondOrderS
     """Congruence reduction of every operator with the mode matrix.
 
     Structural operators become V.T @ A @ V, the input map V.T @ B. The
-    result is a valid model of dimension r carrying ``basis``; symmetry
-    is restored exactly after the two-sided product.
+    result is a valid model of dimension r; symmetry is restored exactly
+    after the two-sided product.
     """
     V = basis.modes
     if system.n != V.shape[0]:
@@ -194,34 +185,6 @@ def intrusive_reduce(system: SecondOrderSystem, basis: PodBasis) -> SecondOrderS
         damping=symmetric_part(V.T @ system.damping @ V),
         stiffness=symmetric_part(V.T @ system.stiffness @ V),
         input_map=None if system.input_map is None else V.T @ system.input_map,
-        basis=basis,
         label=(system.label + "-r%d" % basis.rank).lstrip("-"),
     )
 
-
-def mass_normalized_form(reduced: SecondOrderSystem) -> SecondOrderSystem:
-    """Divide a reduced model by its mass matrix.
-
-    Returns the equivalent model with the identity as its mass, keeping
-    the basis and label. The reduced mass must be safely invertible.
-    """
-    if reduced.input_map is None:
-        raise InvalidInputError("model has no input map to normalize")
-    M = reduced.mass
-    s = la.svdvals(M)
-    if s[-1] == 0.0 or s[0] / s[-1] > _MASS_COND_LIMIT:
-        raise SingularOperatorError(
-            "reduced mass is singular or too ill conditioned to normalize "
-            f"(condition {np.inf if s[-1] == 0.0 else s[0] / s[-1]:.3e})"
-        )
-    rhs = np.hstack([reduced.damping, reduced.stiffness, reduced.input_map])
-    sol = la.solve(M, rhs, assume_a="sym")
-    r = reduced.n
-    return SecondOrderSystem(
-        mass=np.eye(r),
-        damping=sol[:, :r],
-        stiffness=sol[:, r:2 * r],
-        input_map=sol[:, 2 * r:],
-        basis=reduced.basis,
-        label=reduced.label,
-    )

@@ -2,8 +2,8 @@
 
 Snapshot collections hold displacement, velocity, and acceleration
 histories column per time instant, plus optional input and force
-histories. Reduced collections are obtained by projecting onto a basis
-and feed the regression problems: the data matrix stacks velocity,
+histories. A trajectory projected onto a basis has the same type and
+feeds the regression problems: the data matrix stacks velocity,
 displacement, and input blocks for the mass-normalized problem, and
 acceleration, velocity, and displacement blocks for the force-driven
 constrained problem.
@@ -27,7 +27,6 @@ from .textio import read_header, read_table, write_table
 
 __all__ = [
     "TrajectoryData",
-    "ReducedTrajectoryData",
     "project",
     "assemble_opinf_data",
     "assemble_force_data",
@@ -128,14 +127,7 @@ class TrajectoryData:
         return float(self.times[1] - self.times[0])
 
 
-@dataclass(frozen=True)
-class ReducedTrajectoryData(TrajectoryData):
-    """Trajectory projected onto a basis; produced by :func:`project`."""
-
-    basis: PodBasis | None = None
-
-
-def project(data: TrajectoryData, basis: PodBasis) -> ReducedTrajectoryData:
+def project(data: TrajectoryData, basis: PodBasis) -> TrajectoryData:
     """Project a trajectory onto the span of a basis.
 
     Displacement, velocity, acceleration, and force (when present) are
@@ -148,18 +140,17 @@ def project(data: TrajectoryData, basis: PodBasis) -> ReducedTrajectoryData:
             f"trajectory dimension {data.n} does not match basis rows {V.shape[0]}"
         )
     Vt = V.T
-    return ReducedTrajectoryData(
+    return TrajectoryData(
         times=data.times,
         displacement=Vt @ data.displacement,
         velocity=Vt @ data.velocity,
         acceleration=Vt @ data.acceleration,
         input=None if data.input is None else data.input.copy(),
         force=None if data.force is None else Vt @ data.force,
-        basis=basis,
     )
 
 
-def assemble_opinf_data(rdata: ReducedTrajectoryData):
+def assemble_opinf_data(rdata: TrajectoryData):
     """Stack the data matrix and right-hand side for mass-normalized
     regression.
 
@@ -177,7 +168,7 @@ def assemble_opinf_data(rdata: ReducedTrajectoryData):
     return D, rdata.acceleration.copy()
 
 
-def assemble_force_data(rdata: ReducedTrajectoryData):
+def assemble_force_data(rdata: TrajectoryData):
     """Stack the data matrix and right-hand side for force-driven
     constrained regression.
 

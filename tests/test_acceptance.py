@@ -22,7 +22,7 @@ from mechrom.newmark import IntegratorConfig, simulate
 from mechrom.opinf import infer, ridge_lstsq, select_lambda, separate_operators
 from mechrom.pod import PodBasis, compute_basis, intrusive_reduce, projection_error
 from mechrom.snapshots import (
-    ReducedTrajectoryData,
+    TrajectoryData,
     assemble_force_data,
     assemble_opinf_data,
     finite_difference_derivatives,
@@ -96,9 +96,9 @@ def test_stiffness_map_error_decays_with_time_step():
         # equations to round-off at any step size, so the step-size
         # dependence under test only appears with estimated derivatives
         vel, acc = finite_difference_derivatives(data.displacement, dt)
-        rdata = ReducedTrajectoryData(
+        rdata = TrajectoryData(
             times=data.times, displacement=data.displacement, velocity=vel,
-            acceleration=acc, input=data.input, basis=identity_basis(n),
+            acceleration=acc, input=data.input,
         )
         D, rhs = assemble_opinf_data(rdata)
         rom, _ = infer(D, rhs, 0.0)
@@ -128,7 +128,7 @@ def test_stiff_cluster_chain_stays_under_one_percent():
     test = simulate(chain, sampler, None, None,
                     IntegratorConfig(dt=dt, t_end=1.0))
     n_train = IntegratorConfig(dt=dt, t_end=0.5).num_steps
-    train = ReducedTrajectoryData(
+    train = TrajectoryData(
         times=test.times[:n_train],
         displacement=test.displacement[:, :n_train],
         velocity=test.velocity[:, :n_train],
@@ -150,14 +150,14 @@ def test_stiff_cluster_chain_stays_under_one_percent():
     D, rhs = assemble_opinf_data(rtrain)
     lam, _ = select_lambda(D, rhs, [0.0] + list(np.logspace(-12, 0, 13)),
                            rtrain)
-    rom, _ = infer(D, rhs, lam, basis=basis)
+    rom, _ = infer(D, rhs, lam)
     replay = simulate(rom, sampler, None, None, config)
     errors["opinf"] = relative_error(
         test.displacement, basis.modes @ replay.displacement
     ).max_eps
 
     Df, rhsf = assemble_force_data(rtrain)
-    crom, _ = infer_constrained(Df, rhsf, basis=basis)
+    crom, _ = infer_constrained(Df, rhsf)
     crom = dataclasses.replace(crom, input_map=basis.modes.T @ chain.input_map)
     replay = simulate(crom, sampler, None, None, config)
     errors["copinf"] = relative_error(

@@ -769,6 +769,23 @@ class TestStageFailures:
         err = capsys.readouterr().err
         assert "run the infer stage first" in err
 
+    @pytest.mark.parametrize("text", ["", "index,sigma\n"],
+                             ids=["empty", "header-only"])
+    def test_basis_without_singular_values_is_data_error(self, tmp_path,
+                                                         capsys, text):
+        cfg = config_file(tmp_path, {"inference": {"methods": "opinf"}})
+        out = tmp_path / "artifacts"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["basis", "--config", cfg, "--out", str(out)]) == 0
+        path = out / "basis" / "singular_values.csv"
+        path.write_text(text, encoding="ascii")
+        capsys.readouterr()
+        code = main(["infer", "--config", cfg, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error in stage 'infer'" in err
+        assert f"{path}: no singular values: the file has no rows" in err
+
     def test_zero_motion_data_is_numerical_error(self, tmp_path, capsys):
         cfg = config_file(tmp_path, {"input": {"amplitude": "0.0"}})
         code = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])

@@ -1,5 +1,4 @@
-"""Tests for trajectory error metrics, operator distances, and pencil
-stability checks."""
+"""Tests for trajectory error metrics and pencil stability checks."""
 
 import numpy as np
 import pytest
@@ -7,20 +6,16 @@ import pytest
 from mechrom.copinf import infer_constrained
 from mechrom.errors import (
     DegenerateInputError,
-    InvalidComparisonError,
     InvalidInputError,
     SingularOperatorError,
 )
 from mechrom.evaluate import (
     ErrorSeries,
     is_stable,
-    operator_closeness,
     pencil_spectrum,
     relative_error,
     save_error_series,
 )
-from mechrom.model import SecondOrderSystem
-from mechrom.pod import PodBasis
 
 from tests._helpers import random_spd
 
@@ -78,79 +73,6 @@ class TestRelativeError:
             rng.standard_normal((3, 8)), rng.standard_normal((3, 8))
         )
         assert series.max_eps == series.eps.max()
-
-
-def make_rom(rng, r=2, m=1, basis=None):
-    return SecondOrderSystem(
-        mass=np.eye(r),
-        damping=rng.standard_normal((r, r)),
-        stiffness=rng.standard_normal((r, r)),
-        input_map=rng.standard_normal((r, m)),
-        basis=basis,
-    )
-
-
-class TestOperatorCloseness:
-    def test_identical_models(self, rng):
-        rom = make_rom(rng)
-        out = operator_closeness(rom, rom)
-        assert (out.damping, out.stiffness, out.input_map) == (0.0, 0.0, 0.0)
-        assert (out.damping_rel, out.stiffness_rel, out.input_map_rel) == (
-            0.0,
-            0.0,
-            0.0,
-        )
-
-    def test_scalar_distance(self):
-        a = SecondOrderSystem([[1.0]], [[1.0]], [[2.0]], [[1.0]])
-        b = SecondOrderSystem([[1.0]], [[1.0]], [[2.5]], [[1.0]])
-        out = operator_closeness(a, b)
-        assert out.stiffness == pytest.approx(0.5, rel=1e-15)
-        assert out.stiffness_rel == pytest.approx(0.25, rel=1e-15)
-
-    def test_entrywise_sum_oracle(self, rng):
-        a, b = make_rom(rng, r=3, m=2), make_rom(rng, r=3, m=2)
-        out = operator_closeness(a, b)
-        for field, A, B in (
-            ("damping", a.damping, b.damping),
-            ("stiffness", a.stiffness, b.stiffness),
-            ("input_map", a.input_map, b.input_map),
-        ):
-            total = 0.0
-            for i in range(A.shape[0]):
-                for j in range(A.shape[1]):
-                    total += (A[i, j] - B[i, j]) ** 2
-            assert getattr(out, field) == pytest.approx(total**0.5, rel=1e-13)
-
-    def test_dimension_mismatch(self, rng):
-        with pytest.raises(InvalidComparisonError, match="dimensions"):
-            operator_closeness(make_rom(rng, r=2), make_rom(rng, r=3))
-
-    def test_basis_mismatch(self, rng):
-        basis_a = PodBasis(modes=np.eye(3)[:, :2], singular_values=np.ones(3))
-        Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        basis_b = PodBasis(modes=Q[:, :2], singular_values=np.ones(3))
-        with pytest.raises(InvalidComparisonError, match="bases"):
-            operator_closeness(
-                make_rom(rng, basis=basis_a), make_rom(rng, basis=basis_b)
-            )
-
-    def test_rejects_non_identity_mass(self, rng):
-        rom = make_rom(rng)
-        scaled = SecondOrderSystem(2.0 * rom.mass, rom.damping, rom.stiffness,
-                                   rom.input_map)
-        for pair in ((rom, scaled), (scaled, rom)):
-            with pytest.raises(InvalidInputError, match="identity mass"):
-                operator_closeness(*pair)
-
-    def test_equal_mode_matrices_are_comparable(self, rng):
-        modes = np.eye(4)[:, :2]
-        a = make_rom(rng, basis=PodBasis(modes=modes, singular_values=np.ones(4)))
-        b = make_rom(
-            rng, basis=PodBasis(modes=modes.copy(), singular_values=np.ones(4))
-        )
-        out = operator_closeness(a, b)
-        assert out.damping >= 0.0
 
 
 class TestPencilSpectrum:

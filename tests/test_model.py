@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from mechrom import (
     SecondOrderSystem,
     build_mass_spring_chain,
-    force_at,
     load_matrix,
     load_system,
     rayleigh_damping,
@@ -113,42 +112,6 @@ def test_rayleigh_linear_in_coefficients(a1, a2, b):
     assert left == pytest.approx(right, abs=1e-10)
 
 
-def test_force_at_zero_input():
-    sys_ = build_mass_spring_chain(1, [1.0], [1.0, 1.0], 0.0, 0.0, (0,))
-    assert force_at(sys_, [0.0]) == pytest.approx([0.0])
-
-
-def test_force_at_unit_column():
-    sys_ = SecondOrderSystem(
-        mass=np.eye(2),
-        damping=np.zeros((2, 2)),
-        stiffness=np.eye(2),
-        input_map=np.array([[1.0], [0.0]]),
-    )
-    assert force_at(sys_, [3.0]) == pytest.approx([3.0, 0.0])
-
-
-def test_force_at_against_triple_loop(rng):
-    B = rng.standard_normal((5, 3))
-    u = rng.standard_normal(3)
-    sys_ = SecondOrderSystem(
-        mass=np.eye(5), damping=np.zeros((5, 5)), stiffness=np.eye(5),
-        input_map=B,
-    )
-    out = force_at(sys_, u)
-    oracle = np.zeros(5)
-    for i in range(5):
-        for j in range(3):
-            oracle[i] += B[i, j] * u[j]
-    assert out == pytest.approx(oracle, abs=1e-14)
-
-
-def test_force_at_length_mismatch():
-    sys_ = build_mass_spring_chain(2, [1.0, 1.0], [1.0] * 3, 0.0, 0.0, (0,))
-    with pytest.raises(InvalidParameterError):
-        force_at(sys_, [1.0, 2.0])
-
-
 def test_construction_stores_operators_as_given():
     A = np.array([[1.0, 1e-13], [0.0, 1.0]])
     sys_ = SecondOrderSystem(
@@ -156,7 +119,7 @@ def test_construction_stores_operators_as_given():
     )
     assert np.array_equal(sys_.mass, A)
     assert sys_.input_map is None and sys_.m == 0
-    assert sys_.basis is None and sys_.label == ""
+    assert sys_.label == ""
 
 
 def test_construction_rejects_bad_operators():

@@ -1,9 +1,9 @@
 """Tests for the regularized least-squares identification path: the ridge
-kernel, model assembly, regularization sweep, operator separation, and the
-nearest-PSD projection."""
+kernel, model assembly, regularization sweep, and operator separation."""
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 from mechrom.errors import (
     DegenerateInputError,
@@ -22,12 +22,11 @@ from mechrom.newmark import IntegratorConfig, simulate
 from mechrom.opinf import (
     LambdaTrial,
     infer,
-    nearest_spd,
     ridge_lstsq,
     select_lambda,
     separate_operators,
 )
-from mechrom.pod import PodBasis, mass_normalized_form
+from mechrom.pod import PodBasis
 from mechrom.snapshots import assemble_opinf_data, project
 
 from tests._helpers import random_spd
@@ -137,12 +136,6 @@ class TestInfer:
         # 2 rows cannot hold two state blocks plus an input row.
         with pytest.raises(InvalidInputError, match="rows"):
             infer(np.ones((2, 6)), np.ones((1, 6)), 0.0)
-
-    def test_basis_is_attached(self, rng):
-        basis = PodBasis(modes=np.eye(1), singular_values=np.ones(1))
-        D, rhs = synthesize(rng, 0.1, 1.0, 1.0, N=8)
-        rom, _ = infer(D, rhs, 0.0, basis=basis)
-        assert rom.basis is basis
 
 
 def identity_basis(r):
@@ -272,8 +265,8 @@ class TestReplayFailures:
         D, rhs = assemble_opinf_data(rdata)
         fit = opinf.infer
 
-        def infer_with_bad_candidate(D, rhs, lam, basis=None):
-            fitted, report = fit(D, rhs, lam, basis=basis)
+        def infer_with_bad_candidate(D, rhs, lam):
+            fitted, report = fit(D, rhs, lam)
             return (rom if lam == 1.0 else fitted), report
 
         monkeypatch.setattr(opinf, "infer", infer_with_bad_candidate)
@@ -292,8 +285,8 @@ class TestReplayFailures:
         D, rhs = assemble_opinf_data(rdata)
         fit = opinf.infer
 
-        def infer_with_bad_candidate(D, rhs, lam, basis=None):
-            fitted, report = fit(D, rhs, lam, basis=basis)
+        def infer_with_bad_candidate(D, rhs, lam):
+            fitted, report = fit(D, rhs, lam)
             return (rom if lam == 1.0 else fitted), report
 
         monkeypatch.setattr(opinf, "infer", infer_with_bad_candidate)
@@ -336,6 +329,15 @@ def simulate_free_constant(N):
     return make_constant_trajectory(0.1 * np.arange(1, N + 1), value=1.0)
 
 
+def mass_normalized(system):
+    """The model divided by its mass: identity mass, M^-1 [E, K, B]."""
+    r = system.n
+    sol = la.solve(system.mass, np.hstack(
+        [system.damping, system.stiffness, system.input_map]))
+    return SecondOrderSystem(np.eye(r), sol[:, :r], sol[:, r:2 * r],
+                             sol[:, 2 * r:])
+
+
 class TestSeparateOperators:
     def test_already_modal(self):
         rom = SecondOrderSystem(
@@ -358,7 +360,7 @@ class TestSeparateOperators:
                 stiffness=random_spd(rng, 4),
                 input_map=rng.standard_normal((4, 1)),
             )
-            rom = mass_normalized_form(sys4)
+            rom = mass_normalized(sys4)
             ops = separate_operators(rom)
             scale = np.linalg.norm(rom.stiffness)
             np.testing.assert_allclose(
@@ -411,89 +413,5 @@ class TestSeparateOperators:
         )
         with pytest.raises(InvalidInputError, match="identity mass"):
             separate_operators(sys3)
-        separate_operators(mass_normalized_form(sys3))
+        separate_operators(mass_normalized(sys3))
 
-
-def grid_search_psd_distance(A, center, width=1.0, rounds=40, points=13):
-    """Shrinking grid search for the closest symmetric PSD 2x2 matrix.
-
-    Returns the best objective value found. Candidates are (a, b, c)
-    for [[a, b], [b, c]], feasible when a, c >= 0 and a c >= b^2.
-    """
-    best = (float(center[0, 0]), float(center[0, 1]), float(center[1, 1]))
-
-    def objective(a, b, c):
-        return (
-            (a - A[0, 0]) ** 2
-            + (c - A[1, 1]) ** 2
-            + (b - A[0, 1]) ** 2
-            + (b - A[1, 0]) ** 2
-        )
-
-    best_val = objective(*best)
-    for _ in range(rounds):
-        axis = np.linspace(-width, width, points)
-        aa, bb, cc = np.meshgrid(
-            best[0] + axis, best[1] + axis, best[2] + axis, indexing="ij"
-        )
-        feas = (aa >= 0.0) & (cc >= 0.0) & (aa * cc >= bb**2)
-        vals = objective(aa, bb, cc)
-        vals[~feas] = np.inf
-        idx = np.unravel_index(np.argmin(vals), vals.shape)
-        if vals[idx] < best_val:
-            best_val = float(vals[idx])
-            best = (float(aa[idx]), float(bb[idx]), float(cc[idx]))
-        width *= 0.6
-    return best_val
-
-
-class TestNearestSpd:
-    def test_spd_fixed_point(self, rng):
-        A = random_spd(rng, 4)
-        np.testing.assert_allclose(nearest_spd(A), A, rtol=1e-12, atol=1e-12)
-
-    def test_clips_negative_eigenvalue(self):
-        np.testing.assert_allclose(
-            nearest_spd(np.diag([1.0, -1.0])), np.diag([1.0, 0.0]), atol=1e-15
-        )
-
-    def test_psd_fixed_point(self):
-        A = np.array([[1.0, 1.0], [1.0, 1.0]])
-        np.testing.assert_allclose(nearest_spd(A), A, atol=1e-14)
-
-    def test_matches_grid_search_oracle(self, rng):
-        for _ in range(3):
-            A = 2.0 * rng.standard_normal((2, 2))
-            S = nearest_spd(A)
-            ours = (
-                (S[0, 0] - A[0, 0]) ** 2
-                + (S[1, 1] - A[1, 1]) ** 2
-                + (S[0, 1] - A[0, 1]) ** 2
-                + (S[1, 0] - A[1, 0]) ** 2
-            )
-            oracle = grid_search_psd_distance(A, S)
-            assert abs(ours - oracle) <= 1e-10
-
-    def test_eigmin_floor(self, rng):
-        for _ in range(10):
-            S = nearest_spd(rng.standard_normal((3, 3)))
-            assert np.linalg.eigvalsh(S).min() >= -1e-12
-
-    def test_strict_shift(self, rng):
-        S = nearest_spd(rng.standard_normal((3, 3)), shift=0.1)
-        assert np.linalg.eigvalsh(S).min() >= 0.1 - 1e-12
-
-    def test_invalid_inputs(self):
-        with pytest.raises(InvalidInputError, match="square"):
-            nearest_spd(np.ones((2, 3)))
-        bad = np.ones((2, 2))
-        bad[0, 1] = np.nan
-        with pytest.raises(InvalidInputError, match="non-finite"):
-            nearest_spd(bad)
-        with pytest.raises(InvalidParameterError, match="shift"):
-            nearest_spd(np.eye(2), shift=-0.5)
-
-    @pytest.mark.parametrize("shift", [np.nan, np.inf])
-    def test_non_finite_shift_rejected(self, shift):
-        with pytest.raises(InvalidParameterError, match="finite"):
-            nearest_spd(np.eye(2), shift=shift)

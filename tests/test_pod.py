@@ -8,14 +8,12 @@ from mechrom.errors import (
     DegenerateInputError,
     InvalidInputError,
     InvalidParameterError,
-    SingularOperatorError,
 )
 from mechrom.model import SecondOrderSystem, build_mass_spring_chain
 from mechrom.pod import (
     PodBasis,
     compute_basis,
     intrusive_reduce,
-    mass_normalized_form,
     projection_error,
 )
 
@@ -39,6 +37,10 @@ class TestPodBasisType:
         bad = rng.standard_normal((4, 2))
         with pytest.raises(InvalidInputError, match="orthonormal"):
             PodBasis(modes=bad, singular_values=np.ones(4))
+
+    def test_sigma_must_not_be_empty(self):
+        with pytest.raises(InvalidInputError, match="spectrum is empty"):
+            PodBasis(modes=np.eye(2), singular_values=[])
 
     def test_sigma_must_be_nonincreasing(self):
         with pytest.raises(InvalidInputError):
@@ -221,7 +223,7 @@ class TestIntrusiveReduce:
         with pytest.raises(InvalidInputError, match="does not match"):
             intrusive_reduce(random_system(rng, 5), random_basis(rng, 4, 2))
 
-    def test_exactly_symmetric_and_carries_basis(self, rng):
+    def test_exactly_symmetric(self, rng):
         sys9 = random_system(rng, 9)
         basis = random_basis(rng, 9, 4)
         red = intrusive_reduce(sys9, basis)
@@ -231,7 +233,6 @@ class TestIntrusiveReduce:
             assert np.array_equal(A, A.T)
             P = V.T @ getattr(sys9, name) @ V
             assert np.array_equal(A, 0.5 * (P + P.T))
-        assert red.basis is basis
 
     def test_sparse_model_reduces_like_its_dense_form(self, rng):
         chain = build_mass_spring_chain(
@@ -247,46 +248,3 @@ class TestIntrusiveReduce:
             got, want = getattr(red, name), getattr(ref, name)
             assert isinstance(got, np.ndarray) and got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-
-
-class TestMassNormalizedForm:
-    def test_identity_mass_is_noop(self, rng):
-        E = random_spd(rng, 3, eigmin=0.0)
-        K = random_spd(rng, 3)
-        B = rng.standard_normal((3, 2))
-        sys3 = SecondOrderSystem(mass=np.eye(3), damping=E, stiffness=K, input_map=B)
-        rom = mass_normalized_form(sys3)
-        np.testing.assert_allclose(rom.damping, E, atol=1e-14)
-        np.testing.assert_allclose(rom.stiffness, K, atol=1e-14)
-        np.testing.assert_allclose(rom.input_map, B, atol=1e-14)
-
-    def test_scalar_example(self):
-        sys1 = SecondOrderSystem(
-            mass=[[2.0]], damping=[[0.0]], stiffness=[[4.0]], input_map=[[1.0]]
-        )
-        rom = mass_normalized_form(sys1)
-        assert rom.stiffness[0, 0] == pytest.approx(2.0, rel=1e-15)
-
-    def test_matches_dense_solve_oracle(self, rng):
-        sys3 = random_system(rng, 3, m=2)
-        rom = mass_normalized_form(sys3)
-        Minv = np.linalg.inv(sys3.mass)
-        np.testing.assert_allclose(rom.damping, Minv @ sys3.damping, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(rom.stiffness, Minv @ sys3.stiffness, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(rom.input_map, Minv @ sys3.input_map, rtol=1e-12, atol=1e-12)
-
-    def test_singular_mass_rejected(self, rng):
-        sys2 = SecondOrderSystem(
-            mass=np.diag([1.0, 1e-15]),
-            damping=np.zeros((2, 2)),
-            stiffness=np.eye(2),
-            input_map=np.ones((2, 1)),
-        )
-        with pytest.raises(SingularOperatorError, match="condition"):
-            mass_normalized_form(sys2)
-
-    def test_identity_mass_and_basis_kept(self, rng):
-        basis = random_basis(rng, 4, 2)
-        rom = mass_normalized_form(intrusive_reduce(random_system(rng, 4), basis))
-        assert np.array_equal(rom.mass, np.eye(2)) and rom.mass_normalized
-        assert rom.basis is basis

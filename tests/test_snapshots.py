@@ -15,7 +15,6 @@ from mechrom.errors import (
 from mechrom.opinf import infer
 from mechrom.pod import PodBasis
 from mechrom.snapshots import (
-    ReducedTrajectoryData,
     TrajectoryData,
     assemble_force_data,
     assemble_opinf_data,
@@ -114,13 +113,12 @@ class TestProject:
         data = make_trajectory(rng, n=4, N=6)
         basis = PodBasis(modes=np.eye(4), singular_values=np.ones(4))
         rdata = project(data, basis)
-        assert isinstance(rdata, ReducedTrajectoryData)
+        assert isinstance(rdata, TrajectoryData)
         np.testing.assert_array_equal(rdata.displacement, data.displacement)
         np.testing.assert_array_equal(rdata.velocity, data.velocity)
         np.testing.assert_array_equal(rdata.acceleration, data.acceleration)
         np.testing.assert_array_equal(rdata.input, data.input)
         np.testing.assert_array_equal(rdata.force, data.force)
-        assert rdata.basis is basis
 
     def test_single_mode_column_maps_to_unit_entry(self, rng):
         basis = orthonormal_basis(rng, 5, 2)
@@ -203,7 +201,7 @@ class TestProject:
 
 def reduced_scalar(xh, xdh, xddh, u=None, fh=None):
     as_col = lambda v: None if v is None else np.array([[float(v)]])
-    return ReducedTrajectoryData(
+    return TrajectoryData(
         times=[1.0],
         displacement=as_col(xh),
         velocity=as_col(xdh),
