@@ -11,8 +11,8 @@ single ``run`` byte for byte:
     evaluate            replay every reduced model and write error series
     run                 all of the above plus manifest and timings
 
-Configuration lives in an INI file with one section per concern; any
-value a flag also covers can be overridden on the command line. All
+Configuration lives in an INI file with one section per concern; each
+flag overrides one INI key and is parsed and checked as that key. All
 artifacts are plain text with 17 significant digits, so identical
 configuration produces identical bytes.
 
@@ -206,10 +206,13 @@ class ExperimentConfig:
 
     def manifest_dict(self) -> dict:
         """The configuration by INI section and key, with the gamma and
-        beta the integrator resolves when they are unset."""
+        beta the integrator resolves when they are unset. The output
+        directory is left out: it is where the manifest is written, not
+        part of the experiment."""
         out = {}
         for name, (section, key) in _INI_KEYS.items():
-            out.setdefault(section, {})[key] = getattr(self, name)
+            if name != "directory":
+                out.setdefault(section, {})[key] = getattr(self, name)
         scheme = _integrator(self)
         out["integrator"].update(gamma=scheme.gamma, beta=scheme.beta)
         return out
@@ -231,8 +234,13 @@ _CHAIN_KEYS = ("n", "masses", "stiffnesses", "input_nodes")
 _FILES_KEYS = ("mass_path", "damping_path", "stiffness_path", "input_path")
 
 
-def load_config(path) -> ExperimentConfig:
-    """Parse and validate an INI configuration file."""
+def load_config(path, overrides=None) -> ExperimentConfig:
+    """Parse and validate an INI configuration file.
+
+    ``overrides`` maps ``(section, key)`` to a raw value that replaces
+    the file's; it is parsed and checked as if the file held it. A
+    ``[basis]`` override replaces every basis selector of the file.
+    """
     # No interpolation: a "%" in a value (a directory name, say) is literal.
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=("#", ";"))
@@ -243,6 +251,12 @@ def load_config(path) -> ExperimentConfig:
         raise UsageError(f"cannot read config {path}: {exc}")
     except configparser.Error as exc:
         raise UsageError(f"malformed config {path}: {exc}")
+    overrides = overrides or {}
+    if any(s == "basis" for s, _ in overrides) and parser.has_section("basis"):
+        for selector in ("rank", "tol", "energy"):
+            parser.remove_option("basis", selector)
+    for (section, key), raw in overrides.items():
+        parser.read_dict({section: {key: raw}})
 
     for section in parser.sections():
         if section not in _KNOWN_KEYS:
@@ -321,27 +335,7 @@ def load_config(path) -> ExperimentConfig:
             f"[training] t_end ({cfg.train_t_end})"
         )
 
-    _check_basis_selectors(cfg)
-
-    # inference
-    if not cfg.methods:
-        raise UsageError("[inference] methods must not be empty")
-    for method in cfg.methods:
-        if method not in _METHODS:
-            raise UsageError(
-                f"[inference] unknown method {method!r}; "
-                f"choose from {', '.join(_METHODS)}"
-            )
-    if not cfg.lambda_grid:
-        raise UsageError("[inference] lambda_grid must not be empty")
-    if any(g < 0.0 for g in cfg.lambda_grid):
-        raise UsageError("[inference] lambda_grid values must be >= 0")
-    if cfg.omega <= 0.0:
-        raise UsageError(f"[inference] omega must be positive, got {cfg.omega}")
-    return cfg
-
-
-def _check_basis_selectors(cfg: ExperimentConfig):
+    # basis
     given = sum(v is not None for v in (cfg.rank, cfg.tol, cfg.energy))
     if given != 1:
         raise UsageError(
@@ -354,44 +348,21 @@ def _check_basis_selectors(cfg: ExperimentConfig):
     if cfg.energy is not None and not 0.0 < cfg.energy < 1.0:
         raise UsageError(f"[basis] energy must lie in (0, 1), got {cfg.energy}")
 
-
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    if getattr(args, "out", None):
-        cfg.directory = args.out
-    if getattr(args, "method", None):
-        methods = []
-        for chunk in args.method:
-            methods.extend(p.strip() for p in chunk.split(",") if p.strip())
-        for method in methods:
-            if method not in _METHODS:
-                raise UsageError(f"--method: unknown method {method!r}")
-        if not methods:
-            raise UsageError("--method must name at least one method")
-        cfg.methods = methods
-    rank, tol = getattr(args, "rank", None), getattr(args, "tol", None)
-    if rank is not None and tol is not None:
-        raise UsageError("--rank and --tol are mutually exclusive")
-    if rank is not None:
-        cfg.rank, cfg.tol, cfg.energy = rank, None, None
-    if tol is not None:
-        cfg.rank, cfg.tol, cfg.energy = None, tol, None
-    _check_basis_selectors(cfg)
-    if getattr(args, "lam", None) is not None:
-        if not math.isfinite(args.lam):
-            raise UsageError(f"--lambda must be finite, got {args.lam}")
-        if args.lam < 0.0:
-            raise UsageError(f"--lambda must be >= 0, got {args.lam}")
-        cfg.lambda_grid = [args.lam]
-    if getattr(args, "omega", None) is not None:
-        if not math.isfinite(args.omega):
-            raise UsageError(f"--omega must be finite, got {args.omega}")
-        if args.omega <= 0.0:
-            raise UsageError(f"--omega must be positive, got {args.omega}")
-        cfg.omega = args.omega
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if not cfg.directory:
-        raise UsageError("no output directory: set [output] directory or --out")
+    # inference
+    if not cfg.methods:
+        raise UsageError("[inference] methods must not be empty")
+    for method in cfg.methods:
+        if method not in _METHODS:
+            raise UsageError(
+                f"[inference] methods: unknown method {method!r}; "
+                f"choose from {', '.join(_METHODS)}"
+            )
+    if not cfg.lambda_grid:
+        raise UsageError("[inference] lambda_grid must not be empty")
+    if any(g < 0.0 for g in cfg.lambda_grid):
+        raise UsageError("[inference] lambda_grid values must be >= 0")
+    if cfg.omega <= 0.0:
+        raise UsageError(f"[inference] omega must be positive, got {cfg.omega}")
     return cfg
 
 
@@ -403,36 +374,21 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 def _tag_stage(exc: BaseException, name: str) -> None:
     # First tag wins: the innermost stage is the one to report.
     if not hasattr(exc, "stage"):
-        try:
-            exc.stage = name
-        except AttributeError:  # pragma: no cover
-            pass
+        exc.stage = name
 
 
 def _build_system(cfg: ExperimentConfig) -> SecondOrderSystem:
-    if cfg.kind == "chain":
-        try:
-            return build_mass_spring_chain(
-                cfg.n,
-                cfg.masses,
-                cfg.stiffnesses,
-                alpha_r=cfg.alpha_r,
-                beta_r=cfg.beta_r,
-                input_nodes=cfg.input_nodes,
-            )
-        except (MechromError, OSError) as exc:
-            _tag_stage(exc, "build_system")
-            raise
+    chain = cfg.kind == "chain"
     try:
-        return load_system(
-            cfg.mass_path,
-            cfg.damping_path,
-            cfg.stiffness_path,
-            cfg.input_path,
-            label="files",
-        )
+        if chain:
+            return build_mass_spring_chain(
+                cfg.n, cfg.masses, cfg.stiffnesses, alpha_r=cfg.alpha_r,
+                beta_r=cfg.beta_r, input_nodes=cfg.input_nodes,
+            )
+        return load_system(cfg.mass_path, cfg.damping_path,
+                           cfg.stiffness_path, cfg.input_path, label="files")
     except (MechromError, OSError) as exc:
-        _tag_stage(exc, "load_system")
+        _tag_stage(exc, "build_system" if chain else "load_system")
         raise
 
 
@@ -713,6 +669,23 @@ _STAGES = [
 ]
 
 
+def _run_stages(cfg: ExperimentConfig, outdir, names) -> list:
+    """Run the stages ``names`` in pipeline order into ``outdir``; return
+    each one's (name, seconds). An error is tagged with its stage."""
+    os.makedirs(outdir, exist_ok=True)
+    timings = []
+    for name, fn in _STAGES:
+        if name in names:
+            start = time.perf_counter()
+            try:
+                fn(cfg, outdir)
+            except (MechromError, OSError) as exc:
+                _tag_stage(exc, name)
+                raise
+            timings.append((name, time.perf_counter() - start))
+    return timings
+
+
 def run(cfg: ExperimentConfig, outdir) -> None:
     """Execute every stage, then write the manifest and stage timings.
 
@@ -721,16 +694,7 @@ def run(cfg: ExperimentConfig, outdir) -> None:
     separate timings.csv, which is the only artifact that varies
     between identical runs.
     """
-    os.makedirs(outdir, exist_ok=True)
-    timings = []
-    for name, fn in _STAGES:
-        start = time.perf_counter()
-        try:
-            fn(cfg, outdir)
-        except (MechromError, OSError) as exc:
-            _tag_stage(exc, name)
-            raise
-        timings.append((name, time.perf_counter() - start))
+    timings = _run_stages(cfg, outdir, [name for name, _ in _STAGES])
 
     manifest = {
         "tool": "mechrom",
@@ -774,21 +738,30 @@ def _build_parser() -> _Parser:
     for name, help_text in commands.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="INI configuration file")
-        p.add_argument("--out", help="artifact directory (overrides config)")
+        p.add_argument("--out", help="artifact directory ([output] directory)")
         p.add_argument("--method", action="append",
-                       help="restrict methods (repeatable, comma lists allowed)")
-        p.add_argument("--rank", type=int, help="basis rank (overrides config)")
-        p.add_argument("--tol", type=float,
-                       help="basis truncation tolerance (overrides config)")
-        p.add_argument("--lambda", dest="lam", type=float,
-                       help="single regularization weight (overrides the grid)")
-        p.add_argument("--omega", type=float,
-                       help="definiteness margin (overrides config)")
-        p.add_argument("--seed", type=int, help="seed recorded in the manifest")
+                       help="methods ([inference] methods; repeatable, "
+                            "comma lists allowed)")
+        selector = p.add_mutually_exclusive_group()
+        selector.add_argument("--rank", help="basis rank ([basis] rank)")
+        selector.add_argument("--tol",
+                              help="basis truncation tolerance ([basis] tol)")
+        p.add_argument("--lambda", dest="lam",
+                       help="regularization grid ([inference] lambda_grid)")
+        p.add_argument("--omega",
+                       help="definiteness margin ([inference] omega)")
     return parser
 
 
-_COMMANDS = {name.replace("_", "-"): (name, fn) for name, fn in _STAGES}
+# Each flag's destination and the INI key it overrides.
+_FLAG_KEYS = {
+    "out": ("output", "directory"),
+    "method": ("inference", "methods"),
+    "rank": ("basis", "rank"),
+    "tol": ("basis", "tol"),
+    "lam": ("inference", "lambda_grid"),
+    "omega": ("inference", "omega"),
+}
 
 _DATA_ERRORS = (
     FormatError,
@@ -811,19 +784,22 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     stage = "configure"
     try:
-        cfg = _apply_overrides(load_config(args.config), args)
-        outdir = cfg.directory
+        overrides = {}
+        for dest, key in _FLAG_KEYS.items():
+            value = getattr(args, dest)
+            if value is not None:
+                # repeated --method values join into one comma list
+                overrides[key] = ",".join(value) if dest == "method" else value
+        cfg = load_config(args.config, overrides)
+        if not cfg.directory:
+            raise UsageError("no output directory: set [output] directory "
+                             "or --out")
         if args.command == "run":
             stage = "run"
-            run(cfg, outdir)
+            run(cfg, cfg.directory)
         else:
-            stage, fn = _COMMANDS[args.command]
-            os.makedirs(outdir, exist_ok=True)
-            try:
-                fn(cfg, outdir)
-            except (MechromError, OSError) as exc:
-                _tag_stage(exc, stage)
-                raise
+            stage = args.command.replace("-", "_")
+            _run_stages(cfg, cfg.directory, [stage])
     except (UsageError, InvalidParameterError) as exc:
         error, code = exc, EXIT_USAGE
     except _NUMERICAL_ERRORS as exc:

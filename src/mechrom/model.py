@@ -82,7 +82,9 @@ class SecondOrderSystem:
         fitted to force data, which is given an input map with
         ``dataclasses.replace`` to be replayed.
     label : str
-        Free-form tag carried through artifacts.
+        Free-form tag for the caller, such as ``chain-n200`` or
+        ``files``; reductions extend it with the rank. No artifact
+        records it.
     """
 
     mass: np.ndarray

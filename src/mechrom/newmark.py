@@ -223,17 +223,15 @@ def _advance(model, solve, x, v, a, f_next, f_curr, config: IntegratorConfig):
 
 
 def step(model, state: IntegratorState, f_next, f_curr,
-         config: IntegratorConfig, _solver: _EffectiveSolver | None = None
-         ) -> IntegratorState:
+         config: IntegratorConfig) -> IntegratorState:
     """Advance one step of size ``config.dt``.
 
     ``f_next`` and ``f_curr`` are the nodal forces at the end and start
     of the step; ``f_curr`` only enters for alpha != 0.
     """
-    if _solver is None:
-        _solver = _EffectiveSolver(model, config)
+    solve = _EffectiveSolver(model, config).solve
     x, v, a = _advance(
-        model, _solver.solve, state.x, state.v, state.a,
+        model, solve, state.x, state.v, state.a,
         np.asarray(f_next, dtype=float).ravel(),
         np.asarray(f_curr, dtype=float).ravel(), config,
     )

@@ -364,6 +364,17 @@ KEY_SAMPLES = {
 }
 
 
+# Each command-line flag and the INI key it overrides.
+FLAG_KEYS = {
+    "--out": ("output", "directory"),
+    "--method": ("inference", "methods"),
+    "--rank": ("basis", "rank"),
+    "--tol": ("basis", "tol"),
+    "--lambda": ("inference", "lambda_grid"),
+    "--omega": ("inference", "omega"),
+}
+
+
 class TestConfigTable:
     def test_samples_cover_every_key(self):
         assert set(KEY_SAMPLES) == {
@@ -385,12 +396,38 @@ class TestConfigTable:
             drop.append(("basis", "rank"))
         cfg = load_config(config_file(tmp_path, updates, drop))
         assert getattr(cfg, name) == parsed
-        assert cfg.manifest_dict()[section][key] == parsed
+        manifest = cfg.manifest_dict()
+        if name == "directory":
+            # where the manifest is written, not part of the experiment
+            assert key not in manifest[section]
+        else:
+            assert manifest[section][key] == parsed
 
     def test_manifest_keys_are_the_known_keys(self, tmp_path):
         manifest = load_config(config_file(tmp_path)).manifest_dict()
-        assert {section: set(keys) for section, keys in manifest.items()} \
-            == _KNOWN_KEYS
+        recorded = {(section, key) for section, keys in manifest.items()
+                    for key in keys}
+        assert recorded == set(KEY_SAMPLES) - {("output", "directory")}
+
+    @pytest.mark.parametrize("flag", sorted(FLAG_KEYS))
+    def test_flag_takes_the_path_of_its_key(self, tmp_path, monkeypatch,
+                                            flag):
+        section, key = FLAG_KEYS[flag]
+        name, raw, parsed = KEY_SAMPLES[(section, key)]
+        base = {"output": {"directory": str(tmp_path / "o")}}
+        drop = []
+        if section == "basis" and key != "rank":
+            drop.append(("basis", "rank"))  # the flag replaces the file's
+        from_ini = load_config(config_file(
+            tmp_path, {**base, section: {key: raw}}, drop, name="key.ini"))
+        seen = []
+        monkeypatch.setattr(cli, "run", lambda cfg, outdir: seen.append(cfg))
+        argv = ["run", "--config", config_file(tmp_path, base), flag, raw]
+        assert main(argv) == 0
+        [from_flag] = seen
+        assert getattr(from_flag, name) == parsed
+        assert from_flag == from_ini
+        assert from_flag.manifest_dict() == from_ini.manifest_dict()
 
 
 class TestInvocationErrors:
@@ -413,14 +450,16 @@ class TestInvocationErrors:
         code = main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--lambda", "-1.0"])
         assert code == 1
-        assert "--lambda must be >= 0" in capsys.readouterr().err
+        assert "[inference] lambda_grid values must be >= 0" in \
+            capsys.readouterr().err
 
     def test_nonpositive_omega_override(self, tmp_path, capsys):
         cfg = config_file(tmp_path)
         code = main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--omega", "0.0"])
         assert code == 1
-        assert "--omega must be positive" in capsys.readouterr().err
+        assert "[inference] omega must be positive" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--omega", "--lambda"])
     def test_non_finite_override(self, tmp_path, capsys, flag):
@@ -429,17 +468,35 @@ class TestInvocationErrors:
                      flag, "nan"])
         assert code == 1
         err = capsys.readouterr().err
-        assert f"{flag} must be finite" in err
+        section, key = FLAG_KEYS[flag]
+        assert f"[{section}] {key} must be finite" in err
         assert "stage 'configure'" in err
         assert not (tmp_path / "o").exists()
 
     def test_rank_and_tol_together_rejected(self, tmp_path, capsys):
         cfg = config_file(tmp_path)
-        code = main(["basis", "--config", cfg, "--out", str(tmp_path / "o"),
-                     "--rank", "3", "--tol", "0.5"])
-        assert code == 1
-        assert "--rank and --tol are mutually exclusive" in \
+        with pytest.raises(SystemExit) as excinfo:
+            main(["basis", "--config", cfg, "--out", str(tmp_path / "o"),
+                  "--rank", "3", "--tol", "0.5"])
+        assert excinfo.value.code == 1
+        assert "argument --tol: not allowed with argument --rank" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--omega", "0"), ("--omega", "nan"), ("--lambda", "-1"),
+        ("--rank", "0"), ("--tol", "2"), ("--method", "bogus"),
+        ("--method", ""),
+    ])
+    def test_bad_flag_value_fails_the_check_of_its_key(self, tmp_path, capsys,
+                                                       flag, value):
+        cfg = config_file(tmp_path)
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out),
+                     flag, value]) == 1
+        err = capsys.readouterr().err
+        section, key = FLAG_KEYS[flag]
+        assert f"error in stage 'configure': [{section}] {key}" in err
+        assert not out.exists()
 
     def test_unknown_flag_exits_with_usage_code(self, tmp_path):
         cfg = config_file(tmp_path)
@@ -605,7 +662,7 @@ class TestPipeline:
         code = main([
             "run", "--config", cfg, "--out", str(out),
             "--rank", "2", "--method", "pod,opinf",
-            "--lambda", "0.001", "--omega", "1e-6", "--seed", "9",
+            "--lambda", "0.001", "--omega", "1e-6",
         ])
         assert code == 0
         with open(out / "manifest.json", encoding="ascii") as fh:
@@ -614,7 +671,6 @@ class TestPipeline:
         assert config["inference"]["methods"] == ["pod", "opinf"]
         assert config["inference"]["lambda_grid"] == [0.001]
         assert config["inference"]["omega"] == 1e-6
-        assert config["output"]["seed"] == 9
         assert not (out / "copinf").exists()
 
     def test_repeat_run_is_byte_identical(self, tmp_path):
@@ -626,6 +682,14 @@ class TestPipeline:
         assert main(argv) == 0
         second = tree_bytes(out, skip={"timings.csv"})
         assert first == second
+
+    def test_artifacts_do_not_depend_on_the_output_path(self, tmp_path):
+        cfg = config_file(tmp_path)
+        short, long = tmp_path / "o", tmp_path / "a-longer-output-name"
+        for out in (short, long):
+            assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert tree_bytes(short, skip={"timings.csv"}) \
+            == tree_bytes(long, skip={"timings.csv"})
 
     def test_staged_invocation_matches_run(self, tmp_path):
         cfg = config_file(tmp_path)
