@@ -357,6 +357,10 @@ def load_config(path, overrides=None) -> ExperimentConfig:
                 f"[inference] methods: unknown method {method!r}; "
                 f"choose from {', '.join(_METHODS)}"
             )
+    if len(set(cfg.methods)) != len(cfg.methods):
+        raise UsageError(
+            f"[inference] methods must be distinct, got {', '.join(cfg.methods)}"
+        )
     if not cfg.lambda_grid:
         raise UsageError("[inference] lambda_grid must not be empty")
     if any(g < 0.0 for g in cfg.lambda_grid):
@@ -643,7 +647,8 @@ def stage_evaluate(cfg: ExperimentConfig, outdir) -> None:
                     f"has {times.size}"
                 )
             series = relative_error(
-                X, lifted, times=times, phase_split=cfg.train_t_end,
+                X, lifted, times=times,
+                phase_split=times[_train_columns(cfg) - 1],
             )
         rom_dir = os.path.join(outdir, f"rom_{method}")
         os.makedirs(rom_dir, exist_ok=True)

@@ -76,9 +76,10 @@ class IntegratorConfig:
             gamma = (1.0 - 2.0 * self.alpha) / 2.0
         if beta is None:
             beta = (1.0 - self.alpha) ** 2 / 4.0
-        if gamma < 0.0 or beta < 0.0:
+        if not (0.0 <= gamma < math.inf and 0.0 <= beta < math.inf):
             raise InvalidParameterError(
-                f"gamma and beta must be nonnegative, got {gamma}, {beta}"
+                f"gamma and beta must be nonnegative and finite, got "
+                f"{gamma}, {beta}"
             )
         object.__setattr__(self, "gamma", float(gamma))
         object.__setattr__(self, "beta", float(beta))
@@ -115,50 +116,39 @@ class IntegratorState:
         object.__setattr__(self, "a", a)
 
 
-def _splu(A, name: str):
-    """SuperLU factorization of a sparse matrix; an exactly singular one
-    raises SingularOperatorError."""
-    # Imported here: dense-only runs do not pay for scipy.sparse.linalg.
-    from scipy.sparse.linalg import splu
+def _factor(A, name: str):
+    """Factor ``A`` once and return its solve: SuperLU when ``A`` is
+    sparse, dense LU otherwise. Non-finite entries raise InvalidInputError,
+    a zero or non-finite pivot SingularOperatorError naming ``name``."""
+    sparse = sp.issparse(A)
+    if not np.all(np.isfinite(A.data if sparse else A)):
+        raise InvalidInputError(f"{name} has non-finite entries")
+    if sparse:
+        # Imported here: dense-only runs do not pay for scipy.sparse.linalg.
+        from scipy.sparse.linalg import splu
+        try:
+            lu = splu(sp.csc_array(A))
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise SingularOperatorError(f"{name} is singular") from exc
+        solve, pivots = lu.solve, lu.U.diagonal()
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", la.LinAlgWarning)
+            factors = la.lu_factor(A, check_finite=False)
+        solve = lambda rhs: la.lu_solve(factors, rhs, check_finite=False)
+        pivots = np.diag(factors[0])
+    if np.any(pivots == 0.0) or not np.all(np.isfinite(pivots)):
+        raise SingularOperatorError(f"{name} is singular")
+    return solve
 
-    try:
-        return splu(sp.csc_array(A))
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise SingularOperatorError(f"{name}: {exc}") from exc
 
-
-class _EffectiveSolver:
-    """Factorization of M + gamma dt (1+alpha) C + beta dt^2 (1+alpha) K,
-    computed once and reused for every step of a simulation: SuperLU
-    when the model's operators make it sparse, dense LU otherwise."""
-
-    def __init__(self, model, config: IntegratorConfig):
-        c = (1.0 + config.alpha)
-        S = (
-            model.mass
-            + config.gamma * config.dt * c * model.damping
-            + config.beta * config.dt**2 * c * model.stiffness
-        )
-        sparse = sp.issparse(S)
-        if not np.all(np.isfinite(S.data if sparse else S)):
-            raise InvalidInputError("effective matrix has non-finite entries")
-        if sparse:
-            lu = _splu(S, "effective matrix")
-            self.solve = lu.solve
-            diag = lu.U.diagonal()
-        else:
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", la.LinAlgWarning)
-                    factors = la.lu_factor(S)
-            except np.linalg.LinAlgError as exc:  # pragma: no cover
-                raise SingularOperatorError(f"effective matrix: {exc}") from exc
-            self.solve = lambda rhs: la.lu_solve(factors, rhs, check_finite=False)
-            diag = np.diag(factors[0])
-        if np.any(diag == 0.0) or not np.all(np.isfinite(diag)):
-            raise SingularOperatorError(
-                "effective matrix is singular for this step size"
-            )
+def _effective_solve(model, config: IntegratorConfig):
+    """Solve with M + gamma dt (1+alpha) C + beta dt^2 (1+alpha) K,
+    factored once and reused for every step of a simulation."""
+    c = 1.0 + config.alpha
+    return _factor(model.mass + config.gamma * config.dt * c * model.damping
+                   + config.beta * config.dt**2 * c * model.stiffness,
+                   "effective matrix")
 
 
 def initial_acceleration(model, x0, v0, f0) -> np.ndarray:
@@ -184,17 +174,7 @@ def initial_acceleration(model, x0, v0, f0) -> np.ndarray:
         raise InvalidInputError(
             "initial balance f0 - C v0 - K x0 is not finite"
         )
-    if sp.issparse(model.mass):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            a0 = _splu(model.mass, "mass matrix").solve(rhs)
-    else:
-        try:
-            with np.errstate(invalid="ignore", divide="ignore"), \
-                    warnings.catch_warnings():
-                warnings.simplefilter("ignore", la.LinAlgWarning)
-                a0 = la.solve(model.mass, rhs)
-        except la.LinAlgError as exc:
-            raise SingularOperatorError(f"mass matrix: {exc}") from exc
+    a0 = _factor(model.mass, "mass matrix")(rhs)
     if not np.all(np.isfinite(a0)):
         raise SingularOperatorError("mass matrix is singular")
     return a0
@@ -229,56 +209,47 @@ def step(model, state: IntegratorState, f_next, f_curr,
     ``f_next`` and ``f_curr`` are the nodal forces at the end and start
     of the step; ``f_curr`` only enters for alpha != 0.
     """
-    solve = _EffectiveSolver(model, config).solve
     x, v, a = _advance(
-        model, solve, state.x, state.v, state.a,
+        model, _effective_solve(model, config), state.x, state.v, state.a,
         np.asarray(f_next, dtype=float).ravel(),
         np.asarray(f_curr, dtype=float).ravel(), config,
     )
     return IntegratorState(x=x, v=v, a=a, t=state.t + config.dt)
 
 
-def _transition(model, solver: _EffectiveSolver, config: IntegratorConfig):
+def _transition(model, solve, config: IntegratorConfig):
     """The step as one matrix ``T`` (3n x 5n) with
     ``s_next = T @ (s, f_next, f_curr)`` on ``s = (x, v, a)``."""
     n = model.mass.shape[0]
     rows = np.split(np.eye(5 * n), 5)
-    return np.vstack(_advance(model, solver.solve, *rows, config))
+    return np.vstack(_advance(model, solve, *rows, config))
 
 
-def _integrate_transition(T, s0, forces):
-    """``(X, Xd, Xdd)``, one column per step end, from ``s_{k+1} = A s_k
-    + g_{k+1}`` with ``A`` and the two force maps read off ``T``."""
+def _integrate_transition(T, states, forces):
+    """Fill rows 1, 2, ... of ``states`` from row 0 by ``s_{k+1} = A s_k
+    + g_{k+1}``, with ``A`` and the two force maps read off ``T``."""
     n = forces.shape[0]
     A, G_next, G_curr = T[:, :3 * n], T[:, 3 * n:4 * n], T[:, 4 * n:]
-    states = np.empty((forces.shape[1], 3 * n))
-    states[0] = s0
     states[1:] = forces[:, 1:].T @ G_next.T + forces[:, :-1].T @ G_curr.T
     for k in range(states.shape[0] - 1):
         states[k + 1] += A @ states[k]
-    return states[1:, :n].T, states[1:, n:2 * n].T, states[1:, 2 * n:].T
 
 
-def _integrate_factorized(model, solver: _EffectiveSolver, x, v, a, forces,
+def _integrate_factorized(model, solve, states, forces,
                           config: IntegratorConfig):
-    """``(X, Xd, Xdd)``, one column per step end, one solve per step.
+    """Fill rows 1, 2, ... of ``states`` from row 0, one solve per step.
 
-    The forces are read and the states stored as contiguous rows, and
-    the states returned as transposed views: strided column access to
-    (n, N) arrays took about a third of a sparse step's time at n = 1000.
+    The forces are read and the states stored as contiguous rows:
+    strided column access to (n, N) arrays took about a third of a
+    sparse step's time at n = 1000.
     """
-    n, N = forces.shape[0], forces.shape[1] - 1
+    n = forces.shape[0]
     F = np.ascontiguousarray(forces.T)
-    X = np.empty((N, n))
-    Xd = np.empty((N, n))
-    Xdd = np.empty((N, n))
-    for k in range(N):
-        x, v, a = _advance(model, solver.solve, x, v, a, F[k + 1], F[k],
-                           config)
-        X[k] = x
-        Xd[k] = v
-        Xdd[k] = a
-    return X.T, Xd.T, Xdd.T
+    X, V, A = states[:, :n], states[:, n:2 * n], states[:, 2 * n:]
+    for k in range(states.shape[0] - 1):
+        X[k + 1], V[k + 1], A[k + 1] = _advance(
+            model, solve, X[k], V[k], A[k], F[k + 1], F[k], config
+        )
 
 
 def simulate(model, sampler, x0, v0, config: IntegratorConfig,
@@ -329,7 +300,7 @@ def simulate(model, sampler, x0, v0, config: IntegratorConfig,
             f"{x0.shape[0]} and {v0.shape[0]}"
         )
 
-    solver = _EffectiveSolver(model, config)
+    solve = _effective_solve(model, config)
     N = config.num_steps
     times = t0 + config.dt * np.arange(1, N + 1)
 
@@ -344,23 +315,23 @@ def simulate(model, sampler, x0, v0, config: IntegratorConfig,
             )
         samples[k] = raw
 
+    # One (N+1) x 3n buffer of the states (x, v, a), one row per instant.
+    states = np.empty((N + 1, 3 * n))
     with np.errstate(over="ignore", invalid="ignore"):
         forces = model.input_map @ samples.T
         a0 = initial_acceleration(model, x0, v0, forces[:, 0])
-        T = _transition(model, solver, config) if n <= _TRANSITION_MAX_N else None
+        states[0] = np.concatenate([x0, v0, a0])
+        T = _transition(model, solve, config) if n <= _TRANSITION_MAX_N else None
         if T is not None and np.all(np.isfinite(T)):
-            X, Xd, Xdd = _integrate_transition(
-                T, np.concatenate([x0, v0, a0]), forces
-            )
+            _integrate_transition(T, states, forces)
         else:
-            X, Xd, Xdd = _integrate_factorized(model, solver, x0, v0, a0,
-                                               forces, config)
+            _integrate_factorized(model, solve, states, forces, config)
 
     return TrajectoryData(
         times=times,
-        displacement=X,
-        velocity=Xd,
-        acceleration=Xdd,
+        displacement=states[1:, :n].T,
+        velocity=states[1:, n:2 * n].T,
+        acceleration=states[1:, 2 * n:].T,
         input=samples[1:].T,
         force=forces[:, 1:],
     )

@@ -17,6 +17,7 @@ from mechrom.cli import (
     main,
 )
 from mechrom.model import build_mass_spring_chain, load_matrix, save_matrix
+from mechrom.newmark import simulate
 from mechrom.pod import compute_basis
 from mechrom.snapshots import load_csv
 
@@ -276,6 +277,12 @@ class TestLoadConfig:
         empty = config_file(tmp_path, {"inference": {"methods": ""}})
         with pytest.raises(UsageError, match="methods must not be empty"):
             load_config(empty)
+        repeated = config_file(
+            tmp_path, {"inference": {"methods": "pod, pod, opinf"}}
+        )
+        with pytest.raises(UsageError,
+                           match=r"\[inference\] methods must be distinct"):
+            load_config(repeated)
 
     def test_lambda_grid_keyword_and_list(self, tmp_path):
         keyword = config_file(tmp_path, {"inference": {"lambda_grid": "default"}})
@@ -485,7 +492,7 @@ class TestInvocationErrors:
     @pytest.mark.parametrize("flag, value", [
         ("--omega", "0"), ("--omega", "nan"), ("--lambda", "-1"),
         ("--rank", "0"), ("--tol", "2"), ("--method", "bogus"),
-        ("--method", ""),
+        ("--method", ""), ("--method", "pod,pod,opinf"),
     ])
     def test_bad_flag_value_fails_the_check_of_its_key(self, tmp_path, capsys,
                                                        flag, value):
@@ -643,6 +650,51 @@ class TestPipeline:
         assert len(phases) == 20
         # snapshots start at t = dt, so exactly ten fall inside [0, 0.2]
         assert phases == ["train"] * 10 + ["test"] * 10
+
+    def test_train_rows_are_the_fitted_columns(self, tmp_path):
+        # floor(t_end / dt + 1e-9) fits 9 columns; the tenth instant,
+        # 5e-12 after t_end, is a test row.
+        cfg = config_file(tmp_path, {
+            "integrator": {"dt": "1e-3"},
+            "training": {"t_end": "0.009999999995"},
+            "testing": {"t_end": "0.02"},
+            "inference": {"methods": "pod"},
+        })
+        out = tmp_path / "artifacts"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        lines = read_lines(os.path.join(out, "errors_pod.csv"))
+        phases = [ln.split(",")[2] for ln in lines[1:]]
+        assert phases == ["train"] * 9 + ["test"] * 11
+
+    @pytest.mark.parametrize("wave, closed_form", [
+        ({"waveform": "constant", "value": "2.5"},
+         lambda t: np.full_like(t, 2.5)),
+        ({"waveform": "chirp", "amplitude": "0.5", "phase": "0.3",
+          "f0": "1.0", "f1": "5.0", "sweep_time": "0.3"},
+         lambda t: 0.5 * np.sin(0.3 + 2.0 * np.pi * (t + 4.0 * t * t / 0.6))),
+    ], ids=["constant", "chirp"])
+    def test_waveform_is_the_stored_input(self, tmp_path, wave, closed_form):
+        cfg = config_file(tmp_path, {"input": wave},
+                          drop=[("input", "frequency")])
+        out = tmp_path / "artifacts"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        data = load_csv(os.path.join(out, "fom", "test"))
+        assert data.input.shape == (1, 20)
+        np.testing.assert_allclose(data.input[0], closed_form(data.times),
+                                   rtol=0.0, atol=1e-15)
+
+    def test_full_length_initial_displacement(self, tmp_path):
+        cfg = config_file(tmp_path, {"system": {"x0": "0.1, -0.2, 0.3, -0.4"}})
+        out = tmp_path / "artifacts"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        config = load_config(cfg)
+        expected = simulate(cli._build_system(config),
+                            cli._input_sampler(config, 1),
+                            [0.1, -0.2, 0.3, -0.4], None,
+                            cli._integrator(config))
+        stored = load_csv(os.path.join(out, "fom", "test"))
+        np.testing.assert_array_equal(stored.displacement,
+                                      expected.displacement)
 
     def test_methods_pod_only_skips_inference(self, tmp_path):
         cfg = config_file(tmp_path, {"inference": {"methods": "pod"}})

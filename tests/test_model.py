@@ -283,6 +283,33 @@ def test_matrix_parse_errors_carry_line_numbers(tmp_path):
             with pytest.raises(FormatError, match=message) as err:
                 load_matrix(path)
             assert f":{line}:" in str(err.value)
+    # Header and size-line errors: the whole file, the message, its line.
+    head = "%%matrix coordinate real"
+    files = [
+        ("", "empty matrix file", 1),
+        ("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1.0\n",
+         "expected header starting with '%%matrix coordinate real'", 1),
+        (f"{head} hermitian\n1 1 1\n1 1 1.0\n",
+         "unknown symmetry tag 'hermitian'", 1),
+        (f"{head} general\n", "missing size line", 2),
+        (f"{head} general\n2 2\n", "size line must be 'rows cols nnz'", 2),
+        (f"{head} general\n2 x 1\n1 1 1.0\n",
+         "size line must hold three integers", 2),
+        (f"{head} general\n2 2.5 1\n1 1 1.0\n",
+         "size line must hold three integers", 2),
+        (f"{head} general\n0 2 0\n", "invalid matrix dimensions", 2),
+        (f"{head} general\n2 2 -1\n", "invalid matrix dimensions", 2),
+        (f"{head} symmetric\n2 3 1\n1 1 1.0\n",
+         "symmetric matrix must be square", 2),
+        (f"{head} general\n2 2 3\n1 1 1.0\n2 2 1.0\n",
+         "expected 3 entries, found 2", 4),
+    ]
+    for text, message, line in files:
+        with open(path, "w") as fh:
+            fh.write(text)
+        with pytest.raises(FormatError) as err:
+            load_matrix(path)
+        assert str(err.value) == f"{path}:{line}: {message}"
 
 
 def test_matrix_symmetric_rejects_upper_triangle(tmp_path):

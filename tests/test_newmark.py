@@ -77,6 +77,13 @@ def test_config_rejects_non_finite_grid(dt, t_end):
         IntegratorConfig(dt=dt, t_end=t_end)
 
 
+@pytest.mark.parametrize("name", ["gamma", "beta"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_scheme_parameters(name, value):
+    with pytest.raises(InvalidParameterError, match="finite"):
+        IntegratorConfig(dt=0.1, t_end=1.0, **{name: value})
+
+
 def test_step_count_contract():
     cfg = IntegratorConfig(dt=0.1, t_end=1.0)
     assert cfg.num_steps == 10
@@ -123,6 +130,13 @@ def test_initial_acceleration_overflowing_balance():
     with pytest.raises(InvalidInputError, match="balance"):
         simulate(sys_, zero_sampler, np.array([2.0]), np.zeros(1),
                  IntegratorConfig(dt=0.01, t_end=0.1))
+
+
+def test_initial_acceleration_overflowing_solve():
+    # The mass factors with a nonzero pivot, but f0 / 1e-308 overflows.
+    sys_ = scalar_system(1e-308, 0.0, 1.0)
+    with pytest.raises(SingularOperatorError, match="^mass matrix is singular$"):
+        initial_acceleration(sys_, np.zeros(1), np.zeros(1), np.array([1e10]))
 
 
 def test_initial_acceleration_singular_mass():
@@ -370,7 +384,7 @@ def test_overflowing_transition_steps_by_solve():
     sys_ = scalar_system(1.0, huge, huge)
     cfg = IntegratorConfig(dt=0.01, t_end=0.1)
     with np.errstate(over="ignore", invalid="ignore"):
-        T = newmark._transition(sys_, newmark._EffectiveSolver(sys_, cfg), cfg)
+        T = newmark._transition(sys_, newmark._effective_solve(sys_, cfg), cfg)
     assert not np.all(np.isfinite(T))
     sampler = lambda t: np.array([np.sin(t)])
     data = simulate(sys_, sampler, None, None, cfg)
@@ -467,23 +481,31 @@ def test_small_sparse_model_takes_the_transition(rng, monkeypatch):
     assert np.max(np.abs(data.displacement - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("n", [1, newmark._TRANSITION_MAX_N + 1])
-def test_singular_sparse_effective_matrix(n):
-    zero = sp.csr_array((n, n))
+# Both storages fail with one error class naming one matrix: SuperLU
+# reports an exactly singular factor, dense LU a zero pivot.
+@pytest.mark.parametrize("n, storage", [
+    pytest.param(n, storage, id=f"{prefix}{n}")
+    for prefix, storage in (("", sp.csr_array), ("dense-", np.asarray))
+    for n in (1, newmark._TRANSITION_MAX_N + 1)
+])
+def test_singular_sparse_effective_matrix(n, storage):
+    zero = storage(np.zeros((n, n)))
     sys_ = SecondOrderSystem(zero, zero, zero, np.ones((n, 1)))
-    with pytest.raises(SingularOperatorError, match="effective matrix"):
+    with pytest.raises(SingularOperatorError,
+                       match="^effective matrix is singular$"):
         simulate(sys_, zero_sampler, None, None,
                  IntegratorConfig(dt=0.01, t_end=0.1))
 
 
-def test_singular_sparse_mass():
+@pytest.mark.parametrize("storage", [sp.csr_array, np.asarray],
+                         ids=["csr", "dense"])
+def test_singular_sparse_mass(storage):
     # The effective matrix is regular; only the mass solve fails.
-    mass = sp.csr_array(np.diag([1.0, 0.0]))
-    sys_ = SecondOrderSystem(mass, sp.csr_array((2, 2)),
-                             sp.csr_array(np.eye(2)), np.ones((2, 1)))
-    with pytest.raises(SingularOperatorError, match="mass matrix"):
+    mass = storage(np.diag([1.0, 0.0]))
+    sys_ = SecondOrderSystem(mass, storage(np.zeros((2, 2))),
+                             storage(np.eye(2)), np.ones((2, 1)))
+    with pytest.raises(SingularOperatorError, match="^mass matrix is singular$"):
         initial_acceleration(sys_, np.zeros(2), np.zeros(2), np.zeros(2))
-    with pytest.raises(SingularOperatorError, match="mass matrix"):
+    with pytest.raises(SingularOperatorError, match="^mass matrix is singular$"):
         simulate(sys_, zero_sampler, None, None,
                  IntegratorConfig(dt=0.01, t_end=0.1))
-

@@ -259,7 +259,7 @@ class TestReplayFailures:
         config = IntegratorConfig(dt=rdata.dt, t_end=0.09)
         with np.errstate(over="ignore", invalid="ignore"):
             T = newmark._transition(
-                rom, newmark._EffectiveSolver(rom, config), config
+                rom, newmark._effective_solve(rom, config), config
             )
         assert np.all(np.isfinite(T)) == transition_finite
         D, rhs = assemble_opinf_data(rdata)
