@@ -335,6 +335,13 @@ def load_config(path, overrides=None) -> ExperimentConfig:
             f"[training] t_end ({cfg.train_t_end})"
         )
 
+    # scheme: the parameters a stage would reject, rejected before any
+    # stage runs
+    try:
+        _integrator(cfg)
+    except InvalidParameterError as exc:
+        raise UsageError(f"[integrator] {exc}") from exc
+
     # basis
     given = sum(v is not None for v in (cfg.rank, cfg.tol, cfg.energy))
     if given != 1:
@@ -365,6 +372,11 @@ def load_config(path, overrides=None) -> ExperimentConfig:
         raise UsageError("[inference] lambda_grid must not be empty")
     if any(g < 0.0 for g in cfg.lambda_grid):
         raise UsageError("[inference] lambda_grid values must be >= 0")
+    if len(set(cfg.lambda_grid)) != len(cfg.lambda_grid):
+        raise UsageError(
+            "[inference] lambda_grid values must be distinct, got "
+            + ", ".join(str(g) for g in cfg.lambda_grid)
+        )
     if cfg.omega <= 0.0:
         raise UsageError(f"[inference] omega must be positive, got {cfg.omega}")
     return cfg
@@ -563,7 +575,8 @@ def stage_infer(cfg: ExperimentConfig, outdir) -> None:
     )
     rdata = project(train, _load_basis(outdir))
     D, rhs = assemble_opinf_data(rdata)
-    lam, trials = select_lambda(D, rhs, cfg.lambda_grid, rdata)
+    lam, trials = select_lambda(D, rhs, cfg.lambda_grid, rdata,
+                                scheme=_integrator(cfg))
     rom, report = infer(D, rhs, lam)
     mdir = os.path.join(outdir, "opinf")
     _save_operators(mdir, symmetric=False, damping=rom.damping,

@@ -229,10 +229,17 @@ def _integrate_transition(T, states, forces):
     """Fill rows 1, 2, ... of ``states`` from row 0 by ``s_{k+1} = A s_k
     + g_{k+1}``, with ``A`` and the two force maps read off ``T``."""
     n = forces.shape[0]
-    A, G_next, G_curr = T[:, :3 * n], T[:, 3 * n:4 * n], T[:, 4 * n:]
+    G_next, G_curr = T[:, 3 * n:4 * n], T[:, 4 * n:]
     states[1:] = forces[:, 1:].T @ G_next.T + forces[:, :-1].T @ G_curr.T
-    for k in range(states.shape[0] - 1):
-        states[k + 1] += A @ states[k]
+    # A contiguous copy of A, since ``np.dot`` copies a strided operand
+    # at every call. The copy keeps the order of T (C for small n, F
+    # where the solve returns F), so that BLAS runs the kernel of
+    # ``A @ states[k]`` and every step keeps its bits. Row views and an
+    # in-place add leave one product and one add per step.
+    A = T[:, :3 * n].copy(order="K")
+    rows = list(states)
+    for k in range(len(rows) - 1):
+        rows[k + 1] += np.dot(A, rows[k])
 
 
 def _integrate_factorized(model, solve, states, forces,
@@ -276,9 +283,10 @@ def simulate(model, sampler, x0, v0, config: IntegratorConfig,
         which is mapped to forces through the model's input map and
         recorded together with the resulting force history. It is
         called once at every instant t0, t0 + dt, ..., in order, before
-        the first step; an input of the wrong length at any instant
-        raises :class:`InvalidInputError` and no trajectory is
-        returned.
+        the first step, with t a Python float. Each return is copied
+        at its own instant, so a sampler may refill and return one
+        buffer. An input of the wrong length at any instant raises
+        :class:`InvalidInputError` and no trajectory is returned.
     x0, v0 : (n,) array_like or None
         Initial displacement and velocity; None means zero.
     config : IntegratorConfig
@@ -306,7 +314,9 @@ def simulate(model, sampler, x0, v0, config: IntegratorConfig,
 
     m = model.m
     samples = np.empty((N + 1, m))
-    for k, t in enumerate((t0, *times)):
+    # Python floats, the same doubles as ``times``: a sampler's arithmetic
+    # on them costs a fraction of that on numpy scalars.
+    for k, t in enumerate((float(t0), *times.tolist())):
         raw = np.asarray(sampler(t), dtype=float).ravel()
         if raw.shape[0] != m:
             raise InvalidInputError(

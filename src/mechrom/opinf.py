@@ -14,6 +14,7 @@ equations are never inverted explicitly.
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass
 
@@ -178,10 +179,12 @@ class LambdaTrial:
     operator_norm: float
 
 
-def _replay_error(rom: SecondOrderSystem, validation: TrajectoryData) -> float:
+def _replay_error(rom: SecondOrderSystem, validation: TrajectoryData,
+                  scheme: IntegratorConfig | None = None) -> float:
     """Worst relative displacement error of the model replaying the
-    validation window from its first snapshot. Returns inf when the
-    replay leaves the finite range."""
+    validation window from its first snapshot, with the gamma, beta and
+    alpha of ``scheme`` when given. Returns inf when the replay leaves
+    the finite range."""
     times = validation.times
     dt = validation.dt
     U = validation.input
@@ -193,6 +196,9 @@ def _replay_error(rom: SecondOrderSystem, validation: TrajectoryData) -> float:
         return U[:, min(max(idx, 0), last)]
 
     config = IntegratorConfig(dt=dt, t_end=float(times[-1] - times[0]))
+    if scheme is not None:
+        config = dataclasses.replace(config, gamma=scheme.gamma,
+                                     beta=scheme.beta, alpha=scheme.alpha)
     try:
         replay = simulate(
             rom,
@@ -215,12 +221,17 @@ def _replay_error(rom: SecondOrderSystem, validation: TrajectoryData) -> float:
     return float(np.linalg.norm(Q - ref, axis=0).max() / denom)
 
 
-def select_lambda(D, rhs, grid, validation: TrajectoryData):
+def select_lambda(D, rhs, grid, validation: TrajectoryData,
+                  scheme: IntegratorConfig | None = None):
     """Sweep a grid of regularization weights and keep the best one.
 
     Each candidate model replays the validation window; the weight with
     the smallest replay error wins, with ties resolved toward the
     larger weight. The full trial table is returned for export.
+
+    The replays use the gamma, beta and alpha of ``scheme`` (by default
+    the average-acceleration scheme) on the validation window's time
+    grid; its ``dt`` and ``t_end`` are not read.
 
     Returns
     -------
@@ -246,7 +257,7 @@ def select_lambda(D, rhs, grid, validation: TrajectoryData):
     best_err = float("inf")
     for lam in grid:
         rom, report = infer(D, rhs, lam)
-        err = _replay_error(rom, validation)
+        err = _replay_error(rom, validation, scheme)
         # Operators near the largest double have an infinite norm here.
         with np.errstate(over="ignore"):
             norm = float(

@@ -35,11 +35,18 @@ def write_table(path, header, rows, delimiter=",", labels=None) -> None:
     field."""
     rows = np.asarray(rows, dtype=float)
     fmt = delimiter.join([FLOAT_FORMAT] * rows.shape[1])
-    if labels is not None:
-        rows = np.column_stack([rows.astype(object), labels])
-        fmt += delimiter + "%s"
+    # Each row is formatted from Python floats, which print as numpy's
+    # do, and written before the next is formatted: the block is never
+    # held as one string.
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        np.savetxt(fh, rows, fmt=fmt, header=header, comments="")
+        fh.write(header + "\n")
+        if labels is None:
+            fmt += "\n"
+            fh.writelines(fmt % tuple(row.tolist()) for row in rows)
+        else:
+            fmt += delimiter + "%s\n"
+            fh.writelines(fmt % (*row.tolist(), label)
+                          for row, label in zip(rows, labels, strict=True))
 
 
 def read_header(path) -> str | None:

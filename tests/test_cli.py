@@ -17,9 +17,10 @@ from mechrom.cli import (
     main,
 )
 from mechrom.model import build_mass_spring_chain, load_matrix, save_matrix
-from mechrom.newmark import simulate
+from mechrom.newmark import IntegratorConfig, simulate
+from mechrom.opinf import infer
 from mechrom.pod import compute_basis
-from mechrom.snapshots import load_csv
+from mechrom.snapshots import assemble_opinf_data, load_csv, project
 
 # A deliberately tiny experiment so full pipeline runs stay fast: a four
 # mass chain driven at the first node, ten training columns, twenty one
@@ -295,6 +296,29 @@ class TestLoadConfig:
         with pytest.raises(UsageError, match="lambda_grid values must be >= 0"):
             load_config(negative)
 
+    @pytest.mark.parametrize("grid, shown", [
+        ("1e-8, 1e-8, 0", "1e-08, 1e-08, 0.0"),
+        # compared as floats: 0.0 and -0.0 are one weight
+        ("0.0, 1e-6, -0.0", "0.0, 1e-06, -0.0"),
+    ])
+    def test_lambda_grid_values_distinct(self, tmp_path, grid, shown):
+        path = config_file(tmp_path, {"inference": {"lambda_grid": grid}})
+        with pytest.raises(UsageError) as excinfo:
+            load_config(path)
+        assert str(excinfo.value) == \
+            f"[inference] lambda_grid values must be distinct, got {shown}"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("alpha", "0.5", r"alpha must lie in \[-1/3, 0\], got 0.5"),
+        ("alpha", "-0.5", r"alpha must lie in \[-1/3, 0\], got -0.5"),
+        ("gamma", "-1.0", "gamma and beta must be nonnegative"),
+        ("beta", "-0.25", "gamma and beta must be nonnegative"),
+    ])
+    def test_scheme_parameters_checked(self, tmp_path, key, value, message):
+        path = config_file(tmp_path, {"integrator": {key: value}})
+        with pytest.raises(UsageError, match=r"^\[integrator\] " + message):
+            load_config(path)
+
     def test_omega_positive(self, tmp_path):
         path = config_file(tmp_path, {"inference": {"omega": "0.0"}})
         with pytest.raises(UsageError, match="omega must be positive"):
@@ -493,6 +517,7 @@ class TestInvocationErrors:
         ("--omega", "0"), ("--omega", "nan"), ("--lambda", "-1"),
         ("--rank", "0"), ("--tol", "2"), ("--method", "bogus"),
         ("--method", ""), ("--method", "pod,pod,opinf"),
+        ("--lambda", "1e-8,1e-8,0"), ("--lambda", "0,-0"),
     ])
     def test_bad_flag_value_fails_the_check_of_its_key(self, tmp_path, capsys,
                                                        flag, value):
@@ -503,6 +528,18 @@ class TestInvocationErrors:
         err = capsys.readouterr().err
         section, key = FLAG_KEYS[flag]
         assert f"error in stage 'configure': [{section}] {key}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "basis", "infer",
+                                         "infer-constrained", "evaluate",
+                                         "run"])
+    def test_bad_scheme_fails_every_command_at_configure(self, tmp_path,
+                                                         capsys, command):
+        cfg = config_file(tmp_path, {"integrator": {"alpha": "0.5"}})
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert "error in stage 'configure': [integrator] alpha must lie in " \
+            "[-1/3, 0], got 0.5" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_flag_exits_with_usage_code(self, tmp_path):
@@ -724,6 +761,37 @@ class TestPipeline:
         assert config["inference"]["lambda_grid"] == [0.001]
         assert config["inference"]["omega"] == 1e-6
         assert not (out / "copinf").exists()
+
+    def test_lambda_sweep_replays_with_the_run_scheme(self, tmp_path):
+        # alpha = -0.3 sets gamma = 0.8 and beta = 0.4225 as well: every
+        # candidate's validation error is that of a replay with them.
+        cfg_path = config_file(tmp_path, {
+            "integrator": {"alpha": "-0.3"},
+            "inference": {"methods": "opinf", "lambda_grid": "0, 1e-6, 1e-2"},
+        })
+        out = tmp_path / "artifacts"
+        assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+        table = np.loadtxt(out / "opinf" / "lambda_table.csv", delimiter=",",
+                           skiprows=1)
+        cfg = load_config(cfg_path)
+        train = cli._load_training(
+            cfg, str(out), ("displacement", "velocity", "acceleration", "input"))
+        rdata = project(train, cli._load_basis(str(out)))
+        D, rhs = assemble_opinf_data(rdata)
+        window = IntegratorConfig(dt=rdata.dt,
+                                  t_end=rdata.times[-1] - rdata.times[0],
+                                  alpha=-0.3)
+        U = rdata.input
+        for lam, error in zip(table[:, 0], table[:, 2]):
+            rom, _ = infer(D, rhs, lam)
+            replay = simulate(
+                rom, lambda t: U[:, round((t - rdata.times[0]) / rdata.dt)],
+                rdata.displacement[:, 0], rdata.velocity[:, 0], window,
+                t0=rdata.times[0])
+            Q = rdata.displacement
+            expected = (np.linalg.norm(replay.displacement - Q[:, 1:], axis=0).max()
+                        / np.linalg.norm(Q, axis=0).max())
+            assert error == pytest.approx(expected, rel=1e-12)
 
     def test_repeat_run_is_byte_identical(self, tmp_path):
         cfg = config_file(tmp_path, {"output": {"seed": "3"}})

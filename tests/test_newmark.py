@@ -366,6 +366,70 @@ def test_simulate_matches_step_loop(rng, monkeypatch, n, alpha, drive):
     assert data.times == pytest.approx(t0 + 0.01 * np.arange(1, 61), rel=1e-15)
 
 
+def reference_transition_replay(sys_, sampler, x0, v0, cfg, t0):
+    """The transition replay with numpy-scalar instants, each sample read
+    through ``asarray(...).ravel()`` and every step ``A @ s`` on the
+    strided slice of the transition: the plain form of the loops that
+    ``simulate`` runs with less interpreter work."""
+    n, m = sys_.n, sys_.m
+    times = t0 + cfg.dt * np.arange(1, cfg.num_steps + 1)
+    samples = np.empty((times.size + 1, m))
+    for k, t in enumerate((np.float64(t0), *times)):
+        samples[k] = np.asarray(sampler(t), dtype=float).ravel()
+    forces = sys_.input_map @ samples.T
+    states = np.empty((times.size + 1, 3 * n))
+    states[0] = np.concatenate(
+        [x0, v0, initial_acceleration(sys_, x0, v0, forces[:, 0])])
+    T = newmark._transition(sys_, newmark._effective_solve(sys_, cfg), cfg)
+    A, G_next, G_curr = T[:, :3 * n], T[:, 3 * n:4 * n], T[:, 4 * n:]
+    states[1:] = forces[:, 1:].T @ G_next.T + forces[:, :-1].T @ G_curr.T
+    for k in range(times.size):
+        states[k + 1] += A @ states[k]
+    return times, samples, states
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.1])
+@pytest.mark.parametrize("n", [1, 4, 26, newmark._TRANSITION_MAX_N])
+def test_transition_replay_is_bit_equal_to_the_reference_loops(
+        rng, monkeypatch, n, alpha):
+    sys_ = random_stable_system(rng, n)
+    cfg = IntegratorConfig(dt=0.01, t_end=0.6, alpha=alpha)
+    t0 = 0.37
+    # The sampler computes with its instant, so numpy-scalar and Python
+    # float instants must give the same doubles.
+    sampler = lambda t: np.array([np.sin(3.0 * t), np.cos(5.0 * t) * t])
+    x0 = rng.standard_normal(n)
+    v0 = rng.standard_normal(n)
+    forbid(monkeypatch, "_integrate_factorized")
+    data = simulate(sys_, sampler, x0, v0, cfg, t0=t0)
+    times, samples, states = reference_transition_replay(
+        sys_, sampler, x0, v0, cfg, t0)
+    assert np.array_equal(data.times, times)
+    assert np.array_equal(data.input, samples[1:].T)
+    for block, got in enumerate(
+            (data.displacement, data.velocity, data.acceleration)):
+        assert np.array_equal(got, states[1:, block * n:(block + 1) * n].T)
+
+
+def test_sampler_may_refill_one_buffer(rng):
+    sys_ = random_stable_system(rng, 3)
+    cfg = IntegratorConfig(dt=0.01, t_end=0.3)
+    buffer = np.empty(2)
+
+    def refilling(t):
+        buffer[:] = np.sin(3.0 * t), np.cos(5.0 * t)
+        return buffer
+
+    def fresh(t):
+        return np.array([np.sin(3.0 * t), np.cos(5.0 * t)])
+
+    x0 = rng.standard_normal(3)
+    got = simulate(sys_, refilling, x0, None, cfg)
+    expected = simulate(sys_, fresh, x0, None, cfg)
+    assert np.array_equal(got.input, expected.input)
+    assert np.array_equal(got.displacement, expected.displacement)
+
+
 @pytest.mark.parametrize("n", [1, newmark._TRANSITION_MAX_N + 1])
 def test_singular_effective_matrix_on_both_paths(n):
     zero = np.zeros((n, n))
@@ -406,7 +470,8 @@ def test_sampler_called_once_per_instant_in_order():
 
     simulate(sys_, sampler, None, None, IntegratorConfig(dt=0.1, t_end=1.0),
              t0=2.0)
-    assert calls == pytest.approx(2.0 + 0.1 * np.arange(11), rel=1e-15)
+    assert calls == [2.0 + 0.1 * k for k in range(11)]
+    assert all(type(t) is float for t in calls)
 
 
 @pytest.mark.parametrize("drive", ["input", "force"])

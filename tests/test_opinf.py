@@ -208,6 +208,33 @@ class TestSelectLambda:
         assert len(exc.value.table) == 2
         assert all(not np.isfinite(t.validation_error) for t in exc.value.table)
 
+    @pytest.mark.parametrize("scheme, expected", [
+        (None, (0.5, 0.25, 0.0)),
+        (IntegratorConfig(dt=1.0, t_end=1.0, alpha=-0.3), (0.8, 0.4225, -0.3)),
+        (IntegratorConfig(dt=1.0, t_end=1.0, gamma=0.6, beta=0.3),
+         (0.6, 0.3, 0.0)),
+    ])
+    def test_replays_use_the_given_scheme(self, monkeypatch, scheme,
+                                          expected):
+        # Every candidate replays the validation window with the scheme's
+        # gamma, beta and alpha, on the window's own time grid.
+        rdata = scalar_validation_data(t_end=0.5)
+        D, rhs = assemble_opinf_data(rdata)
+        configs = []
+
+        def recording_simulate(model, sampler, x0, v0, config, t0=0.0):
+            configs.append(config)
+            return simulate(model, sampler, x0, v0, config, t0=t0)
+
+        monkeypatch.setattr(opinf, "simulate", recording_simulate)
+        select_lambda(D, rhs, [0.0, 1e-3], rdata, scheme=scheme)
+        assert len(configs) == 2
+        for config in configs:
+            assert (config.gamma, config.beta, config.alpha) == \
+                pytest.approx(expected, rel=1e-15)
+            assert config.dt == rdata.dt
+            assert config.num_steps == rdata.num_snapshots - 1
+
     def test_empty_grid(self):
         rdata = scalar_validation_data(t_end=0.1)
         D, rhs = assemble_opinf_data(rdata)

@@ -63,6 +63,29 @@ def test_table_bytes_match_the_value_loop(rng, tmp_path, header,
     assert read(tmp_path / "table.csv") == read(tmp_path / "ref.csv")
 
 
+def write_by_savetxt(path, header, rows, labels=None):
+    """Reference writer: ``numpy.savetxt`` at the same format, the label
+    column stacked beside the numbers as objects."""
+    fmt = ",".join(["%.17g"] * rows.shape[1])
+    if labels is not None:
+        rows = np.column_stack([rows.astype(object), labels])
+        fmt += ",%s"
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        np.savetxt(fh, rows, fmt=fmt, header=header, comments="")
+
+
+@pytest.mark.parametrize("labelled", [False, True], ids=["bare", "labels"])
+@pytest.mark.parametrize("shape", [(0, 3), (1, 1), (3, 1), (500, 1001)])
+def test_table_bytes_match_savetxt(rng, tmp_path, shape, labelled):
+    rows = values(rng, shape)
+    labels = None
+    if labelled:
+        labels = np.where(rng.uniform(size=shape[0]) < 0.5, "train", "test")
+    write_table(tmp_path / "table.csv", "a,b\nc", rows, labels=labels)
+    write_by_savetxt(tmp_path / "ref.csv", "a,b\nc", rows, labels=labels)
+    assert read(tmp_path / "table.csv") == read(tmp_path / "ref.csv")
+
+
 @pytest.mark.parametrize("split", [None, 0.5])
 def test_error_series_bytes_match_the_value_loop(rng, tmp_path, split):
     times = np.concatenate([SPECIAL, np.linspace(0.1, 1.0, 10)])
