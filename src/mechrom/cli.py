@@ -335,8 +335,8 @@ def load_config(path, overrides=None) -> ExperimentConfig:
             f"[training] t_end ({cfg.train_t_end})"
         )
 
-    # scheme: the parameters a stage would reject, rejected before any
-    # stage runs
+    # integrator: the scheme's own checks, run here so that every command
+    # fails before its first stage
     try:
         _integrator(cfg)
     except InvalidParameterError as exc:

@@ -14,9 +14,8 @@ equations are never inverted explicitly.
 
 from __future__ import annotations
 
-import dataclasses
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as la
@@ -197,8 +196,8 @@ def _replay_error(rom: SecondOrderSystem, validation: TrajectoryData,
 
     config = IntegratorConfig(dt=dt, t_end=float(times[-1] - times[0]))
     if scheme is not None:
-        config = dataclasses.replace(config, gamma=scheme.gamma,
-                                     beta=scheme.beta, alpha=scheme.alpha)
+        config = replace(config, gamma=scheme.gamma, beta=scheme.beta,
+                         alpha=scheme.alpha)
     try:
         replay = simulate(
             rom,
