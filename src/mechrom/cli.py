@@ -1,8 +1,11 @@
 """Command line driver for the reduction pipeline.
 
 Subcommands map to pipeline stages that exchange artifacts through an
-output directory, so a chained stage-by-stage invocation reproduces a
-single ``run`` byte for byte:
+output directory. A stage run on its own parses the artifacts it reads;
+within ``run``, the later stages take what they read of the full-model
+run from memory, where the simulate stage left it. Both paths see the
+same doubles in the same layout and write the same bytes, so a chained
+stage-by-stage invocation reproduces a single ``run`` byte for byte:
 
     simulate            integrate the full model, write snapshot CSVs
     basis               compute the orthogonal basis from training data
@@ -477,19 +480,30 @@ def _fom_paths(outdir, blocks) -> dict:
     return {key: path for key, path in paths.items() if os.path.exists(path)}
 
 
-def _load_fom_displacement(outdir, max_rows=None):
-    """Times and displacement block of the stored full-model trajectory."""
+def _load_fom_displacement(outdir, handoff, max_rows=None):
+    """Times and displacement block of the full-model trajectory, from
+    ``handoff`` when this call's simulate stage filled it and from the
+    stored file otherwise."""
+    if "times" in handoff:
+        return (handoff["times"][:max_rows],
+                handoff["displacement"][:, :max_rows])
     paths = _fom_paths(outdir, ("displacement",))
     if not paths:
         raise MissingDataError("no displacement file to load")
     return read_matrix_csv(paths["displacement"], max_rows)
 
 
-def _load_training(cfg: ExperimentConfig, outdir, blocks) -> TrajectoryData:
-    """The training window of the stored full-model trajectory: its
-    first training columns, of ``blocks`` only."""
+def _load_training(cfg: ExperimentConfig, outdir, blocks,
+                   handoff) -> TrajectoryData:
+    """The training window of the full-model trajectory: its first
+    training columns, of ``blocks`` only, from ``handoff`` or the files
+    as :func:`_load_fom_displacement` takes them."""
     count = _train_columns(cfg)
-    data = load_csv(_fom_paths(outdir, blocks), max_rows=count)
+    if "times" in handoff:
+        data = TrajectoryData(times=handoff["times"][:count],
+                              **{key: handoff[key][:, :count] for key in blocks})
+    else:
+        data = load_csv(_fom_paths(outdir, blocks), max_rows=count)
     _check_training_window(count, data.num_snapshots)
     return data
 
@@ -540,19 +554,27 @@ def _load_operators(directory, names, stage) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def stage_simulate(cfg: ExperimentConfig, outdir) -> None:
+def stage_simulate(cfg: ExperimentConfig, outdir, handoff) -> None:
     system = _build_system(cfg)
     sampler = _input_sampler(cfg, system.m)
     x0, v0 = _initial_conditions(cfg, system.n)
     data = simulate(system, sampler, x0, v0, _integrator(cfg))
     save_csv(data, os.path.join(outdir, "fom", "test"))
-    print(f"simulate: {_train_columns(cfg)} training and "
-          f"{data.num_snapshots} test snapshots")
-
-
-def stage_basis(cfg: ExperimentConfig, outdir) -> None:
     count = _train_columns(cfg)
-    times, X = _load_fom_displacement(outdir, count)
+    # What the later stages of this call read of the run. The file text
+    # round-trips every double, and each block takes the layout that
+    # read_matrix_csv returns, the transpose of a contiguous (N, n) copy,
+    # so products with it round as with the parsed block.
+    handoff.update(system=system, times=data.times,
+                   displacement=data.displacement.T.copy().T)
+    for key in ("velocity", "acceleration", "input", "force"):
+        handoff[key] = getattr(data, key)[:, :count].T.copy().T
+    print(f"simulate: {count} training and {data.num_snapshots} test snapshots")
+
+
+def stage_basis(cfg: ExperimentConfig, outdir, handoff) -> None:
+    count = _train_columns(cfg)
+    times, X = _load_fom_displacement(outdir, handoff, count)
     _check_training_window(count, times.size)
     basis = compute_basis(X, rank=cfg.rank, tol=cfg.tol, energy=cfg.energy)
     bdir = _basis_dir(outdir)
@@ -567,11 +589,12 @@ def stage_basis(cfg: ExperimentConfig, outdir) -> None:
     print(f"basis: selected rank r = {basis.rank}")
 
 
-def stage_infer(cfg: ExperimentConfig, outdir) -> None:
+def stage_infer(cfg: ExperimentConfig, outdir, handoff) -> None:
     if "opinf" not in cfg.methods:
         return
     train = _load_training(
-        cfg, outdir, ("displacement", "velocity", "acceleration", "input")
+        cfg, outdir, ("displacement", "velocity", "acceleration", "input"),
+        handoff,
     )
     rdata = project(train, _load_basis(outdir))
     D, rhs = assemble_opinf_data(rdata)
@@ -599,11 +622,12 @@ _STOP_LABELS = {
 }
 
 
-def stage_infer_constrained(cfg: ExperimentConfig, outdir) -> None:
+def stage_infer_constrained(cfg: ExperimentConfig, outdir, handoff) -> None:
     if "copinf" not in cfg.methods:
         return
     train = _load_training(
-        cfg, outdir, ("displacement", "velocity", "acceleration", "force")
+        cfg, outdir, ("displacement", "velocity", "acceleration", "force"),
+        handoff,
     )
     D, rhs = assemble_force_data(project(train, _load_basis(outdir)))
     rom, report = infer_constrained(D, rhs, omega=cfg.omega)
@@ -619,11 +643,14 @@ def stage_infer_constrained(cfg: ExperimentConfig, outdir) -> None:
     )
 
 
-def stage_evaluate(cfg: ExperimentConfig, outdir) -> None:
-    system = _build_system(cfg)
+def stage_evaluate(cfg: ExperimentConfig, outdir, handoff) -> None:
+    # Only the inference stages read the training blocks.
+    for key in set(handoff) - {"system", "times", "displacement"}:
+        del handoff[key]
+    system = handoff["system"] if "system" in handoff else _build_system(cfg)
     basis = _load_basis(outdir)
     V = basis.modes
-    times, X = _load_fom_displacement(outdir)
+    times, X = _load_fom_displacement(outdir, handoff)
     x0, v0 = _initial_conditions(cfg, system.n)
 
     diverged = []
@@ -689,14 +716,20 @@ _STAGES = [
 
 def _run_stages(cfg: ExperimentConfig, outdir, names) -> list:
     """Run the stages ``names`` in pipeline order into ``outdir``; return
-    each one's (name, seconds). An error is tagged with its stage."""
+    each one's (name, seconds). An error is tagged with its stage.
+
+    The stages share one handoff dict, empty at the start of each call:
+    the simulate stage leaves in it what later stages read of the
+    full-model run, and they parse the files only when it is empty.
+    """
     os.makedirs(outdir, exist_ok=True)
+    handoff = {}
     timings = []
     for name, fn in _STAGES:
         if name in names:
             start = time.perf_counter()
             try:
-                fn(cfg, outdir)
+                fn(cfg, outdir, handoff)
             except (MechromError, OSError) as exc:
                 _tag_stage(exc, name)
                 raise

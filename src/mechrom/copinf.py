@@ -138,12 +138,15 @@ def project_psd(A, shift=0.0) -> np.ndarray:
     count = math.prod(A.shape[:-2])
     stack = A.reshape((count,) + A.shape[-2:])
     shifts = np.broadcast_to(shift, A.shape[:-2]).reshape(count)
-    return _project_stack(stack, shifts).reshape(A.shape)
+    shifted_eye = shifts[:, None, None] * np.eye(A.shape[-1])
+    return _project_stack(stack, shifts, shifted_eye).reshape(A.shape)
 
 
-def _project_stack(A, shifts) -> np.ndarray:
+def _project_stack(A, shifts, shifted_eye) -> np.ndarray:
     """``project_psd`` of an ``(m, r, r)`` stack with one shift per
     matrix, for callers that have checked the shape and the shifts.
+    ``shifted_eye`` is the stack ``shifts[:, None, None] * I``, which a
+    caller that projects many times forms once.
 
     Raises InvalidInputError when ``A`` has a non-finite entry: a
     Cholesky factorization of a NaN matrix returns NaNs instead of
@@ -153,7 +156,7 @@ def _project_stack(A, shifts) -> np.ndarray:
     if not np.all(np.isfinite(A)):
         raise InvalidInputError("matrix contains non-finite entries")
     B = 0.5 * (A + np.swapaxes(A, -1, -2))
-    shifted = B - shifts[:, None, None] * np.eye(B.shape[-1])
+    shifted = B - shifted_eye
     outside = []
     for i, block in enumerate(shifted):
         try:
@@ -272,10 +275,12 @@ def infer_constrained(
     # Scaled unknowns P_b' = block_scale[b] * P_b, so the lower bound
     # omega on the mass and stiffness spectra scales the same way.
     shifts = np.array([omega * block_scale[0], 0.0, omega * block_scale[2]])
+    shifted_eye = shifts[:, None, None] * np.eye(r)
 
     def proj(X):
         # The r x 3r iterate viewed as the (3, r, r) stack of its blocks.
-        blocks = _project_stack(X.reshape(r, 3, r).swapaxes(0, 1), shifts)
+        blocks = _project_stack(X.reshape(r, 3, r).swapaxes(0, 1), shifts,
+                                shifted_eye)
         return blocks.swapaxes(0, 1).reshape(r, k)
 
     rho = float(penalty)

@@ -85,6 +85,27 @@ def read_lines(path):
         return fh.read().splitlines()
 
 
+def files_kind_config(directory):
+    """Config of a three-mass chain read from ``.mtx`` files that it
+    writes, as M, E, K and B, into ``directory``."""
+    chain = build_mass_spring_chain(3, [1.0] * 3, [4.0] * 4,
+                                    alpha_r=0.05, beta_r=0.01,
+                                    input_nodes=[0])
+    save_matrix(directory / "M.mtx", chain.mass, symmetry="symmetric")
+    save_matrix(directory / "E.mtx", chain.damping, symmetry="symmetric")
+    save_matrix(directory / "K.mtx", chain.stiffness, symmetry="symmetric")
+    save_matrix(directory / "B.mtx", chain.input_map, symmetry="general")
+    return write_config(directory, merged({
+        "system": {
+            "kind": "files",
+            "mass_path": str(directory / "M.mtx"),
+            "damping_path": str(directory / "E.mtx"),
+            "stiffness_path": str(directory / "K.mtx"),
+            "input_path": str(directory / "B.mtx"),
+        },
+    }, drop=[("system", "n")]))
+
+
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
     """One completed pipeline run on the tiny chain experiment."""
@@ -775,7 +796,8 @@ class TestPipeline:
                            skiprows=1)
         cfg = load_config(cfg_path)
         train = cli._load_training(
-            cfg, str(out), ("displacement", "velocity", "acceleration", "input"))
+            cfg, str(out), ("displacement", "velocity", "acceleration", "input"),
+            {})
         rdata = project(train, cli._load_basis(str(out)))
         D, rhs = assemble_opinf_data(rdata)
         window = IntegratorConfig(dt=rdata.dt,
@@ -827,6 +849,81 @@ class TestPipeline:
         assert not (staged / "manifest.json").exists()
         assert not (staged / "timings.csv").exists()
         assert (whole / "manifest.json").exists()
+
+
+class TestHandoff:
+    """``run`` hands the full-model run to later stages in memory; a
+    stage run on its own parses the files."""
+
+    def test_run_parses_no_full_model_block(self, tmp_path, monkeypatch):
+        parsed, built = [], []
+
+        def spy(fn, record):
+            def wrapper(*args, **kwargs):
+                record(args[0])
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "read_matrix_csv",
+                            spy(cli.read_matrix_csv, parsed.append))
+        monkeypatch.setattr(cli, "load_csv",
+                            spy(cli.load_csv,
+                                lambda paths: parsed.extend(paths.values())))
+        monkeypatch.setattr(cli, "_build_system",
+                            spy(cli._build_system, built.append))
+        cfg = config_file(tmp_path)
+        out = tmp_path / "artifacts"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert parsed == []
+        # evaluate replays against the model that simulate built
+        assert len(built) == 1
+        assert main(["basis", "--config", cfg, "--out", str(out)]) == 0
+        fom = out / "fom" / "test"
+        assert parsed == [str(fom / "displacement.csv")]
+
+    def test_nothing_carries_over_between_commands(self, tmp_path, capsys):
+        cfg = config_file(tmp_path)
+        out = tmp_path / "artifacts"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        path = out / "fom" / "test" / "displacement.csv"
+        lines = path.read_text(encoding="ascii").splitlines()
+        lines[3] = ",".join(["abc"] * 5)
+        path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        capsys.readouterr()
+        code = main(["evaluate", "--config", cfg, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error in stage 'evaluate'" in err
+        assert f"{path}:4: non-numeric field" in err
+
+    def test_held_blocks_are_the_parsed_blocks(self, tmp_path):
+        cfg = load_config(config_file(tmp_path))
+        out = str(tmp_path / "artifacts")
+        handoff = {}
+        cli.stage_simulate(cfg, out, handoff)
+        blocks = ("displacement", "velocity", "acceleration", "input", "force")
+        held = cli._load_training(cfg, out, blocks, handoff)
+        parsed = cli._load_training(cfg, out, blocks, {})
+        pairs = [(getattr(held, key), getattr(parsed, key))
+                 for key in ("times",) + blocks]
+        held_t, held_x = cli._load_fom_displacement(out, handoff)
+        file_t, file_x = cli._load_fom_displacement(out, {})
+        pairs.append((held_x, file_x))
+        for a, b in pairs:
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.strides == b.strides
+            assert a.tobytes() == b.tobytes()
+        assert held_t.tobytes() == file_t.tobytes()
+
+    def test_evaluate_alone_loads_the_system(self, tmp_path, capsys):
+        cfg = files_kind_config(tmp_path)
+        out = tmp_path / "artifacts"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        os.remove(tmp_path / "M.mtx")
+        capsys.readouterr()
+        code = main(["evaluate", "--config", cfg, "--out", str(out)])
+        assert code == 2
+        assert "error in stage 'load_system'" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -894,22 +991,7 @@ class TestStageFailures:
         assert "error in stage 'load_system'" in capsys.readouterr().err
 
     def test_files_kind_loads_saved_matrices(self, tmp_path):
-        chain = build_mass_spring_chain(3, [1.0] * 3, [4.0] * 4,
-                                        alpha_r=0.05, beta_r=0.01,
-                                        input_nodes=[0])
-        save_matrix(tmp_path / "M.mtx", chain.mass, symmetry="symmetric")
-        save_matrix(tmp_path / "E.mtx", chain.damping, symmetry="symmetric")
-        save_matrix(tmp_path / "K.mtx", chain.stiffness, symmetry="symmetric")
-        save_matrix(tmp_path / "B.mtx", chain.input_map, symmetry="general")
-        cfg = write_config(tmp_path, merged({
-            "system": {
-                "kind": "files",
-                "mass_path": str(tmp_path / "M.mtx"),
-                "damping_path": str(tmp_path / "E.mtx"),
-                "stiffness_path": str(tmp_path / "K.mtx"),
-                "input_path": str(tmp_path / "B.mtx"),
-            },
-        }, drop=[("system", "n")]))
+        cfg = files_kind_config(tmp_path)
         out = tmp_path / "artifacts"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         data = load_csv(os.path.join(out, "fom", "test"))

@@ -125,8 +125,10 @@ class TestProjectPsd:
             project_psd(np.stack([np.eye(2), np.eye(2)]), shift)
 
 
-def eigh_projection(A, shifts):
-    """The projection with every matrix eigendecomposed, as a reference."""
+def eigh_projection(A, shifts, shifted_eye=None):
+    """The projection with every matrix eigendecomposed, as a reference;
+    it takes ``_project_stack``'s arguments and needs no shifted
+    identity."""
     if not np.all(np.isfinite(A)):
         raise InvalidInputError("matrix contains non-finite entries")
     B = 0.5 * (A + np.swapaxes(A, -1, -2))
@@ -190,7 +192,7 @@ class TestCholeskyTest:
         # must not take it for a matrix inside its cone.
         A = np.full((1, 3, 3), np.nan)
         with pytest.raises(InvalidInputError, match="non-finite"):
-            _project_stack(A, np.zeros(1))
+            _project_stack(A, np.zeros(1), np.zeros((1, 3, 3)))
 
 
 def direct_objective(rom, D, rhs):
