@@ -14,7 +14,11 @@ shifted semidefinite cones, and a scaled dual update, with the penalty
 parameter adapted to balance the primal and dual residuals. The
 projection leaves a block that a Cholesky factorization shows to be
 inside its cone as it is, and eigendecomposes only the others; near
-the solution that is usually the damping block alone.
+the solution that is usually the damping block alone. Within one solve
+a block gets that test only if the previous projection found it
+inside, so a block that stays outside its cone goes straight to the
+decomposition. Besides the projection, an iteration costs one product
+with a cached ridge map and a few updates of 3r x r arrays.
 
 The iteration stops for one of three reasons, reported as
 ``ConstrainedSolveReport.stop_reason``:
@@ -34,6 +38,7 @@ constraints hold whatever the reason.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,7 +127,7 @@ def project_psd(A, shift=0.0) -> np.ndarray:
     A Cholesky factorization of the symmetric part minus ``shift * I``
     tells whether it already lies in its cone; such a matrix is its own
     projection and is returned as it is. Only the matrices that fail
-    this test go through one batched eigendecomposition.
+    this test are eigendecomposed. Every call tests every matrix.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
@@ -136,39 +141,68 @@ def project_psd(A, shift=0.0) -> np.ndarray:
     if not np.all(np.isfinite(shift)):
         raise InvalidParameterError(f"shift must be finite, got {shift}")
     count = math.prod(A.shape[:-2])
-    stack = A.reshape((count,) + A.shape[-2:])
+    stack = A.reshape((count,) + A.shape[-2:]).copy()
     shifts = np.broadcast_to(shift, A.shape[:-2]).reshape(count)
     shifted_eye = shifts[:, None, None] * np.eye(A.shape[-1])
-    return _project_stack(stack, shifts, shifted_eye).reshape(A.shape)
+    _project_stack(stack, shifts, shifted_eye, np.ones(count, dtype=bool))
+    return stack.reshape(A.shape)
 
 
-def _project_stack(A, shifts, shifted_eye) -> np.ndarray:
+def _project_stack(A, shifts, shifted_eye, inside) -> None:
     """``project_psd`` of an ``(m, r, r)`` stack with one shift per
-    matrix, for callers that have checked the shape and the shifts.
-    ``shifted_eye`` is the stack ``shifts[:, None, None] * I``, which a
-    caller that projects many times forms once.
+    matrix, in place, for callers that have checked the shape and the
+    shifts. ``shifted_eye`` is the stack ``shifts[:, None, None] * I``,
+    which a caller that projects many times forms once.
+
+    ``inside`` is a boolean array with one entry per matrix. On entry it
+    says which matrices get the Cholesky test; the others go straight to
+    the eigendecomposition, which projects a matrix inside its cone too,
+    only with other rounding. On return it says which matrices were
+    found inside: those that factored, and those whose decomposition
+    raised no eigenvalue. The matrices due a test are factored in one
+    call, and each on its own only when that call fails. A single
+    matrix to decompose goes through a 2-D ``eigh``, several through one
+    batched call.
 
     Raises InvalidInputError when ``A`` has a non-finite entry: a
     Cholesky factorization of a NaN matrix returns NaNs instead of
     failing, so without this check such a matrix would pass as inside
     its cone.
     """
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise InvalidInputError("matrix contains non-finite entries")
-    B = 0.5 * (A + np.swapaxes(A, -1, -2))
-    shifted = B - shifted_eye
-    outside = []
-    for i, block in enumerate(shifted):
-        try:
-            np.linalg.cholesky(block)
-        except np.linalg.LinAlgError:
-            outside.append(i)
-    if outside:
-        w, Q = np.linalg.eigh(B[outside])
-        w = np.maximum(w, shifts[outside, None])
-        S = (Q * w[..., None, :]) @ np.swapaxes(Q, -1, -2)
-        B[outside] = 0.5 * (S + np.swapaxes(S, -1, -2))
-    return B
+    np.multiply(A + A.swapaxes(-1, -2), 0.5, out=A)
+    outside = [i for i in range(len(A)) if not inside[i]]
+    if len(outside) < len(A):
+        shifted = A - shifted_eye
+        if not _factors(shifted[inside]):
+            outside = [i for i in range(len(A))
+                       if not (inside[i] and _factors(shifted[i]))]
+    if not outside:
+        return
+    # Index with a slice or an integer where possible: a list index
+    # copies the stack it selects.
+    if len(outside) == len(A):
+        idx = slice(None)
+    elif len(outside) == 1:
+        idx = outside[0]
+    else:
+        idx = outside
+    w, Q = np.linalg.eigh(A[idx])
+    inside[idx] = w[..., 0] >= shifts[idx]
+    w = np.maximum(w, shifts[idx, None])
+    S = (Q * w[..., None, :]) @ Q.swapaxes(-1, -2)
+    A[idx] = 0.5 * (S + S.swapaxes(-1, -2))
+
+
+def _factors(B) -> bool:
+    """Whether the Cholesky factorization of every matrix in ``B``
+    succeeds."""
+    try:
+        np.linalg.cholesky(B)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _norm(X) -> float:
@@ -177,11 +211,11 @@ def _norm(X) -> float:
 
 
 class _RidgeStep:
-    """The map X -> X (2 G + rho I)^-1 for a symmetric positive
+    """The map X -> (2 G + rho I)^-1 X for a symmetric positive
     semidefinite Gram matrix G.
 
-    G is factored once as V diag(lam) V^T; a penalty change then only
-    recomputes the vector 1 / (2 lam + rho).
+    G is factored once as V diag(lam) V^T; a penalty change recomputes
+    the matrix V diag(1 / (2 lam + rho)) V^T, so a step is one product.
     """
 
     def __init__(self, gram, rho: float):
@@ -190,10 +224,11 @@ class _RidgeStep:
         self.set_penalty(rho)
 
     def set_penalty(self, rho: float) -> None:
-        self._gain = 1.0 / (self._twice_lam + rho)
+        gain = 1.0 / (self._twice_lam + rho)
+        self._map = (self._V * gain) @ self._V.T
 
     def __call__(self, X) -> np.ndarray:
-        return ((X @ self._V) * self._gain) @ self._V.T
+        return self._map @ X
 
 
 def infer_constrained(
@@ -254,8 +289,11 @@ def infer_constrained(
             raise InvalidParameterError(
                 f"{name} must be positive and finite, got {value}"
             )
-    if max_iter < 1:
-        raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter}")
+    if (isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral)
+            or max_iter < 1):
+        raise InvalidParameterError(
+            f"max_iter must be an integer >= 1, got {max_iter!r}"
+        )
 
     k = 3 * r
 
@@ -277,15 +315,13 @@ def infer_constrained(
     shifts = np.array([omega * block_scale[0], 0.0, omega * block_scale[2]])
     shifted_eye = shifts[:, None, None] * np.eye(r)
 
-    def proj(X):
-        # The r x 3r iterate viewed as the (3, r, r) stack of its blocks.
-        blocks = _project_stack(X.reshape(r, 3, r).swapaxes(0, 1), shifts,
-                                shifted_eye)
-        return blocks.swapaxes(0, 1).reshape(r, k)
-
+    # The solver holds each iterate transposed, as the 3r x r stack
+    # [M; E; K] of its blocks, so that the (3, r, r) stack it projects is
+    # a view. The blocks it returns are exactly symmetric, so the layout
+    # does not show.
     rho = float(penalty)
     ridge = _RidgeStep(Ds @ Ds.T, rho)
-    rhs_data = 2.0 * (rhs @ Ds.T)
+    rhs_data = 2.0 * (Ds @ rhs.T)
 
     # Thin SVD Ds = W diag(s) Qt. Besides the warm start it gives the
     # objective in reduced form: with Z_s the scaled iterate,
@@ -299,19 +335,24 @@ def infer_constrained(
         W, s, Qt = np.zeros((k, 0)), np.zeros(0), np.zeros((0, D.shape[1]))
         filt = s  # empty
     rhs_range = rhs @ Qt.T
-    data_range = W * s
     rhs_tail = float(np.linalg.norm(rhs - rhs_range @ Qt) ** 2)
 
-    # Warm start from the projected unconstrained minimizer.
-    P = (rhs_range * filt) @ W.T
-    Z = proj(P)
-    U = np.zeros_like(P)
+    # Warm start from the projected unconstrained minimizer. A block
+    # gets the Cholesky test only if the previous projection found it
+    # inside its cone; the warm start tests all three.
+    Z = W @ (rhs_range * filt).T
+    inside = np.ones(3, dtype=bool)
+    _project_stack(Z.reshape(3, r, r), shifts, shifted_eye, inside)
+    U = np.zeros_like(Z)
+    # The objective's operands, transposed as the iterate is.
+    data_range = (W * s).T
+    rhs_range = rhs_range.T
 
     def objective_in_range(Z):
         # The reduced-form objective without its constant second term.
-        return _norm(Z @ data_range - rhs_range) ** 2
+        return _norm(data_range @ Z - rhs_range) ** 2
 
-    scale = float(np.sqrt(P.size))
+    scale = float(np.sqrt(Z.size))
     stall_tol = _STALL_TOL * float(np.vdot(rhs, rhs))
     stall_ref = objective_in_range(Z)
     trace = []
@@ -323,7 +364,8 @@ def infer_constrained(
         P = ridge(rhs_data + rho * (Z - U))
         Z_prev = Z
         P_relaxed = _RELAX * P + (1.0 - _RELAX) * Z_prev
-        Z = proj(P_relaxed + U)
+        Z = P_relaxed + U
+        _project_stack(Z.reshape(3, r, r), shifts, shifted_eye, inside)
         U = U + P_relaxed - Z
 
         primal = _norm(P - Z)
@@ -356,14 +398,14 @@ def infer_constrained(
 
     # Each block is a project_psd output divided by one scalar, so it is
     # exactly symmetric.
-    Z_out = Z / np.repeat(block_scale, r)
+    Z_out = Z / np.repeat(block_scale, r)[:, None]
     rom = SecondOrderSystem(
-        mass=Z_out[:, :r],
-        damping=Z_out[:, r:2 * r],
-        stiffness=Z_out[:, 2 * r:],
+        mass=Z_out[:r],
+        damping=Z_out[r:2 * r],
+        stiffness=Z_out[2 * r:],
     )
     report = ConstrainedSolveReport(
-        objective=float(np.linalg.norm(Z_out @ D - rhs) ** 2),
+        objective=float(np.linalg.norm(Z_out.T @ D - rhs) ** 2),
         iterations=len(trace),
         primal_residual=primal,
         dual_residual=dual,

@@ -125,17 +125,18 @@ class TestProjectPsd:
             project_psd(np.stack([np.eye(2), np.eye(2)]), shift)
 
 
-def eigh_projection(A, shifts, shifted_eye=None):
+def eigh_projection(A, shifts, shifted_eye=None, inside=None):
     """The projection with every matrix eigendecomposed, as a reference;
-    it takes ``_project_stack``'s arguments and needs no shifted
-    identity."""
+    it takes ``_project_stack``'s arguments, projects ``A`` in place as
+    the kernel does, and needs neither the shifted identity nor the
+    hints."""
     if not np.all(np.isfinite(A)):
         raise InvalidInputError("matrix contains non-finite entries")
     B = 0.5 * (A + np.swapaxes(A, -1, -2))
     w, Q = np.linalg.eigh(B)
     w = np.maximum(w, np.asarray(shifts)[:, None])
     S = (Q * w[..., None, :]) @ np.swapaxes(Q, -1, -2)
-    return 0.5 * (S + np.swapaxes(S, -1, -2))
+    A[...] = 0.5 * (S + np.swapaxes(S, -1, -2))
 
 
 class TestCholeskyTest:
@@ -169,11 +170,13 @@ class TestCholeskyTest:
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         S = project_psd(A, shifts)
-        assert calls == [(1, 4, 4)]
+        # The one block left to decompose goes through a 2-D call.
+        assert calls == [(4, 4)]
         np.testing.assert_array_equal(S[0], 0.5 * (inside + inside.T))
         for b in range(2):
-            want = eigh_projection(A[b:b + 1], shifts[b:b + 1])[0]
-            np.testing.assert_allclose(S[b], want, rtol=0.0, atol=1e-12)
+            want = A[b:b + 1].copy()
+            eigh_projection(want, shifts[b:b + 1])
+            np.testing.assert_allclose(S[b], want[0], rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("shift", [0.0, 0.3, 1e-8])
     def test_eigenvalue_at_shift(self, rng, shift):
@@ -192,7 +195,100 @@ class TestCholeskyTest:
         # must not take it for a matrix inside its cone.
         A = np.full((1, 3, 3), np.nan)
         with pytest.raises(InvalidInputError, match="non-finite"):
-            _project_stack(A, np.zeros(1), np.zeros((1, 3, 3)))
+            _project_stack(A, np.zeros(1), np.zeros((1, 3, 3)),
+                           np.ones(1, dtype=bool))
+
+
+def counting(monkeypatch, name):
+    """Replace ``numpy.linalg.<name>`` by a wrapper that appends the shape
+    of each argument to the returned list."""
+    calls = []
+    wrapped = getattr(np.linalg, name)
+
+    def wrapper(a, *args, **kwargs):
+        calls.append(a.shape)
+        return wrapped(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, wrapper)
+    return calls
+
+
+class TestInsideHints:
+    """Inside the solver a block gets the Cholesky test only if the
+    previous projection found it inside its cone; ``project_psd`` tests
+    every block of every call. The blocks due a test go through one
+    ``cholesky`` call, and only when it fails is each tested alone."""
+
+    def test_block_back_inside_is_tested_again(self, rng, monkeypatch):
+        shift = 0.5
+        inside = random_spd(rng, 4, eigmin=1.0)
+        inside += 1e-3 * rng.standard_normal((4, 4))
+        outside = inside - 3.0 * np.eye(4)
+        shifts = np.array([shift])
+        shifted_eye = shift * np.eye(4)[None]
+        hint = np.ones(1, dtype=bool)
+        chol = counting(monkeypatch, "cholesky")
+        eigh = counting(monkeypatch, "eigh")
+
+        def project(block):
+            chol.clear()
+            eigh.clear()
+            A = block[None].copy()
+            _project_stack(A, shifts, shifted_eye, hint)
+            return A[0], bool(chol), len(eigh), bool(hint[0])
+
+        # Tested, fails, decomposed with eigenvalues raised.
+        _, tested, decomposed, found_inside = project(outside)
+        assert (tested, decomposed, found_inside) == (True, 1, False)
+        # Back inside: not tested, decomposed, nothing raised.
+        S, tested, decomposed, found_inside = project(inside)
+        assert (tested, decomposed, found_inside) == (False, 1, True)
+        np.testing.assert_allclose(S, 0.5 * (inside + inside.T),
+                                   rtol=0.0, atol=1e-12)
+        # Tested again, factors, and comes back as its symmetric part.
+        S, tested, decomposed, found_inside = project(inside)
+        assert (tested, decomposed, found_inside) == (True, 0, True)
+        np.testing.assert_array_equal(S, 0.5 * (inside + inside.T))
+
+    def test_project_psd_tests_every_block(self, rng, monkeypatch):
+        inside = np.stack([random_spd(rng, 3, eigmin=1.0) for _ in range(3)])
+        outside = inside.copy()
+        outside[1] -= 5.0 * np.eye(3)
+        chol = counting(monkeypatch, "cholesky")
+        eigh = counting(monkeypatch, "eigh")
+        project_psd(outside, 0.5)
+        # The joint test fails; each block is then tested alone.
+        assert chol == [(3, 3, 3), (3, 3), (3, 3), (3, 3)]
+        assert eigh == [(3, 3)]
+        # A later call keeps no hint from the earlier one.
+        chol.clear()
+        S = project_psd(inside, 0.5)
+        assert (chol, len(eigh)) == ([(3, 3, 3)], 1)
+        np.testing.assert_array_equal(
+            S, 0.5 * (inside + np.swapaxes(inside, -1, -2)))
+
+    def test_solver_passes_each_projection_its_hints(self, rng, monkeypatch):
+        # A damping pushed onto its cone's boundary leaves that block
+        # outside while the others stay inside.
+        D, rhs = well_posed_problem(rng, 4, damping_sign=-1.0)
+        chol = counting(monkeypatch, "cholesky")
+        kernel = copinf._project_stack
+        seen = []
+
+        def recording(A, shifts, shifted_eye, inside):
+            before = inside.copy()
+            chol.clear()
+            kernel(A, shifts, shifted_eye, inside)
+            seen.append((before, chol[:1], inside.copy()))
+
+        monkeypatch.setattr(copinf, "_project_stack", recording)
+        infer_constrained(D, rhs)
+        assert seen[0][0].all()
+        for (_, _, after), (before, first, _) in zip(seen, seen[1:]):
+            np.testing.assert_array_equal(before, after)
+            assert first == ([(before.sum(), 4, 4)] if before.any() else [])
+        assert any(not before.all() for before, _, _ in seen[1:])
+        assert any(before.any() for before, _, _ in seen[1:])
 
 
 def direct_objective(rom, D, rhs):
@@ -240,11 +336,11 @@ class TestRidgeStep:
     def test_matches_dense_solve_after_penalty_changes(self, rng, N):
         Ds = rng.standard_normal((9, N))
         gram = Ds @ Ds.T
-        X = rng.standard_normal((3, 9))
+        X = rng.standard_normal((9, 3))
         step = _RidgeStep(gram, 1.0)
         for rho in (1.0, 2.0, 4.0, 0.5, 1e-3, 1e3):
             step.set_penalty(rho)
-            want = la.solve(2.0 * gram + rho * np.eye(9), X.T).T
+            want = la.solve(2.0 * gram + rho * np.eye(9), X)
             got = step(X)
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -374,8 +470,7 @@ class TestInferConstrained:
         eigh = np.linalg.eigh
 
         def counting_eigh(a, *args, **kwargs):
-            if a.ndim == 3:
-                sizes.append(a.shape[0])
+            sizes.append(a.shape[0] if a.ndim == 3 else 1)
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
@@ -408,6 +503,19 @@ class TestInferConstrained:
             infer_constrained(good_D, good_rhs, penalty=-1.0)
         with pytest.raises(InvalidParameterError, match="max_iter"):
             infer_constrained(good_D, good_rhs, max_iter=0)
+
+    @pytest.mark.parametrize("max_iter", [10.0, 10.5, True, False, np.True_,
+                                          "10", None])
+    def test_max_iter_must_be_an_integer(self, rng, max_iter):
+        D, rhs = well_posed_problem(rng, 2)
+        with pytest.raises(InvalidParameterError, match="max_iter"):
+            infer_constrained(D, rhs, max_iter=max_iter)
+
+    def test_numpy_integer_max_iter_accepted(self, rng):
+        D, rhs = well_posed_problem(rng, 2)
+        _, report = infer_constrained(D, rhs, max_iter=np.int64(5))
+        assert report.stop_reason == "cap"
+        assert report.iterations == 5
 
 
 def cli_problem():
