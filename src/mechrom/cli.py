@@ -51,7 +51,12 @@ from .errors import (
     NotSeparableError,
     SingularOperatorError,
 )
-from .evaluate import relative_error, save_error_series
+from .evaluate import (
+    is_stable,
+    pencil_spectrum,
+    relative_error,
+    save_error_series,
+)
 from .model import (
     SecondOrderSystem,
     build_mass_spring_chain,
@@ -612,6 +617,11 @@ def stage_infer(cfg: ExperimentConfig, outdir, handoff) -> None:
     )
     print(f"infer: selected lambda = {FLOAT_FORMAT % lam} "
           f"(residual {report.residual:.3e})")
+    # Stability is reported only; the selection does not consider it.
+    operators = (rom.mass, rom.damping, rom.stiffness)
+    growth = float(pencil_spectrum(*operators).real.max())
+    print(f"infer: largest real part of the pencil spectrum {growth:+.3e}"
+          + ("" if is_stable(*operators) else " (unstable)"))
 
 
 # How the infer-constrained line names the solver's stop reason.

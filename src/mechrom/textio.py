@@ -6,11 +6,27 @@ one row per line, its fields separated by a comma (CSV) or whitespace
 (``.mtx``), every number at 17 significant digits. On reading, empty
 lines are skipped and every other line is a row. Callers name and check
 the header and what the numbers mean.
+
+Writing produces the bytes of ``"%.17g" % value`` for every field, from
+a numpy kernel rather than one ``%`` call per value. Each finite nonzero
+value is scaled by a power of ten held as a double-double, with Dekker's
+error-free product (Numer. Math. 18, 1971), to the 17-digit integer of
+its significand; digits then come from a table of all 4-digit groups,
+and the ``%g`` layouts (fixed notation for exponents -4 to 16, else
+``d.ddde+XX``, trailing zeros stripped) are assembled as a byte matrix
+with one precomputed mask per layout, as in the table-driven printing of
+Adams, *Ryu revisited* (OOPSLA 2019). A value goes to ``%`` itself when
+it is not finite, when its scaled fraction lies within 1e-9 of a half,
+or when it lies within about 1e-16 of a power of ten. The kernel takes
+about 4,096 fields at a time (a row wider than that alone), and writes a
+row's trailing run of ``+0.0`` as one literal.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -32,21 +48,258 @@ def write_table(path, header, rows, delimiter=",", labels=None) -> None:
     """Write ``header`` (lines joined by ``\\n``), then one line per row
     of the 2-D array ``rows``, every number at :data:`FLOAT_FORMAT`.
     ``labels``, one string per row, is appended to each row as its last
-    field."""
+    field. ``delimiter`` is one character.
+
+    The bytes are those of ``FLOAT_FORMAT % value`` field by field (see
+    the module notes for how they are made).
+    """
     rows = np.asarray(rows, dtype=float)
-    fmt = delimiter.join([FLOAT_FORMAT] * rows.shape[1])
-    # Each row is formatted from Python floats, which print as numpy's
-    # do, and written before the next is formatted: the block is never
-    # held as one string.
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(header + "\n")
-        if labels is None:
-            fmt += "\n"
-            fh.writelines(fmt % tuple(row.tolist()) for row in rows)
+    n_rows, width = rows.shape
+    if labels is not None:
+        labels = [str(label) for label in labels]
+        if len(labels) != n_rows:
+            raise ValueError(f"{len(labels)} labels for {n_rows} rows")
+    sep = delimiter.encode("ascii")
+    if len(sep) != 1:
+        raise ValueError(f"delimiter must be one character, got {delimiter!r}")
+    step = max(1, _CHUNK_FIELDS // max(width, 1))
+    with open(path, "wb") as fh:
+        fh.write((header + "\n").encode("ascii"))
+        for start in range(0, n_rows, step):
+            tails = None if labels is None else [
+                sep + label.encode("ascii")
+                for label in labels[start:start + step]]
+            fh.write(_row_text(rows[start:start + step], sep, tails))
+
+
+def _row_text(block, sep, tails):
+    """The text of the rows of ``block``; ``tails[i]``, if given, ends
+    row ``i`` before its line end."""
+    n_rows, width = block.shape
+    if width == 0:
+        return b"".join(tail + b"\n" for tail in tails or [b""] * n_rows)
+    # Each row's trailing run of +0.0 (all bits clear), which never
+    # takes in the first field.
+    formatted = block.view(np.uint64) != 0
+    formatted[:, 0] = True
+    run = np.argmax(formatted[:, ::-1], axis=1)
+    seps = np.full(block.shape, sep[0], dtype=np.uint8)
+    seps[np.arange(n_rows), width - 1 - run] = ord("\n")
+    if run.any():
+        kept = np.arange(width) < (width - run)[:, None]
+        text = _encode(block[kept], seps[kept])
+    else:
+        text = _encode(block.ravel(), seps.ravel())
+        if tails is None:
+            return text
+    # Each row's zero run and tail go in before its line end, which is
+    # the separator of its last formatted field.
+    line_ends = np.flatnonzero(np.frombuffer(text, dtype=np.uint8)
+                               == ord("\n")).tolist()
+    zero_run = (sep + b"0") * width
+    text = memoryview(text)
+    pieces = []
+    begin = 0
+    for row in range(n_rows) if tails else np.flatnonzero(run).tolist():
+        end = line_ends[row]
+        pieces += (text[begin:end], zero_run[:2 * run[row]],
+                   tails[row] if tails else b"")
+        begin = end
+    pieces.append(text[begin:])
+    return b"".join(pieces)
+
+
+# Fields formatted at once by one _encode call; a row wider than this is
+# one call.
+_CHUNK_FIELDS = 4096
+# Rows of the mask table per layout: 18 digit counts by 2 signs.
+_PER_LAYOUT = 36
+
+# Columns of a field in _encode's byte matrix (four 8-byte words): the
+# sign, the "0.000" of fixed notation below 1, the body (17 digits with a
+# decimal point after the first, or after the last integer digit in fixed
+# notation from 10), "e+ddd", the separator and two pad bytes.
+_PREFIX, _BODY, _SUFFIX, _SEP, _COLUMNS = 1, 6, 24, 29, 32
+# Range of the binary exponent b of a nonzero double, x = m * 2**b with
+# 0.5 <= m < 1.
+_B_MIN, _B_MAX = -1073, 1024
+# Veltkamp's splitting constant 2**27 + 1: c*x - (c*x - x) is the upper
+# 26 bits of the significand of x.
+_SPLIT = 134217729.0
+
+
+def _encode(x, seps):
+    """``FLOAT_FORMAT % v`` of every value of the 1-D array ``x``, each
+    followed by its separator byte from ``seps``, as ASCII bytes.
+
+    A finite nonzero ``|x| = m * 2**b`` is scaled to ``S = |x| *
+    10**(16 - e)``, which lies in ``[10**16, 10**17)`` when ``e`` is the
+    decimal exponent of ``x``: ``m`` times the double-double ``2**b *
+    10**(16 - e)`` by Dekker's exact product, correct to about 1e-14 in
+    ``S``. ``e`` is guessed per binade and checked on ``S`` itself, not
+    on its rounded value. The 17 significant digits are ``S`` rounded to
+    the nearest integer. A value goes to the ``%`` operator instead when
+    it is not finite, when the fraction of ``S`` is within 1e-9 of a
+    half, and when ``S`` does not lie in ``[10**16 + 1, 10**17 - 1/2)``:
+    a wrong guess, or a value within about 1e-16 of a power of ten.
+    """
+    t = _tables()
+    neg = np.signbit(x)
+    ax = np.abs(x)
+    regular = (ax > 0.0) & (ax < np.inf)
+    if not regular.all():
+        ax[~regular] = 1.0
+    m, b = np.frexp(ax)
+    b -= _B_MIN
+    # One table row per binade and guess of e; the guess is one higher
+    # from the m at which x reaches the next power of ten.
+    row = 2 * b + (m >= t.upper[b])
+    # S = m * (hi + lo) as p + r: p = fl(m * hi), r = the rounding error
+    # of p (exact, Dekker) plus m * lo.
+    hi, head, tail = t.scale_hi[row], t.scale_head[row], t.scale_tail[row]
+    c = _SPLIT * m
+    m_head = c - (c - m)
+    m_tail = m - m_head
+    p = m * hi
+    r = (((m_head * head - p) + m_head * tail + m_tail * head)
+         + m_tail * tail) + m * t.scale_lo[row]
+    whole = np.floor(r)
+    r -= whole
+    # floor(S); p is an integer here, as every double >= 2**53 is.
+    S = p.astype(np.int64) + whole.astype(np.int64)
+    digits = S + (r > 0.5)
+    bad = ~((S > 10**16) & (digits < 10**17) & (np.abs(r - 0.5) > 1e-9)
+            & regular)
+    # Zeros and the values left to ``%`` take the layout of 0 (row of 1).
+    if bad.any():
+        digits[bad] = 0
+        row[bad] = 2 * (1 - _B_MIN)
+    # The leading digit, then four groups of four.
+    high = digits // 10**8
+    groups = np.empty((x.size, 4), dtype=np.int64)
+    groups[:, 3] = digits - high * 10**8
+    lead = high // 10**8
+    groups[:, 1] = high - lead * 10**8
+    groups[:, 0] = groups[:, 1] // 10**4
+    groups[:, 1] -= groups[:, 0] * 10**4
+    groups[:, 2] = groups[:, 3] // 10**4
+    groups[:, 3] -= groups[:, 2] * 10**4
+    # Significant digits shown: 17 less the trailing zeros of the digits.
+    kept = 17 - t.trailing[groups[:, 3]]
+    for k in (2, 1, 0):
+        short = np.flatnonzero(kept == 5 + 4 * k)
+        if short.size == 0:
+            break
+        kept[short] -= t.trailing[groups[short, k]]
+    out = np.empty((x.size, _COLUMNS), dtype=np.uint8)
+    words = out.view(np.uint64)
+    words[:, 0] = t.head
+    out.view(np.uint16)[:, _BODY // 2] = t.lead[lead]
+    out.view(np.uint32)[:, 2:6] = t.quad[groups]
+    words[:, 3] = t.suffix[row]
+    out[:, _SEP] = seps
+    layout = t.layout[row]
+    # From 10 up to the end of fixed notation the point follows digit e:
+    # digits 1 to e move left over it.
+    integral = np.flatnonzero((layout > 4 * _PER_LAYOUT)
+                              & (layout <= 20 * _PER_LAYOUT))
+    if integral.size:
+        point = layout[integral] // _PER_LAYOUT - 4
+        for k in np.flatnonzero(np.bincount(point)).tolist():
+            rows = integral[point == k]
+            out[rows, _BODY + 1:_BODY + 1 + k] = out[rows, _BODY + 2:_BODY + 2 + k]
+            out[rows, _BODY + 1 + k] = ord(".")
+    # Clear the bytes a field does not show; they are dropped below.
+    words &= np.take(t.mask, layout + 2 * kept + neg, axis=0)
+    if bad.any():
+        for i in np.flatnonzero(bad & (x != 0.0)).tolist():
+            text = (FLOAT_FORMAT % x[i]).encode("ascii")
+            out[i, :_SEP] = 0
+            out[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return out.tobytes().translate(None, b"\0")
+
+
+@functools.cache
+def _tables():
+    """The constant tables of :func:`_encode`, built on first use."""
+    # Per binade b and guess e in {E, E + 1}, E the decimal exponent of
+    # 2**(b - 1), one row: the double-double 2**b * 10**(16 - e) (its
+    # head split in two), and the layout and exponent text of e.
+    b = np.repeat(np.arange(_B_MIN, _B_MAX + 1), 2)
+    e = np.floor((b - 1) * np.log10(2.0)).astype(np.int64) + [0, 1] * (b.size // 2)
+    # 10**k ~ M * 2**q for k = 16 - e, M a 128-bit integer (exact for
+    # k >= 0 up to the cut at 2**-127).
+    mant, mant_lo, power = [], [], []
+    for k in range(16 - e.max(), 17 - e.min()):
+        if k >= 0:
+            q = (10**k).bit_length() - 128
+            M = 10**k >> q if q >= 0 else 10**k << -q
         else:
-            fmt += delimiter + "%s\n"
-            fh.writelines(fmt % (*row.tolist(), label)
-                          for row, label in zip(rows, labels, strict=True))
+            q = -127 - (10**-k).bit_length()
+            M = (1 << -q) // 10**-k
+        mant.append(float(M))
+        mant_lo.append(float(M - int(float(M))))
+        power.append(q)
+    k = e.max() - e
+    q = (np.asarray(power)[k] + b).astype(np.int32)
+    scale_hi = np.ldexp(np.asarray(mant)[k], q)
+    c = _SPLIT * scale_hi
+    scale_head = c - (c - scale_hi)
+    mag = np.abs(e)
+    suffix = np.zeros((e.size, 8), dtype=np.int64)
+    suffix[:, 0] = ord("e")
+    suffix[:, 1] = np.where(e < 0, ord("-"), ord("+"))
+    suffix[:, 2:5] = np.stack([mag // 100, mag // 10 % 10, mag % 10], 1) + ord("0")
+    # Layouts 0 to 20: fixed notation for e = -4..16; 21 and 22: the
+    # exponent form with two and with three exponent digits.
+    layout = np.where((e >= -4) & (e <= 16), e + 4, np.where(mag < 100, 21, 22))
+
+    # Which columns each layout shows, by (layout, digits kept, sign),
+    # as 0xff (shown) and 0 bytes.
+    E = np.append(np.arange(-4, 18), 100)[:, None, None, None]
+    fixed = E <= 16
+    kept = np.arange(18)[None, :, None, None]
+    sign = np.arange(2)[None, None, :, None]
+    col = np.arange(_COLUMNS)[None, None, None, :]
+    c = col - _BODY
+    # Fixed notation from 10 shows every integer digit, then the point
+    # and the other digits kept; otherwise the body is d.ddd.
+    run = np.where(kept > E + 1, kept + 1, E + 1)
+    body = np.where(fixed & (E >= 1), c < run,
+                    (c == 0) | ((c == 1) & ~(fixed & (E < 0)) & (kept > 1))
+                    | ((c >= 2) & (c - 1 < kept)))
+    mask = (
+        ((col == 0) & (sign == 1))
+        | ((col >= _PREFIX) & (col < _BODY) & fixed & (E < 0)
+           & (col - _PREFIX < 1 - E))
+        | ((col >= _BODY) & (col < _SUFFIX) & body)
+        | ((col >= _SUFFIX) & (col < _SEP) & ~fixed
+           & ((col != _SUFFIX + 2) | (E >= 100)))
+        | (col == _SEP)
+    )
+
+    def words(chars, dtype):
+        """Each row of the byte codes ``chars`` as one ``dtype`` word."""
+        return np.ascontiguousarray(chars, dtype=np.uint8).view(dtype)[:, 0]
+
+    v = np.arange(10**4)
+    lead = np.full((10, 2), ord("."))
+    lead[:, 0] = np.arange(10) + ord("0")
+    return SimpleNamespace(
+        upper=1e17 / scale_hi[0::2],
+        scale_hi=scale_hi,
+        scale_lo=np.ldexp(np.asarray(mant_lo)[k], q),
+        scale_head=scale_head,
+        scale_tail=scale_hi - scale_head,
+        layout=_PER_LAYOUT * layout,
+        suffix=words(suffix, np.uint64),
+        head=words([list(b"-0.000\0\0")], np.uint64)[0],
+        lead=words(lead, np.uint16),
+        quad=words(np.stack([v // 1000, v // 100 % 10, v // 10 % 10, v % 10],
+                            axis=1) + ord("0"), np.uint32),
+        trailing=sum((v % 10**i == 0).astype(np.int64) for i in range(1, 5)),
+        mask=(255 * mask.reshape(-1, _COLUMNS)).astype(np.uint8).view(np.uint64),
+    )
 
 
 def read_header(path) -> str | None:

@@ -16,6 +16,7 @@ from mechrom.cli import (
     load_config,
     main,
 )
+from mechrom.evaluate import is_stable, pencil_spectrum
 from mechrom.model import build_mass_spring_chain, load_matrix, save_matrix
 from mechrom.newmark import IntegratorConfig, simulate
 from mechrom.opinf import infer
@@ -601,6 +602,29 @@ class TestPipeline:
         assert "infer-constrained: objective " in stdout
         for method in ("pod", "opinf", "copinf"):
             assert f"evaluate: {method} max relative error " in stdout
+
+    @pytest.mark.parametrize("lam, unstable", [("0", False), ("1e-6", True)])
+    def test_infer_reports_pencil_stability(self, tmp_path, capsys, lam,
+                                            unstable):
+        # On the tiny chain at rank 2, lambda = 0 gives a stable opinf
+        # model (largest real part about -0.045) and lambda = 1e-6 an
+        # unstable one (about +0.70).
+        cfg = config_file(tmp_path)
+        out = tmp_path / "artifacts"
+        assert main(["run", "--config", cfg, "--out", str(out),
+                     "--method", "opinf", "--lambda", lam]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("infer: largest real part")]
+        damping = load_matrix(out / "opinf" / "damping.mtx")
+        stiffness = load_matrix(out / "opinf" / "stiffness.mtx")
+        eye = np.eye(damping.shape[0])
+        growth = pencil_spectrum(eye, damping, stiffness).real.max()
+        assert is_stable(eye, damping, stiffness) is not unstable
+        assert lines == [
+            f"infer: largest real part of the pencil spectrum {growth:+.3e}"
+            + (" (unstable)" if unstable else "")
+        ]
+        assert (growth > 0) == unstable
 
     @pytest.mark.parametrize("max_iter, ending", [
         (None, "iterations (objective stalled)"),

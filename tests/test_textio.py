@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from mechrom.evaluate import ErrorSeries, save_error_series
+from mechrom.model import save_matrix
 from mechrom.snapshots import write_matrix_csv
-from mechrom.textio import write_table
+from mechrom.textio import _CHUNK_FIELDS, write_table
 
 # Values whose text form is easy to get wrong.
 SPECIAL = [-0.0, 5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan]
@@ -20,12 +21,12 @@ def values(rng, shape):
     return A
 
 
-def write_by_loop(path, header, rows):
+def write_by_loop(path, header, rows, delimiter=","):
     """Reference writer: one ``%.17g`` field per value, row by row."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+            fh.write(delimiter.join("%.17g" % v for v in row) + "\n")
 
 
 def read(path):
@@ -99,3 +100,119 @@ def test_error_series_bytes_match_the_value_loop(rng, tmp_path, split):
             fh.write(f"{'%.17g' % t},{'%.17g' % e},"
                      f"{'train' if train else 'test'}\n")
     assert read(tmp_path / "errors.csv") == read(tmp_path / "ref.csv")
+
+
+def assert_matches_the_value_loop(tmp_path, values, width=8):
+    """``write_table`` of ``values``, in rows of ``width`` (the last one
+    shorter rows padded with ones), gives the reference loop's bytes."""
+    values = np.asarray(values, dtype=float).ravel()
+    rows = np.ones(-(-values.size // width) * width)
+    rows[:values.size] = values
+    rows = rows.reshape(-1, width)
+    write_table(tmp_path / "table.csv", "v", rows)
+    write_by_loop(tmp_path / "ref.csv", "v", rows)
+    assert read(tmp_path / "table.csv") == read(tmp_path / "ref.csv")
+
+
+def with_neighbours(x):
+    """``x``, the next double below and above each, and their negatives."""
+    x = np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)])
+    return np.concatenate([x, -x])
+
+
+class TestExactDigits:
+    """The writer's digits and exponent against ``%.17g`` on the values
+    where a digit kernel goes wrong: decade and binade edges, integers,
+    ties and the extremes of the format."""
+
+    def test_powers_of_ten(self, tmp_path):
+        # the double nearest 10**k for every k a double reaches; the one
+        # below 1e-12 prints as 9.9999999999999998e-13, not 1e-12
+        assert_matches_the_value_loop(tmp_path, with_neighbours(
+            np.array([float(f"1e{k}") for k in range(-323, 309)])))
+
+    def test_powers_of_two(self, tmp_path):
+        assert_matches_the_value_loop(tmp_path, with_neighbours(
+            np.ldexp(1.0, np.arange(-1074, 1024))))
+
+    def test_integers(self, rng, tmp_path):
+        # index and iteration columns, and integers past 2**53
+        assert_matches_the_value_loop(tmp_path, np.concatenate([
+            np.arange(300_001.0),
+            rng.integers(2**52, 2**60, 100_000).astype(float),
+        ]))
+
+    def test_special_values(self, tmp_path):
+        subnormal = np.ldexp(1.0, np.arange(-1074, -1022))
+        assert_matches_the_value_loop(tmp_path, np.concatenate([
+            [0.0, -0.0, np.inf, -np.inf, np.nan, np.finfo(float).max,
+             np.finfo(float).tiny, 2.0**-25, 0.5, 1e16, 1e17],
+            with_neighbours(subnormal),
+            with_neighbours(subnormal * 3.0),
+        ]))
+
+    def test_random_bit_patterns(self, rng, tmp_path):
+        bits = rng.integers(0, 2**64, 1_000_000, dtype=np.uint64)
+        assert_matches_the_value_loop(tmp_path, bits.view(np.float64),
+                                      width=1000)
+
+
+class TestLayout:
+    """Chunk edges, zero runs, labels and delimiters against the
+    reference loop."""
+
+    @pytest.mark.parametrize("shape", [
+        (_CHUNK_FIELDS // 41 + 1, 41),
+        (1, _CHUNK_FIELDS + 1),
+        (3, _CHUNK_FIELDS + 1),
+    ], ids=["row-past-chunk", "row-wider-than-chunk", "rows-wider-than-chunk"])
+    def test_chunk_edges(self, rng, tmp_path, shape):
+        rows = values(rng, shape)
+        write_table(tmp_path / "table.csv", "h", rows)
+        write_by_loop(tmp_path / "ref.csv", "h", rows)
+        assert read(tmp_path / "table.csv") == read(tmp_path / "ref.csv")
+
+    def test_zero_runs(self, rng, tmp_path):
+        rows = rng.standard_normal((12, 9))
+        rows[0] = 0.0                # an all-zero row
+        rows[1, 3:] = 0.0            # a trailing run
+        rows[2, 3:] = 0.0
+        rows[2, 6] = -0.0            # a -0 inside the run ends it
+        rows[3, -1] = -0.0           # a trailing -0 alone
+        rows[4, 1:-1] = 0.0          # zeros that do not trail
+        rows[5, 0] = -0.0
+        rows[5, 1:] = 0.0
+        rows[6, 0] = 0.0             # zeros from the first field on
+        rows[6, 1:] = 0.0
+        rows[6, 4] = np.nan
+        write_table(tmp_path / "table.csv", "h", rows)
+        write_by_loop(tmp_path / "ref.csv", "h", rows)
+        text = read(tmp_path / "table.csv")
+        assert text == read(tmp_path / "ref.csv")
+        assert text.splitlines()[3].split(b",")[6:] == [b"-0", b"0", b"0"]
+
+    def test_labelled_rows(self, rng, tmp_path):
+        times = np.linspace(0.0, 1.0, 2 * _CHUNK_FIELDS + 3)
+        eps = values(rng, times.size)
+        eps[::7] = 0.0
+        eps[1::11] = -0.0
+        save_error_series(ErrorSeries(times, eps, 1.0, 0.5),
+                          tmp_path / "errors.csv")
+        with open(tmp_path / "ref.csv", "w", encoding="ascii",
+                  newline="\n") as fh:
+            fh.write("t,eps,phase\n")
+            for t, e in zip(times, eps):
+                phase = "train" if t <= 0.5 + 1e-9 else "test"
+                fh.write(f"{'%.17g' % t},{'%.17g' % e},{phase}\n")
+        assert read(tmp_path / "errors.csv") == read(tmp_path / "ref.csv")
+
+    def test_matrix_file_uses_the_space_delimiter(self, rng, tmp_path):
+        A = rng.standard_normal((40, 40)) * 10.0 ** rng.integers(-300, 300,
+                                                                 (40, 40))
+        A[rng.uniform(size=A.shape) < 0.3] = 0.0
+        save_matrix(tmp_path / "A.mtx", A)
+        i, j = np.nonzero(A)
+        head = read(tmp_path / "A.mtx").split(b"\n", 2)[:2]
+        write_by_loop(tmp_path / "ref.mtx", b"\n".join(head).decode(),
+                      np.column_stack([i + 1, j + 1, A[i, j]]), delimiter=" ")
+        assert read(tmp_path / "A.mtx") == read(tmp_path / "ref.mtx")
