@@ -103,8 +103,8 @@ def test_error_series_bytes_match_the_value_loop(rng, tmp_path, split):
 
 
 def assert_matches_the_value_loop(tmp_path, values, width=8):
-    """``write_table`` of ``values``, in rows of ``width`` (the last one
-    shorter rows padded with ones), gives the reference loop's bytes."""
+    """``write_table`` of ``values``, in rows of ``width`` (the last row
+    padded with ones), gives the reference loop's bytes."""
     values = np.asarray(values, dtype=float).ravel()
     rows = np.ones(-(-values.size // width) * width)
     rows[:values.size] = values
