@@ -19,6 +19,9 @@ __all__ = [
     "save_error_series",
 ]
 
+# Largest real part of a pencil eigenvalue that still counts as stable.
+_STABILITY_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class ErrorSeries:
@@ -124,7 +127,7 @@ def pencil_spectrum(mass, damping, stiffness) -> np.ndarray:
     return scale * w
 
 
-def is_stable(mass, damping, stiffness, tol: float = 1e-10) -> bool:
+def is_stable(mass, damping, stiffness, tol: float = _STABILITY_TOL) -> bool:
     """True when every pencil eigenvalue has real part <= tol."""
     return bool(np.all(pencil_spectrum(mass, damping, stiffness).real <= tol))
 

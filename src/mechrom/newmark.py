@@ -43,6 +43,16 @@ __all__ = [
 # above it the factorized solve is cheaper per step (timings in README.md).
 _TRANSITION_MAX_N = 128
 
+# Largest model dimension whose transition replay is one banded triangular
+# solve per window of steps; above it one matrix-vector product per step
+# is cheaper, since the band carries twice the useful products (timings
+# in README.md).
+_BANDED_MAX_N = 16
+
+# Band columns per window of the banded replay, rounded down to whole
+# states: the band of a window stays in cache (timings in README.md).
+_BANDED_WINDOW_COLUMNS = 1024
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -225,12 +235,53 @@ def _transition(model, solve, config: IntegratorConfig):
     return np.vstack(_advance(model, solve, *rows, config))
 
 
+def _integrate_banded(A, states):
+    """Fill rows 1, 2, ... of ``states``, which hold ``g`` on entry, by
+    solving ``s_k - A s_{k-1} = g_k`` as one unit lower-triangular banded
+    system: the states are consecutive in a C-ordered buffer, and the
+    column of entry j of a state holds ``-A[:, j]`` at band rows ``w - j``
+    to ``2w - 1 - j`` (w = 3n), so the bandwidth is 2w - 1.
+
+    The solve adds each row's products to ``g`` one at a time, in the
+    order of the state's entries, and rounds at every add. So it runs on
+    copies of the states and of ``A`` ordered (a, v, x): the
+    displacements, the largest terms of the displacement and
+    acceleration rows, are added last, and the replay is as accurate as
+    the per-step product (README.md).
+
+    The band is periodic in the state, so one band of a window of states
+    serves every window. Each window starts at the last state solved,
+    whose rows of the band are the identity, so it is solved again to
+    itself and no product couples the windows.
+    """
+    w = A.shape[0]
+    n = w // 3
+    steps = max(1, _BANDED_WINDOW_COLUMNS // w - 1)
+    band = np.zeros((2 * w, (steps + 1) * w), order="F")
+    i, j = np.indices((w, w))
+    order = np.r_[2 * n:w, n:2 * n, :n]
+    band.reshape(2 * w, w, steps + 1, order="F")[w + i - j, j] = \
+        -A[np.ix_(order, order)][..., None]
+    reordered = states.take(order, axis=1)
+    flat = reordered.reshape(-1)
+    last = states.shape[0] - 1
+    for start in range(0, last, steps):
+        columns = (min(steps, last - start) + 1) * w
+        la.blas.dtbsv(2 * w - 1, band[:, :columns], flat, offx=start * w,
+                      lower=1, diag=1, overwrite_x=1)
+    states[:, order] = reordered
+
+
 def _integrate_transition(T, states, forces):
     """Fill rows 1, 2, ... of ``states`` from row 0 by ``s_{k+1} = A s_k
-    + g_{k+1}``, with ``A`` and the two force maps read off ``T``."""
+    + g_{k+1}``, with ``A`` and the two force maps read off ``T``: by
+    banded solves up to ``_BANDED_MAX_N``, one product per step above."""
     n = forces.shape[0]
     G_next, G_curr = T[:, 3 * n:4 * n], T[:, 4 * n:]
     states[1:] = forces[:, 1:].T @ G_next.T + forces[:, :-1].T @ G_curr.T
+    if n <= _BANDED_MAX_N:
+        _integrate_banded(T[:, :3 * n], states)
+        return
     # A contiguous copy of A, since ``np.dot`` copies a strided operand
     # at every call. The copy keeps the order of T (C for small n, F
     # where the solve returns F), so that BLAS runs the kernel of
@@ -265,12 +316,14 @@ def simulate(model, sampler, x0, v0, config: IntegratorConfig,
 
     Models of dimension up to ``_TRANSITION_MAX_N`` advance by the
     precomputed transition ``s_{k+1} = A s_k + g_{k+1}`` on
-    ``s = (x, v, a)``, one small matrix-vector product per step; larger
-    models, and any model whose transition is not finite, solve with the
-    factorized effective matrix at every step. The operators' storage
-    picks the factorization: a model with sparse operators (a full
-    model) is factored once with SuperLU and stepped with sparse
-    products, a dense one (a reduced model) with dense LU.
+    ``s = (x, v, a)``: up to ``_BANDED_MAX_N`` by banded triangular
+    solves over windows of steps, above it by one small matrix-vector
+    product per step. Larger models, and any model whose transition is
+    not finite, solve with the factorized effective matrix at every
+    step. The operators' storage picks the factorization: a model with
+    sparse operators (a full model) is factored once with SuperLU and
+    stepped with sparse products, a dense one (a reduced model) with
+    dense LU.
 
     Parameters
     ----------

@@ -186,13 +186,13 @@ def _replay_error(rom: SecondOrderSystem, validation: TrajectoryData,
     the finite range."""
     times = validation.times
     dt = validation.dt
-    U = validation.input
     t0 = float(times[0])
-    last = U.shape[1] - 1
+    # ``simulate`` samples once per instant t0, t0 + dt, ..., in order: the
+    # sampler hands out the input columns one after the other.
+    columns = iter(np.ascontiguousarray(validation.input.T))
 
     def sampler(t):
-        idx = int(round((t - t0) / dt))
-        return U[:, min(max(idx, 0), last)]
+        return next(columns)
 
     config = IntegratorConfig(dt=dt, t_end=float(times[-1] - times[0]))
     if scheme is not None:

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line pipeline driver."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from mechrom import __version__, cli
+from mechrom import __version__, cli, newmark
 from mechrom.cli import (
     _KNOWN_KEYS,
     DEFAULT_LAMBDA_GRID,
@@ -1117,6 +1118,33 @@ class TestStageFailures:
         # every method still writes its error series
         for method in ("opinf", "pod"):
             assert os.path.exists(out / f"errors_{method}.csv")
+
+    def test_run_stops_on_a_diverging_opinf_model(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # The same growing pair as above, now as the model that `run`
+        # fits: its rank-2 replay goes through the banded solve, whose
+        # overflow ends the run as a numerical error.
+        fit = cli.infer
+
+        def diverging_fit(D, rhs, lam):
+            rom, report = fit(D, rhs, lam)
+            return dataclasses.replace(rom, stiffness=-1e8 * np.eye(rom.n)), \
+                report
+
+        monkeypatch.setattr(cli, "infer", diverging_fit)
+        cfg = config_file(tmp_path, {
+            "integrator": {"dt": "1e-4"},
+            "training": {"t_end": "0.001"},
+            "testing": {"t_end": "0.1"},
+        })
+        out = tmp_path / "artifacts"
+        assert newmark._BANDED_MAX_N >= 2
+        code = main(["run", "--config", cfg, "--out", str(out),
+                     "--method", "opinf,pod"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error in stage 'evaluate'" in err
+        assert "opinf" in err and "pod" not in err
 
     @pytest.mark.parametrize("x0, damping, stiffness, input_scale", [
         # Operators near the largest double overflow the transition; the

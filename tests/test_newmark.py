@@ -21,7 +21,7 @@ from mechrom.errors import (
     SingularOperatorError,
 )
 
-from ._helpers import random_spd
+from ._helpers import banded_calls, random_spd
 
 
 def scalar_system(m, e, k, b=1.0):
@@ -338,7 +338,9 @@ def forbid(monkeypatch, name):
 
 @pytest.mark.parametrize("drive", ["input", "force"])
 @pytest.mark.parametrize("alpha", [0.0, -0.1])
-@pytest.mark.parametrize("n", [1, 4, 26, newmark._TRANSITION_MAX_N + 1])
+@pytest.mark.parametrize("n", [1, 4, newmark._BANDED_MAX_N,
+                               newmark._BANDED_MAX_N + 1, 26,
+                               newmark._TRANSITION_MAX_N + 1])
 def test_simulate_matches_step_loop(rng, monkeypatch, n, alpha, drive):
     sys_ = random_stable_system(rng, n)
     cfg = IntegratorConfig(dt=0.01, t_end=0.6, alpha=alpha)
@@ -351,12 +353,15 @@ def test_simulate_matches_step_loop(rng, monkeypatch, n, alpha, drive):
         sampler = lambda t: np.sin(4.0 * t + phase)
     x0 = rng.standard_normal(n)
     v0 = rng.standard_normal(n)
-    # Small models take the transition, large ones the factorized solve.
+    # Small models take the transition, by banded solves up to
+    # _BANDED_MAX_N; large ones take the factorized solve.
     if n <= newmark._TRANSITION_MAX_N:
         forbid(monkeypatch, "_integrate_factorized")
     else:
         forbid(monkeypatch, "_transition")
+    calls = banded_calls(monkeypatch)
     data = simulate(sys_, sampler, x0, v0, cfg, t0=t0)
+    assert calls == ([60] if n <= newmark._BANDED_MAX_N else [])
     expected = step_loop(sys_, sampler, x0, v0, cfg, t0)
     for got, ref in zip(
         (data.displacement, data.velocity, data.acceleration), expected
@@ -366,11 +371,10 @@ def test_simulate_matches_step_loop(rng, monkeypatch, n, alpha, drive):
     assert data.times == pytest.approx(t0 + 0.01 * np.arange(1, 61), rel=1e-15)
 
 
-def reference_transition_replay(sys_, sampler, x0, v0, cfg, t0):
-    """The transition replay with numpy-scalar instants, each sample read
-    through ``asarray(...).ravel()`` and every step ``A @ s`` on the
-    strided slice of the transition: the plain form of the loops that
-    ``simulate`` runs with less interpreter work."""
+def reference_transition_replay(sys_, sampler, x0, v0, cfg, t0, advance):
+    """The transition replay with numpy-scalar instants and each sample
+    read through ``asarray(...).ravel()``; ``advance(A, states)`` fills
+    rows 1, 2, ... of the state buffer, which hold ``g`` on entry."""
     n, m = sys_.n, sys_.m
     times = t0 + cfg.dt * np.arange(1, cfg.num_steps + 1)
     samples = np.empty((times.size + 1, m))
@@ -383,32 +387,136 @@ def reference_transition_replay(sys_, sampler, x0, v0, cfg, t0):
     T = newmark._transition(sys_, newmark._effective_solve(sys_, cfg), cfg)
     A, G_next, G_curr = T[:, :3 * n], T[:, 3 * n:4 * n], T[:, 4 * n:]
     states[1:] = forces[:, 1:].T @ G_next.T + forces[:, :-1].T @ G_curr.T
-    for k in range(times.size):
-        states[k + 1] += A @ states[k]
+    advance(A, states)
     return times, samples, states
 
 
-@pytest.mark.parametrize("alpha", [0.0, -0.1])
-@pytest.mark.parametrize("n", [1, 4, 26, newmark._TRANSITION_MAX_N])
-def test_transition_replay_is_bit_equal_to_the_reference_loops(
-        rng, monkeypatch, n, alpha):
-    sys_ = random_stable_system(rng, n)
-    cfg = IntegratorConfig(dt=0.01, t_end=0.6, alpha=alpha)
-    t0 = 0.37
-    # The sampler computes with its instant, so numpy-scalar and Python
-    # float instants must give the same doubles.
-    sampler = lambda t: np.array([np.sin(3.0 * t), np.cos(5.0 * t) * t])
-    x0 = rng.standard_normal(n)
-    v0 = rng.standard_normal(n)
-    forbid(monkeypatch, "_integrate_factorized")
-    data = simulate(sys_, sampler, x0, v0, cfg, t0=t0)
-    times, samples, states = reference_transition_replay(
-        sys_, sampler, x0, v0, cfg, t0)
+def step_by_step(A, states):
+    """Every step ``A @ s`` on the strided slice of the transition: the
+    plain form of the loop that ``simulate`` runs with less interpreter
+    work above ``_BANDED_MAX_N``."""
+    for k in range(states.shape[0] - 1):
+        states[k + 1] += A @ states[k]
+
+
+def one_banded_solve(A, states):
+    """The whole horizon as one ``dtbsv`` call on the band of every
+    state at once, each state ordered (a, v, x) as the banded replay
+    orders it: the windowed solve differs from it only by the products of
+    zero band entries, which add ±0 to finite values."""
+    n = A.shape[0] // 3
+    order = np.r_[2 * n:3 * n, n:2 * n, :n]
+    A = A[order][:, order]
+    w = 3 * n
+    band = np.zeros((2 * w, states.size), order="F")
+    for j in range(w):
+        band[w - j:2 * w - j, j::w] = -A[:, [j]]
+    x = la.blas.dtbsv(2 * w - 1, band, states[:, order].ravel(), lower=1,
+                      diag=1)
+    states[:, order] = x.reshape(states.shape)
+
+
+def assert_replay_bits(data, reference, n):
+    times, samples, states = reference
     assert np.array_equal(data.times, times)
     assert np.array_equal(data.input, samples[1:].T)
     for block, got in enumerate(
             (data.displacement, data.velocity, data.acceleration)):
         assert np.array_equal(got, states[1:, block * n:(block + 1) * n].T)
+
+
+# The sampler computes with its instant, so numpy-scalar and Python float
+# instants must give the same doubles.
+def bit_test_sampler(t):
+    return np.array([np.sin(3.0 * t), np.cos(5.0 * t) * t])
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.1])
+@pytest.mark.parametrize("n", [newmark._BANDED_MAX_N + 1, 26,
+                               newmark._TRANSITION_MAX_N])
+def test_transition_replay_is_bit_equal_to_the_reference_loops(
+        rng, monkeypatch, n, alpha):
+    sys_ = random_stable_system(rng, n)
+    cfg = IntegratorConfig(dt=0.01, t_end=0.6, alpha=alpha)
+    t0 = 0.37
+    x0 = rng.standard_normal(n)
+    v0 = rng.standard_normal(n)
+    forbid(monkeypatch, "_integrate_factorized")
+    forbid(monkeypatch, "_integrate_banded")
+    data = simulate(sys_, bit_test_sampler, x0, v0, cfg, t0=t0)
+    assert_replay_bits(data, reference_transition_replay(
+        sys_, bit_test_sampler, x0, v0, cfg, t0, step_by_step), n)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.1])
+@pytest.mark.parametrize("n", [1, 4, newmark._BANDED_MAX_N])
+def test_banded_replay_is_bit_equal_to_one_full_solve(rng, monkeypatch, n,
+                                                      alpha):
+    sys_ = random_stable_system(rng, n)
+    cfg = IntegratorConfig(dt=0.01, t_end=0.6, alpha=alpha)
+    t0 = 0.37
+    x0 = rng.standard_normal(n)
+    v0 = rng.standard_normal(n)
+    forbid(monkeypatch, "_integrate_factorized")
+    calls = banded_calls(monkeypatch)
+    data = simulate(sys_, bit_test_sampler, x0, v0, cfg, t0=t0)
+    assert calls == [60]
+    reference = reference_transition_replay(
+        sys_, bit_test_sampler, x0, v0, cfg, t0, one_banded_solve)
+    assert_replay_bits(data, reference, n)
+    # The banded solve is another order of the same sums as the loop.
+    loop = reference_transition_replay(
+        sys_, bit_test_sampler, x0, v0, cfg, t0, step_by_step)[2]
+    assert np.max(np.abs(reference[2] - loop)) <= 1e-13 * np.max(np.abs(loop))
+
+
+def window_steps(n):
+    return max(1, newmark._BANDED_WINDOW_COLUMNS // (3 * n) - 1)
+
+
+@pytest.mark.parametrize("n", [2, newmark._BANDED_MAX_N])
+@pytest.mark.parametrize("steps", [
+    pytest.param(lambda w: 1, id="one-step"),
+    pytest.param(lambda w: w - 1, id="inside-one-window"),
+    pytest.param(lambda w: w, id="one-window"),
+    pytest.param(lambda w: 3 * w, id="three-windows"),
+    pytest.param(lambda w: 2 * w + 5, id="two-windows-and-five"),
+])
+def test_banded_windows_are_bit_equal_to_one_full_solve(rng, monkeypatch, n,
+                                                        steps):
+    # Each window starts at the last state of the one before it; the
+    # horizon ends inside, or at the end of, a window.
+    N = steps(window_steps(n))
+    sys_ = random_stable_system(rng, n)
+    cfg = IntegratorConfig(dt=0.01, t_end=N * 0.01)
+    assert cfg.num_steps == N
+    x0 = rng.standard_normal(n)
+    calls = banded_calls(monkeypatch)
+    data = simulate(sys_, bit_test_sampler, x0, None, cfg)
+    assert calls == [N]
+    assert_replay_bits(data, reference_transition_replay(
+        sys_, bit_test_sampler, x0, np.zeros(n), cfg, 0.0, one_banded_solve), n)
+
+
+def test_diverging_banded_replay_leaves_the_finite_range(monkeypatch):
+    # q'' = 1e8 q at dt = 1e-4: the average-acceleration step multiplies
+    # the growing mode by 3, so 1,000 steps overflow; products of the
+    # band's zeros with inf then give NaN.
+    sys_ = SecondOrderSystem(np.eye(2), np.zeros((2, 2)), -1e8 * np.eye(2),
+                             np.ones((2, 1)))
+    cfg = IntegratorConfig(dt=1e-4, t_end=0.1)
+    T = newmark._transition(sys_, newmark._effective_solve(sys_, cfg), cfg)
+    assert np.max(np.abs(np.linalg.eigvals(T[:, :6]))) == pytest.approx(3.0)
+    calls = banded_calls(monkeypatch)
+    x0 = np.array([1e-3, 0.0])
+    data = simulate(sys_, zero_sampler, x0, None, cfg)
+    assert calls == [1000]
+    assert not np.all(np.isfinite(data.displacement))
+    expected = step_loop(sys_, zero_sampler, x0, np.zeros(2),
+                         dataclasses.replace(cfg, t_end=5e-3), 0.0)[0]
+    assert expected.shape == (2, 50)
+    got = data.displacement[:, :50]
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_sampler_may_refill_one_buffer(rng):

@@ -29,7 +29,7 @@ from mechrom.opinf import (
 from mechrom.pod import PodBasis
 from mechrom.snapshots import assemble_opinf_data, project
 
-from tests._helpers import random_spd
+from tests._helpers import banded_calls, random_spd
 
 
 def synthesize(rng, E_M, K_M, B_M, N):
@@ -156,6 +156,25 @@ def scalar_validation_data(damping=0.4, stiffness=4.0, t_end=2.0, x0=0.5):
     return project(data, identity_basis(1))
 
 
+def seeded_validation_data():
+    """Projected replay of a seeded three-mass chain with two inputs,
+    600 steps from a nonzero state."""
+    rng = np.random.default_rng(7)
+    system = SecondOrderSystem(
+        mass=random_spd(rng, 3), damping=0.1 * random_spd(rng, 3, eigmin=0.0),
+        stiffness=20.0 * random_spd(rng, 3), input_map=rng.standard_normal((3, 2)),
+    )
+    data = simulate(
+        system,
+        lambda t: np.array([np.sin(3.0 * t), np.cos(7.0 * t)]),
+        rng.standard_normal(3),
+        rng.standard_normal(3),
+        IntegratorConfig(dt=0.005, t_end=3.0),
+        t0=0.25,
+    )
+    return project(data, identity_basis(3))
+
+
 class TestSelectLambda:
     def test_single_zero_grid(self):
         rdata = scalar_validation_data()
@@ -235,6 +254,45 @@ class TestSelectLambda:
             assert config.dt == rdata.dt
             assert config.num_steps == rdata.num_snapshots - 1
 
+    def test_replays_read_the_validation_input_in_order(self, monkeypatch):
+        rdata = seeded_validation_data()
+        D, rhs = assemble_opinf_data(rdata)
+        replays = []
+
+        def recording_simulate(*args, **kwargs):
+            replays.append(simulate(*args, **kwargs))
+            return replays[-1]
+
+        monkeypatch.setattr(opinf, "simulate", recording_simulate)
+        select_lambda(D, rhs, [0.0, 1e-6, 1e-2], rdata)
+        assert len(replays) == 3
+        for replay in replays:
+            assert np.array_equal(replay.input, rdata.input[:, 1:])
+
+    def test_table_matches_index_rounding_sampler(self):
+        # The sweep's sampler once rounded each instant to a column index;
+        # handing out the columns in order must give the same table.
+        rdata = seeded_validation_data()
+        D, rhs = assemble_opinf_data(rdata)
+        grid = [0.0, 1e-9, 1e-6, 1e-3, 1.0]
+        _, trials = select_lambda(D, rhs, grid, rdata)
+        U, t0, dt = rdata.input, float(rdata.times[0]), rdata.dt
+
+        def rounding_sampler(t):
+            idx = int(round((t - t0) / dt))
+            return U[:, min(max(idx, 0), U.shape[1] - 1)]
+
+        config = IntegratorConfig(dt=dt, t_end=float(rdata.times[-1] - t0))
+        X = rdata.displacement
+        denom = np.linalg.norm(X, axis=0).max()
+        for lam, trial in zip(grid, trials):
+            rom, report = infer(D, rhs, lam)
+            Q = simulate(rom, rounding_sampler, X[:, 0], rdata.velocity[:, 0],
+                         config, t0=t0).displacement
+            err = float(np.linalg.norm(Q - X[:, 1:], axis=0).max() / denom)
+            assert (trial.lam, trial.train_residual, trial.validation_error) \
+                == (lam, report.residual, err)
+
     def test_empty_grid(self):
         rdata = scalar_validation_data(t_end=0.1)
         D, rhs = assemble_opinf_data(rdata)
@@ -301,6 +359,25 @@ class TestReplayFailures:
         assert lam == 0.0
         assert trials[0].validation_error <= 1e-8
         assert trials[1].validation_error == float("inf")
+
+    def test_diverging_banded_replay_scores_inf(self, monkeypatch):
+        # A finite transition of spectral radius 3 (q'' = 1e8 q at
+        # dt = 1e-4): the banded replay overflows within the window.
+        rdata = project(
+            simulate(SecondOrderSystem([[1.0]], [[0.0]], [[1.0]], [[1.0]]),
+                     lambda t: np.array([np.sin(3.0 * t)]), np.array([0.5]),
+                     np.zeros(1), IntegratorConfig(dt=1e-4, t_end=0.1)),
+            identity_basis(1),
+        )
+        rom = SecondOrderSystem([[1.0]], [[0.0]], [[-1e8]], [[1.0]])
+        config = IntegratorConfig(dt=rdata.dt, t_end=0.1)
+        T = newmark._transition(rom, newmark._effective_solve(rom, config),
+                                config)
+        assert np.max(np.abs(np.linalg.eigvals(T[:, :3]))) > 1.0
+        assert rom.n <= newmark._BANDED_MAX_N
+        calls = banded_calls(monkeypatch)
+        assert opinf._replay_error(rom, rdata) == float("inf")
+        assert calls == [rdata.num_snapshots - 1]
 
     def test_overflowing_initial_balance_scores_inf(self, monkeypatch):
         # The replay starts near x = 2, where K x overflows: simulate
