@@ -50,7 +50,8 @@ _TRANSITION_MAX_N = 128
 _BANDED_MAX_N = 16
 
 # Band columns per window of the banded replay, rounded down to whole
-# states: the band of a window stays in cache (timings in README.md).
+# states: enough that the fixed cost of each solve call does not show,
+# few enough that the band stays in cache at n = 16 (timings in README.md).
 _BANDED_WINDOW_COLUMNS = 1024
 
 
