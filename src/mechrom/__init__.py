@@ -34,7 +34,7 @@ from .model import (
     save_matrix,
     save_system,
 )
-from .newmark import IntegratorConfig, IntegratorState, initial_acceleration, simulate, step
+from .newmark import IntegratorConfig, initial_acceleration, simulate, step
 from .snapshots import (
     TrajectoryData,
     assemble_force_data,
@@ -92,7 +92,6 @@ __all__ = [
     "load_system",
     # integration
     "IntegratorConfig",
-    "IntegratorState",
     "initial_acceleration",
     "step",
     "simulate",

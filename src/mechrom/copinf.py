@@ -46,7 +46,7 @@ import scipy.linalg as la
 
 from .errors import InvalidInputError, InvalidParameterError
 from .model import SecondOrderSystem
-from .opinf import pinv_filter
+from .opinf import pinv_filter, regression_arrays
 
 __all__ = [
     "ConstrainedSolveReport",
@@ -266,21 +266,12 @@ def infer_constrained(
         and satisfy eigmin(mass) >= omega, eigmin(stiffness) >= omega
         and eigmin(damping) >= 0 up to round-off.
     """
-    D = np.asarray(D, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    if D.ndim != 2 or rhs.ndim != 2:
-        raise InvalidInputError("data matrix and right-hand side must be 2-D")
+    D, rhs = regression_arrays(D, rhs)
     r = rhs.shape[0]
     if r < 1 or D.shape[0] != 3 * r:
         raise InvalidInputError(
             f"data matrix must have 3 x {r} rows, got {D.shape[0]}"
         )
-    if D.shape[1] != rhs.shape[1]:
-        raise InvalidInputError(
-            f"column counts disagree: data {D.shape[1]}, rhs {rhs.shape[1]}"
-        )
-    if not (np.all(np.isfinite(D)) and np.all(np.isfinite(rhs))):
-        raise InvalidInputError("regression data contains non-finite entries")
     if omega <= 0.0 or not np.isfinite(omega):
         raise InvalidParameterError(f"omega must be positive, got {omega}")
     for name, value in (("penalty", penalty), ("tol_abs", tol_abs),

@@ -20,7 +20,7 @@ __all__ = [
 ]
 
 # Largest real part of a pencil eigenvalue that still counts as stable.
-_STABILITY_TOL = 1e-10
+STABILITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -127,9 +127,10 @@ def pencil_spectrum(mass, damping, stiffness) -> np.ndarray:
     return scale * w
 
 
-def is_stable(mass, damping, stiffness, tol: float = _STABILITY_TOL) -> bool:
-    """True when every pencil eigenvalue has real part <= tol."""
-    return bool(np.all(pencil_spectrum(mass, damping, stiffness).real <= tol))
+def is_stable(mass, damping, stiffness) -> bool:
+    """True when every pencil eigenvalue has real part <= STABILITY_TOL."""
+    return bool(np.all(pencil_spectrum(mass, damping, stiffness).real
+                       <= STABILITY_TOL))
 
 
 def save_error_series(series: ErrorSeries, path) -> None:

@@ -33,7 +33,6 @@ from .snapshots import TrajectoryData
 
 __all__ = [
     "IntegratorConfig",
-    "IntegratorState",
     "initial_acceleration",
     "step",
     "simulate",
@@ -107,24 +106,16 @@ class IntegratorConfig:
         return int(math.floor(ratio + 1e-9))
 
 
-@dataclass(frozen=True)
-class IntegratorState:
-    """Displacement, velocity, acceleration, and time of one instant."""
-
-    x: np.ndarray
-    v: np.ndarray
-    a: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float).ravel()
-        v = np.asarray(self.v, dtype=float).ravel()
-        a = np.asarray(self.a, dtype=float).ravel()
-        if not (x.shape == v.shape == a.shape):
-            raise InvalidInputError("state components must share one shape")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "a", a)
+def _vectors(model, *vectors):
+    """``vectors`` as flat float arrays; InvalidInputError unless each
+    has the model's dimension."""
+    vectors = [np.asarray(u, dtype=float).ravel() for u in vectors]
+    if any(u.shape != (model.n,) for u in vectors):
+        raise InvalidInputError(
+            f"vectors must have length {model.n}, got "
+            + ", ".join(str(u.shape[0]) for u in vectors)
+        )
+    return vectors
 
 
 def _factor(A, name: str):
@@ -166,19 +157,12 @@ def initial_acceleration(model, x0, v0, f0) -> np.ndarray:
     """Acceleration consistent with the balance at the initial instant,
     from M a0 = f0 - C v0 - K x0.
 
-    Raises InvalidInputError when that balance is not finite (operators
-    near the largest double can overflow it) and SingularOperatorError
-    when M cannot be solved with.
+    Raises InvalidInputError when a vector's length is not the model's
+    dimension or that balance is not finite (operators near the largest
+    double can overflow it), and SingularOperatorError when M cannot be
+    solved with.
     """
-    x0 = np.asarray(x0, dtype=float).ravel()
-    v0 = np.asarray(v0, dtype=float).ravel()
-    f0 = np.asarray(f0, dtype=float).ravel()
-    n = model.mass.shape[0]
-    if x0.shape != (n,) or v0.shape != (n,) or f0.shape != (n,):
-        raise InvalidInputError(
-            f"initial data must have length {n}, got "
-            f"{x0.shape[0]}, {v0.shape[0]}, {f0.shape[0]}"
-        )
+    x0, v0, f0 = _vectors(model, x0, v0, f0)
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = f0 - model.damping @ v0 - model.stiffness @ x0
     if not np.all(np.isfinite(rhs)):
@@ -213,19 +197,16 @@ def _advance(model, solve, x, v, a, f_next, f_curr, config: IntegratorConfig):
     return pred_x + beta * dt**2 * a_next, pred_v + gamma * dt * a_next, a_next
 
 
-def step(model, state: IntegratorState, f_next, f_curr,
-         config: IntegratorConfig) -> IntegratorState:
-    """Advance one step of size ``config.dt``.
+def step(model, x, v, a, f_next, f_curr, config: IntegratorConfig):
+    """Advance the displacement, velocity and acceleration ``(x, v, a)``
+    by one step of size ``config.dt`` and return them at its end.
 
     ``f_next`` and ``f_curr`` are the nodal forces at the end and start
-    of the step; ``f_curr`` only enters for alpha != 0.
+    of the step; ``f_curr`` only enters for alpha != 0. A vector whose
+    length is not the model's dimension raises InvalidInputError.
     """
-    x, v, a = _advance(
-        model, _effective_solve(model, config), state.x, state.v, state.a,
-        np.asarray(f_next, dtype=float).ravel(),
-        np.asarray(f_curr, dtype=float).ravel(), config,
-    )
-    return IntegratorState(x=x, v=v, a=a, t=state.t + config.dt)
+    vectors = _vectors(model, x, v, a, f_next, f_curr)
+    return _advance(model, _effective_solve(model, config), *vectors, config)
 
 
 def _transition(model, solve, config: IntegratorConfig):
@@ -354,13 +335,8 @@ def simulate(model, sampler, x0, v0, config: IntegratorConfig,
     n = model.mass.shape[0]
     if model.input_map is None:
         raise InvalidInputError("model has no input map")
-    x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).ravel()
-    v0 = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float).ravel()
-    if x0.shape != (n,) or v0.shape != (n,):
-        raise InvalidInputError(
-            f"initial conditions must have length {n}, got "
-            f"{x0.shape[0]} and {v0.shape[0]}"
-        )
+    x0, v0 = _vectors(model, np.zeros(n) if x0 is None else x0,
+                      np.zeros(n) if v0 is None else v0)
 
     solve = _effective_solve(model, config)
     N = config.num_steps

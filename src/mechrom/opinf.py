@@ -58,10 +58,10 @@ _MODES_COND_LIMIT = 1e12
 class SolveReport:
     """Diagnostics of one regression solve.
 
-    ``rank_estimate`` counts singular values of the data matrix above
-    RANK_TOL relative to the largest; a value below the number of data
-    rows signals rank deficiency (the returned model is then the
-    minimum-norm minimizer).
+    ``rank_estimate`` counts the singular values of the data matrix that
+    ``pinv_filter`` keeps; a value below the number of data rows signals
+    rank deficiency (the returned model is then the minimum-norm
+    minimizer).
     """
 
     residual: float
@@ -77,6 +77,23 @@ def pinv_filter(s) -> np.ndarray:
     return np.where(s > RANK_TOL * s[0], 1.0, 0.0) / np.where(s > 0.0, s, 1.0)
 
 
+def regression_arrays(D, rhs):
+    """The data matrix and right-hand side of a regression as float
+    arrays; InvalidInputError unless both are 2-D with equal column
+    counts and finite entries."""
+    D = np.asarray(D, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    if D.ndim != 2 or rhs.ndim != 2:
+        raise InvalidInputError("data matrix and right-hand side must be 2-D")
+    if D.shape[1] != rhs.shape[1]:
+        raise InvalidInputError(
+            f"column counts disagree: data {D.shape[1]}, rhs {rhs.shape[1]}"
+        )
+    if not (np.all(np.isfinite(D)) and np.all(np.isfinite(rhs))):
+        raise InvalidInputError("regression data contains non-finite entries")
+    return D, rhs
+
+
 def ridge_lstsq(D, rhs, lam: float = 0.0):
     """Minimize ||P D - rhs||_F^2 + lam ||P||_F^2 over P.
 
@@ -90,16 +107,7 @@ def ridge_lstsq(D, rhs, lam: float = 0.0):
     svals : ndarray
         Singular values of D, for conditioning diagnostics.
     """
-    D = np.asarray(D, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    if D.ndim != 2 or rhs.ndim != 2:
-        raise InvalidInputError("data matrix and right-hand side must be 2-D")
-    if D.shape[1] != rhs.shape[1]:
-        raise InvalidInputError(
-            f"column counts disagree: data {D.shape[1]}, rhs {rhs.shape[1]}"
-        )
-    if not (np.all(np.isfinite(D)) and np.all(np.isfinite(rhs))):
-        raise InvalidInputError("regression data contains non-finite entries")
+    D, rhs = regression_arrays(D, rhs)
     if lam < 0.0 or not np.isfinite(lam):
         raise InvalidParameterError(f"lam must be finite and >= 0, got {lam}")
 
@@ -131,10 +139,7 @@ def infer(D, rhs, lam: float = 0.0):
     (SecondOrderSystem, SolveReport)
         The model has the identity as its mass.
     """
-    D = np.asarray(D, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    if D.ndim != 2 or rhs.ndim != 2:
-        raise InvalidInputError("data matrix and right-hand side must be 2-D")
+    D, rhs = regression_arrays(D, rhs)
     r = rhs.shape[0]
     m = D.shape[0] - 2 * r
     if r < 1 or m < 1:
@@ -153,7 +158,6 @@ def infer(D, rhs, lam: float = 0.0):
     P, s = ridge_lstsq(D, rhs, lam)
     residual = float(np.linalg.norm(P @ D - rhs))
     condition = float(s[0] / s[-1]) if s[-1] > 0.0 else float("inf")
-    rank_estimate = int(np.count_nonzero(s > RANK_TOL * s[0])) if s[0] > 0 else 0
     rom = SecondOrderSystem(
         mass=np.eye(r),
         damping=-P[:, :r],
@@ -163,7 +167,7 @@ def infer(D, rhs, lam: float = 0.0):
     return rom, SolveReport(
         residual=residual,
         condition=condition,
-        rank_estimate=rank_estimate,
+        rank_estimate=int(np.count_nonzero(pinv_filter(s))),
         lam=lam,
     )
 

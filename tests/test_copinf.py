@@ -605,6 +605,39 @@ class TestStopReasons:
             infer_constrained(D, rhs, **{control: value})
 
 
+class TestPenaltyBalancing:
+    def test_large_initial_penalty_is_lowered(self, rng, monkeypatch):
+        # At rho = 1e6 the dual residual dwarfs the primal one, so the
+        # balancing halves rho; the solve reaches the rho = 1 optimum.
+        D, rhs = well_posed_problem(rng, 3, damping_sign=-1.0)
+        penalties = []
+        set_penalty = _RidgeStep.set_penalty
+
+        def recording(self, rho):
+            penalties.append(rho)
+            set_penalty(self, rho)
+
+        monkeypatch.setattr(_RidgeStep, "set_penalty", recording)
+        rom, report = infer_constrained(D, rhs, penalty=1e6)
+        monkeypatch.undo()
+        ref_rom, ref = infer_constrained(D, rhs, penalty=1.0)
+        assert penalties[0] == 1e6
+        assert penalties[1:] == [1e6 / 2 ** k
+                                 for k in range(1, len(penalties))]
+        assert len(penalties) > 1
+        assert report.converged and ref.converged
+        assert np.linalg.eigvalsh(rom.mass).min() >= DEFAULT_OMEGA - 1e-10
+        assert np.linalg.eigvalsh(rom.stiffness).min() >= DEFAULT_OMEGA - 1e-10
+        # The damping floor binds: the unconstrained damping is negative.
+        assert np.linalg.eigvalsh(rom.damping).min() == pytest.approx(
+            0.0, abs=1e-10)
+        assert abs(report.objective - ref.objective) <= 1e-6 * ref.objective
+        for got, want in ((rom.mass, ref_rom.mass),
+                          (rom.damping, ref_rom.damping),
+                          (rom.stiffness, ref_rom.stiffness)):
+            assert np.linalg.norm(got - want) <= 1e-3 * np.linalg.norm(want) + 1e-10
+
+
 class TestOverRelaxation:
     """The over-relaxed iteration reaches the same optimum as the plain
     one (relaxation factor 1): at the default tolerances the two

@@ -10,6 +10,7 @@ from mechrom.errors import (
     SingularOperatorError,
 )
 from mechrom.evaluate import (
+    STABILITY_TOL,
     ErrorSeries,
     is_stable,
     pencil_spectrum,
@@ -93,6 +94,14 @@ class TestPencilSpectrum:
         np.testing.assert_allclose(sorted(eig.real), [-1.0, 1.0], atol=1e-10)
         assert not is_stable([[1.0]], [[0.0]], [[-1.0]])
 
+    @pytest.mark.parametrize("growth", [0.5 * STABILITY_TOL, 2.0 * STABILITY_TOL])
+    def test_stability_threshold(self, growth):
+        # s^2 - 2 g s + 1 has the roots g +- i sqrt(1 - g^2).
+        eig = pencil_spectrum([[1.0]], [[-2.0 * growth]], [[1.0]])
+        np.testing.assert_allclose(eig.real, growth, rtol=1e-3)
+        assert is_stable([[1.0]], [[-2.0 * growth]], [[1.0]]) is (
+            growth <= STABILITY_TOL)
+
     def test_matches_polyroot_oracle(self, rng):
         for _ in range(5):
             m, e, k = rng.uniform(0.5, 2.0), rng.uniform(0.0, 2.0), rng.uniform(0.5, 4.0)
@@ -112,6 +121,8 @@ class TestPencilSpectrum:
             pencil_spectrum(np.diag([1.0, 0.0]), np.eye(2), np.eye(2))
         with pytest.raises(SingularOperatorError, match="singular"):
             pencil_spectrum(np.ones((2, 2)), np.eye(2), np.eye(2))
+        with pytest.raises(SingularOperatorError, match="singular"):
+            pencil_spectrum(np.zeros((2, 2)), np.eye(2), np.eye(2))
 
     def test_shape_mismatch(self):
         with pytest.raises(InvalidInputError, match="damping"):

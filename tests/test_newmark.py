@@ -7,7 +7,6 @@ import scipy.sparse as sp
 
 from mechrom import (
     IntegratorConfig,
-    IntegratorState,
     SecondOrderSystem,
     build_mass_spring_chain,
     initial_acceleration,
@@ -154,10 +153,10 @@ def test_initial_acceleration_singular_mass():
 def test_zero_force_zero_state_stays_zero():
     sys_ = build_mass_spring_chain(3, [1.0] * 3, [1.0] * 4, 0.0, 0.0, (0,))
     cfg = IntegratorConfig(dt=0.05, t_end=1.0)
-    state = IntegratorState(np.zeros(3), np.zeros(3), np.zeros(3), 0.0)
+    x = v = a = np.zeros(3)
     for _ in range(5):
-        state = step(sys_, state, np.zeros(3), np.zeros(3), cfg)
-    assert state.x == pytest.approx(np.zeros(3), abs=0.0)
+        x, v, a = step(sys_, x, v, a, np.zeros(3), np.zeros(3), cfg)
+    assert x == pytest.approx(np.zeros(3), abs=0.0)
 
 
 def test_constant_force_polynomial_exactness():
@@ -165,12 +164,11 @@ def test_constant_force_polynomial_exactness():
     sys_ = scalar_system(1.0, 0.0, 0.0)
     cfg = IntegratorConfig(dt=0.07, t_end=0.7)
     f = np.array([2.0])
-    state = IntegratorState(np.zeros(1), np.zeros(1),
-                            initial_acceleration(sys_, np.zeros(1), np.zeros(1), f),
-                            0.0)
+    x = v = np.zeros(1)
+    a = initial_acceleration(sys_, x, v, f)
     for k in range(1, 11):
-        state = step(sys_, state, f, f, cfg)
-        assert state.x == pytest.approx([(k * 0.07) ** 2], rel=1e-13)
+        x, v, a = step(sys_, x, v, a, f, f, cfg)
+        assert x == pytest.approx([(k * 0.07) ** 2], rel=1e-13)
 
 
 def test_sdof_oscillator_closed_form():
@@ -192,11 +190,9 @@ def test_step_balance_residual(rng):
     f1 = rng.standard_normal(5)
     x0 = rng.standard_normal(5)
     v0 = rng.standard_normal(5)
-    state = IntegratorState(x0, v0, initial_acceleration(sys_, x0, v0, f0), 0.0)
-    nxt = step(sys_, state, f1, f0, cfg)
-    resid = np.linalg.norm(
-        M @ nxt.a + E @ nxt.v + K @ nxt.x - f1
-    )
+    a0 = initial_acceleration(sys_, x0, v0, f0)
+    x1, v1, a1 = step(sys_, x0, v0, a0, f1, f0, cfg)
+    resid = np.linalg.norm(M @ a1 + E @ v1 + K @ x1 - f1)
     assert resid <= 1e-9 * (1 + np.linalg.norm(f1))
 
 
@@ -212,12 +208,12 @@ def test_step_balance_residual_hht(rng):
     f1 = rng.standard_normal(4)
     x0 = rng.standard_normal(4)
     v0 = rng.standard_normal(4)
-    state = IntegratorState(x0, v0, initial_acceleration(sys_, x0, v0, f0), 0.0)
-    nxt = step(sys_, state, f1, f0, cfg)
+    a0 = initial_acceleration(sys_, x0, v0, f0)
+    x1, v1, a1 = step(sys_, x0, v0, a0, f1, f0, cfg)
     lhs = (
-        M @ nxt.a
-        + (1 + alpha) * (E @ nxt.v + K @ nxt.x)
-        - alpha * (E @ state.v + K @ state.x)
+        M @ a1
+        + (1 + alpha) * (E @ v1 + K @ x1)
+        - alpha * (E @ v0 + K @ x0)
     )
     rhs = (1 + alpha) * f1 - alpha * f0
     assert np.linalg.norm(lhs - rhs) <= 1e-9 * (1 + np.linalg.norm(rhs))
@@ -229,9 +225,25 @@ def test_singular_effective_matrix():
         stiffness=np.zeros((1, 1)), input_map=np.ones((1, 1)),
     )
     cfg = IntegratorConfig(dt=0.01, t_end=0.1)
-    state = IntegratorState(np.zeros(1), np.zeros(1), np.zeros(1), 0.0)
+    zero = np.zeros(1)
     with pytest.raises(SingularOperatorError):
-        step(sys_, state, np.zeros(1), np.zeros(1), cfg)
+        step(sys_, zero, zero, zero, zero, zero, cfg)
+
+
+def test_vectors_of_the_wrong_length_are_rejected():
+    # A length-1 force would broadcast to every node, a length-1 state
+    # would reach the sparse product; both are the caller's error.
+    sys_ = build_mass_spring_chain(3, [1.0] * 3, [1.0] * 4, 0.0, 0.0, (0,))
+    cfg = IntegratorConfig(dt=0.05, t_end=1.0)
+    zeros, one = np.zeros(3), np.ones(1)
+    with pytest.raises(InvalidInputError, match="length 3, got 3, 3, 3, 1, 3"):
+        step(sys_, zeros, zeros, zeros, one, zeros, cfg)
+    with pytest.raises(InvalidInputError, match="length 3, got 1, 3, 3, 3, 3"):
+        step(sys_, one, zeros, zeros, zeros, zeros, cfg)
+    with pytest.raises(InvalidInputError, match="length 3, got 3, 3, 1"):
+        initial_acceleration(sys_, zeros, zeros, one)
+    with pytest.raises(InvalidInputError, match="length 3, got 3, 1"):
+        simulate(sys_, zero_sampler, None, one, cfg)
 
 
 # ---------------------------------------------------------------- simulate
@@ -319,15 +331,14 @@ def step_loop(sys_, sampler, x0, v0, cfg, t0):
         return sys_.input_map @ np.asarray(sampler(t), dtype=float)
 
     f_curr = force(t0)
-    state = IntegratorState(x0, v0, initial_acceleration(sys_, x0, v0, f_curr), t0)
+    state = (x0, v0, initial_acceleration(sys_, x0, v0, f_curr))
     states = []
     for k in range(1, cfg.num_steps + 1):
         f_next = force(t0 + k * cfg.dt)
-        state = step(sys_, state, f_next, f_curr, cfg)
+        state = step(sys_, *state, f_next, f_curr, cfg)
         states.append(state)
         f_curr = f_next
-    return [np.column_stack([getattr(s, name) for s in states])
-            for name in ("x", "v", "a")]
+    return [np.column_stack(block) for block in zip(*states)]
 
 
 def forbid(monkeypatch, name):

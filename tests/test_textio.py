@@ -216,3 +216,13 @@ class TestLayout:
         write_by_loop(tmp_path / "ref.mtx", b"\n".join(head).decode(),
                       np.column_stack([i + 1, j + 1, A[i, j]]), delimiter=" ")
         assert read(tmp_path / "A.mtx") == read(tmp_path / "ref.mtx")
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"labels": ["a", "b"]}, "2 labels for 3 rows"),
+    ({"delimiter": ", "}, "delimiter must be one character"),
+])
+def test_write_table_rejects_bad_arguments(tmp_path, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        write_table(tmp_path / "table.csv", "h", np.zeros((3, 2)), **kwargs)
+    assert not (tmp_path / "table.csv").exists()
