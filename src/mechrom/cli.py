@@ -434,11 +434,6 @@ def _waveform(cfg: ExperimentConfig):
     return chirp
 
 
-def _input_sampler(cfg: ExperimentConfig, m: int):
-    wave = _waveform(cfg)
-    return lambda t: np.full(m, wave(t))
-
-
 def _initial_conditions(cfg: ExperimentConfig, n: int):
     def expand(values, name):
         if not values:
@@ -559,9 +554,8 @@ def _load_operators(directory, names, stage) -> dict:
 
 def stage_simulate(cfg: ExperimentConfig, outdir, handoff) -> None:
     system = _build_system(cfg)
-    sampler = _input_sampler(cfg, system.m)
     x0, v0 = _initial_conditions(cfg, system.n)
-    data = simulate(system, sampler, x0, v0, _integrator(cfg))
+    data = simulate(system, _waveform(cfg), x0, v0, _integrator(cfg))
     save_csv(data, os.path.join(outdir, "fom", "test"))
     count = _train_columns(cfg)
     # What the later stages of this call read of the run. The file text
@@ -587,8 +581,6 @@ def stage_basis(cfg: ExperimentConfig, outdir, handoff) -> None:
     index = np.arange(1, s.size + 1)
     write_table(os.path.join(bdir, "singular_values.csv"), "index,sigma",
                 np.column_stack([index, s]))
-    write_table(os.path.join(bdir, "decay.csv"), "index,ratio",
-                np.column_stack([index, s / s[0]]))
     print(f"basis: selected rank r = {basis.rank}")
 
 
@@ -687,8 +679,8 @@ def stage_evaluate(cfg: ExperimentConfig, outdir, handoff) -> None:
         # A diverged replay overflows quietly here; it is reported below,
         # once every method has written its artifacts.
         with np.errstate(over="ignore", invalid="ignore"):
-            reduced = simulate(model, _input_sampler(cfg, model.m), V.T @ x0,
-                               V.T @ v0, _integrator(cfg))
+            reduced = simulate(model, _waveform(cfg), V.T @ x0, V.T @ v0,
+                               _integrator(cfg))
             lifted = V @ reduced.displacement
             if lifted.shape[1] != times.size:
                 raise InvalidInputError(

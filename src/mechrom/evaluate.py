@@ -108,6 +108,8 @@ def pencil_spectrum(mass, damping, stiffness) -> np.ndarray:
     for name, A in (("mass", M), ("damping", C), ("stiffness", K)):
         if A.shape != (r, r):
             raise InvalidInputError(f"{name} must be {r}x{r}, got {A.shape}")
+        if not np.all(np.isfinite(A)):
+            raise InvalidInputError(f"{name} has non-finite entries")
     norm_m = np.linalg.norm(M)
     norm_k = np.linalg.norm(K)
     if norm_m == 0.0:

@@ -314,14 +314,16 @@ def simulate(model, sampler, x0, v0, config: IntegratorConfig,
         input map. A model fitted to force data is given one with
         ``dataclasses.replace``.
     sampler : callable
-        ``sampler(t)`` returning the m-channel input signal at time t,
-        which is mapped to forces through the model's input map and
+        ``sampler(t)`` returning the m-channel input history on the
+        instants ``t``, the (N+1,) array of t0 followed by the returned
+        ``times``; it is called once, before the first step. The
+        history is mapped to forces through the model's input map and
         recorded together with the resulting force history. It is
-        called once at every instant t0, t0 + dt, ..., in order, before
-        the first step, with t a Python float. Each return is copied
-        at its own instant, so a sampler may refill and return one
-        buffer. An input of the wrong length at any instant raises
-        :class:`InvalidInputError` and no trajectory is returned.
+        copied into an (m, N+1) array by numpy's broadcasting rules: an
+        (m, N+1) array gives each channel its own history, an (N+1,)
+        array or a scalar drives every channel alike. A history that
+        does not broadcast raises :class:`InvalidInputError` before any
+        factorization or step.
     x0, v0 : (n,) array_like or None
         Initial displacement and velocity; None means zero.
     config : IntegratorConfig
@@ -338,27 +340,23 @@ def simulate(model, sampler, x0, v0, config: IntegratorConfig,
     x0, v0 = _vectors(model, np.zeros(n) if x0 is None else x0,
                       np.zeros(n) if v0 is None else v0)
 
-    solve = _effective_solve(model, config)
     N = config.num_steps
     times = t0 + config.dt * np.arange(1, N + 1)
-
-    m = model.m
-    samples = np.empty((N + 1, m))
-    # Python floats, the same doubles as ``times``: a sampler's arithmetic
-    # on them costs a fraction of that on numpy scalars.
-    for k, t in enumerate((float(t0), *times.tolist())):
-        raw = np.asarray(sampler(t), dtype=float).ravel()
-        if raw.shape[0] != m:
-            raise InvalidInputError(
-                f"sampler returned {raw.shape[0]} channels, input map "
-                f"expects {m}"
-            )
-        samples[k] = raw
+    samples = np.empty((model.m, N + 1))
+    raw = np.asarray(sampler(np.concatenate(([t0], times))), dtype=float)
+    try:
+        samples[...] = raw
+    except ValueError:
+        raise InvalidInputError(
+            f"sampler returned shape {raw.shape}, expected "
+            f"{samples.shape} or ({N + 1},)"
+        ) from None
+    solve = _effective_solve(model, config)
 
     # One (N+1) x 3n buffer of the states (x, v, a), one row per instant.
     states = np.empty((N + 1, 3 * n))
     with np.errstate(over="ignore", invalid="ignore"):
-        forces = model.input_map @ samples.T
+        forces = model.input_map @ samples
         a0 = initial_acceleration(model, x0, v0, forces[:, 0])
         states[0] = np.concatenate([x0, v0, a0])
         T = _transition(model, solve, config) if n <= _TRANSITION_MAX_N else None
@@ -372,6 +370,6 @@ def simulate(model, sampler, x0, v0, config: IntegratorConfig,
         displacement=states[1:, :n].T,
         velocity=states[1:, n:2 * n].T,
         acceleration=states[1:, 2 * n:].T,
-        input=samples[1:].T,
+        input=samples[:, 1:],
         force=forces[:, 1:],
     )

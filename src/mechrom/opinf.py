@@ -188,40 +188,33 @@ def _replay_error(rom: SecondOrderSystem, validation: TrajectoryData,
     validation window from its first snapshot, with the gamma, beta and
     alpha of ``scheme`` when given. Returns inf when the replay leaves
     the finite range."""
-    times = validation.times
+    # One step per gap: times uniform only to within the grid tolerance
+    # can floor to fewer steps over their span.
     dt = validation.dt
-    t0 = float(times[0])
-    # ``simulate`` samples once per instant t0, t0 + dt, ..., in order: the
-    # sampler hands out the input columns one after the other.
-    columns = iter(np.ascontiguousarray(validation.input.T))
-
-    def sampler(t):
-        return next(columns)
-
-    config = IntegratorConfig(dt=dt, t_end=float(times[-1] - times[0]))
+    config = IntegratorConfig(dt=dt, t_end=dt * (validation.num_snapshots - 1))
     if scheme is not None:
         config = replace(config, gamma=scheme.gamma, beta=scheme.beta,
                          alpha=scheme.alpha)
     try:
         replay = simulate(
             rom,
-            sampler,
+            lambda t: validation.input,
             validation.displacement[:, 0],
             validation.velocity[:, 0],
             config,
-            t0=t0,
+            t0=float(validation.times[0]),
         )
     except (SingularOperatorError, InvalidInputError, np.linalg.LinAlgError,
             FloatingPointError):
         return float("inf")
     Q = replay.displacement
-    ref = validation.displacement[:, 1:Q.shape[1] + 1]
-    if Q.shape != ref.shape or not np.all(np.isfinite(Q)):
+    if not np.all(np.isfinite(Q)):
         return float("inf")
     denom = np.linalg.norm(validation.displacement, axis=0).max()
     if denom == 0.0 or not np.isfinite(denom):
         return float("inf")
-    return float(np.linalg.norm(Q - ref, axis=0).max() / denom)
+    return float(np.linalg.norm(Q - validation.displacement[:, 1:],
+                                axis=0).max() / denom)
 
 
 def select_lambda(D, rhs, grid, validation: TrajectoryData,

@@ -11,6 +11,7 @@ constrained problem.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -66,6 +67,8 @@ def _check_times(times) -> np.ndarray:
     times = np.asarray(times, dtype=float).ravel()
     if times.size < 1:
         raise InvalidInputError("at least one snapshot is required")
+    if not np.all(np.isfinite(times)):
+        raise InvalidInputError("snapshot times must be finite")
     if times.size > 1:
         gaps = np.diff(times)
         if np.any(gaps <= 0.0):
@@ -197,7 +200,7 @@ def finite_difference_derivatives(displacement, dt: float):
     displacement : (n, N) ndarray
         Snapshot columns on a uniform grid with step ``dt``; N >= 5.
     dt : float
-        Grid spacing, positive.
+        Grid spacing, positive and finite.
 
     Returns
     -------
@@ -206,8 +209,8 @@ def finite_difference_derivatives(displacement, dt: float):
     X = np.asarray(displacement, dtype=float)
     if X.ndim != 2:
         raise InvalidInputError("displacement must be 2-D")
-    if dt <= 0.0:
-        raise InvalidInputError(f"dt must be positive, got {dt}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise InvalidInputError(f"dt must be positive and finite, got {dt}")
     N = X.shape[1]
     if N < 5:
         raise InsufficientDataError(

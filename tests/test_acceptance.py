@@ -63,7 +63,7 @@ def test_identity_basis_recovery_is_exact():
     phases = np.array([0.0, 0.4])
 
     def sampler(t):
-        return np.sin(2.0 * np.pi * freqs * t + phases)
+        return np.sin(2.0 * np.pi * freqs[:, None] * t + phases[:, None])
 
     data = simulate(truth, sampler, x0, v0, IntegratorConfig(dt=0.01, t_end=2.0))
     D, rhs = assemble_opinf_data(project(data, identity_basis(3)))

@@ -226,6 +226,27 @@ class TestLoadConfig:
                            match="waveform must be one of sine, constant, chirp"):
             load_config(path)
 
+    # ``simulate`` evaluates the waveform once over the time grid; a numpy
+    # whose vectorized ``sin`` rounds otherwise than its scalar one fails
+    # here rather than moving every artifact.
+    @pytest.mark.parametrize("wave", [
+        {"frequency": "10.0"},
+        {"angular_frequency": "7.3", "amplitude": "0.5", "phase": "0.3"},
+        {"waveform": "chirp", "amplitude": "0.5", "phase": "0.3",
+         "f0": "1.0", "f1": "40.0", "sweep_time": "3.0"},
+    ], ids=["sine", "phase-shifted-sine", "chirp"])
+    @pytest.mark.parametrize("dt", [1e-3, 2.5e-4])
+    def test_waveform_on_the_grid_equals_each_instant(self, tmp_path, wave,
+                                                      dt):
+        path = config_file(tmp_path, {"input": wave},
+                           drop=[] if "frequency" in wave
+                           else [("input", "frequency")])
+        waveform = cli._waveform(load_config(path))
+        t0 = 0.37
+        grid = np.concatenate(([t0], t0 + dt * np.arange(1, int(4.0 / dt) + 1)))
+        alone = np.array([waveform(t) for t in grid.tolist()])
+        assert np.array_equal(waveform(grid), alone)
+
     def test_constant_waveform_needs_no_frequency(self, tmp_path):
         path = config_file(
             tmp_path,
@@ -657,7 +678,7 @@ class TestPipeline:
                for block in ("displacement", "velocity", "acceleration",
                              "input", "force")}
         expected = fom | {
-            "basis/modes.mtx", "basis/singular_values.csv", "basis/decay.csv",
+            "basis/modes.mtx", "basis/singular_values.csv",
             "opinf/damping.mtx", "opinf/stiffness.mtx", "opinf/input.mtx",
             "opinf/lambda_table.csv",
             "copinf/mass.mtx", "copinf/damping.mtx", "copinf/stiffness.mtx",
@@ -772,7 +793,7 @@ class TestPipeline:
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         config = load_config(cfg)
         expected = simulate(cli._build_system(config),
-                            cli._input_sampler(config, 1),
+                            cli._waveform(config),
                             [0.1, -0.2, 0.3, -0.4], None,
                             cli._integrator(config))
         stored = load_csv(os.path.join(out, "fom", "test"))
@@ -829,12 +850,15 @@ class TestPipeline:
                                   t_end=rdata.times[-1] - rdata.times[0],
                                   alpha=-0.3)
         U = rdata.input
+
+        def sampler(t):
+            return U[:, np.rint((t - rdata.times[0]) / rdata.dt).astype(int)]
+
         for lam, error in zip(table[:, 0], table[:, 2]):
             rom, _ = infer(D, rhs, lam)
             replay = simulate(
-                rom, lambda t: U[:, round((t - rdata.times[0]) / rdata.dt)],
-                rdata.displacement[:, 0], rdata.velocity[:, 0], window,
-                t0=rdata.times[0])
+                rom, sampler, rdata.displacement[:, 0], rdata.velocity[:, 0],
+                window, t0=rdata.times[0])
             Q = rdata.displacement
             expected = (np.linalg.norm(replay.displacement - Q[:, 1:], axis=0).max()
                         / np.linalg.norm(Q, axis=0).max())
@@ -995,8 +1019,8 @@ class TestStationProtocol:
         assert "basis: selected rank r = " in stdout
         rank = int(stdout.rsplit("=", 1)[1])
         assert rank >= 1
-        lines = read_lines(os.path.join(out, "basis", "decay.csv"))
-        assert lines[0] == "index,ratio"
+        lines = read_lines(os.path.join(out, "basis", "singular_values.csv"))
+        assert lines[0] == "index,sigma"
         assert len(lines) - 1 >= rank
 
 

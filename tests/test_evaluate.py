@@ -128,6 +128,16 @@ class TestPencilSpectrum:
         with pytest.raises(InvalidInputError, match="damping"):
             pencil_spectrum(np.eye(2), np.eye(3), np.eye(2))
 
+    @pytest.mark.parametrize("name", ["mass", "damping", "stiffness"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry(self, name, bad):
+        operators = {"mass": np.eye(2), "damping": np.eye(2),
+                     "stiffness": np.eye(2)}
+        operators[name][0, 1] = bad
+        with pytest.raises(InvalidInputError,
+                           match=f"^{name} has non-finite entries$"):
+            pencil_spectrum(**operators)
+
     def test_constrained_models_are_stable(self, rng):
         for _ in range(3):
             D = rng.standard_normal((6, 30))

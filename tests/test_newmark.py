@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -361,7 +362,7 @@ def test_simulate_matches_step_loop(rng, monkeypatch, n, alpha, drive):
     else:
         sys_ = force_driven(sys_)
         phase = rng.uniform(0.0, np.pi, n)
-        sampler = lambda t: np.sin(4.0 * t + phase)
+        sampler = lambda t: np.sin(4.0 * t + phase[:, None])
     x0 = rng.standard_normal(n)
     v0 = rng.standard_normal(n)
     # Small models take the transition, by banded solves up to
@@ -436,8 +437,8 @@ def assert_replay_bits(data, reference, n):
         assert np.array_equal(got, states[1:, block * n:(block + 1) * n].T)
 
 
-# The sampler computes with its instant, so numpy-scalar and Python float
-# instants must give the same doubles.
+# The reference samples each instant alone and ``simulate`` the whole grid
+# at once: both must give the same doubles.
 def bit_test_sampler(t):
     return np.array([np.sin(3.0 * t), np.cos(5.0 * t) * t])
 
@@ -530,25 +531,6 @@ def test_diverging_banded_replay_leaves_the_finite_range(monkeypatch):
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def test_sampler_may_refill_one_buffer(rng):
-    sys_ = random_stable_system(rng, 3)
-    cfg = IntegratorConfig(dt=0.01, t_end=0.3)
-    buffer = np.empty(2)
-
-    def refilling(t):
-        buffer[:] = np.sin(3.0 * t), np.cos(5.0 * t)
-        return buffer
-
-    def fresh(t):
-        return np.array([np.sin(3.0 * t), np.cos(5.0 * t)])
-
-    x0 = rng.standard_normal(3)
-    got = simulate(sys_, refilling, x0, None, cfg)
-    expected = simulate(sys_, fresh, x0, None, cfg)
-    assert np.array_equal(got.input, expected.input)
-    assert np.array_equal(got.displacement, expected.displacement)
-
-
 @pytest.mark.parametrize("n", [1, newmark._TRANSITION_MAX_N + 1])
 def test_singular_effective_matrix_on_both_paths(n):
     zero = np.zeros((n, n))
@@ -579,36 +561,61 @@ def test_overflowing_transition_steps_by_solve():
 # ---------------------------------------------------------- sampler contract
 
 
-def test_sampler_called_once_per_instant_in_order():
+def test_sampler_called_once_with_the_time_grid():
     sys_ = scalar_system(1.0, 0.1, 1.0)
     calls = []
 
     def sampler(t):
-        calls.append(t)
-        return np.zeros(1)
+        calls.append(t.copy())
+        return np.zeros_like(t)
 
-    simulate(sys_, sampler, None, None, IntegratorConfig(dt=0.1, t_end=1.0),
-             t0=2.0)
-    assert calls == [2.0 + 0.1 * k for k in range(11)]
-    assert all(type(t) is float for t in calls)
+    data = simulate(sys_, sampler, None, None,
+                    IntegratorConfig(dt=0.1, t_end=1.0), t0=2.0)
+    assert len(calls) == 1
+    assert calls[0].dtype == float and calls[0].shape == (11,)
+    assert calls[0][0] == 2.0
+    assert np.array_equal(calls[0][1:], data.times)
+
+
+def test_history_broadcasts_over_channels(rng):
+    sys_ = random_stable_system(rng, 3)
+    cfg = IntegratorConfig(dt=0.01, t_end=0.3)
+    x0 = rng.standard_normal(3)
+    both = simulate(sys_, lambda t: np.array([np.sin(t), np.sin(t)]), x0,
+                    None, cfg)
+    shared = simulate(sys_, np.sin, x0, None, cfg)
+    assert np.array_equal(shared.input, both.input)
+    assert np.array_equal(shared.displacement, both.displacement)
+    constant = simulate(sys_, lambda t: 0.5, x0, None, cfg)
+    assert np.array_equal(constant.input, np.full((2, 30), 0.5))
+
+
+def test_sampler_history_is_copied(rng):
+    sys_ = random_stable_system(rng, 3)
+    cfg = IntegratorConfig(dt=0.01, t_end=0.3)
+    history = rng.standard_normal((2, 31))
+    kept = history.copy()
+    data = simulate(sys_, lambda t: history, None, None, cfg)
+    history[:] = 0.0
+    assert np.array_equal(data.input, kept[:, 1:])
 
 
 @pytest.mark.parametrize("drive", ["input", "force"])
-def test_late_bad_sample_raises_before_integrating(monkeypatch, drive):
-    sys_ = scalar_system(1.0, 0.1, 1.0)
-    if drive == "force":
-        sys_ = force_driven(sys_)
-    cfg = IntegratorConfig(dt=0.01, t_end=1.0)
-
-    def sampler(t):
-        return np.zeros(2 if t > 0.9 else 1)
-
-    forbid(monkeypatch, "_transition")
-    forbid(monkeypatch, "_integrate_factorized")
-    result = None
-    with pytest.raises(InvalidInputError, match="sampler returned"):
-        result = simulate(sys_, sampler, None, None, cfg)
-    assert result is None
+def test_misshapen_history_raises_before_factoring(rng, monkeypatch, drive):
+    # Two channels over 11 instants: the per-instant channel vector, a
+    # history one instant short, too many channels and the transpose are
+    # all rejected before the effective matrix is factored.
+    if drive == "input":
+        sys_ = random_stable_system(rng, 3)
+    else:
+        sys_ = force_driven(random_stable_system(rng, 2))
+    cfg = IntegratorConfig(dt=0.1, t_end=1.0)
+    for name in ("_effective_solve", "_transition", "_integrate_factorized"):
+        forbid(monkeypatch, name)
+    for shape in [(2,), (2, 10), (10,), (3, 11), (11, 2)]:
+        message = f"sampler returned shape {shape}, expected (2, 11) or (11,)"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            simulate(sys_, lambda t: np.zeros(shape), None, None, cfg)
 
 
 # ------------------------------------------------------------ sparse models
@@ -635,7 +642,7 @@ def test_sparse_trajectory_matches_dense(rng, monkeypatch, n, steps, alpha,
     else:
         chain, dense = force_driven(chain), force_driven(dense)
         phase = rng.uniform(0.0, np.pi, n)
-        sampler = lambda t: np.sin(40.0 * t + phase)
+        sampler = lambda t: np.sin(40.0 * t + phase[:, None])
     x0 = rng.standard_normal(n)
     v0 = rng.standard_normal(n)
     expected = simulate(dense, sampler, x0, v0, cfg)

@@ -1,6 +1,8 @@
 """Tests for the regularized least-squares identification path: the ridge
 kernel, model assembly, regularization sweep, and operator separation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -269,9 +271,38 @@ class TestSelectLambda:
         for replay in replays:
             assert np.array_equal(replay.input, rdata.input[:, 1:])
 
+    def test_grid_within_tolerance_replays_the_whole_window(self,
+                                                            monkeypatch):
+        # Gaps within the uniformity tolerance of each other, the first one
+        # the longest: the window's span over its first gap floors to 598
+        # steps, but every candidate replays all 599 and is scored on every
+        # snapshot.
+        rdata = seeded_validation_data()
+        gaps = np.full(rdata.num_snapshots - 1, rdata.dt - 0.4e-12)
+        gaps[0] = rdata.dt + 0.4e-12
+        jittered = dataclasses.replace(rdata, times=rdata.times[0] + np.r_[
+            0.0, np.cumsum(gaps)])
+        span = jittered.times[-1] - jittered.times[0]
+        assert IntegratorConfig(dt=jittered.dt, t_end=span).num_steps == 598
+        D, rhs = assemble_opinf_data(rdata)
+        replays = []
+
+        def recording_simulate(*args, **kwargs):
+            replays.append(simulate(*args, **kwargs))
+            return replays[-1]
+
+        monkeypatch.setattr(opinf, "simulate", recording_simulate)
+        _, trials = select_lambda(D, rhs, [0.0, 1e-6], jittered)
+        X = rdata.displacement
+        for replay, trial in zip(replays, trials):
+            assert np.array_equal(replay.input, rdata.input[:, 1:])
+            assert trial.validation_error == float(
+                np.linalg.norm(replay.displacement - X[:, 1:], axis=0).max()
+                / np.linalg.norm(X, axis=0).max())
+
     def test_table_matches_index_rounding_sampler(self):
         # The sweep's sampler once rounded each instant to a column index;
-        # handing out the columns in order must give the same table.
+        # handing over the whole input block must give the same table.
         rdata = seeded_validation_data()
         D, rhs = assemble_opinf_data(rdata)
         grid = [0.0, 1e-9, 1e-6, 1e-3, 1.0]
@@ -279,8 +310,7 @@ class TestSelectLambda:
         U, t0, dt = rdata.input, float(rdata.times[0]), rdata.dt
 
         def rounding_sampler(t):
-            idx = int(round((t - t0) / dt))
-            return U[:, min(max(idx, 0), U.shape[1] - 1)]
+            return U[:, np.rint((t - t0) / dt).astype(int)]
 
         config = IntegratorConfig(dt=dt, t_end=float(rdata.times[-1] - t0))
         X = rdata.displacement

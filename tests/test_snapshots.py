@@ -74,6 +74,19 @@ class TestTrajectoryData:
                 acceleration=np.zeros((2, 4)),
             )
 
+    @pytest.mark.parametrize("times", [[0.0, np.nan, 2.0], [0.0, np.inf],
+                                       [np.nan], [-np.inf, 0.0]])
+    def test_times_must_be_finite(self, times):
+        N = len(times)
+        with pytest.raises(InvalidInputError,
+                           match="^snapshot times must be finite$"):
+            TrajectoryData(
+                times=times,
+                displacement=np.zeros((2, N)),
+                velocity=np.zeros((2, N)),
+                acceleration=np.zeros((2, N)),
+            )
+
     def test_column_count_mismatch(self, rng):
         with pytest.raises(InvalidInputError, match="velocity"):
             TrajectoryData(
@@ -314,6 +327,12 @@ class TestFiniteDifferences:
     def test_nonpositive_dt(self):
         with pytest.raises(InvalidInputError, match="dt"):
             finite_difference_derivatives(np.ones((2, 6)), 0.0)
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_non_finite_dt(self, dt):
+        with pytest.raises(InvalidInputError,
+                           match=f"^dt must be positive and finite, got {dt}$"):
+            finite_difference_derivatives(np.ones((2, 6)), dt)
 
 
 # ---------------------------------------------------------------------------
