@@ -30,11 +30,13 @@ import configparser
 import json
 import math
 import os
+import platform
 import sys
 import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .errors import (
@@ -742,9 +744,10 @@ def run(cfg: ExperimentConfig, outdir) -> None:
     """Execute every stage, then write the manifest and stage timings.
 
     The manifest records the fully resolved configuration (defaults
-    made explicit) and the tool version; per-stage wall-clock goes to a
-    separate timings.csv, which is the only artifact that varies
-    between identical runs.
+    made explicit), the tool version and the numeric environment the
+    bytes depend on; per-stage wall-clock goes to a separate
+    timings.csv, which is the only artifact that varies between
+    identical runs.
     """
     timings = _run_stages(cfg, outdir, [name for name, _ in _STAGES])
 
@@ -752,6 +755,7 @@ def run(cfg: ExperimentConfig, outdir) -> None:
         "tool": "mechrom",
         "version": __version__,
         "config": cfg.manifest_dict(),
+        "environment": _environment(),
     }
     with open(os.path.join(outdir, "manifest.json"), "w", encoding="ascii",
               newline="\n") as fh:
@@ -762,6 +766,22 @@ def run(cfg: ExperimentConfig, outdir) -> None:
         fh.write("stage,seconds\n")
         for name, seconds in timings:
             fh.write(f"{name},{seconds:.6f}\n")
+
+
+def _environment() -> dict:
+    """The Python, numpy and scipy versions, and the name and version of
+    the BLAS numpy was built with (None where its build does not say)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        # numpy before 1.25 only prints its build configuration.
+        blas = {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+    }
 
 
 # ---------------------------------------------------------------------------

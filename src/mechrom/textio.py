@@ -17,9 +17,9 @@ and the ``%g`` layouts (fixed notation for exponents -4 to 16, else
 with one precomputed mask per layout, as in the table-driven printing of
 Adams, *Ryu revisited* (OOPSLA 2019). A value goes to ``%`` itself when
 it is not finite, when its scaled fraction lies within 1e-9 of a half,
-or when it lies within about 1e-16 of a power of ten. The kernel takes
-about 4,096 fields at a time (a row wider than that alone), and writes a
-row's trailing run of ``+0.0`` as one literal.
+or when it lies within about 1e-16 of a power of ten. A row's trailing
+run of ``+0.0`` is written as one literal, and the kernel formats the
+other fields about 4,096 at a time (a row with more alone).
 """
 
 from __future__ import annotations
@@ -62,27 +62,34 @@ def write_table(path, header, rows, delimiter=",", labels=None) -> None:
     sep = delimiter.encode("ascii")
     if len(sep) != 1:
         raise ValueError(f"delimiter must be one character, got {delimiter!r}")
-    step = max(1, _CHUNK_FIELDS // max(width, 1))
+    # Each row's trailing run of +0.0 (all bits clear), which never
+    # takes in the first field.
+    run = np.zeros(n_rows, dtype=np.intp)
+    if width:
+        formatted = rows.view(np.uint64) != 0
+        formatted[:, 0] = True
+        run = np.argmax(formatted[:, ::-1], axis=1)
+    # A chunk is the rows whose first formatted field falls in one span
+    # of _CHUNK_FIELDS of them; a row with more goes alone.
+    kept = width - run
+    span = (kept.cumsum() - kept) // _CHUNK_FIELDS
+    cut = (span[1:] != span[:-1]) | (kept[1:] > _CHUNK_FIELDS)
+    starts = [0, *(cut.nonzero()[0] + 1).tolist()][:n_rows]
     with open(path, "wb") as fh:
         fh.write((header + "\n").encode("ascii"))
-        for start in range(0, n_rows, step):
+        for start, stop in zip(starts, starts[1:] + [n_rows]):
             tails = None if labels is None else [
-                sep + label.encode("ascii")
-                for label in labels[start:start + step]]
-            fh.write(_row_text(rows[start:start + step], sep, tails))
+                sep + label.encode("ascii") for label in labels[start:stop]]
+            fh.write(_row_text(rows[start:stop], run[start:stop], sep, tails))
 
 
-def _row_text(block, sep, tails):
-    """The text of the rows of ``block``; ``tails[i]``, if given, ends
-    row ``i`` before its line end."""
+def _row_text(block, run, sep, tails):
+    """The text of the rows of ``block``, less each row's trailing run
+    of ``run`` fields of +0.0, which goes in as a literal; ``tails[i]``,
+    if given, ends row ``i`` before its line end."""
     n_rows, width = block.shape
     if width == 0:
         return b"".join(tail + b"\n" for tail in tails or [b""] * n_rows)
-    # Each row's trailing run of +0.0 (all bits clear), which never
-    # takes in the first field.
-    formatted = block.view(np.uint64) != 0
-    formatted[:, 0] = True
-    run = np.argmax(formatted[:, ::-1], axis=1)
     seps = np.full(block.shape, sep[0], dtype=np.uint8)
     seps[np.arange(n_rows), width - 1 - run] = ord("\n")
     if run.any():
@@ -93,11 +100,12 @@ def _row_text(block, sep, tails):
         if tails is None:
             return text
     # Each row's zero run and tail go in before its line end, which is
-    # the separator of its last formatted field.
+    # the separator of its last formatted field. The pieces are bytes:
+    # thousands of live memoryviews, which the garbage collector tracks,
+    # set off its full collections.
     line_ends = np.flatnonzero(np.frombuffer(text, dtype=np.uint8)
                                == ord("\n")).tolist()
     zero_run = (sep + b"0") * width
-    text = memoryview(text)
     pieces = []
     begin = 0
     for row in range(n_rows) if tails else np.flatnonzero(run).tolist():
@@ -109,8 +117,8 @@ def _row_text(block, sep, tails):
     return b"".join(pieces)
 
 
-# Fields formatted at once by one _encode call; a row wider than this is
-# one call.
+# Fields formatted at once by one _encode call, trailing +0.0 runs not
+# counted; a row with more is one call.
 _CHUNK_FIELDS = 4096
 # Rows of the mask table per layout: 18 digit counts by 2 signs.
 _PER_LAYOUT = 36
@@ -212,10 +220,10 @@ def _encode(x, seps):
     # Clear the bytes a field does not show; they are dropped below.
     words &= np.take(t.mask, layout + 2 * kept + neg, axis=0)
     if bad.any():
-        for i in np.flatnonzero(bad & (x != 0.0)).tolist():
-            text = (FLOAT_FORMAT % x[i]).encode("ascii")
-            out[i, :_SEP] = 0
-            out[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+        odd = np.flatnonzero(bad & (x != 0.0))
+        text = b"".join((FLOAT_FORMAT % v).encode("ascii").ljust(_SEP, b"\0")
+                        for v in x[odd].tolist())
+        out[odd, :_SEP] = np.frombuffer(text, dtype=np.uint8).reshape(-1, _SEP)
     return out.tobytes().translate(None, b"\0")
 
 

@@ -3,11 +3,13 @@
 import dataclasses
 import json
 import os
+import platform
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+import scipy
 
 from mechrom import __version__, cli, newmark
 from mechrom.cli import (
@@ -729,6 +731,13 @@ class TestPipeline:
         assert cfg["inference"]["omega"] == 1e-8
         assert cfg["output"]["seed"] == 0
         assert cfg["basis"] == {"rank": 2, "tol": None, "energy": None}
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert manifest["environment"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "blas": {"name": blas["name"], "version": blas["version"]},
+        }
 
     def test_timings_cover_every_stage(self, small_run):
         _, out = small_run

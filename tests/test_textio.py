@@ -4,6 +4,7 @@ reference loop, byte for byte."""
 import numpy as np
 import pytest
 
+from mechrom import textio
 from mechrom.evaluate import ErrorSeries, save_error_series
 from mechrom.model import save_matrix
 from mechrom.snapshots import write_matrix_csv
@@ -114,6 +115,22 @@ def assert_matches_the_value_loop(tmp_path, values, width=8):
     assert read(tmp_path / "table.csv") == read(tmp_path / "ref.csv")
 
 
+def encode_sizes(monkeypatch, tmp_path, rows):
+    """The number of fields of each ``textio._encode`` call that
+    ``write_table`` makes for ``rows``."""
+    sizes = []
+    encode = textio._encode
+
+    def counted(x, seps):
+        sizes.append(x.size)
+        return encode(x, seps)
+
+    monkeypatch.setattr(textio, "_encode", counted)
+    write_table(tmp_path / "counted.csv", "h", rows)
+    monkeypatch.undo()
+    return sizes
+
+
 def with_neighbours(x):
     """``x``, the next double below and above each, and their negatives."""
     x = np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)])
@@ -157,20 +174,91 @@ class TestExactDigits:
                                       width=1000)
 
 
+def wave_front(rng):
+    """600 rows of 1001 fields, row i nonzero in its first ``1 + 7i mod
+    1001`` fields only, like a wave that has not reached the far nodes;
+    four rows are all zero, and one has a -0.0 before its zero run."""
+    rows = values(rng, (600, 1001))
+    keep = 1 + 7 * np.arange(600) % 1001
+    rows[np.arange(1001) >= keep[:, None]] = 0.0
+    rows[[0, 299, 300, 599]] = 0.0
+    rows[450, keep[450] - 1] = -0.0
+    return rows
+
+
+def force_like(rng):
+    """5000 rows of 41 fields, nonzero in column 1 only, like the force
+    block of a chain driven at one node."""
+    rows = np.zeros((5000, 41))
+    rows[:, 1] = values(rng, 5000)
+    return rows
+
+
+def error_series_rows(rng):
+    """``(t, eps)`` rows whose eps is +0.0 over stretches that chunk
+    edges fall in."""
+    times = np.linspace(0.0, 1.0, 3 * _CHUNK_FIELDS)
+    eps = values(rng, times.size)
+    for start in (1500, 5000, 9000):
+        eps[start:start + 2000] = 0.0
+    eps[6000::5] = 0.0
+    return np.column_stack([times, eps])
+
+
+def formatted_fields(rows):
+    """Fields of each row before its trailing run of +0.0, the first
+    field always counted."""
+    return np.array([max(1, 1 + max(np.flatnonzero(row.view(np.uint64)),
+                                    default=0)) for row in rows])
+
+
 class TestLayout:
     """Chunk edges, zero runs, labels and delimiters against the
     reference loop."""
 
-    @pytest.mark.parametrize("shape", [
-        (_CHUNK_FIELDS // 41 + 1, 41),
-        (1, _CHUNK_FIELDS + 1),
-        (3, _CHUNK_FIELDS + 1),
-    ], ids=["row-past-chunk", "row-wider-than-chunk", "rows-wider-than-chunk"])
-    def test_chunk_edges(self, rng, tmp_path, shape):
-        rows = values(rng, shape)
-        write_table(tmp_path / "table.csv", "h", rows)
-        write_by_loop(tmp_path / "ref.csv", "h", rows)
+    @pytest.mark.parametrize("make, labelled", [
+        (lambda rng: values(rng, (_CHUNK_FIELDS // 41 + 1, 41)), False),
+        (lambda rng: values(rng, (1, _CHUNK_FIELDS + 1)), False),
+        (lambda rng: values(rng, (3, _CHUNK_FIELDS + 1)), False),
+        (wave_front, False),
+        (force_like, False),
+        (error_series_rows, True),
+    ], ids=["row-past-chunk", "row-wider-than-chunk", "rows-wider-than-chunk",
+            "wave-front", "force-like", "labelled-error-series"])
+    def test_chunk_edges(self, rng, tmp_path, make, labelled):
+        rows = make(rng)
+        labels = (np.where(rows[:, 0] <= 0.5, "train", "test") if labelled
+                  else None)
+        write_table(tmp_path / "table.csv", "h", rows, labels=labels)
+        write_by_savetxt(tmp_path / "ref.csv", "h", rows, labels=labels)
         assert read(tmp_path / "table.csv") == read(tmp_path / "ref.csv")
+
+    @pytest.mark.parametrize("make", [wave_front, force_like,
+                                      error_series_rows],
+                             ids=["wave-front", "force-like", "error-series"])
+    def test_chunks_count_formatted_fields(self, rng, tmp_path, monkeypatch,
+                                           make):
+        # Chunks are sized by the fields formatted, not by row width: a
+        # block mostly in trailing zero runs takes few kernel calls.
+        rows = make(rng)
+        sizes = encode_sizes(monkeypatch, tmp_path, rows)
+        formatted = formatted_fields(rows)
+        assert sum(sizes) == formatted.sum()
+        assert len(sizes) <= -(-formatted.sum() // _CHUNK_FIELDS) + 1
+        assert max(sizes) < _CHUNK_FIELDS + formatted.max()
+
+    def test_dense_rows_keep_their_chunk_count(self, rng, tmp_path,
+                                               monkeypatch):
+        sizes = encode_sizes(monkeypatch, tmp_path, values(rng, (4001, 41)))
+        by_width = -(-4001 // (_CHUNK_FIELDS // 41))
+        assert abs(len(sizes) - by_width) <= 1
+
+    def test_row_wider_than_a_chunk_goes_alone(self, rng, tmp_path,
+                                               monkeypatch):
+        rows = values(rng, (5, _CHUNK_FIELDS + 1))
+        rows[[0, 1, 3, 4], 10:] = 0.0
+        assert encode_sizes(monkeypatch, tmp_path, rows) == [
+            20, _CHUNK_FIELDS + 1, 20]
 
     def test_zero_runs(self, rng, tmp_path):
         rows = rng.standard_normal((12, 9))
