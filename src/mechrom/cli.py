@@ -1,11 +1,14 @@
 """Command line driver for the reduction pipeline.
 
 Subcommands map to pipeline stages that exchange artifacts through an
-output directory. A stage run on its own parses the artifacts it reads;
-within ``run``, the later stages take what they read of the full-model
-run from memory, where the simulate stage left it. Both paths see the
-same doubles in the same layout and write the same bytes, so a chained
-stage-by-stage invocation reproduces a single ``run`` byte for byte:
+output directory. Every trajectory file, a ``fom/test`` block or a
+lifted replay, goes through ``snapshots.save_csv`` and ``load_csv``,
+and a stage reads only the blocks it needs. A stage run on its own
+parses the artifacts it reads; within ``run``, the later stages take
+what they read of the full-model run from memory, where the simulate
+stage left it. Both paths see the same doubles in the same layout and
+write the same bytes, so a chained stage-by-stage invocation
+reproduces a single ``run`` byte for byte:
 
     simulate            integrate the full model, write snapshot CSVs
     basis               compute the orthogonal basis from training data
@@ -77,9 +80,7 @@ from .snapshots import (
     assemble_opinf_data,
     load_csv,
     project,
-    read_matrix_csv,
     save_csv,
-    write_matrix_csv,
 )
 from .textio import FLOAT_FORMAT, read_table, write_table
 
@@ -464,47 +465,28 @@ def _train_columns(cfg: ExperimentConfig) -> int:
     return IntegratorConfig(dt=cfg.dt, t_end=cfg.train_t_end).num_steps
 
 
-def _check_training_window(count: int, available: int) -> None:
-    if available < count:
-        raise InvalidInputError(
-            f"the training window needs {count} snapshots, fom/test holds "
-            f"{available}"
-        )
-
-
-def _fom_paths(outdir, blocks) -> dict:
-    """Paths of those of ``blocks`` that the stored full-model trajectory
-    holds; it is written once, over the test window."""
-    base = os.path.join(outdir, "fom", "test")
-    paths = {key: os.path.join(base, CSV_NAMES[key]) for key in blocks}
-    return {key: path for key, path in paths.items() if os.path.exists(path)}
-
-
-def _load_fom_displacement(outdir, handoff, max_rows=None):
-    """Times and displacement block of the full-model trajectory, from
-    ``handoff`` when this call's simulate stage filled it and from the
-    stored file otherwise."""
-    if "times" in handoff:
-        return (handoff["times"][:max_rows],
-                handoff["displacement"][:, :max_rows])
-    paths = _fom_paths(outdir, ("displacement",))
-    if not paths:
-        raise MissingDataError("no displacement file to load")
-    return read_matrix_csv(paths["displacement"], max_rows)
-
-
-def _load_training(cfg: ExperimentConfig, outdir, blocks,
-                   handoff) -> TrajectoryData:
-    """The training window of the full-model trajectory: its first
-    training columns, of ``blocks`` only, from ``handoff`` or the files
-    as :func:`_load_fom_displacement` takes them."""
-    count = _train_columns(cfg)
+def _load_fom(cfg: ExperimentConfig, outdir, handoff, blocks,
+              training=True) -> TrajectoryData:
+    """The full-model trajectory, of ``blocks`` only: its training window
+    (the first training columns) or, with ``training`` false, the whole
+    test window it was written over. It comes from ``handoff`` when this
+    call's simulate stage filled it, and otherwise from those of the
+    blocks' files that exist, through :func:`load_csv`; a block that is
+    needed and absent is reported where it is used."""
+    count = _train_columns(cfg) if training else None
     if "times" in handoff:
         data = TrajectoryData(times=handoff["times"][:count],
                               **{key: handoff[key][:, :count] for key in blocks})
     else:
-        data = load_csv(_fom_paths(outdir, blocks), max_rows=count)
-    _check_training_window(count, data.num_snapshots)
+        base = os.path.join(outdir, "fom", "test")
+        paths = {key: os.path.join(base, CSV_NAMES[key]) for key in blocks}
+        data = load_csv({key: path for key, path in paths.items()
+                         if os.path.exists(path)}, max_rows=count)
+    if training and data.num_snapshots < count:
+        raise InvalidInputError(
+            f"the training window needs {count} snapshots, fom/test holds "
+            f"{data.num_snapshots}"
+        )
     return data
 
 
@@ -562,8 +544,8 @@ def stage_simulate(cfg: ExperimentConfig, outdir, handoff) -> None:
     count = _train_columns(cfg)
     # What the later stages of this call read of the run. The file text
     # round-trips every double, and each block takes the layout that
-    # read_matrix_csv returns, the transpose of a contiguous (N, n) copy,
-    # so products with it round as with the parsed block.
+    # load_csv returns, the transpose of a contiguous (N, n) copy, so
+    # products with it round as with the parsed block.
     handoff.update(system=system, times=data.times,
                    displacement=data.displacement.T.copy().T)
     for key in ("velocity", "acceleration", "input", "force"):
@@ -572,9 +554,7 @@ def stage_simulate(cfg: ExperimentConfig, outdir, handoff) -> None:
 
 
 def stage_basis(cfg: ExperimentConfig, outdir, handoff) -> None:
-    count = _train_columns(cfg)
-    times, X = _load_fom_displacement(outdir, handoff, count)
-    _check_training_window(count, times.size)
+    X = _load_fom(cfg, outdir, handoff, ("displacement",)).displacement
     basis = compute_basis(X, rank=cfg.rank, tol=cfg.tol, energy=cfg.energy)
     bdir = _basis_dir(outdir)
     os.makedirs(bdir, exist_ok=True)
@@ -589,9 +569,9 @@ def stage_basis(cfg: ExperimentConfig, outdir, handoff) -> None:
 def stage_infer(cfg: ExperimentConfig, outdir, handoff) -> None:
     if "opinf" not in cfg.methods:
         return
-    train = _load_training(
-        cfg, outdir, ("displacement", "velocity", "acceleration", "input"),
-        handoff,
+    train = _load_fom(
+        cfg, outdir, handoff,
+        ("displacement", "velocity", "acceleration", "input"),
     )
     rdata = project(train, _load_basis(outdir))
     D, rhs = assemble_opinf_data(rdata)
@@ -628,9 +608,9 @@ _STOP_LABELS = {
 def stage_infer_constrained(cfg: ExperimentConfig, outdir, handoff) -> None:
     if "copinf" not in cfg.methods:
         return
-    train = _load_training(
-        cfg, outdir, ("displacement", "velocity", "acceleration", "force"),
-        handoff,
+    train = _load_fom(
+        cfg, outdir, handoff,
+        ("displacement", "velocity", "acceleration", "force"),
     )
     D, rhs = assemble_force_data(project(train, _load_basis(outdir)))
     rom, report = infer_constrained(D, rhs, omega=cfg.omega)
@@ -653,7 +633,8 @@ def stage_evaluate(cfg: ExperimentConfig, outdir, handoff) -> None:
     system = handoff["system"] if "system" in handoff else _build_system(cfg)
     basis = _load_basis(outdir)
     V = basis.modes
-    times, X = _load_fom_displacement(outdir, handoff)
+    fom = _load_fom(cfg, outdir, handoff, ("displacement",), training=False)
+    times, X = fom.times, fom.displacement
     x0, v0 = _initial_conditions(cfg, system.n)
 
     diverged = []
@@ -693,11 +674,8 @@ def stage_evaluate(cfg: ExperimentConfig, outdir, handoff) -> None:
                 X, lifted, times=times,
                 phase_split=times[_train_columns(cfg) - 1],
             )
-        rom_dir = os.path.join(outdir, f"rom_{method}")
-        os.makedirs(rom_dir, exist_ok=True)
-        write_matrix_csv(
-            os.path.join(rom_dir, "displacement.csv"), times, lifted, "x"
-        )
+        save_csv(TrajectoryData(times=times, displacement=lifted),
+                 os.path.join(outdir, f"rom_{method}"))
         save_error_series(series, os.path.join(outdir, f"errors_{method}.csv"))
         print(f"evaluate: {method} max relative error {series.max_eps:.6e}")
         if not np.all(np.isfinite(lifted)):

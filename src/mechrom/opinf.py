@@ -26,7 +26,6 @@ from .errors import (
     InsufficientDataError,
     InvalidInputError,
     InvalidParameterError,
-    MissingDataError,
     NoViableLambdaError,
     NotSeparableError,
     SingularOperatorError,
@@ -235,14 +234,16 @@ def select_lambda(D, rhs, grid, validation: TrajectoryData,
 
     Raises
     ------
+    MissingDataError
+        If the validation window has no input or no velocity block,
+        before any fit.
     NoViableLambdaError
         If every candidate replay diverges.
     """
     grid = sorted(float(g) for g in grid)
     if not grid:
         raise InvalidParameterError("the regularization grid is empty")
-    if validation.input is None:
-        raise MissingDataError("validation data has no input block")
+    validation.require("input", "velocity")
     if validation.num_snapshots < 2:
         raise InsufficientDataError(
             "validation replay needs at least two snapshots"

@@ -1,12 +1,13 @@
 """Trajectory containers, regression data assembly, and CSV exchange.
 
-Snapshot collections hold displacement, velocity, and acceleration
-histories column per time instant, plus optional input and force
+Snapshot collections hold a displacement history, column per time
+instant, plus optional velocity, acceleration, input and force
 histories. A trajectory projected onto a basis has the same type and
 feeds the regression problems: the data matrix stacks velocity,
 displacement, and input blocks for the mass-normalized problem, and
 acceleration, velocity, and displacement blocks for the force-driven
-constrained problem.
+constrained problem. Every trajectory file, one per block, is written
+by :func:`save_csv` and read by :func:`load_csv`.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ __all__ = [
     "finite_difference_derivatives",
     "save_csv",
     "load_csv",
-    "write_matrix_csv",
-    "read_matrix_csv",
 ]
 
 # Relative tolerance on time-grid uniformity.
@@ -83,15 +82,15 @@ def _check_times(times) -> np.ndarray:
 class TrajectoryData:
     """Sampled state history of a second-order model.
 
-    All matrices store one column per entry of ``times``. ``input`` and
-    ``force`` are optional; workflows that need them raise
-    :class:`MissingDataError` when absent.
+    All matrices store one column per entry of ``times``. Only
+    ``displacement`` is required; workflows that need an absent block
+    raise :class:`MissingDataError` through :meth:`require`.
     """
 
     times: np.ndarray
     displacement: np.ndarray
-    velocity: np.ndarray
-    acceleration: np.ndarray
+    velocity: np.ndarray | None = None
+    acceleration: np.ndarray | None = None
     input: np.ndarray | None = None
     force: np.ndarray | None = None
 
@@ -99,21 +98,21 @@ class TrajectoryData:
         times = _check_times(self.times)
         N = times.size
         X = _check_block("displacement", self.displacement, None, N)
-        n = X.shape[0]
-        Xd = _check_block("velocity", self.velocity, n, N)
-        Xdd = _check_block("acceleration", self.acceleration, n, N)
-        U = self.input
-        if U is not None:
-            U = _check_block("input", U, None, N)
-        F = self.force
-        if F is not None:
-            F = _check_block("force", F, n, N)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "displacement", X)
-        object.__setattr__(self, "velocity", Xd)
-        object.__setattr__(self, "acceleration", Xdd)
-        object.__setattr__(self, "input", U)
-        object.__setattr__(self, "force", F)
+        for key, n_rows in (("velocity", X.shape[0]),
+                            ("acceleration", X.shape[0]),
+                            ("input", None), ("force", X.shape[0])):
+            A = getattr(self, key)
+            if A is not None:
+                object.__setattr__(self, key, _check_block(key, A, n_rows, N))
+
+    def require(self, *keys) -> None:
+        """Raise :class:`MissingDataError` naming the first of the blocks
+        ``keys`` that is absent."""
+        for key in keys:
+            if getattr(self, key) is None:
+                raise MissingDataError(f"{key} block is required and absent")
 
     @property
     def n(self) -> int:
@@ -133,23 +132,23 @@ class TrajectoryData:
 def project(data: TrajectoryData, basis: PodBasis) -> TrajectoryData:
     """Project a trajectory onto the span of a basis.
 
-    Displacement, velocity, acceleration, and force (when present) are
-    left-multiplied by the transposed mode matrix; the input signal is
-    independent of the state space and is copied unchanged.
+    Displacement, and velocity, acceleration and force when present,
+    are left-multiplied by the transposed mode matrix; the input signal
+    is independent of the state space and is copied unchanged. Absent
+    blocks stay absent.
     """
     V = basis.modes
     if data.n != V.shape[0]:
         raise InvalidInputError(
             f"trajectory dimension {data.n} does not match basis rows {V.shape[0]}"
         )
-    Vt = V.T
+    blocks = {key: V.T @ getattr(data, key)
+              for key in ("displacement", "velocity", "acceleration", "force")
+              if getattr(data, key) is not None}
     return TrajectoryData(
         times=data.times,
-        displacement=Vt @ data.displacement,
-        velocity=Vt @ data.velocity,
-        acceleration=Vt @ data.acceleration,
         input=None if data.input is None else data.input.copy(),
-        force=None if data.force is None else Vt @ data.force,
+        **blocks,
     )
 
 
@@ -165,8 +164,7 @@ def assemble_opinf_data(rdata: TrajectoryData):
     rhs : (r, N) ndarray
         The acceleration block.
     """
-    if rdata.input is None:
-        raise MissingDataError("input block is required and absent")
+    rdata.require("velocity", "input", "acceleration")
     D = np.vstack([rdata.velocity, rdata.displacement, rdata.input])
     return D, rdata.acceleration.copy()
 
@@ -182,8 +180,7 @@ def assemble_force_data(rdata: TrajectoryData):
     rhs : (r, N) ndarray
         The projected force block.
     """
-    if rdata.force is None:
-        raise MissingDataError("force block is required and absent")
+    rdata.require("acceleration", "velocity", "force")
     D = np.vstack([rdata.acceleration, rdata.velocity, rdata.displacement])
     return D, rdata.force.copy()
 
@@ -235,15 +232,15 @@ def finite_difference_derivatives(displacement, dt: float):
 # ---------------------------------------------------------------------------
 
 
-def write_matrix_csv(path, times, A, prefix):
+def _write_block(path, times, A, prefix):
     """Write one block: a ``t,<prefix>_1,...`` header, then a row per
     entry of ``times`` holding that time and column of ``A``."""
     header = "t," + ",".join(f"{prefix}_{i + 1}" for i in range(A.shape[0]))
     write_table(path, header, np.column_stack([times, A.T]))
 
 
-def read_matrix_csv(path, max_rows=None):
-    """Read one block written by :func:`write_matrix_csv`; returns the
+def _read_block(path, max_rows=None):
+    """Read one block written by :func:`_write_block`; returns the
     times and the matrix with one column per time. With ``max_rows``,
     only the first ``max_rows`` snapshots are read."""
     header = read_header(path)
@@ -272,7 +269,7 @@ def save_csv(data: TrajectoryData, directory) -> list:
         if A is None:
             continue
         path = os.path.join(directory, name)
-        write_matrix_csv(path, data.times, A, _CSV_PREFIX[key])
+        _write_block(path, data.times, A, _CSV_PREFIX[key])
         written.append(path)
     return written
 
@@ -282,10 +279,10 @@ def load_csv(source, max_rows=None) -> TrajectoryData:
 
     ``source`` is either a directory written by :func:`save_csv` or a
     mapping from block name (displacement, velocity, acceleration,
-    input, force) to file path. The displacement, velocity, and
-    acceleration blocks are required; time columns must agree exactly
-    across files. With ``max_rows``, only the first ``max_rows``
-    snapshots are read.
+    input, force) to file path. Only the displacement block is
+    required, and the blocks without a file are absent; time columns
+    must agree exactly across files. With ``max_rows``, only the first
+    ``max_rows`` snapshots are read.
     """
     if isinstance(source, (str, os.PathLike)):
         paths = {}
@@ -296,14 +293,13 @@ def load_csv(source, max_rows=None) -> TrajectoryData:
     else:
         paths = dict(source)
 
-    for key in ("displacement", "velocity", "acceleration"):
-        if key not in paths:
-            raise MissingDataError(f"no {key} file to load")
+    if "displacement" not in paths:
+        raise MissingDataError("no displacement file to load")
 
     times = None
     blocks = {}
     for key, path in paths.items():
-        t, A = read_matrix_csv(path, max_rows)
+        t, A = _read_block(path, max_rows)
         if times is None:
             times = t
         elif t.shape != times.shape or np.any(t != times):

@@ -850,9 +850,9 @@ class TestPipeline:
         table = np.loadtxt(out / "opinf" / "lambda_table.csv", delimiter=",",
                            skiprows=1)
         cfg = load_config(cfg_path)
-        train = cli._load_training(
-            cfg, str(out), ("displacement", "velocity", "acceleration", "input"),
-            {})
+        train = cli._load_fom(
+            cfg, str(out), {},
+            ("displacement", "velocity", "acceleration", "input"))
         rdata = project(train, cli._load_basis(str(out)))
         D, rhs = assemble_opinf_data(rdata)
         window = IntegratorConfig(dt=rdata.dt,
@@ -922,8 +922,6 @@ class TestHandoff:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(cli, "read_matrix_csv",
-                            spy(cli.read_matrix_csv, parsed.append))
         monkeypatch.setattr(cli, "load_csv",
                             spy(cli.load_csv,
                                 lambda paths: parsed.extend(paths.values())))
@@ -959,19 +957,28 @@ class TestHandoff:
         out = str(tmp_path / "artifacts")
         handoff = {}
         cli.stage_simulate(cfg, out, handoff)
-        blocks = ("displacement", "velocity", "acceleration", "input", "force")
-        held = cli._load_training(cfg, out, blocks, handoff)
-        parsed = cli._load_training(cfg, out, blocks, {})
-        pairs = [(getattr(held, key), getattr(parsed, key))
-                 for key in ("times",) + blocks]
-        held_t, held_x = cli._load_fom_displacement(out, handoff)
-        file_t, file_x = cli._load_fom_displacement(out, {})
-        pairs.append((held_x, file_x))
-        for a, b in pairs:
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert a.strides == b.strides
-            assert a.tobytes() == b.tobytes()
-        assert held_t.tobytes() == file_t.tobytes()
+        selections = [
+            # basis's training displacement
+            (("displacement",), True),
+            # the two inference stages' training blocks
+            (("displacement", "velocity", "acceleration", "input"), True),
+            (("displacement", "velocity", "acceleration", "force"), True),
+            # evaluate's whole test window
+            (("displacement",), False),
+        ]
+        for blocks, training in selections:
+            held = cli._load_fom(cfg, out, handoff, blocks, training)
+            parsed = cli._load_fom(cfg, out, {}, blocks, training)
+            assert held.num_snapshots == (10 if training else 20)
+            for key in ("times", "displacement", "velocity", "acceleration",
+                        "input", "force"):
+                a, b = getattr(held, key), getattr(parsed, key)
+                if key != "times" and key not in blocks:
+                    assert a is None and b is None
+                    continue
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.strides == b.strides
+                assert a.tobytes() == b.tobytes()
 
     def test_evaluate_alone_loads_the_system(self, tmp_path, capsys):
         cfg = files_kind_config(tmp_path)
@@ -1082,6 +1089,33 @@ class TestStageFailures:
         code = main(["infer", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 2
         assert "error in stage 'infer'" in capsys.readouterr().err
+
+    def test_stages_read_only_the_blocks_they_need(self, tmp_path, capsys):
+        cfg = config_file(tmp_path)
+        out = tmp_path / "artifacts"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        fom = out / "fom" / "test"
+        os.remove(fom / "velocity.csv")
+        os.remove(fom / "acceleration.csv")
+        before = tree_bytes(out)
+        # basis and evaluate need the displacement alone: each rewrites
+        # its artifacts, removed first, byte for byte.
+        for command, written in (("basis", ("basis/*",)),
+                                 ("evaluate", ("pod/*", "rom_*/*",
+                                               "errors_*.csv"))):
+            for pattern in written:
+                for path in out.glob(pattern):
+                    os.remove(path)
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+            assert tree_bytes(out) == before
+        capsys.readouterr()
+        for command, named in (("infer", "velocity"),
+                               ("infer-constrained", "acceleration")):
+            assert main([command, "--config", cfg, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"error in stage '{command.replace('-', '_')}'" in err
+            assert f"{named} block is required and absent" in err
+        assert tree_bytes(out) == before
 
     def test_evaluate_missing_inferred_operators(self, tmp_path, capsys):
         cfg = config_file(tmp_path, {"inference": {"methods": "opinf"}})

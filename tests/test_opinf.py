@@ -336,6 +336,20 @@ class TestSelectLambda:
         with pytest.raises(MissingDataError, match="input"):
             select_lambda(D, rhs, [0.0], project(bare, identity_basis(1)))
 
+    def test_validation_without_velocity_fails_before_any_fit(
+            self, monkeypatch):
+        rdata = scalar_validation_data(t_end=0.1)
+        D, rhs = assemble_opinf_data(rdata)
+        bare = dataclasses.replace(rdata, velocity=None)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a candidate was fitted")
+
+        monkeypatch.setattr(opinf, "infer", no_fit)
+        with pytest.raises(MissingDataError,
+                           match="^velocity block is required and absent$"):
+            select_lambda(D, rhs, [0.0, 1.0], bare)
+
     def test_validation_needs_two_snapshots(self, rng):
         D, rhs = synthesize(rng, 0.1, 1.0, 1.0, N=10)
         single = make_constant_trajectory(np.array([0.5]), value=1.0)

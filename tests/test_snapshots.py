@@ -1,6 +1,8 @@
 """Tests for trajectory containers, projection, regression data assembly,
 finite differences, and the CSV exchange format."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,7 +23,6 @@ from mechrom.snapshots import (
     finite_difference_derivatives,
     load_csv,
     project,
-    read_matrix_csv,
     save_csv,
 )
 
@@ -104,6 +105,30 @@ class TestTrajectoryData:
                 velocity=np.zeros((2, 3)),
                 acceleration=np.zeros((3, 3)),
             )
+
+    def test_displacement_alone(self, rng):
+        times = 0.5 + 0.1 * np.arange(6)
+        X = rng.standard_normal((3, 6))
+        data = TrajectoryData(times, X)
+        assert data.displacement is X
+        assert (data.n, data.num_snapshots) == (3, 6)
+        assert data.dt == pytest.approx(0.1)
+        for name in ("velocity", "acceleration", "input", "force"):
+            assert getattr(data, name) is None
+
+    @pytest.mark.parametrize("name", ["velocity", "acceleration", "force"])
+    def test_optional_block_shape_checked(self, name):
+        with pytest.raises(InvalidInputError, match=f"^{name} must have 2 rows"):
+            TrajectoryData(times=[0.1, 0.2, 0.3], displacement=np.zeros((2, 3)),
+                           **{name: np.zeros((3, 3))})
+
+    def test_require_names_the_first_absent_block(self, rng):
+        data = TrajectoryData(times=[0.1, 0.2], displacement=np.ones((2, 2)),
+                              acceleration=np.ones((2, 2)))
+        data.require("displacement", "acceleration")
+        with pytest.raises(MissingDataError,
+                           match="^input block is required and absent$"):
+            data.require("acceleration", "input", "velocity")
 
     def test_dt_undefined_for_single_snapshot(self):
         data = TrajectoryData(
@@ -201,6 +226,15 @@ class TestProject:
             atol=1e-12,
         )
 
+    def test_absent_blocks_stay_absent(self, rng):
+        X = rng.standard_normal((5, 7))
+        data = TrajectoryData(times=0.1 * np.arange(7), displacement=X)
+        basis = orthonormal_basis(rng, 5, 2)
+        rdata = project(data, basis)
+        np.testing.assert_array_equal(rdata.displacement, basis.modes.T @ X)
+        for name in ("velocity", "acceleration", "input", "force"):
+            assert getattr(rdata, name) is None
+
     def test_dimension_mismatch(self, rng):
         data = make_trajectory(rng, n=4, N=5)
         with pytest.raises(InvalidInputError, match="does not match basis"):
@@ -249,6 +283,18 @@ class TestAssembleOpinfData:
         with pytest.raises(MissingDataError, match="input"):
             assemble_opinf_data(rdata)
 
+    @pytest.mark.parametrize("absent, named", [
+        (("velocity",), "velocity"),
+        (("acceleration",), "acceleration"),
+        (("velocity", "acceleration"), "velocity"),
+    ])
+    def test_missing_derivative_names_block(self, rng, absent, named):
+        data = make_trajectory(rng, n=3, N=5, m=1)
+        data = dataclasses.replace(data, **{key: None for key in absent})
+        with pytest.raises(MissingDataError,
+                           match=f"^{named} block is required and absent$"):
+            assemble_opinf_data(data)
+
     def test_reported_condition_matches_svd_oracle(self, rng):
         data = make_trajectory(rng, n=6, N=30, m=2)
         rdata = project(data, orthonormal_basis(rng, 6, 2))
@@ -283,6 +329,18 @@ class TestAssembleForceData:
         np.testing.assert_array_equal(D_f[:r], rhs_op)
         np.testing.assert_array_equal(D_f[r : 2 * r], D_op[:r])
         np.testing.assert_array_equal(D_f[2 * r :], D_op[r : 2 * r])
+
+    @pytest.mark.parametrize("absent, named", [
+        (("velocity",), "velocity"),
+        (("acceleration",), "acceleration"),
+        (("velocity", "acceleration"), "acceleration"),
+    ])
+    def test_missing_derivative_names_block(self, rng, absent, named):
+        data = make_trajectory(rng, n=3, N=5)
+        data = dataclasses.replace(data, **{key: None for key in absent})
+        with pytest.raises(MissingDataError,
+                           match=f"^{named} block is required and absent$"):
+            assemble_force_data(data)
 
     def test_missing_force(self, rng):
         data = make_trajectory(rng, n=4, N=6, with_force=False)
@@ -396,6 +454,18 @@ class TestCsvRoundTrip:
         assert back.input is None
         assert back.force is None
 
+    def test_displacement_only_round_trip(self, rng, tmp_path):
+        data = TrajectoryData(times=0.25 * np.arange(1, 8),
+                              displacement=rng.standard_normal((3, 7)))
+        assert save_csv(data, tmp_path) == [str(tmp_path / "displacement.csv")]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["displacement.csv"]
+        for source in (tmp_path, {"displacement": tmp_path / "displacement.csv"}):
+            back = load_csv(source)
+            np.testing.assert_array_equal(back.times, data.times)
+            np.testing.assert_array_equal(back.displacement, data.displacement)
+            for name in ("velocity", "acceleration", "input", "force"):
+                assert getattr(back, name) is None
+
     def test_load_from_mapping(self, rng, tmp_path):
         data = make_trajectory(rng, n=2, N=4, with_force=False)
         save_csv(data, tmp_path)
@@ -424,8 +494,9 @@ class TestCsvRoundTrip:
                      "force"):
             np.testing.assert_array_equal(getattr(back, name),
                                           getattr(full, name)[:, :4])
-        _, X = read_matrix_csv(tmp_path / "displacement.csv", max_rows=20)
-        np.testing.assert_array_equal(X, full.displacement)
+        more = load_csv({"displacement": tmp_path / "displacement.csv"},
+                        max_rows=20)
+        np.testing.assert_array_equal(more.displacement, full.displacement)
 
 
 class TestCsvErrors:
@@ -487,9 +558,16 @@ class TestCsvErrors:
             load_csv(tmp_path)
 
     def test_missing_required_block(self, rng, tmp_path):
+        # Only the displacement is needed to load; the regressions name
+        # the derivative block they lack when they assemble.
         self.write_all(tmp_path, rng)
         (tmp_path / "velocity.csv").unlink()
+        data = load_csv(tmp_path)
+        assert data.velocity is None
         with pytest.raises(MissingDataError, match="velocity"):
+            assemble_opinf_data(data)
+        (tmp_path / "displacement.csv").unlink()
+        with pytest.raises(MissingDataError, match="displacement"):
             load_csv(tmp_path)
 
     def test_disagreeing_time_columns(self, rng, tmp_path):
