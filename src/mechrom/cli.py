@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
 import json
 import math
 import os
@@ -40,6 +41,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy
+from numpy.linalg import _umath_linalg
 
 from . import __version__
 from .errors import (
@@ -747,8 +749,9 @@ def run(cfg: ExperimentConfig, outdir) -> None:
 
 
 def _environment() -> dict:
-    """The Python, numpy and scipy versions, and the name and version of
-    the BLAS numpy was built with (None where its build does not say)."""
+    """The Python, numpy and scipy versions, the name and version of the
+    BLAS numpy was built with (None where its build does not say), and
+    the thread count of the BLAS it loaded (see ``_blas_threads``)."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):
@@ -758,8 +761,29 @@ def _environment() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas": {"name": blas.get("name"), "version": blas.get("version"),
+                 "threads": _blas_threads()},
     }
+
+
+def _blas_threads() -> int | None:
+    """The thread count of the OpenBLAS that numpy's linear algebra
+    calls, asked of the library through ctypes; None where no OpenBLAS
+    thread getter is found (another BLAS, or a platform whose loader does
+    not resolve a module's dependencies by name)."""
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+    # scipy-openblas wheels (64- and 32-bit integers), then plain OpenBLAS.
+    for name in ("scipy_openblas_get_num_threads64_",
+                 "scipy_openblas_get_num_threads",
+                 "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        getter = getattr(lib, name, None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return int(getter())
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ equations are never inverted explicitly.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -228,6 +229,13 @@ def select_lambda(D, rhs, grid, validation: TrajectoryData,
     the average-acceleration scheme) on the validation window's time
     grid; its ``dt`` and ``t_end`` are not read.
 
+    The data are factored once, D = W S Qt, and each candidate is fit
+    to (D Qt^T, rhs Qt^T), a k x min(k, N) regression with the same
+    ridge minimizers: D = (D Qt^T) Qt, and the part of rhs outside the
+    row space of Qt is the same for every P. The table's
+    ``train_residual`` is the residual on the full data, both parts
+    combined.
+
     Returns
     -------
     (best_lam, trials) : (float, list of LambdaTrial)
@@ -249,6 +257,12 @@ def select_lambda(D, rhs, grid, validation: TrajectoryData,
             "validation replay needs at least two snapshots"
         )
 
+    D, rhs = regression_arrays(D, rhs)
+    _, _, Qt = la.svd(D, full_matrices=False)
+    rhs_c = rhs @ Qt.T
+    tail = float(np.linalg.norm(rhs - rhs_c @ Qt))
+    D, rhs = D @ Qt.T, rhs_c
+
     trials = []
     best_lam = None
     best_err = float("inf")
@@ -267,7 +281,7 @@ def select_lambda(D, rhs, grid, validation: TrajectoryData,
         trials.append(
             LambdaTrial(
                 lam=lam,
-                train_residual=report.residual,
+                train_residual=math.hypot(report.residual, tail),
                 validation_error=err,
                 operator_norm=norm,
             )

@@ -736,8 +736,23 @@ class TestPipeline:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
-            "blas": {"name": blas["name"], "version": blas["version"]},
+            "blas": {"name": blas["name"], "version": blas["version"],
+                     "threads": cli._blas_threads()},
         }
+
+    def test_blas_thread_probe_reads_the_environment(self):
+        # OpenBLAS takes its thread count from OPENBLAS_NUM_THREADS when it
+        # loads. The variable is passed on as set, so that a run under each
+        # thread count checks that count.
+        threads = os.environ.get("OPENBLAS_NUM_THREADS", "1")
+        proc = subprocess.run(
+            [sys.executable, "-c", "from mechrom import cli; "
+             "print(cli._environment()['blas']['threads'])"],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == threads
 
     def test_timings_cover_every_stage(self, small_run):
         _, out = small_run

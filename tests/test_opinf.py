@@ -2,6 +2,8 @@
 kernel, model assembly, regularization sweep, and operator separation."""
 
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -177,6 +179,20 @@ def seeded_validation_data():
     return project(data, identity_basis(3))
 
 
+def full_data_sweep(D, rhs, grid, validation):
+    """The sweep's table and choice with every candidate fit on the full
+    data: the smallest replay error wins, ties toward the larger weight."""
+    trials = []
+    for lam in sorted(grid):
+        rom, report = infer(D, rhs, lam)
+        norm = math.sqrt(sum(np.linalg.norm(A) ** 2 for A in (
+            rom.damping, rom.stiffness, rom.input_map)))
+        trials.append(LambdaTrial(lam, report.residual,
+                                  opinf._replay_error(rom, validation), norm))
+    best = min(trials, key=lambda t: (t.validation_error, -t.lam))
+    return best.lam, trials
+
+
 class TestSelectLambda:
     def test_single_zero_grid(self):
         rdata = scalar_validation_data()
@@ -315,13 +331,88 @@ class TestSelectLambda:
         config = IntegratorConfig(dt=dt, t_end=float(rdata.times[-1] - t0))
         X = rdata.displacement
         denom = np.linalg.norm(X, axis=0).max()
+        # The reference models are fit as the sweep fits them, on the data
+        # compressed to the row space of D, so that the comparison below
+        # is exact.
+        _, _, Qt = la.svd(D, full_matrices=False)
+        rhs_c = rhs @ Qt.T
+        tail = float(np.linalg.norm(rhs - rhs_c @ Qt))
         for lam, trial in zip(grid, trials):
-            rom, report = infer(D, rhs, lam)
+            rom, report = infer(D @ Qt.T, rhs_c, lam)
             Q = simulate(rom, rounding_sampler, X[:, 0], rdata.velocity[:, 0],
                          config, t0=t0).displacement
             err = float(np.linalg.norm(Q - X[:, 1:], axis=0).max() / denom)
             assert (trial.lam, trial.train_residual, trial.validation_error) \
-                == (lam, report.residual, err)
+                == (lam, math.hypot(report.residual, tail), err)
+
+    def test_table_matches_fits_on_the_full_data(self):
+        # Each candidate is fit to the compressed data, which has the
+        # full-data minimizer; noise in the accelerations gives every
+        # column of the table a value well above rounding.
+        rdata = seeded_validation_data()
+        D, rhs = assemble_opinf_data(rdata)
+        assert D.shape[1] > 50 * D.shape[0] and np.linalg.cond(D) < 1e3
+        noise = np.random.default_rng(5).standard_normal(rhs.shape)
+        rhs = rhs + 3e-2 * np.abs(rhs).max() * noise
+        grid = [0.0, 1e-9, 1e-6, 1e-3, 1e-1, 1.0, 10.0]
+        lam, trials = select_lambda(D, rhs, grid, rdata)
+        ref_lam, ref_trials = full_data_sweep(D, rhs, grid, rdata)
+        assert lam == ref_lam == 1e-1
+        for trial, ref in zip(trials, ref_trials):
+            assert trial.lam == ref.lam
+            for name in ("train_residual", "validation_error",
+                         "operator_norm"):
+                assert getattr(trial, name) == pytest.approx(
+                    getattr(ref, name), rel=1e-12, abs=0.0), name
+
+    def test_fewer_samples_than_rows(self):
+        # With N < k the compressed data matrix keeps all N columns, and
+        # every candidate's fit warns as a fit on the full data does.
+        rdata = seeded_validation_data()
+        window = dataclasses.replace(
+            rdata, times=rdata.times[:6],
+            **{key: getattr(rdata, key)[:, :6] for key in (
+                "displacement", "velocity", "acceleration", "input",
+                "force")})
+        D, rhs = assemble_opinf_data(window)
+        assert D.shape[1] < D.shape[0]
+        grid = [0.0, 1e-6, 1e-3, 1.0]
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            lam, _ = select_lambda(D, rhs, grid, window)
+        with warnings.catch_warnings(record=True) as expected:
+            warnings.simplefilter("always")
+            ref_lam, _ = full_data_sweep(D, rhs, grid, window)
+        assert lam == ref_lam
+        messages = [(w.category, str(w.message)) for w in seen]
+        assert messages == [(w.category, str(w.message)) for w in expected]
+        assert messages == len(grid) * [(UserWarning, (
+            f"regression has fewer samples ({D.shape[1]}) than unknowns "
+            f"per row ({D.shape[0]}); expect rank deficiency"))]
+
+    def test_one_factorization_of_the_data_per_sweep(self, monkeypatch):
+        # The N-column data matrix is factored once; each candidate fits
+        # a k x k matrix, through one call of infer.
+        rdata = seeded_validation_data()
+        D, rhs = assemble_opinf_data(rdata)
+        k, N = D.shape
+        svd_shapes, fit_shapes = [], []
+        svd, fit = la.svd, opinf.infer
+
+        def spy_svd(a, *args, **kwargs):
+            svd_shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        def spy_infer(D, rhs, lam=0.0):
+            fit_shapes.append(np.shape(D))
+            return fit(D, rhs, lam)
+
+        monkeypatch.setattr(opinf.la, "svd", spy_svd)
+        monkeypatch.setattr(opinf, "infer", spy_infer)
+        grid = [0.0, 1e-9, 1e-6, 1e-3, 1.0]
+        select_lambda(D, rhs, grid, rdata)
+        assert [shape for shape in svd_shapes if shape[1] == N] == [(k, N)]
+        assert fit_shapes == len(grid) * [(k, k)]
 
     def test_empty_grid(self):
         rdata = scalar_validation_data(t_end=0.1)
