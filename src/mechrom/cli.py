@@ -42,6 +42,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 import scipy
 from numpy.linalg import _umath_linalg
+from scipy.linalg import _flapack
 
 from . import __version__
 from .errors import (
@@ -751,7 +752,10 @@ def run(cfg: ExperimentConfig, outdir) -> None:
 def _environment() -> dict:
     """The Python, numpy and scipy versions, the name and version of the
     BLAS numpy was built with (None where its build does not say), and
-    the thread count of the BLAS it loaded (see ``_blas_threads``)."""
+    the thread counts of the BLAS numpy loaded and of the one scipy's
+    LAPACK wrappers loaded (see ``_blas_threads``). scipy wheels bring
+    their own OpenBLAS, with a thread pool of its own; the constrained
+    solver's per-block decompositions run on it."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):
@@ -762,17 +766,18 @@ def _environment() -> dict:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version"),
-                 "threads": _blas_threads()},
+                 "threads": _blas_threads(_umath_linalg),
+                 "scipy_threads": _blas_threads(_flapack)},
     }
 
 
-def _blas_threads() -> int | None:
-    """The thread count of the OpenBLAS that numpy's linear algebra
+def _blas_threads(module) -> int | None:
+    """The thread count of the OpenBLAS that the extension ``module``
     calls, asked of the library through ctypes; None where no OpenBLAS
     thread getter is found (another BLAS, or a platform whose loader does
     not resolve a module's dependencies by name)."""
     try:
-        lib = ctypes.CDLL(_umath_linalg.__file__)
+        lib = ctypes.CDLL(module.__file__)
     except OSError:
         return None
     # scipy-openblas wheels (64- and 32-bit integers), then plain OpenBLAS.

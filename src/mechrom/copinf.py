@@ -17,8 +17,10 @@ inside its cone as it is, and eigendecomposes only the others; near
 the solution that is usually the damping block alone. Within one solve
 a block gets that test only if the previous projection found it
 inside, so a block that stays outside its cone goes straight to the
-decomposition. Besides the projection, an iteration costs one product
-with a cached ridge map and a few updates of 3r x r arrays.
+decomposition. Each test and each decomposition is one direct LAPACK
+call on one block (``dpotrf``, ``dsyevd``). Besides the projection, an
+iteration costs two products (the cached ridge map, and the reduced
+data for the objective) and a few in-place updates of 3r x r buffers.
 
 The iteration stops for one of three reasons, reported as
 ``ConstrainedSolveReport.stop_reason``:
@@ -85,6 +87,11 @@ _RELAX = 1.8
 # at iteration 1,000; the threshold sits between the two.
 _STALL_WINDOW = 500
 _STALL_TOL = 1.5e-11
+
+# Called directly, not through numpy.linalg, whose per-call wrapper costs
+# more than the routine at small r. The ridge step uses the same dsyevd,
+# which keeps numpy's OpenBLAS copy of it out of resident memory.
+_potrf, _syevd = la.get_lapack_funcs(("potrf", "syevd"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -159,10 +166,13 @@ def _project_stack(A, shifts, shifted_eye, inside) -> None:
     the eigendecomposition, which projects a matrix inside its cone too,
     only with other rounding. On return it says which matrices were
     found inside: those that factored, and those whose decomposition
-    raised no eigenvalue. The matrices due a test are factored in one
-    call, and each on its own only when that call fails. A single
-    matrix to decompose goes through a 2-D ``eigh``, several through one
-    batched call.
+    raised no eigenvalue.
+
+    Each matrix due a test is factored by one ``dpotrf`` call, and each
+    matrix to decompose by one ``dsyevd`` call, both on the lower
+    triangle as ``numpy.linalg.cholesky`` and ``eigh`` use it; one
+    batched product then applies the raised eigenvalues to all the
+    decomposed matrices.
 
     Raises InvalidInputError when ``A`` has a non-finite entry: a
     Cholesky factorization of a NaN matrix returns NaNs instead of
@@ -172,37 +182,33 @@ def _project_stack(A, shifts, shifted_eye, inside) -> None:
     if not np.isfinite(A).all():
         raise InvalidInputError("matrix contains non-finite entries")
     np.multiply(A + A.swapaxes(-1, -2), 0.5, out=A)
-    outside = [i for i in range(len(A)) if not inside[i]]
-    if len(outside) < len(A):
-        shifted = A - shifted_eye
-        if not _factors(shifted[inside]):
-            outside = [i for i in range(len(A))
-                       if not (inside[i] and _factors(shifted[i]))]
+    # Both routines get a symmetric matrix's transpose, a Fortran-ordered
+    # view with the same entries, which they overwrite without a copy.
+    # Every argument goes by position, which the wrappers parse faster
+    # than keywords: dpotrf(a, lower=1, clean=0, overwrite_a=1).
+    outside = [i for i in range(len(A))
+               if not (inside[i]
+                       and _potrf((A[i] - shifted_eye[i]).T, 1, 0, 1)[1] == 0)]
     if not outside:
         return
-    # Index with a slice or an integer where possible: a list index
-    # copies the stack it selects.
-    if len(outside) == len(A):
-        idx = slice(None)
-    elif len(outside) == 1:
-        idx = outside[0]
-    else:
-        idx = outside
-    w, Q = np.linalg.eigh(A[idx])
-    inside[idx] = w[..., 0] >= shifts[idx]
-    w = np.maximum(w, shifts[idx, None])
-    S = (Q * w[..., None, :]) @ Q.swapaxes(-1, -2)
-    A[idx] = 0.5 * (S + S.swapaxes(-1, -2))
-
-
-def _factors(B) -> bool:
-    """Whether the Cholesky factorization of every matrix in ``B``
-    succeeds."""
-    try:
-        np.linalg.cholesky(B)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    outside = np.array(outside)
+    # dsyevd(a, compute_v=1, lower=1, lwork, liwork, overwrite_a=1), with
+    # the minimal workspace for eigenvectors (the wrapper's default),
+    # leaves the eigenvector matrix V in place of block.T, so each block
+    # of Vt then holds V^T.
+    r = A.shape[-1]
+    lwork, liwork = 1 + 6 * r + 2 * r * r, 3 + 5 * r
+    Vt = A[outside]
+    w = np.empty((len(Vt), r))
+    for j, block in enumerate(Vt):
+        w[j], _, info = _syevd(block.T, 1, 1, lwork, liwork, 1)
+        if info:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    floor = shifts[outside]
+    inside[outside] = w[:, 0] >= floor
+    np.maximum(w, floor[:, None], out=w)
+    S = (Vt.swapaxes(-1, -2) * w[:, None, :]) @ Vt
+    A[outside] = 0.5 * (S + S.swapaxes(-1, -2))
 
 
 def _norm(X) -> float:
@@ -214,12 +220,15 @@ class _RidgeStep:
     """The map X -> (2 G + rho I)^-1 X for a symmetric positive
     semidefinite Gram matrix G.
 
-    G is factored once as V diag(lam) V^T; a penalty change recomputes
-    the matrix V diag(1 / (2 lam + rho)) V^T, so a step is one product.
+    G is factored once as V diag(lam) V^T, by the projection's
+    ``dsyevd``; a penalty change recomputes the matrix
+    V diag(1 / (2 lam + rho)) V^T, so a step is one product.
     """
 
     def __init__(self, gram, rho: float):
-        lam, self._V = np.linalg.eigh(gram)
+        lam, self._V, info = _syevd(gram, lower=1)
+        if info:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
         self._twice_lam = 2.0 * np.maximum(lam, 0.0)
         self.set_penalty(rho)
 
@@ -227,8 +236,8 @@ class _RidgeStep:
         gain = 1.0 / (self._twice_lam + rho)
         self._map = (self._V * gain) @ self._V.T
 
-    def __call__(self, X) -> np.ndarray:
-        return self._map @ X
+    def __call__(self, X, out=None) -> np.ndarray:
+        return np.matmul(self._map, X, out=out)
 
 
 def infer_constrained(
@@ -334,14 +343,22 @@ def infer_constrained(
     Z = W @ (rhs_range * filt).T
     inside = np.ones(3, dtype=bool)
     _project_stack(Z.reshape(3, r, r), shifts, shifted_eye, inside)
-    U = np.zeros_like(Z)
-    # The objective's operands, transposed as the iterate is.
+    # The objective's operands, transposed as the iterate is; the
+    # subtracted one in C order, as the product it is subtracted from.
     data_range = (W * s).T
-    rhs_range = rhs_range.T
+    rhs_range = np.ascontiguousarray(rhs_range.T)
+
+    # Every iteration writes into these 3r x r buffers in place; Z and
+    # Z_prev trade buffers each iteration.
+    U = np.zeros_like(Z)
+    P, P_relaxed, Z_prev, work = (np.empty_like(Z) for _ in range(4))
+    residual_in_range = np.empty_like(rhs_range)
 
     def objective_in_range(Z):
         # The reduced-form objective without its constant second term.
-        return _norm(data_range @ Z - rhs_range) ** 2
+        residual = np.matmul(data_range, Z, out=residual_in_range)
+        residual -= rhs_range
+        return _norm(residual) ** 2
 
     scale = float(np.sqrt(Z.size))
     stall_tol = _STALL_TOL * float(np.vdot(rhs, rhs))
@@ -352,15 +369,23 @@ def infer_constrained(
     last_adapt = 0
 
     for it in range(1, max_iter + 1):
-        P = ridge(rhs_data + rho * (Z - U))
-        Z_prev = Z
-        P_relaxed = _RELAX * P + (1.0 - _RELAX) * Z_prev
-        Z = P_relaxed + U
+        # P = ridge(rhs_data + rho (Z - U))
+        np.subtract(Z, U, out=work)
+        work *= rho
+        work += rhs_data
+        ridge(work, out=P)
+        Z, Z_prev = Z_prev, Z
+        # P_relaxed = alpha P + (1 - alpha) Z_prev, Z = proj(P_relaxed + U)
+        np.multiply(P, _RELAX, out=P_relaxed)
+        np.multiply(Z_prev, 1.0 - _RELAX, out=work)
+        P_relaxed += work
+        np.add(P_relaxed, U, out=Z)
         _project_stack(Z.reshape(3, r, r), shifts, shifted_eye, inside)
-        U = U + P_relaxed - Z
+        U += P_relaxed
+        U -= Z
 
-        primal = _norm(P - Z)
-        dual = rho * _norm(Z - Z_prev)
+        primal = _norm(np.subtract(P, Z, out=work))
+        dual = rho * _norm(np.subtract(Z, Z_prev, out=work))
         objective = objective_in_range(Z)
         trace.append((it, objective + rhs_tail, primal, dual))
 
@@ -378,12 +403,12 @@ def infer_constrained(
         if it <= _ADAPT_CUTOFF and it - last_adapt >= _ADAPT_EVERY:
             if primal > _ADAPT_RATIO * dual and rho * _ADAPT_FACTOR <= _PENALTY_RANGE[1]:
                 rho *= _ADAPT_FACTOR
-                U = U / _ADAPT_FACTOR
+                U /= _ADAPT_FACTOR
                 ridge.set_penalty(rho)
                 last_adapt = it
             elif dual > _ADAPT_RATIO * primal and rho / _ADAPT_FACTOR >= _PENALTY_RANGE[0]:
                 rho /= _ADAPT_FACTOR
-                U = U * _ADAPT_FACTOR
+                U *= _ADAPT_FACTOR
                 ridge.set_penalty(rho)
                 last_adapt = it
 

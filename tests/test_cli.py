@@ -10,6 +10,8 @@ import sys
 import numpy as np
 import pytest
 import scipy
+from numpy.linalg import _umath_linalg
+from scipy.linalg import _flapack
 
 from mechrom import __version__, cli, newmark
 from mechrom.cli import (
@@ -737,22 +739,25 @@ class TestPipeline:
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "blas": {"name": blas["name"], "version": blas["version"],
-                     "threads": cli._blas_threads()},
+                     "threads": cli._blas_threads(_umath_linalg),
+                     "scipy_threads": cli._blas_threads(_flapack)},
         }
 
     def test_blas_thread_probe_reads_the_environment(self):
         # OpenBLAS takes its thread count from OPENBLAS_NUM_THREADS when it
-        # loads. The variable is passed on as set, so that a run under each
-        # thread count checks that count.
+        # loads; numpy's and scipy's copies each read it. The variable is
+        # passed on as set, so that a run under each thread count checks
+        # that count.
         threads = os.environ.get("OPENBLAS_NUM_THREADS", "1")
         proc = subprocess.run(
             [sys.executable, "-c", "from mechrom import cli; "
-             "print(cli._environment()['blas']['threads'])"],
+             "blas = cli._environment()['blas']; "
+             "print(blas['threads'], blas['scipy_threads'])"],
             env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == threads
+        assert proc.stdout.split() == [threads, threads]
 
     def test_timings_cover_every_stage(self, small_run):
         _, out = small_run

@@ -2,6 +2,8 @@
 cone projection, the splitting solver, its feasibility guarantees, and the
 convergence trace."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -139,6 +141,21 @@ def eigh_projection(A, shifts, shifted_eye=None, inside=None):
     A[...] = 0.5 * (S + np.swapaxes(S, -1, -2))
 
 
+def counting(monkeypatch, name):
+    """Replace copinf's LAPACK entry point ``name`` (``_potrf`` or
+    ``_syevd``) by a wrapper that appends the shape of each matrix it is
+    called on to the returned list."""
+    calls = []
+    wrapped = getattr(copinf, name)
+
+    def wrapper(a, *args, **kwargs):
+        calls.append(a.shape)
+        return wrapped(a, *args, **kwargs)
+
+    monkeypatch.setattr(copinf, name, wrapper)
+    return calls
+
+
 class TestCholeskyTest:
     """A block that a Cholesky factorization shows to be inside its
     shifted cone is returned as its symmetric part; only the others are
@@ -149,10 +166,10 @@ class TestCholeskyTest:
         A += 1e-3 * rng.standard_normal(A.shape)
         want = 0.5 * (A + np.swapaxes(A, -1, -2))
 
-        def no_eigh(*args, **kwargs):
-            raise AssertionError("eigh called on an interior stack")
+        def no_syevd(*args, **kwargs):
+            raise AssertionError("dsyevd called on an interior stack")
 
-        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        monkeypatch.setattr(copinf, "_syevd", no_syevd)
         np.testing.assert_array_equal(project_psd(A, [0.5, 0.0, 1e-8]), want)
         np.testing.assert_array_equal(project_psd(A[0], 0.5), want[0])
 
@@ -161,16 +178,9 @@ class TestCholeskyTest:
         outside = rng.standard_normal((4, 4)) - 2.0 * np.eye(4)
         A = np.stack([inside, outside])
         shifts = np.array([0.5, 0.1])
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counting_eigh(a, *args, **kwargs):
-            calls.append(a.shape)
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        calls = counting(monkeypatch, "_syevd")
         S = project_psd(A, shifts)
-        # The one block left to decompose goes through a 2-D call.
+        # Only the block that fails the test is decomposed.
         assert calls == [(4, 4)]
         np.testing.assert_array_equal(S[0], 0.5 * (inside + inside.T))
         for b in range(2):
@@ -198,26 +208,25 @@ class TestCholeskyTest:
             _project_stack(A, np.zeros(1), np.zeros((1, 3, 3)),
                            np.ones(1, dtype=bool))
 
+    def test_failed_decomposition_raises(self, monkeypatch):
+        # dsyevd reports a decomposition that did not converge through
+        # its info value, which the kernel must not ignore.
+        def not_converged(a, *args, **kwargs):
+            return np.zeros(len(a)), a, 1
 
-def counting(monkeypatch, name):
-    """Replace ``numpy.linalg.<name>`` by a wrapper that appends the shape
-    of each argument to the returned list."""
-    calls = []
-    wrapped = getattr(np.linalg, name)
-
-    def wrapper(a, *args, **kwargs):
-        calls.append(a.shape)
-        return wrapped(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, name, wrapper)
-    return calls
+        monkeypatch.setattr(copinf, "_syevd", not_converged)
+        with pytest.raises(np.linalg.LinAlgError, match="converge"):
+            project_psd(-np.eye(3))
+        # The ridge step's decomposition of the Gram matrix, too.
+        with pytest.raises(np.linalg.LinAlgError, match="converge"):
+            infer_constrained(np.ones((3, 4)), np.ones((1, 4)))
 
 
 class TestInsideHints:
     """Inside the solver a block gets the Cholesky test only if the
     previous projection found it inside its cone; ``project_psd`` tests
-    every block of every call. The blocks due a test go through one
-    ``cholesky`` call, and only when it fails is each tested alone."""
+    every block of every call. Each block due a test is factored by one
+    ``dpotrf`` call of its own."""
 
     def test_block_back_inside_is_tested_again(self, rng, monkeypatch):
         shift = 0.5
@@ -227,8 +236,8 @@ class TestInsideHints:
         shifts = np.array([shift])
         shifted_eye = shift * np.eye(4)[None]
         hint = np.ones(1, dtype=bool)
-        chol = counting(monkeypatch, "cholesky")
-        eigh = counting(monkeypatch, "eigh")
+        chol = counting(monkeypatch, "_potrf")
+        eigh = counting(monkeypatch, "_syevd")
 
         def project(block):
             chol.clear()
@@ -254,16 +263,16 @@ class TestInsideHints:
         inside = np.stack([random_spd(rng, 3, eigmin=1.0) for _ in range(3)])
         outside = inside.copy()
         outside[1] -= 5.0 * np.eye(3)
-        chol = counting(monkeypatch, "cholesky")
-        eigh = counting(monkeypatch, "eigh")
+        chol = counting(monkeypatch, "_potrf")
+        eigh = counting(monkeypatch, "_syevd")
         project_psd(outside, 0.5)
-        # The joint test fails; each block is then tested alone.
-        assert chol == [(3, 3, 3), (3, 3), (3, 3), (3, 3)]
+        # One factorization per block; only the failing one is decomposed.
+        assert chol == [(3, 3)] * 3
         assert eigh == [(3, 3)]
         # A later call keeps no hint from the earlier one.
         chol.clear()
         S = project_psd(inside, 0.5)
-        assert (chol, len(eigh)) == ([(3, 3, 3)], 1)
+        assert (chol, len(eigh)) == ([(3, 3)] * 3, 1)
         np.testing.assert_array_equal(
             S, 0.5 * (inside + np.swapaxes(inside, -1, -2)))
 
@@ -271,7 +280,7 @@ class TestInsideHints:
         # A damping pushed onto its cone's boundary leaves that block
         # outside while the others stay inside.
         D, rhs = well_posed_problem(rng, 4, damping_sign=-1.0)
-        chol = counting(monkeypatch, "cholesky")
+        chol = counting(monkeypatch, "_potrf")
         kernel = copinf._project_stack
         seen = []
 
@@ -279,14 +288,14 @@ class TestInsideHints:
             before = inside.copy()
             chol.clear()
             kernel(A, shifts, shifted_eye, inside)
-            seen.append((before, chol[:1], inside.copy()))
+            seen.append((before, chol[:], inside.copy()))
 
         monkeypatch.setattr(copinf, "_project_stack", recording)
         infer_constrained(D, rhs)
         assert seen[0][0].all()
-        for (_, _, after), (before, first, _) in zip(seen, seen[1:]):
+        for (_, _, after), (before, tested, _) in zip(seen, seen[1:]):
             np.testing.assert_array_equal(before, after)
-            assert first == ([(before.sum(), 4, 4)] if before.any() else [])
+            assert tested == [(4, 4)] * int(before.sum())
         assert any(not before.all() for before, _, _ in seen[1:])
         assert any(before.any() for before, _, _ in seen[1:])
 
@@ -466,17 +475,18 @@ class TestInferConstrained:
         D = rng.standard_normal((3 * r, N))
         rhs = operators @ D + 0.1 * rng.standard_normal((r, N))
 
-        sizes = []
-        eigh = np.linalg.eigh
+        decompositions = counting(monkeypatch, "_syevd")
+        kernel = copinf._project_stack
+        projections = []
 
-        def counting_eigh(a, *args, **kwargs):
-            sizes.append(a.shape[0] if a.ndim == 3 else 1)
-            return eigh(a, *args, **kwargs)
+        def recording(A, *args):
+            projections.append(A.shape)
+            kernel(A, *args)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(copinf, "_project_stack", recording)
         rom, report = infer_constrained(D, rhs)
         # The Cholesky test spared at least one block somewhere.
-        assert min(sizes) < 3
+        assert len(decompositions) < 3 * len(projections)
         monkeypatch.setattr(copinf, "_project_stack", eigh_projection)
         ref, ref_report = infer_constrained(D, rhs)
 
@@ -485,6 +495,57 @@ class TestInferConstrained:
         got = np.hstack([rom.mass, rom.damping, rom.stiffness])
         want = np.hstack([ref.mass, ref.damping, ref.stiffness])
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("r", [1, 4, 26])
+    @pytest.mark.parametrize("damping_sign", [1.0, -1.0])
+    def test_numpy_linalg_entry_points_give_the_same_solve(
+            self, rng, monkeypatch, r, damping_sign):
+        # The kernel's direct LAPACK calls against the numpy.linalg calls
+        # on the same triangle. The two run on different OpenBLAS copies,
+        # scipy's and numpy's, which may differ in version and workspace
+        # query; the tolerance leaves room for rounding differences there.
+        D, rhs = well_posed_problem(rng, r, damping_sign)
+        rom, report = infer_constrained(D, rhs)
+
+        def numpy_potrf(a, *args):
+            try:
+                return np.linalg.cholesky(a), 0
+            except np.linalg.LinAlgError:
+                return a, 1
+
+        def numpy_syevd(a, compute_v=1, lower=1, lwork=None, liwork=None,
+                        overwrite_a=0):
+            w, v = np.linalg.eigh(a)
+            if overwrite_a:
+                a[...] = v
+                v = a
+            return w, v, 0
+
+        monkeypatch.setattr(copinf, "_potrf", numpy_potrf)
+        monkeypatch.setattr(copinf, "_syevd", numpy_syevd)
+        ref, ref_report = infer_constrained(D, rhs)
+
+        assert report.iterations == ref_report.iterations
+        assert report.stop_reason == ref_report.stop_reason
+        for column in range(4):
+            got, want = report.trace[:, column], ref_report.trace[:, column]
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        for name in ("mass", "damping", "stiffness"):
+            got, want = getattr(rom, name), getattr(ref, name)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_huge_iteration_limit_allocates_nothing_by_it(self):
+        # Neither the buffers nor the trace are sized by max_iter.
+        D = np.array([[1.0], [0.0], [1.0]])
+        rhs = np.array([[0.0]])
+        tracemalloc.start()
+        try:
+            _, report = infer_constrained(D, rhs, omega=1e-6, max_iter=10**12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.converged
+        assert peak < 2**20
 
     def test_validation_errors(self, rng):
         good_D = rng.standard_normal((3, 8))
