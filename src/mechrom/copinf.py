@@ -171,8 +171,8 @@ def _project_stack(A, shifts, shifted_eye, inside) -> None:
     Each matrix due a test is factored by one ``dpotrf`` call, and each
     matrix to decompose by one ``dsyevd`` call, both on the lower
     triangle as ``numpy.linalg.cholesky`` and ``eigh`` use it; one
-    batched product then applies the raised eigenvalues to all the
-    decomposed matrices.
+    product then applies the raised eigenvalues to the decomposed
+    matrix in place.
 
     Raises InvalidInputError when ``A`` has a non-finite entry: a
     Cholesky factorization of a NaN matrix returns NaNs instead of
@@ -186,29 +186,23 @@ def _project_stack(A, shifts, shifted_eye, inside) -> None:
     # view with the same entries, which they overwrite without a copy.
     # Every argument goes by position, which the wrappers parse faster
     # than keywords: dpotrf(a, lower=1, clean=0, overwrite_a=1).
-    outside = [i for i in range(len(A))
-               if not (inside[i]
-                       and _potrf((A[i] - shifted_eye[i]).T, 1, 0, 1)[1] == 0)]
-    if not outside:
-        return
-    outside = np.array(outside)
-    # dsyevd(a, compute_v=1, lower=1, lwork, liwork, overwrite_a=1), with
-    # the minimal workspace for eigenvectors (the wrapper's default),
-    # leaves the eigenvector matrix V in place of block.T, so each block
-    # of Vt then holds V^T.
     r = A.shape[-1]
     lwork, liwork = 1 + 6 * r + 2 * r * r, 3 + 5 * r
-    Vt = A[outside]
-    w = np.empty((len(Vt), r))
-    for j, block in enumerate(Vt):
-        w[j], _, info = _syevd(block.T, 1, 1, lwork, liwork, 1)
+    for i, block in enumerate(A):
+        if inside[i] and _potrf((block - shifted_eye[i]).T, 1, 0, 1)[1] == 0:
+            continue
+        # dsyevd(a, compute_v=1, lower=1, lwork, liwork, overwrite_a=1),
+        # with the minimal workspace for eigenvectors (the wrapper's
+        # default), leaves the eigenvector matrix V in place of block.T,
+        # so the block then holds V^T and is finished in place.
+        w, _, info = _syevd(block.T, 1, 1, lwork, liwork, 1)
         if info:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    floor = shifts[outside]
-    inside[outside] = w[:, 0] >= floor
-    np.maximum(w, floor[:, None], out=w)
-    S = (Vt.swapaxes(-1, -2) * w[:, None, :]) @ Vt
-    A[outside] = 0.5 * (S + S.swapaxes(-1, -2))
+        inside[i] = w[0] >= shifts[i]
+        np.maximum(w, shifts[i], out=w)
+        S = (block.T * w) @ block
+        np.add(S, S.T, out=block)
+        block *= 0.5
 
 
 def _norm(X) -> float:

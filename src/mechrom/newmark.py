@@ -43,14 +43,15 @@ __all__ = [
 _TRANSITION_MAX_N = 128
 
 # Largest model dimension whose transition replay is one banded triangular
-# solve per window of steps; above it one matrix-vector product per step
-# is cheaper, since the band carries twice the useful products (timings
-# in README.md).
-_BANDED_MAX_N = 16
+# solve per window of steps; above it one in-place matrix-vector product
+# per step is cheaper, since the band carries twice the useful products.
+# At n = 8 the two cost about the same, and the banded solve is the more
+# accurate (timings in README.md).
+_BANDED_MAX_N = 8
 
 # Band columns per window of the banded replay, rounded down to whole
 # states: enough that the fixed cost of each solve call does not show,
-# few enough that the band stays in cache at n = 16 (timings in README.md).
+# few enough that the band stays in cache at n = 8 (timings in README.md).
 _BANDED_WINDOW_COLUMNS = 1024
 
 
@@ -257,22 +258,24 @@ def _integrate_banded(A, states):
 def _integrate_transition(T, states, forces):
     """Fill rows 1, 2, ... of ``states`` from row 0 by ``s_{k+1} = A s_k
     + g_{k+1}``, with ``A`` and the two force maps read off ``T``: by
-    banded solves up to ``_BANDED_MAX_N``, one product per step above."""
+    banded solves up to ``_BANDED_MAX_N``, one ``dgemv`` per step above."""
     n = forces.shape[0]
     G_next, G_curr = T[:, 3 * n:4 * n], T[:, 4 * n:]
     states[1:] = forces[:, 1:].T @ G_next.T + forces[:, :-1].T @ G_curr.T
     if n <= _BANDED_MAX_N:
         _integrate_banded(T[:, :3 * n], states)
         return
-    # A contiguous copy of A, since ``np.dot`` copies a strided operand
-    # at every call. The copy keeps the order of T (C for small n, F
-    # where the solve returns F), so that BLAS runs the kernel of
-    # ``A @ states[k]`` and every step keeps its bits. Row views and an
-    # in-place add leave one product and one add per step.
-    A = T[:, :3 * n].copy(order="K")
+    # One dgemv per step adds A @ s_k into row k + 1, which holds g_{k+1}
+    # (beta = 1, overwrite_y). The transpose of a C-ordered copy of A is
+    # a Fortran-ordered view, which the wrapper passes without a copy to
+    # the transposed kernel. Arguments go by position, which the wrapper
+    # parses faster than keywords: dgemv(alpha, a, x, beta, y, offx,
+    # incx, offy, incy, trans, overwrite_y).
+    gemv = la.blas.dgemv
+    At = np.ascontiguousarray(T[:, :3 * n]).T
     rows = list(states)
     for k in range(len(rows) - 1):
-        rows[k + 1] += np.dot(A, rows[k])
+        gemv(1.0, At, rows[k], 1.0, rows[k + 1], 0, 1, 0, 1, 1, 1)
 
 
 def _integrate_factorized(model, solve, states, forces,
@@ -299,13 +302,13 @@ def simulate(model, sampler, x0, v0, config: IntegratorConfig,
     Models of dimension up to ``_TRANSITION_MAX_N`` advance by the
     precomputed transition ``s_{k+1} = A s_k + g_{k+1}`` on
     ``s = (x, v, a)``: up to ``_BANDED_MAX_N`` by banded triangular
-    solves over windows of steps, above it by one small matrix-vector
-    product per step. Larger models, and any model whose transition is
-    not finite, solve with the factorized effective matrix at every
-    step. The operators' storage picks the factorization: a model with
-    sparse operators (a full model) is factored once with SuperLU and
-    stepped with sparse products, a dense one (a reduced model) with
-    dense LU.
+    solves over windows of steps, above it by one BLAS matrix-vector
+    product per step that adds ``A s_k`` to ``g_{k+1}`` in place.
+    Larger models, and any model whose transition is not finite, solve
+    with the factorized effective matrix at every step. The operators'
+    storage picks the factorization: a model with sparse operators (a
+    full model) is factored once with SuperLU and stepped with sparse
+    products, a dense one (a reduced model) with dense LU.
 
     Parameters
     ----------

@@ -351,7 +351,7 @@ def forbid(monkeypatch, name):
 @pytest.mark.parametrize("drive", ["input", "force"])
 @pytest.mark.parametrize("alpha", [0.0, -0.1])
 @pytest.mark.parametrize("n", [1, 4, newmark._BANDED_MAX_N,
-                               newmark._BANDED_MAX_N + 1, 26,
+                               newmark._BANDED_MAX_N + 1, 16, 17, 26,
                                newmark._TRANSITION_MAX_N + 1])
 def test_simulate_matches_step_loop(rng, monkeypatch, n, alpha, drive):
     sys_ = random_stable_system(rng, n)
@@ -404,11 +404,15 @@ def reference_transition_replay(sys_, sampler, x0, v0, cfg, t0, advance):
 
 
 def step_by_step(A, states):
-    """Every step ``A @ s`` on the strided slice of the transition: the
-    plain form of the loop that ``simulate`` runs with less interpreter
-    work above ``_BANDED_MAX_N``."""
+    """Every step as one ``dgemv`` that adds ``A @ s`` into the next row
+    (beta = 1), on the strided slice of the transition: the plain form of
+    the loop that ``simulate`` runs with less interpreter work above
+    ``_BANDED_MAX_N``. The wrapper copies the slice's transpose at every
+    call and runs the transposed kernel, as ``simulate`` does on its one
+    copy."""
     for k in range(states.shape[0] - 1):
-        states[k + 1] += A @ states[k]
+        states[k + 1] = la.blas.dgemv(1.0, A.T, states[k], beta=1.0,
+                                      y=states[k + 1], trans=1)
 
 
 def one_banded_solve(A, states):
@@ -444,7 +448,7 @@ def bit_test_sampler(t):
 
 
 @pytest.mark.parametrize("alpha", [0.0, -0.1])
-@pytest.mark.parametrize("n", [newmark._BANDED_MAX_N + 1, 26,
+@pytest.mark.parametrize("n", [newmark._BANDED_MAX_N + 1, 17, 26,
                                newmark._TRANSITION_MAX_N])
 def test_transition_replay_is_bit_equal_to_the_reference_loops(
         rng, monkeypatch, n, alpha):
@@ -460,10 +464,53 @@ def test_transition_replay_is_bit_equal_to_the_reference_loops(
         sys_, bit_test_sampler, x0, v0, cfg, t0, step_by_step), n)
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="numpy.longdouble is no wider than a double here")
+@pytest.mark.parametrize("n", [newmark._BANDED_MAX_N + 1, 16, 26, 64,
+                               newmark._TRANSITION_MAX_N])
+def test_fused_step_is_as_accurate_as_product_and_add(rng, n):
+    # The replay above the banded limit adds A @ s_k into g_{k+1} inside
+    # one BLAS call, which may round otherwise than a product followed by
+    # an add; against a numpy.longdouble replay of the same recurrence,
+    # its error stays within twice that of the two-call form.
+    sys_ = random_stable_system(rng, n)
+    cfg = IntegratorConfig(dt=0.01, t_end=3.0)
+    T = newmark._transition(sys_, newmark._effective_solve(sys_, cfg), cfg)
+    A = T[:, :3 * n]
+    forces = sys_.input_map @ rng.standard_normal((2, cfg.num_steps + 1))
+    fused = np.empty((cfg.num_steps + 1, 3 * n))
+    fused[0] = rng.standard_normal(3 * n)
+    newmark._integrate_transition(T, fused, forces)
+    g = fused.copy()
+    g[1:] = (forces[:, 1:].T @ T[:, 3 * n:4 * n].T
+             + forces[:, :-1].T @ T[:, 4 * n:].T)
+    two_calls, exact = g.copy(), g.astype(np.longdouble)
+    A_exact = A.astype(np.longdouble)
+    for k in range(cfg.num_steps):
+        two_calls[k + 1] += A @ two_calls[k]
+        exact[k + 1] += A_exact @ exact[k]
+
+    def error(states):
+        return float(np.linalg.norm(states - exact) / np.linalg.norm(exact))
+
+    assert 0.0 < error(two_calls)
+    assert error(fused) <= 2.0 * error(two_calls)
+
+
+def banded_up_to(monkeypatch, n):
+    """Let ``simulate`` solve models up to dimension ``n`` banded. The
+    banded tests also run at n = 16, a band twice as wide as any that
+    ``simulate`` solves now, so that the kernel stays checked there if
+    the limit is raised again."""
+    monkeypatch.setattr(newmark, "_BANDED_MAX_N",
+                        max(n, newmark._BANDED_MAX_N))
+
+
 @pytest.mark.parametrize("alpha", [0.0, -0.1])
-@pytest.mark.parametrize("n", [1, 4, newmark._BANDED_MAX_N])
+@pytest.mark.parametrize("n", [1, 4, newmark._BANDED_MAX_N, 16])
 def test_banded_replay_is_bit_equal_to_one_full_solve(rng, monkeypatch, n,
                                                       alpha):
+    banded_up_to(monkeypatch, n)
     sys_ = random_stable_system(rng, n)
     cfg = IntegratorConfig(dt=0.01, t_end=0.6, alpha=alpha)
     t0 = 0.37
@@ -486,7 +533,7 @@ def window_steps(n):
     return max(1, newmark._BANDED_WINDOW_COLUMNS // (3 * n) - 1)
 
 
-@pytest.mark.parametrize("n", [2, newmark._BANDED_MAX_N])
+@pytest.mark.parametrize("n", [2, newmark._BANDED_MAX_N, 16])
 @pytest.mark.parametrize("steps", [
     pytest.param(lambda w: 1, id="one-step"),
     pytest.param(lambda w: w - 1, id="inside-one-window"),
@@ -498,6 +545,7 @@ def test_banded_windows_are_bit_equal_to_one_full_solve(rng, monkeypatch, n,
                                                         steps):
     # Each window starts at the last state of the one before it; the
     # horizon ends inside, or at the end of, a window.
+    banded_up_to(monkeypatch, n)
     N = steps(window_steps(n))
     sys_ = random_stable_system(rng, n)
     cfg = IntegratorConfig(dt=0.01, t_end=N * 0.01)
