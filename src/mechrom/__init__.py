@@ -6,123 +6,27 @@ fit the reduced operators by regression, either in mass-normalized form
 or with symmetric definiteness constraints enforced by an operator
 splitting solver. A projection-based reduction of the known operators
 serves as the reference these data-driven models are judged against.
-"""
 
-from .errors import (
-    DegenerateInputError,
-    DivergenceError,
-    FormatError,
-    IllConditionedModesError,
-    InsufficientDataError,
-    InvalidInputError,
-    InvalidParameterError,
-    MechromError,
-    MissingDataError,
-    NotSeparableError,
-    NoViableLambdaError,
-    SingularOperatorError,
-)
+The package exports every name in the ``__all__`` of the modules
+imported below; ``mechrom.cli`` and ``mechrom.textio`` are imported as
+modules.
+"""
 
 __version__ = "0.1.0"
 
-from .model import (
-    SecondOrderSystem,
-    build_mass_spring_chain,
-    load_matrix,
-    load_system,
-    rayleigh_damping,
-    save_matrix,
-    save_system,
-)
-from .newmark import IntegratorConfig, initial_acceleration, simulate, step
-from .snapshots import (
-    TrajectoryData,
-    assemble_force_data,
-    assemble_opinf_data,
-    finite_difference_derivatives,
-    load_csv,
-    project,
-    save_csv,
-)
-from .pod import (
-    PodBasis,
-    compute_basis,
-    intrusive_reduce,
-    projection_error,
-)
-from .opinf import (
-    LambdaTrial,
-    SolveReport,
-    infer,
-    ridge_lstsq,
-    select_lambda,
-    separate_operators,
-)
-from .copinf import ConstrainedSolveReport, infer_constrained, project_psd
-from .evaluate import (
-    ErrorSeries,
-    is_stable,
-    pencil_spectrum,
-    relative_error,
-    save_error_series,
-)
+from . import copinf, errors, evaluate, model, newmark, opinf, pod, snapshots
+from .copinf import *
+from .errors import *
+from .evaluate import *
+from .model import *
+from .newmark import *
+from .opinf import *
+from .pod import *
+from .snapshots import *
 
-__all__ = [
-    "__version__",
-    # errors
-    "MechromError",
-    "InvalidParameterError",
-    "InvalidInputError",
-    "FormatError",
-    "MissingDataError",
-    "InsufficientDataError",
-    "DegenerateInputError",
-    "SingularOperatorError",
-    "NotSeparableError",
-    "IllConditionedModesError",
-    "NoViableLambdaError",
-    "DivergenceError",
-    # model
-    "SecondOrderSystem",
-    "build_mass_spring_chain",
-    "rayleigh_damping",
-    "save_matrix",
-    "load_matrix",
-    "save_system",
-    "load_system",
-    # integration
-    "IntegratorConfig",
-    "initial_acceleration",
-    "step",
-    "simulate",
-    # snapshots
-    "TrajectoryData",
-    "project",
-    "assemble_opinf_data",
-    "assemble_force_data",
-    "finite_difference_derivatives",
-    "save_csv",
-    "load_csv",
-    # basis and projection
-    "PodBasis",
-    "compute_basis",
-    "projection_error",
-    "intrusive_reduce",
-    # regression
-    "SolveReport",
-    "LambdaTrial",
-    "ridge_lstsq",
-    "infer",
-    "select_lambda",
-    "separate_operators",
-    # constrained regression
-    "ConstrainedSolveReport",
-    "project_psd",
-    "infer_constrained",
-    # evaluation
-    "ErrorSeries",
-    "relative_error",
-    "pencil_spectrum",
-    "is_stable",
-    "save_error_series",
+__all__ = ["__version__"] + [
+    name
+    for module in (errors, model, newmark, snapshots, pod, opinf, copinf,
+                   evaluate)
+    for name in module.__all__
 ]

@@ -34,7 +34,8 @@ The iteration stops for one of three reasons, reported as
 - ``"cap"``: the iteration limit was reached first.
 
 The returned operators always come from the projected iterate, so the
-constraints hold whatever the reason.
+constraints hold whatever the reason. The solve starts, as every
+regression in the package does, from ``opinf.compress`` of its data.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import scipy.linalg as la
 
 from .errors import InvalidInputError, InvalidParameterError
 from .model import SecondOrderSystem
-from .opinf import pinv_filter, regression_arrays
+from .opinf import compress, pinv_filter, regression_arrays
 
 __all__ = [
     "ConstrainedSolveReport",
@@ -289,8 +290,6 @@ def infer_constrained(
             f"max_iter must be an integer >= 1, got {max_iter!r}"
         )
 
-    k = 3 * r
-
     # The three row blocks of D carry different physical units and can
     # differ by orders of magnitude, which cripples the splitting
     # iteration. Rescale each block to unit RMS entry and absorb the
@@ -317,24 +316,17 @@ def infer_constrained(
     ridge = _RidgeStep(Ds @ Ds.T, rho)
     rhs_data = 2.0 * (Ds @ rhs.T)
 
-    # Thin SVD Ds = W diag(s) Qt. Besides the warm start it gives the
-    # objective in reduced form: with Z_s the scaled iterate,
-    # ||Z D - F||^2 = ||Z_s W diag(s) - F Qt^T||^2 + ||F - F Qt^T Qt||^2,
-    # where the second term is constant, so neither a traced step nor
-    # the stall test does work over the N snapshots.
-    if np.any(Ds):
-        W, s, Qt = la.svd(Ds, full_matrices=False)
-        filt = pinv_filter(s)
-    else:
-        W, s, Qt = np.zeros((k, 0)), np.zeros(0), np.zeros((0, D.shape[1]))
-        filt = s  # empty
-    rhs_range = rhs @ Qt.T
-    rhs_tail = float(np.linalg.norm(rhs - rhs_range @ Qt) ** 2)
+    # The compression of the scaled data, Ds = W diag(s) Qt, gives the
+    # warm start and the objective in reduced form (``compress``), whose
+    # tail^2 term is constant: neither a traced step nor the stall test
+    # works over the N snapshots.
+    W, s, _, rhs_range, tail = compress(Ds, rhs)
+    rhs_tail = tail**2
 
     # Warm start from the projected unconstrained minimizer. A block
     # gets the Cholesky test only if the previous projection found it
     # inside its cone; the warm start tests all three.
-    Z = W @ (rhs_range * filt).T
+    Z = W @ (rhs_range * pinv_filter(s)).T
     inside = np.ones(3, dtype=bool)
     _project_stack(Z.reshape(3, r, r), shifts, shifted_eye, inside)
     # The objective's operands, transposed as the iterate is; the

@@ -258,10 +258,15 @@ def _integrate_banded(A, states):
 def _integrate_transition(T, states, forces):
     """Fill rows 1, 2, ... of ``states`` from row 0 by ``s_{k+1} = A s_k
     + g_{k+1}``, with ``A`` and the two force maps read off ``T``: by
-    banded solves up to ``_BANDED_MAX_N``, one ``dgemv`` per step above."""
+    banded solves up to ``_BANDED_MAX_N``, one ``dgemv`` per step above.
+    Every BLAS call is scipy's: at two threads, numpy's OpenBLAS before
+    scipy's step loop made the replay five times slower than at one."""
     n = forces.shape[0]
     G_next, G_curr = T[:, 3 * n:4 * n], T[:, 4 * n:]
-    states[1:] = forces[:, 1:].T @ G_next.T + forces[:, :-1].T @ G_curr.T
+    gemm = la.blas.dgemm
+    g = gemm(1.0, forces[:, 1:], G_next, trans_a=1, trans_b=1)
+    states[1:] = gemm(1.0, forces[:, :-1], G_curr, beta=1.0, c=g,
+                      trans_a=1, trans_b=1, overwrite_c=1)
     if n <= _BANDED_MAX_N:
         _integrate_banded(T[:, :3 * n], states)
         return

@@ -7,9 +7,11 @@ Given reduced snapshot data, find damping, stiffness, and input maps
 
 written as one linear regression: stack the unknowns into
 P = [-C, -K, B] against the data matrix D = [Qd; Q; U], so that the
-objective is ||P D - Qdd||_F^2 + lam ||P||_F^2. The solve always goes
-through a spectral factorization of the data matrix; the normal
-equations are never inverted explicitly.
+objective is ||P D - Qdd||_F^2 + lam ||P||_F^2. Every regression here
+and in ``copinf`` starts from one compression of its data, ``compress``:
+the thin SVD D = W diag(s) Qt, the right-hand side moved into the row
+space of Qt, and the norm of its part outside that space. The normal
+equations are never formed or inverted explicitly.
 """
 
 from __future__ import annotations
@@ -80,7 +82,8 @@ def pinv_filter(s) -> np.ndarray:
 def regression_arrays(D, rhs):
     """The data matrix and right-hand side of a regression as float
     arrays; InvalidInputError unless both are 2-D with equal column
-    counts and finite entries."""
+    counts and finite entries, InsufficientDataError when they have no
+    column."""
     D = np.asarray(D, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     if D.ndim != 2 or rhs.ndim != 2:
@@ -91,7 +94,20 @@ def regression_arrays(D, rhs):
         )
     if not (np.all(np.isfinite(D)) and np.all(np.isfinite(rhs))):
         raise InvalidInputError("regression data contains non-finite entries")
+    if D.shape[1] == 0:
+        raise InsufficientDataError("regression data has no snapshot columns")
     return D, rhs
+
+
+def compress(D, rhs):
+    """``(W, s, Qt, rhs_c, tail)``: the thin SVD D = W diag(s) Qt, the
+    right-hand side rhs_c = rhs Qt^T in the row space of Qt, and the
+    norm of its part outside, so that for every P
+    ||P D - rhs||^2 = ||P W diag(s) - rhs_c||^2 + tail^2."""
+    W, s, Qt = la.svd(D, full_matrices=False)
+    rhs_c = rhs @ Qt.T
+    tail = float(np.linalg.norm(rhs - rhs_c @ Qt))
+    return W, s, Qt, rhs_c, tail
 
 
 def ridge_lstsq(D, rhs, lam: float = 0.0):
@@ -111,14 +127,14 @@ def ridge_lstsq(D, rhs, lam: float = 0.0):
     if lam < 0.0 or not np.isfinite(lam):
         raise InvalidParameterError(f"lam must be finite and >= 0, got {lam}")
 
-    W, s, Qt = la.svd(D, full_matrices=False)
+    W, s, _, rhs_c, _ = compress(D, rhs)
     if lam == 0.0:
         if s[0] == 0.0:
             raise DegenerateInputError("data matrix is identically zero")
         filt = pinv_filter(s)
     else:
         filt = s / (s**2 + lam)
-    P = ((rhs @ Qt.T) * filt) @ W.T
+    P = (rhs_c * filt) @ W.T
     return P, s
 
 
@@ -229,12 +245,10 @@ def select_lambda(D, rhs, grid, validation: TrajectoryData,
     the average-acceleration scheme) on the validation window's time
     grid; its ``dt`` and ``t_end`` are not read.
 
-    The data are factored once, D = W S Qt, and each candidate is fit
-    to (D Qt^T, rhs Qt^T), a k x min(k, N) regression with the same
-    ridge minimizers: D = (D Qt^T) Qt, and the part of rhs outside the
-    row space of Qt is the same for every P. The table's
-    ``train_residual`` is the residual on the full data, both parts
-    combined.
+    The data are compressed once (``compress``), and each candidate is
+    fit to (D Qt^T, rhs Qt^T), a k x min(k, N) regression with the same
+    ridge minimizers. The table's ``train_residual`` is the residual on
+    the full data, the compressed fit's and the tail combined.
 
     Returns
     -------
@@ -258,10 +272,8 @@ def select_lambda(D, rhs, grid, validation: TrajectoryData,
         )
 
     D, rhs = regression_arrays(D, rhs)
-    _, _, Qt = la.svd(D, full_matrices=False)
-    rhs_c = rhs @ Qt.T
-    tail = float(np.linalg.norm(rhs - rhs_c @ Qt))
-    D, rhs = D @ Qt.T, rhs_c
+    _, _, Qt, rhs, tail = compress(D, rhs)
+    D = D @ Qt.T
 
     trials = []
     best_lam = None

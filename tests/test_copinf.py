@@ -16,7 +16,11 @@ from mechrom.copinf import (
     infer_constrained,
     project_psd,
 )
-from mechrom.errors import InvalidInputError, InvalidParameterError
+from mechrom.errors import (
+    InsufficientDataError,
+    InvalidInputError,
+    InvalidParameterError,
+)
 from mechrom.model import build_mass_spring_chain
 from mechrom.newmark import IntegratorConfig, simulate
 from mechrom.pod import compute_basis
@@ -388,6 +392,10 @@ class TestInferConstrained:
         np.testing.assert_allclose(rom.damping, [[0.0]], atol=1e-20)
         assert report.objective == 0.0
         assert report.converged
+
+    def test_no_columns_rejected(self):
+        with pytest.raises(InsufficientDataError, match="no snapshot columns"):
+            infer_constrained(np.ones((3, 0)), np.ones((1, 0)))
 
     def test_feasibility_holds_without_convergence(self, rng):
         D = rng.standard_normal((9, 30))

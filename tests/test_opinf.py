@@ -103,6 +103,30 @@ class TestRidgeKernel:
         with pytest.raises(InvalidInputError, match="column counts"):
             ridge_lstsq(np.ones((2, 3)), np.ones((1, 4)))
 
+    def test_no_columns_rejected(self):
+        with pytest.raises(InsufficientDataError, match="no snapshot columns"):
+            ridge_lstsq(np.ones((3, 0)), np.ones((1, 0)))
+
+
+class TestCompress:
+    @pytest.mark.parametrize("k, N, rank", [
+        (6, 20, 6),   # full row rank
+        (6, 20, 3),   # rank-deficient
+        (8, 5, 5),    # fewer columns than rows
+        (8, 5, 2),    # both
+    ])
+    def test_objective_splits_into_range_and_tail(self, rng, k, N, rank):
+        # ||P D - rhs||^2 = ||P W diag(s) - rhs_c||^2 + tail^2 for every P.
+        D = rng.standard_normal((k, rank)) @ rng.standard_normal((rank, N))
+        rhs = rng.standard_normal((3, N))
+        W, s, Qt, rhs_c, tail = opinf.compress(D, rhs)
+        assert W.shape == (k, min(k, N)) and Qt.shape == (min(k, N), N)
+        for _ in range(5):
+            P = rng.standard_normal((3, k))
+            full = np.linalg.norm(P @ D - rhs) ** 2
+            split = np.linalg.norm(P @ (W * s) - rhs_c) ** 2 + tail**2
+            assert abs(split - full) <= 1e-12 * full
+
 
 class TestInfer:
     def test_exact_scalar_recovery(self, rng):
@@ -140,6 +164,10 @@ class TestInfer:
         # 2 rows cannot hold two state blocks plus an input row.
         with pytest.raises(InvalidInputError, match="rows"):
             infer(np.ones((2, 6)), np.ones((1, 6)), 0.0)
+
+    def test_no_columns_rejected(self):
+        with pytest.raises(InsufficientDataError, match="no snapshot columns"):
+            infer(np.ones((3, 0)), np.ones((1, 0)), 0.0)
 
 
 def identity_basis(r):
@@ -446,6 +474,11 @@ class TestSelectLambda:
         single = make_constant_trajectory(np.array([0.5]), value=1.0)
         with pytest.raises(InsufficientDataError, match="two snapshots"):
             select_lambda(D, rhs, [0.0], project(single, identity_basis(1)))
+
+    def test_no_columns_rejected(self):
+        rdata = scalar_validation_data(t_end=0.1)
+        with pytest.raises(InsufficientDataError, match="no snapshot columns"):
+            select_lambda(np.ones((3, 0)), np.ones((1, 0)), [0.0, 1.0], rdata)
 
 
 class TestReplayFailures:
