@@ -8,7 +8,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .errors import DegenerateInputError, InvalidInputError, SingularOperatorError
+from .errors import (
+    DegenerateInputError,
+    InsufficientDataError,
+    InvalidInputError,
+    SingularOperatorError,
+)
 from .textio import write_table
 
 __all__ = [
@@ -54,10 +59,16 @@ def relative_error(X_ref, X_approx, times=None, phase_split=None) -> ErrorSeries
 
         eps_i = ||x_ref_i - x_approx_i|| / max_j ||x_ref_j||.
 
+    A non-finite approximation (a diverged replay) gets non-finite
+    errors at its non-finite instants.
+
     Raises
     ------
     InvalidInputError
-        If the two trajectories have different shapes.
+        If the two trajectories have different shapes, or the reference
+        has non-finite entries.
+    InsufficientDataError
+        If the window has no snapshots.
     DegenerateInputError
         If the reference trajectory is identically zero.
     """
@@ -68,6 +79,10 @@ def relative_error(X_ref, X_approx, times=None, phase_split=None) -> ErrorSeries
             f"trajectory shapes disagree: reference {X_ref.shape}, "
             f"approximation {X_approx.shape}"
         )
+    if X_ref.shape[1] == 0:
+        raise InsufficientDataError("trajectories have no snapshots")
+    if not np.all(np.isfinite(X_ref)):
+        raise InvalidInputError("reference trajectory has non-finite entries")
     norms = np.linalg.norm(X_ref, axis=0)
     denom = norms.max()
     if denom == 0.0:

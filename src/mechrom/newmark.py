@@ -21,7 +21,6 @@ gamma = (1 - 2 alpha) / 2 and beta = (1 - alpha)^2 / 4.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,14 +44,17 @@ _TRANSITION_MAX_N = 128
 # Largest model dimension whose transition replay is one banded triangular
 # solve per window of steps; above it one in-place matrix-vector product
 # per step is cheaper, since the band carries twice the useful products.
-# At n = 8 the two cost about the same, and the banded solve is the more
-# accurate (timings in README.md).
+# The banded solve is the more accurate, and now the cheaper up to n = 9
+# too (timings in README.md, which says why the limit is still 8).
 _BANDED_MAX_N = 8
 
 # Band columns per window of the banded replay, rounded down to whole
 # states: enough that the fixed cost of each solve call does not show,
 # few enough that the band stays in cache at n = 8 (timings in README.md).
-_BANDED_WINDOW_COLUMNS = 1024
+_BANDED_WINDOW_COLUMNS = 1536
+
+# Dense LU by direct LAPACK calls, without scipy's per-call checks.
+_getrf, _getrs = la.get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -135,11 +137,10 @@ def _factor(A, name: str):
             raise SingularOperatorError(f"{name} is singular") from exc
         solve, pivots = lu.solve, lu.U.diagonal()
     else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", la.LinAlgWarning)
-            factors = la.lu_factor(A, check_finite=False)
-        solve = lambda rhs: la.lu_solve(factors, rhs, check_finite=False)
-        pivots = np.diag(factors[0])
+        # Not overwrite_a: ``A`` may be a model's own matrix.
+        lu, piv, _ = _getrf(A)
+        solve = lambda rhs: _getrs(lu, piv, rhs)[0]
+        pivots = np.diag(lu)
     if np.any(pivots == 0.0) or not np.all(np.isfinite(pivots)):
         raise SingularOperatorError(f"{name} is singular")
     return solve
@@ -220,56 +221,52 @@ def _transition(model, solve, config: IntegratorConfig):
 
 def _integrate_banded(A, states):
     """Fill rows 1, 2, ... of ``states``, which hold ``g`` on entry, by
-    solving ``s_k - A s_{k-1} = g_k`` as one unit lower-triangular banded
-    system: the states are consecutive in a C-ordered buffer, and the
-    column of entry j of a state holds ``-A[:, j]`` at band rows ``w - j``
-    to ``2w - 1 - j`` (w = 3n), so the bandwidth is 2w - 1.
-
-    The solve adds each row's products to ``g`` one at a time, in the
-    order of the state's entries, and rounds at every add. So it runs on
-    copies of the states and of ``A`` ordered (a, v, x): the
-    displacements, the largest terms of the displacement and
-    acceleration rows, are added last, and the replay is as accurate as
-    the per-step product (README.md).
-
-    The band is periodic in the state, so one band of a window of states
-    serves every window. Each window starts at the last state solved,
-    whose rows of the band are the identity, so it is solved again to
-    itself and no product couples the windows.
-    """
+    solving ``s_k - A s_{k-1} = g_k`` in place as one unit lower-triangular
+    banded system: the column of entry j of a state holds ``-A[:, j]`` at
+    band rows ``w - j`` to ``2w - 1 - j`` (w = 3n), bandwidth 2w - 1. One
+    2w x w period of the band, broadcast, fills the band of a window
+    of states, which serves every window. Each window starts at the last
+    state solved, whose rows of the band are the identity, so it is
+    solved again to itself and no product couples the windows."""
     w = A.shape[0]
-    n = w // 3
     steps = max(1, _BANDED_WINDOW_COLUMNS // w - 1)
-    band = np.zeros((2 * w, (steps + 1) * w), order="F")
+    period = np.zeros((2 * w, w), order="F")
     i, j = np.indices((w, w))
-    order = np.r_[2 * n:w, n:2 * n, :n]
-    band.reshape(2 * w, w, steps + 1, order="F")[w + i - j, j] = \
-        -A[np.ix_(order, order)][..., None]
-    reordered = states.take(order, axis=1)
-    flat = reordered.reshape(-1)
+    period[w + i - j, j] = -A
+    band = np.empty((2 * w, (steps + 1) * w), order="F")
+    band.reshape(2 * w, w, steps + 1, order="F")[...] = period[..., None]
+    flat = states.reshape(-1)
     last = states.shape[0] - 1
     for start in range(0, last, steps):
         columns = (min(steps, last - start) + 1) * w
         la.blas.dtbsv(2 * w - 1, band[:, :columns], flat, offx=start * w,
                       lower=1, diag=1, overwrite_x=1)
-    states[:, order] = reordered
 
 
-def _integrate_transition(T, states, forces):
-    """Fill rows 1, 2, ... of ``states`` from row 0 by ``s_{k+1} = A s_k
-    + g_{k+1}``, with ``A`` and the two force maps read off ``T``: by
-    banded solves up to ``_BANDED_MAX_N``, one ``dgemv`` per step above.
-    Every BLAS call is scipy's: at two threads, numpy's OpenBLAS before
-    scipy's step loop made the replay five times slower than at one."""
+def _integrate_transition(T, s0, forces):
+    """Replay ``s_{k+1} = A s_k + g_{k+1}`` from ``s0 = (x, v, a)``, with
+    ``A`` and the two force maps read off ``T``, by banded solves up to
+    ``_BANDED_MAX_N`` and one ``dgemv`` per step above; return the
+    (N+1) x 3n state buffer and the column offsets of x, v and a in it.
+
+    The band solves states ordered (a, v, x): it adds a row's products
+    one at a time and rounds at each, so the displacements, the largest
+    terms, come last (README.md). The buffer is allocated before the
+    ``dgemm`` calls; after them, it cost a ``readme`` replay about 800
+    minor page faults. Every BLAS call is scipy's: at two threads, numpy's
+    OpenBLAS before scipy's step loop slowed the replay fivefold."""
     n = forces.shape[0]
-    G_next, G_curr = T[:, 3 * n:4 * n], T[:, 4 * n:]
+    states = np.empty((forces.shape[1], 3 * n))
     gemm = la.blas.dgemm
-    g = gemm(1.0, forces[:, 1:], G_next, trans_a=1, trans_b=1)
-    states[1:] = gemm(1.0, forces[:, :-1], G_curr, beta=1.0, c=g,
-                      trans_a=1, trans_b=1, overwrite_c=1)
+    g = gemm(1.0, forces[:, 1:], T[:, 3 * n:4 * n], trans_a=1, trans_b=1)
+    g = gemm(1.0, forces[:, :-1], T[:, 4 * n:], beta=1.0, c=g, trans_a=1,
+             trans_b=1, overwrite_c=1)
     if n <= _BANDED_MAX_N:
-        _integrate_banded(T[:, :3 * n], states)
-        return
+        order = np.r_[2 * n:3 * n, n:2 * n, :n]
+        states[0], states[1:] = s0[order], g[:, order]
+        _integrate_banded(T[np.ix_(order, order)], states)
+        return states, (2 * n, n, 0)
+    states[0], states[1:] = s0, g
     # One dgemv per step adds A @ s_k into row k + 1, which holds g_{k+1}
     # (beta = 1, overwrite_y). The transpose of a C-ordered copy of A is
     # a Fortran-ordered view, which the wrapper passes without a copy to
@@ -281,23 +278,24 @@ def _integrate_transition(T, states, forces):
     rows = list(states)
     for k in range(len(rows) - 1):
         gemv(1.0, At, rows[k], 1.0, rows[k + 1], 0, 1, 0, 1, 1, 1)
+    return states, (0, n, 2 * n)
 
 
-def _integrate_factorized(model, solve, states, forces,
-                          config: IntegratorConfig):
-    """Fill rows 1, 2, ... of ``states`` from row 0, one solve per step.
-
-    The forces are read and the states stored as contiguous rows:
+def _integrate_factorized(model, solve, s0, forces, config: IntegratorConfig):
+    """``_integrate_transition``'s replay and result, by one solve per
+    step. The forces are read and the states stored as contiguous rows:
     strided column access to (n, N) arrays took about a third of a
-    sparse step's time at n = 1000.
-    """
+    sparse step's time at n = 1000."""
     n = forces.shape[0]
     F = np.ascontiguousarray(forces.T)
+    states = np.empty((F.shape[0], 3 * n))
+    states[0] = s0
     X, V, A = states[:, :n], states[:, n:2 * n], states[:, 2 * n:]
     for k in range(states.shape[0] - 1):
         X[k + 1], V[k + 1], A[k + 1] = _advance(
             model, solve, X[k], V[k], A[k], F[k + 1], F[k], config
         )
+    return states, (0, n, 2 * n)
 
 
 def simulate(model, sampler, x0, v0, config: IntegratorConfig,
@@ -361,23 +359,21 @@ def simulate(model, sampler, x0, v0, config: IntegratorConfig,
         ) from None
     solve = _effective_solve(model, config)
 
-    # One (N+1) x 3n buffer of the states (x, v, a), one row per instant.
-    states = np.empty((N + 1, 3 * n))
     with np.errstate(over="ignore", invalid="ignore"):
         forces = model.input_map @ samples
         a0 = initial_acceleration(model, x0, v0, forces[:, 0])
-        states[0] = np.concatenate([x0, v0, a0])
+        s0 = np.concatenate([x0, v0, a0])
         T = _transition(model, solve, config) if n <= _TRANSITION_MAX_N else None
         if T is not None and np.all(np.isfinite(T)):
-            _integrate_transition(T, states, forces)
+            states, (x, v, a) = _integrate_transition(T, s0, forces)
         else:
-            _integrate_factorized(model, solve, states, forces, config)
-
+            states, (x, v, a) = _integrate_factorized(model, solve, s0,
+                                                      forces, config)
     return TrajectoryData(
         times=times,
-        displacement=states[1:, :n].T,
-        velocity=states[1:, n:2 * n].T,
-        acceleration=states[1:, 2 * n:].T,
+        displacement=states[1:, x:x + n].T,
+        velocity=states[1:, v:v + n].T,
+        acceleration=states[1:, a:a + n].T,
         input=samples[:, 1:],
         force=forces[:, 1:],
     )

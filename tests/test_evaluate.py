@@ -6,6 +6,7 @@ import pytest
 from mechrom.copinf import infer_constrained
 from mechrom.errors import (
     DegenerateInputError,
+    InsufficientDataError,
     InvalidInputError,
     SingularOperatorError,
 )
@@ -63,6 +64,29 @@ class TestRelativeError:
     def test_zero_reference(self):
         with pytest.raises(DegenerateInputError, match="zero"):
             relative_error(np.zeros((2, 4)), np.ones((2, 4)))
+
+    def test_empty_window(self):
+        with pytest.raises(InsufficientDataError, match="no snapshots"):
+            relative_error(np.ones((3, 0)), np.ones((3, 0)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_reference(self, rng, bad):
+        X_ref = rng.standard_normal((3, 5))
+        X_ref[1, 2] = bad
+        with pytest.raises(InvalidInputError, match="reference"):
+            relative_error(X_ref, np.zeros((3, 5)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_approximation_keeps_its_error(self, rng, bad):
+        # A diverged replay still gets its series, which the command
+        # line's divergence report follows.
+        X_ref = rng.standard_normal((3, 5))
+        X_rom = X_ref.copy()
+        X_rom[0, 3:] = bad
+        series = relative_error(X_ref, X_rom)
+        np.testing.assert_array_equal(series.eps[:3], np.zeros(3))
+        assert not np.any(np.isfinite(series.eps[3:]))
+        assert not np.isfinite(series.max_eps)
 
     def test_times_length_checked(self, rng):
         X = rng.standard_normal((2, 5))

@@ -478,9 +478,10 @@ def test_fused_step_is_as_accurate_as_product_and_add(rng, n):
     T = newmark._transition(sys_, newmark._effective_solve(sys_, cfg), cfg)
     A = T[:, :3 * n]
     forces = sys_.input_map @ rng.standard_normal((2, cfg.num_steps + 1))
-    fused = np.empty((cfg.num_steps + 1, 3 * n))
-    fused[0] = rng.standard_normal(3 * n)
-    newmark._integrate_transition(T, fused, forces)
+    s0 = rng.standard_normal(3 * n)
+    fused, offsets = newmark._integrate_transition(T, s0, forces)
+    assert offsets == (0, n, 2 * n)
+    assert np.array_equal(fused[0], s0)
     g = fused.copy()
     g[1:] = (forces[:, 1:].T @ T[:, 3 * n:4 * n].T
              + forces[:, :-1].T @ T[:, 4 * n:].T)
@@ -556,6 +557,22 @@ def test_banded_windows_are_bit_equal_to_one_full_solve(rng, monkeypatch, n,
     assert calls == [N]
     assert_replay_bits(data, reference_transition_replay(
         sys_, bit_test_sampler, x0, np.zeros(n), cfg, 0.0, one_banded_solve), n)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n", [4, 26, newmark._TRANSITION_MAX_N + 1])
+def test_simulate_leaves_a_dense_model_unchanged(rng, n, order):
+    # One model per replay form: banded, dgemv and factorized. LAPACK
+    # would factor a Fortran-ordered matrix in place if it were allowed
+    # to overwrite it.
+    names = ("mass", "damping", "stiffness", "input_map")
+    sys_ = random_stable_system(rng, n)
+    sys_ = SecondOrderSystem(*(np.asarray(getattr(sys_, name), order=order)
+                               for name in names))
+    before = [getattr(sys_, name).tobytes() for name in names]
+    simulate(sys_, bit_test_sampler, rng.standard_normal(n), None,
+             IntegratorConfig(dt=0.01, t_end=0.1))
+    assert [getattr(sys_, name).tobytes() for name in names] == before
 
 
 def test_diverging_banded_replay_leaves_the_finite_range(monkeypatch):
