@@ -94,7 +94,9 @@ class SecondOrderSystem:
     label: str = ""
 
     def __post_init__(self):
-        n = _as_2d("mass", self.mass).shape[0]
+        n, cols = _as_2d("mass", self.mass).shape
+        if n == 0:
+            raise InvalidInputError(f"mass must be at least 1x1, got 0x{cols}")
         for name in ("mass", "damping", "stiffness"):
             A = _as_2d(name, getattr(self, name))
             if A.shape != (n, n):

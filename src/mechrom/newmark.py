@@ -37,20 +37,19 @@ __all__ = [
     "simulate",
 ]
 
-# Largest model dimension stepped by the precomputed 3n x 3n transition;
-# above it the factorized solve is cheaper per step (timings in README.md).
+# Largest model dimension replayed by the precomputed transition; above
+# it the factorized solve is cheaper per step (timings in README.md).
 _TRANSITION_MAX_N = 128
 
-# Largest model dimension whose transition replay is one banded triangular
-# solve per window of steps; above it one in-place matrix-vector product
-# per step is cheaper, since the band carries twice the useful products.
-# The banded solve is the more accurate, and now the cheaper up to n = 9
-# too (timings in README.md, which says why the limit is still 8).
-_BANDED_MAX_N = 8
+# Largest state width (2n at alpha = 0, 3n otherwise) whose transition
+# replay is one banded triangular solve per window of steps; above it one
+# in-place matrix-vector product per step is cheaper, since the band
+# carries twice the useful products (timings in README.md).
+_BANDED_MAX_WIDTH = 28
 
 # Band columns per window of the banded replay, rounded down to whole
 # states: enough that the fixed cost of each solve call does not show,
-# few enough that the band stays in cache at n = 8 (timings in README.md).
+# few enough that the band stays in cache (timings in README.md).
 _BANDED_WINDOW_COLUMNS = 1536
 
 # Dense LU by direct LAPACK calls, without scipy's per-call checks.
@@ -177,17 +176,21 @@ def initial_acceleration(model, x0, v0, f0) -> np.ndarray:
     return a0
 
 
+def _predictors(x, v, a, config: IntegratorConfig):
+    """The parts of the velocity and displacement at the end of a step
+    from ``(x, v, a)`` that the step's new acceleration does not enter:
+    ``pv = v + dt (1 - gamma) a`` and ``px = x + dt v + dt^2 (1/2 - beta) a``."""
+    dt = config.dt
+    return (v + dt * (1.0 - config.gamma) * a,
+            x + dt * v + dt**2 * (0.5 - config.beta) * a)
+
+
 def _advance(model, solve, x, v, a, f_next, f_curr, config: IntegratorConfig):
     """The scheme's one step: ``(x, v, a)`` at the start of a step and the
-    forces at its end and start give ``(x, v, a)`` at its end.
-
-    Every argument may be a vector or a block of columns; the step is
-    linear, so on identity blocks it yields the step's matrices.
-    """
+    forces at its end and start give ``(x, v, a)`` at its end."""
     dt = config.dt
     gamma, beta, alpha = config.gamma, config.beta, config.alpha
-    pred_x = x + dt * v + dt**2 * (0.5 - beta) * a
-    pred_v = v + dt * (1.0 - gamma) * a
+    pred_v, pred_x = _predictors(x, v, a, config)
     c = 1.0 + alpha
     f_eff = c * f_next - alpha * f_curr
     rhs = (
@@ -212,22 +215,57 @@ def step(model, x, v, a, f_next, f_curr, config: IntegratorConfig):
 
 
 def _transition(model, solve, config: IntegratorConfig):
-    """The step as one matrix ``T`` (3n x 5n) with
-    ``s_next = T @ (s, f_next, f_curr)`` on ``s = (x, v, a)``."""
+    """The step on the predictor state ``z = (pv, px)``, with
+    ``pv = v + dt (1 - gamma) a`` and ``px = x + dt v + dt^2 (1/2 - beta) a``,
+    extended by ``w = C v + K x`` when alpha != 0. Returns the matrices
+    ``(A, Q, R, G, U)`` of
+
+        h_{k+1} = R ((1 + alpha) f_{k+1} - alpha f_k),
+        a_{k+1} = Q z_k + h_{k+1},
+        z_{k+1} = A z_k + G h_{k+1},
+        (v, x)_{k+1} = (pv, px)_k + U a_{k+1}.
+
+    ``Q`` and ``R`` come from one solve with the effective matrix. The
+    predictor update is ``z_{k+1} = E z_k + G a_{k+1}``, with ``G`` the
+    blocks ``dt I``, ``dt^2 (1/2 + gamma) I`` and ``gamma dt C + beta dt^2 K``
+    and ``E`` the identity and ``dt I`` blocks (and ``(C, K)`` in the w
+    rows), so ``A = E + G Q``: one scipy ``dgemm``. ``U`` holds
+    ``gamma dt I`` and ``beta dt^2 I``, and zeros in the w rows. All but
+    ``A`` (C-ordered) are Fortran-ordered, as BLAS reads them."""
     n = model.mass.shape[0]
-    rows = np.split(np.eye(5 * n), 5)
-    return np.vstack(_advance(model, solve, *rows, config))
+    dt, gamma, beta, alpha = config.dt, config.gamma, config.beta, config.alpha
+    C, K = (M.toarray() if sp.issparse(M) else M
+            for M in (model.damping, model.stiffness))
+    c = 1.0 + alpha
+    eye = np.eye(n)
+    QR = solve(np.hstack([-c * C, -c * K] + ([alpha * eye] if alpha else [])
+                         + [eye]))
+    w = QR.shape[1] - n
+    Q, R = np.asfortranarray(QR[:, :w]), np.asfortranarray(QR[:, w:])
+    i = np.arange(n)
+    G = np.zeros((w, n), order="F")
+    U = np.zeros((w, n), order="F")
+    G[i, i], G[n + i, i] = dt, dt**2 * (0.5 + gamma)
+    U[i, i], U[n + i, i] = gamma * dt, beta * dt**2
+    E = np.zeros((w, w), order="F")
+    E[i, i] = E[n + i, n + i] = 1.0
+    E[n + i, i] = dt
+    if alpha:
+        G[2 * n:] = gamma * dt * C + beta * dt**2 * K
+        E[2 * n:, :2 * n] = np.hstack([C, K])
+    A = la.blas.dgemm(1.0, G, Q, 1.0, E, overwrite_c=1)
+    return np.ascontiguousarray(A), Q, R, G, U
 
 
 def _integrate_banded(A, states):
     """Fill rows 1, 2, ... of ``states``, which hold ``g`` on entry, by
     solving ``s_k - A s_{k-1} = g_k`` in place as one unit lower-triangular
     banded system: the column of entry j of a state holds ``-A[:, j]`` at
-    band rows ``w - j`` to ``2w - 1 - j`` (w = 3n), bandwidth 2w - 1. One
-    2w x w period of the band, broadcast, fills the band of a window
-    of states, which serves every window. Each window starts at the last
-    state solved, whose rows of the band are the identity, so it is
-    solved again to itself and no product couples the windows."""
+    band rows ``w - j`` to ``2w - 1 - j`` (w the state's width), bandwidth
+    2w - 1. One 2w x w period of the band, broadcast, fills the band of a
+    window of states, which serves every window. Each window starts at
+    the last state solved, whose rows of the band are the identity, so it
+    is solved again to itself and no product couples the windows."""
     w = A.shape[0]
     steps = max(1, _BANDED_WINDOW_COLUMNS // w - 1)
     period = np.zeros((2 * w, w), order="F")
@@ -243,47 +281,64 @@ def _integrate_banded(A, states):
                       lower=1, diag=1, overwrite_x=1)
 
 
-def _integrate_transition(T, s0, forces):
-    """Replay ``s_{k+1} = A s_k + g_{k+1}`` from ``s0 = (x, v, a)``, with
-    ``A`` and the two force maps read off ``T``, by banded solves up to
-    ``_BANDED_MAX_N`` and one ``dgemv`` per step above; return the
-    (N+1) x 3n state buffer and the column offsets of x, v and a in it.
+def _integrate_transition(transition, z0, forces, alpha: float):
+    """Replay ``_transition``'s recurrence from ``z0`` over the N steps
+    of the (n, N+1) force history and return the displacement, velocity
+    and acceleration at instants 1 ... N as (N, n) row blocks.
 
-    The band solves states ordered (a, v, x): it adds a row's products
-    one at a time and rounds at each, so the displacements, the largest
-    terms, come last (README.md). The buffer is allocated before the
-    ``dgemm`` calls; after them, it cost a ``readme`` replay about 800
-    minor page faults. Every BLAS call is scipy's: at two threads, numpy's
-    OpenBLAS before scipy's step loop slowed the replay fivefold."""
-    n = forces.shape[0]
-    states = np.empty((forces.shape[1], 3 * n))
+    One buffer, allocated before any product (allocated after them, a
+    replay's buffer cost about 800 minor page faults), holds the N states
+    z_0 ... z_{N-1}, one per row, and below them N + 1 rows of ``R f_j``,
+    which become ``h_j``. Rows 1 ... N-1 of the states take their force
+    terms ``G h`` and are solved in place: by banded solves up to a
+    state width of ``_BANDED_MAX_WIDTH``, by one ``dgemv`` per step
+    above. Row k then gives instant k + 1: one ``dgemm`` adds ``Q z_k``
+    to ``h_{k+1}``, which makes it ``a_{k+1}``, and one more adds
+    ``U a_{k+1}`` to ``(pv, px)_k``, which makes it ``(v, x)_{k+1}``.
+    Every BLAS call is scipy's: at two threads, numpy's OpenBLAS before
+    scipy's step loop slowed the replay fivefold (README.md)."""
+    A, Q, R, G, U = transition
+    n, N = forces.shape[0], forces.shape[1] - 1
+    w = A.shape[0]
+    buffer = np.empty(N * w + (N + 1) * n)
+    Z = buffer[:N * w].reshape(N, w)
+    H = buffer[N * w:].reshape(N + 1, n)
+    # dgemm(alpha, a, b, beta, c, trans_a, trans_b, overwrite_c): the
+    # transposes of the C-ordered blocks are Fortran-ordered, which the
+    # wrapper passes and writes without a copy.
     gemm = la.blas.dgemm
-    g = gemm(1.0, forces[:, 1:], T[:, 3 * n:4 * n], trans_a=1, trans_b=1)
-    g = gemm(1.0, forces[:, :-1], T[:, 4 * n:], beta=1.0, c=g, trans_a=1,
-             trans_b=1, overwrite_c=1)
-    if n <= _BANDED_MAX_N:
-        order = np.r_[2 * n:3 * n, n:2 * n, :n]
-        states[0], states[1:] = s0[order], g[:, order]
-        _integrate_banded(T[np.ix_(order, order)], states)
-        return states, (2 * n, n, 0)
-    states[0], states[1:] = s0, g
-    # One dgemv per step adds A @ s_k into row k + 1, which holds g_{k+1}
-    # (beta = 1, overwrite_y). The transpose of a C-ordered copy of A is
-    # a Fortran-ordered view, which the wrapper passes without a copy to
-    # the transposed kernel. Arguments go by position, which the wrapper
-    # parses faster than keywords: dgemv(alpha, a, x, beta, y, offx,
-    # incx, offy, incy, trans, overwrite_y).
-    gemv = la.blas.dgemv
-    At = np.ascontiguousarray(T[:, :3 * n]).T
-    rows = list(states)
-    for k in range(len(rows) - 1):
-        gemv(1.0, At, rows[k], 1.0, rows[k + 1], 0, 1, 0, 1, 1, 1)
-    return states, (0, n, 2 * n)
+    gemm(1.0, R, forces.T, 0.0, H.T, 0, 1, 1)
+    if alpha:
+        H[1:] = (1.0 + alpha) * H[1:] - alpha * H[:-1]
+    H = H[1:]
+    Z[0] = z0
+    if N > 1:
+        gemm(1.0, G, H[:-1].T, 0.0, Z[1:].T, 0, 0, 1)
+        if w <= _BANDED_MAX_WIDTH:
+            _integrate_banded(A, Z)
+        else:
+            # One dgemv per step adds A @ z_k into row k + 1, which holds
+            # its force term (beta = 1, overwrite_y). The transpose of the
+            # C-ordered A is a Fortran-ordered view, which the wrapper
+            # passes without a copy to the transposed kernel. Arguments go
+            # by position, which the wrapper parses faster than keywords:
+            # dgemv(alpha, a, x, beta, y, offx, incx, offy, incy, trans,
+            # overwrite_y).
+            gemv = la.blas.dgemv
+            At = A.T
+            rows = list(Z)
+            for k in range(N - 1):
+                gemv(1.0, At, rows[k], 1.0, rows[k + 1], 0, 1, 0, 1, 1, 1)
+    gemm(1.0, Q, Z.T, 1.0, H.T, 0, 0, 1)
+    gemm(1.0, U, H.T, 1.0, Z.T, 0, 0, 1)
+    return Z[:, n:2 * n], Z[:, :n], H
 
 
 def _integrate_factorized(model, solve, s0, forces, config: IntegratorConfig):
-    """``_integrate_transition``'s replay and result, by one solve per
-    step. The forces are read and the states stored as contiguous rows:
+    """The replay from ``s0 = (x, v, a)`` by one solve per step, with
+    ``_integrate_transition``'s result: (N, n) row blocks of the
+    displacement, velocity and acceleration at instants 1 ... N. The
+    forces are read and the states stored as contiguous rows:
     strided column access to (n, N) arrays took about a third of a
     sparse step's time at n = 1000."""
     n = forces.shape[0]
@@ -295,7 +350,22 @@ def _integrate_factorized(model, solve, s0, forces, config: IntegratorConfig):
         X[k + 1], V[k + 1], A[k + 1] = _advance(
             model, solve, X[k], V[k], A[k], F[k + 1], F[k], config
         )
-    return states, (0, n, 2 * n)
+    return states[1:, :n], states[1:, n:2 * n], states[1:, 2 * n:]
+
+
+def _nan_from_divergence(*blocks):
+    """Set the (N, n) row blocks to NaN from the first instant at which
+    one of them is not finite. A non-finite entry never turns finite
+    again in a later step (a product with inf or NaN is inf or NaN, and
+    so is a sum holding one), so a finite last instant clears them all."""
+    if all(np.all(np.isfinite(B[-1])) for B in blocks):
+        return
+    bad = np.zeros(blocks[0].shape[0], dtype=bool)
+    for B in blocks:
+        bad |= ~np.all(np.isfinite(B), axis=1)
+    first = int(np.argmax(bad))
+    for B in blocks:
+        B[first:] = np.nan
 
 
 def simulate(model, sampler, x0, v0, config: IntegratorConfig,
@@ -303,15 +373,22 @@ def simulate(model, sampler, x0, v0, config: IntegratorConfig,
     """Integrate from ``t0`` and collect snapshots at the step ends.
 
     Models of dimension up to ``_TRANSITION_MAX_N`` advance by the
-    precomputed transition ``s_{k+1} = A s_k + g_{k+1}`` on
-    ``s = (x, v, a)``: up to ``_BANDED_MAX_N`` by banded triangular
-    solves over windows of steps, above it by one BLAS matrix-vector
-    product per step that adds ``A s_k`` to ``g_{k+1}`` in place.
-    Larger models, and any model whose transition is not finite, solve
-    with the factorized effective matrix at every step. The operators'
-    storage picks the factorization: a model with sparse operators (a
-    full model) is factored once with SuperLU and stepped with sparse
-    products, a dense one (a reduced model) with dense LU.
+    precomputed transition ``z_{k+1} = A z_k + G h_{k+1}`` on the
+    predictor state ``z = (pv, px)``, where ``pv = v + dt (1 - gamma) a``
+    and ``px = x + dt v + dt^2 (1/2 - beta) a``: the step's balance fixes
+    the acceleration, so at alpha = 0 the state has 2n entries (3n for
+    alpha != 0, which appends ``w = C v + K x``). States up to a width of
+    ``_BANDED_MAX_WIDTH`` are solved by banded triangular solves over
+    windows of steps, wider ones by one BLAS matrix-vector product per
+    step that adds ``A z_k`` to the force term in place. ``z_k`` and the
+    forces then give the displacement, velocity and acceleration at
+    instant k + 1 by two matrix products. Larger models, and any model
+    whose transition is not finite, solve with the factorized effective
+    matrix at every step. The operators' storage picks the
+    factorization: a model with sparse operators (a full model) is
+    factored once with SuperLU and stepped with sparse products, a dense
+    one (a reduced model) with dense LU. A replay that leaves the finite
+    range is NaN in every block from its first non-finite instant on.
 
     Parameters
     ----------
@@ -362,18 +439,24 @@ def simulate(model, sampler, x0, v0, config: IntegratorConfig,
     with np.errstate(over="ignore", invalid="ignore"):
         forces = model.input_map @ samples
         a0 = initial_acceleration(model, x0, v0, forces[:, 0])
-        s0 = np.concatenate([x0, v0, a0])
-        T = _transition(model, solve, config) if n <= _TRANSITION_MAX_N else None
-        if T is not None and np.all(np.isfinite(T)):
-            states, (x, v, a) = _integrate_transition(T, s0, forces)
+        transition = (_transition(model, solve, config)
+                      if n <= _TRANSITION_MAX_N else None)
+        if transition is not None and all(
+                M is None or np.all(np.isfinite(M)) for M in transition):
+            z0 = [*_predictors(x0, v0, a0, config)]
+            if config.alpha:
+                z0.append(model.damping @ v0 + model.stiffness @ x0)
+            X, V, A = _integrate_transition(transition, np.concatenate(z0),
+                                            forces, config.alpha)
         else:
-            states, (x, v, a) = _integrate_factorized(model, solve, s0,
-                                                      forces, config)
+            X, V, A = _integrate_factorized(
+                model, solve, np.concatenate([x0, v0, a0]), forces, config)
+        _nan_from_divergence(X, V, A)
     return TrajectoryData(
         times=times,
-        displacement=states[1:, x:x + n].T,
-        velocity=states[1:, v:v + n].T,
-        acceleration=states[1:, a:a + n].T,
+        displacement=X.T,
+        velocity=V.T,
+        acceleration=A.T,
         input=samples[:, 1:],
         force=forces[:, 1:],
     )

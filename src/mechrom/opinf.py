@@ -202,8 +202,8 @@ def _replay_error(rom: SecondOrderSystem, validation: TrajectoryData,
                   scheme: IntegratorConfig | None = None) -> float:
     """Worst relative displacement error of the model replaying the
     validation window from its first snapshot, with the gamma, beta and
-    alpha of ``scheme`` when given. Returns inf when the replay leaves
-    the finite range."""
+    alpha of ``scheme`` when given. Returns inf when the replay, or its
+    error, leaves the finite range."""
     # One step per gap: times uniform only to within the grid tolerance
     # can floor to fewer steps over their span.
     dt = validation.dt
@@ -229,8 +229,9 @@ def _replay_error(rom: SecondOrderSystem, validation: TrajectoryData,
     denom = np.linalg.norm(validation.displacement, axis=0).max()
     if denom == 0.0 or not np.isfinite(denom):
         return float("inf")
-    return float(np.linalg.norm(Q - validation.displacement[:, 1:],
-                                axis=0).max() / denom)
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(Q - validation.displacement[:, 1:],
+                                    axis=0).max() / denom)
 
 
 def select_lambda(D, rhs, grid, validation: TrajectoryData,

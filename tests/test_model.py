@@ -133,6 +133,18 @@ def test_construction_rejects_bad_operators():
         SecondOrderSystem(np.eye(2), np.eye(2), np.eye(2), np.ones((3, 1)))
 
 
+@pytest.mark.parametrize("storage", [np.asarray, sp.csr_array],
+                         ids=["dense", "csr"])
+def test_model_of_dimension_zero_is_rejected(capfd, storage):
+    # Accepted, such a model reached LAPACK in simulate, which printed
+    # its illegal-parameter message to stderr before f2py's ValueError.
+    empty = storage(np.zeros((0, 0)))
+    with pytest.raises(InvalidInputError,
+                       match="^mass must be at least 1x1, got 0x0$"):
+        SecondOrderSystem(empty, empty, empty, np.zeros((0, 1)))
+    assert capfd.readouterr() == ("", "")
+
+
 def test_sparse_operators_are_stored_as_csr():
     sys_ = SecondOrderSystem(
         sp.coo_array(np.eye(3)), sp.csc_array((3, 3)),

@@ -348,11 +348,30 @@ def forbid(monkeypatch, name):
     monkeypatch.setattr(newmark, name, fail)
 
 
+def width(n, alpha):
+    """The predictor state's width: (pv, px), and w for alpha != 0."""
+    return (3 if alpha else 2) * n
+
+
+def banded(n, alpha):
+    return width(n, alpha) <= newmark._BANDED_MAX_WIDTH
+
+
+# The widest models solved banded, at alpha != 0 (width 3n) and at
+# alpha = 0 (width 2n); one more and the product form runs.
+BANDED_N = {-0.1: newmark._BANDED_MAX_WIDTH // 3,
+            0.0: newmark._BANDED_MAX_WIDTH // 2}
+
+
+def around_the_limits(*n):
+    """``n``, the widest banded dimensions and the ones above them."""
+    return sorted({*n, *BANDED_N.values(), *(k + 1 for k in BANDED_N.values())})
+
+
 @pytest.mark.parametrize("drive", ["input", "force"])
 @pytest.mark.parametrize("alpha", [0.0, -0.1])
-@pytest.mark.parametrize("n", [1, 4, newmark._BANDED_MAX_N,
-                               newmark._BANDED_MAX_N + 1, 16, 17, 26,
-                               newmark._TRANSITION_MAX_N + 1])
+@pytest.mark.parametrize("n", around_the_limits(
+    1, 4, 8, 9, 16, 17, 26, newmark._TRANSITION_MAX_N + 1))
 def test_simulate_matches_step_loop(rng, monkeypatch, n, alpha, drive):
     sys_ = random_stable_system(rng, n)
     cfg = IntegratorConfig(dt=0.01, t_end=0.6, alpha=alpha)
@@ -365,15 +384,16 @@ def test_simulate_matches_step_loop(rng, monkeypatch, n, alpha, drive):
         sampler = lambda t: np.sin(4.0 * t + phase[:, None])
     x0 = rng.standard_normal(n)
     v0 = rng.standard_normal(n)
-    # Small models take the transition, by banded solves up to
-    # _BANDED_MAX_N; large ones take the factorized solve.
+    # Small models take the transition, by banded solves up to a state
+    # width of _BANDED_MAX_WIDTH, over the 59 steps from z_0 to z_59;
+    # large ones take the factorized solve.
     if n <= newmark._TRANSITION_MAX_N:
         forbid(monkeypatch, "_integrate_factorized")
     else:
         forbid(monkeypatch, "_transition")
     calls = banded_calls(monkeypatch)
     data = simulate(sys_, sampler, x0, v0, cfg, t0=t0)
-    assert calls == ([60] if n <= newmark._BANDED_MAX_N else [])
+    assert calls == ([59] if banded(n, alpha) else [])
     expected = step_loop(sys_, sampler, x0, v0, cfg, t0)
     for got, ref in zip(
         (data.displacement, data.velocity, data.acceleration), expected
@@ -383,33 +403,55 @@ def test_simulate_matches_step_loop(rng, monkeypatch, n, alpha, drive):
     assert data.times == pytest.approx(t0 + 0.01 * np.arange(1, 61), rel=1e-15)
 
 
+def predictor(sys_, x, v, a, cfg):
+    """The predictor state ``(pv, px)``, with ``w = C v + K x`` appended
+    for alpha != 0."""
+    dt = cfg.dt
+    z = [v + dt * (1.0 - cfg.gamma) * a,
+         x + dt * v + dt**2 * (0.5 - cfg.beta) * a]
+    if cfg.alpha:
+        z.append(sys_.damping @ v + sys_.stiffness @ x)
+    return np.concatenate(z)
+
+
 def reference_transition_replay(sys_, sampler, x0, v0, cfg, t0, advance):
-    """The transition replay with numpy-scalar instants and each sample
-    read through ``asarray(...).ravel()``; ``advance(A, states)`` fills
-    rows 1, 2, ... of the state buffer, which hold ``g`` on entry."""
+    """The transition replay with numpy-scalar instants, each sample read
+    through ``asarray(...).ravel()``, and a fresh array for every stage
+    of the recurrence where ``simulate`` shares one buffer;
+    ``advance(A, states)`` fills rows 1, 2, ... of the states, which hold
+    their force terms on entry. Returns the instants, the samples and the
+    (N, n) displacement, velocity and acceleration rows."""
     n, m = sys_.n, sys_.m
     times = t0 + cfg.dt * np.arange(1, cfg.num_steps + 1)
     samples = np.empty((times.size + 1, m))
     for k, t in enumerate((np.float64(t0), *times)):
         samples[k] = np.asarray(sampler(t), dtype=float).ravel()
     forces = sys_.input_map @ samples.T
-    states = np.empty((times.size + 1, 3 * n))
-    states[0] = np.concatenate(
-        [x0, v0, initial_acceleration(sys_, x0, v0, forces[:, 0])])
-    T = newmark._transition(sys_, newmark._effective_solve(sys_, cfg), cfg)
-    A, G_next, G_curr = T[:, :3 * n], T[:, 3 * n:4 * n], T[:, 4 * n:]
-    states[1:] = forces[:, 1:].T @ G_next.T + forces[:, :-1].T @ G_curr.T
+    a0 = initial_acceleration(sys_, x0, v0, forces[:, 0])
+    A, Q, R, G, U = newmark._transition(
+        sys_, newmark._effective_solve(sys_, cfg), cfg)
+    # The kernel for a transposed operand can round otherwise (n = 17,
+    # 26): the forces enter transposed, as ``simulate`` passes them.
+    gemm = la.blas.dgemm
+    h = gemm(1.0, R, forces.T, trans_b=1)
+    h = (1.0 + cfg.alpha) * h[:, 1:] - cfg.alpha * h[:, :-1] if cfg.alpha \
+        else h[:, 1:]
+    states = np.empty((times.size, A.shape[0]))
+    states[0] = predictor(sys_, x0, v0, a0, cfg)
+    states[1:] = gemm(1.0, G, h[:, :-1]).T
     advance(A, states)
-    return times, samples, states
+    a = gemm(1.0, Q, states.T, beta=1.0, c=h)
+    vx = gemm(1.0, U, a, beta=1.0, c=states.T)
+    return times, samples, (vx[n:2 * n].T, vx[:n].T, a.T)
 
 
 def step_by_step(A, states):
-    """Every step as one ``dgemv`` that adds ``A @ s`` into the next row
+    """Every step as one ``dgemv`` that adds ``A @ z`` into the next row
     (beta = 1), on the strided slice of the transition: the plain form of
     the loop that ``simulate`` runs with less interpreter work above
-    ``_BANDED_MAX_N``. The wrapper copies the slice's transpose at every
-    call and runs the transposed kernel, as ``simulate`` does on its one
-    copy."""
+    ``_BANDED_MAX_WIDTH``. The wrapper copies the slice's transpose at
+    every call and runs the transposed kernel, as ``simulate`` does on
+    its one view."""
     for k in range(states.shape[0] - 1):
         states[k + 1] = la.blas.dgemv(1.0, A.T, states[k], beta=1.0,
                                       y=states[k + 1], trans=1)
@@ -417,28 +459,23 @@ def step_by_step(A, states):
 
 def one_banded_solve(A, states):
     """The whole horizon as one ``dtbsv`` call on the band of every
-    state at once, each state ordered (a, v, x) as the banded replay
-    orders it: the windowed solve differs from it only by the products of
-    zero band entries, which add ±0 to finite values."""
-    n = A.shape[0] // 3
-    order = np.r_[2 * n:3 * n, n:2 * n, :n]
-    A = A[order][:, order]
-    w = 3 * n
+    state at once: the windowed solve differs from it only by the
+    products of zero band entries, which add ±0 to finite values."""
+    w = A.shape[0]
     band = np.zeros((2 * w, states.size), order="F")
     for j in range(w):
         band[w - j:2 * w - j, j::w] = -A[:, [j]]
-    x = la.blas.dtbsv(2 * w - 1, band, states[:, order].ravel(), lower=1,
-                      diag=1)
-    states[:, order] = x.reshape(states.shape)
+    states[:] = la.blas.dtbsv(2 * w - 1, band, states.ravel(), lower=1,
+                              diag=1).reshape(states.shape)
 
 
-def assert_replay_bits(data, reference, n):
-    times, samples, states = reference
+def assert_replay_bits(data, reference):
+    times, samples, blocks = reference
     assert np.array_equal(data.times, times)
     assert np.array_equal(data.input, samples[1:].T)
-    for block, got in enumerate(
-            (data.displacement, data.velocity, data.acceleration)):
-        assert np.array_equal(got, states[1:, block * n:(block + 1) * n].T)
+    for got, rows in zip(
+            (data.displacement, data.velocity, data.acceleration), blocks):
+        assert np.array_equal(got, rows.T)
 
 
 # The reference samples each instant alone and ``simulate`` the whole grid
@@ -447,11 +484,20 @@ def bit_test_sampler(t):
     return np.array([np.sin(3.0 * t), np.cos(5.0 * t) * t])
 
 
+def product_form_at(monkeypatch, n, alpha):
+    """Let ``simulate`` replay a model of dimension ``n`` by the product
+    form: a state of n = 9 is 18 or 27 wide and solved banded, and the
+    product form stays checked at the dimensions it ran before."""
+    monkeypatch.setattr(newmark, "_BANDED_MAX_WIDTH",
+                        min(width(n, alpha) - 1, newmark._BANDED_MAX_WIDTH))
+
+
 @pytest.mark.parametrize("alpha", [0.0, -0.1])
-@pytest.mark.parametrize("n", [newmark._BANDED_MAX_N + 1, 17, 26,
-                               newmark._TRANSITION_MAX_N])
+@pytest.mark.parametrize("n", sorted({9, BANDED_N[-0.1] + 1, BANDED_N[0.0] + 1,
+                                      17, 26, newmark._TRANSITION_MAX_N}))
 def test_transition_replay_is_bit_equal_to_the_reference_loops(
         rng, monkeypatch, n, alpha):
+    product_form_at(monkeypatch, n, alpha)
     sys_ = random_stable_system(rng, n)
     cfg = IntegratorConfig(dt=0.01, t_end=0.6, alpha=alpha)
     t0 = 0.37
@@ -461,57 +507,68 @@ def test_transition_replay_is_bit_equal_to_the_reference_loops(
     forbid(monkeypatch, "_integrate_banded")
     data = simulate(sys_, bit_test_sampler, x0, v0, cfg, t0=t0)
     assert_replay_bits(data, reference_transition_replay(
-        sys_, bit_test_sampler, x0, v0, cfg, t0, step_by_step), n)
+        sys_, bit_test_sampler, x0, v0, cfg, t0, step_by_step))
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                     reason="numpy.longdouble is no wider than a double here")
-@pytest.mark.parametrize("n", [newmark._BANDED_MAX_N + 1, 16, 26, 64,
-                               newmark._TRANSITION_MAX_N])
-def test_fused_step_is_as_accurate_as_product_and_add(rng, n):
-    # The replay above the banded limit adds A @ s_k into g_{k+1} inside
+@pytest.mark.parametrize("n", [9, 16, 26, 64, newmark._TRANSITION_MAX_N])
+def test_fused_step_is_as_accurate_as_product_and_add(rng, monkeypatch, n):
+    # The product form adds A @ z_k into the force term of z_{k+1} inside
     # one BLAS call, which may round otherwise than a product followed by
     # an add; against a numpy.longdouble replay of the same recurrence,
     # its error stays within twice that of the two-call form.
+    product_form_at(monkeypatch, n, 0.0)
     sys_ = random_stable_system(rng, n)
     cfg = IntegratorConfig(dt=0.01, t_end=3.0)
-    T = newmark._transition(sys_, newmark._effective_solve(sys_, cfg), cfg)
-    A = T[:, :3 * n]
+    transition = newmark._transition(
+        sys_, newmark._effective_solve(sys_, cfg), cfg)
+    A, Q, R, G, U = transition
     forces = sys_.input_map @ rng.standard_normal((2, cfg.num_steps + 1))
-    s0 = rng.standard_normal(3 * n)
-    fused, offsets = newmark._integrate_transition(T, s0, forces)
-    assert offsets == (0, n, 2 * n)
-    assert np.array_equal(fused[0], s0)
-    g = fused.copy()
-    g[1:] = (forces[:, 1:].T @ T[:, 3 * n:4 * n].T
-             + forces[:, :-1].T @ T[:, 4 * n:].T)
-    two_calls, exact = g.copy(), g.astype(np.longdouble)
-    A_exact = A.astype(np.longdouble)
-    for k in range(cfg.num_steps):
-        two_calls[k + 1] += A @ two_calls[k]
-        exact[k + 1] += A_exact @ exact[k]
+    z0 = rng.standard_normal(2 * n)
+    fused = newmark._integrate_transition(transition, z0, forces, 0.0)
+    assert [block.shape for block in fused] == [(cfg.num_steps, n)] * 3
+    h = (R @ forces[:, 1:]).T
 
-    def error(states):
-        return float(np.linalg.norm(states - exact) / np.linalg.norm(exact))
+    def replay(dtype, advance):
+        h_, Q_, U_ = (M.astype(dtype) for M in (h, Q, U))
+        states = np.empty((cfg.num_steps, 2 * n), dtype=dtype)
+        states[0] = z0
+        states[1:] = h_[:-1] @ G.astype(dtype).T
+        advance(A.astype(dtype), states)
+        a = h_ + states @ Q_.T
+        vx = states + a @ U_.T
+        return vx[:, n:], vx[:, :n], a
+
+    def loop(A_, states):
+        for k in range(cfg.num_steps - 1):
+            states[k + 1] += A_ @ states[k]
+
+    two_calls = replay(float, loop)
+    exact = np.hstack(replay(np.longdouble, loop))
+
+    def error(blocks):
+        return float(np.linalg.norm(np.hstack(blocks) - exact)
+                     / np.linalg.norm(exact))
 
     assert 0.0 < error(two_calls)
     assert error(fused) <= 2.0 * error(two_calls)
 
 
-def banded_up_to(monkeypatch, n):
+def banded_up_to(monkeypatch, n, alpha):
     """Let ``simulate`` solve models up to dimension ``n`` banded. The
-    banded tests also run at n = 16, a band twice as wide as any that
-    ``simulate`` solves now, so that the kernel stays checked there if
-    the limit is raised again."""
-    monkeypatch.setattr(newmark, "_BANDED_MAX_N",
-                        max(n, newmark._BANDED_MAX_N))
+    banded tests also run at n = 16, a band of width 32 or 48, wider
+    than any that ``simulate`` solves now, so that the kernel stays
+    checked there if the limit is raised again."""
+    monkeypatch.setattr(newmark, "_BANDED_MAX_WIDTH",
+                        max(width(n, alpha), newmark._BANDED_MAX_WIDTH))
 
 
 @pytest.mark.parametrize("alpha", [0.0, -0.1])
-@pytest.mark.parametrize("n", [1, 4, newmark._BANDED_MAX_N, 16])
+@pytest.mark.parametrize("n", [1, 4, 8, BANDED_N[0.0], 16])
 def test_banded_replay_is_bit_equal_to_one_full_solve(rng, monkeypatch, n,
                                                       alpha):
-    banded_up_to(monkeypatch, n)
+    banded_up_to(monkeypatch, n, alpha)
     sys_ = random_stable_system(rng, n)
     cfg = IntegratorConfig(dt=0.01, t_end=0.6, alpha=alpha)
     t0 = 0.37
@@ -520,21 +577,22 @@ def test_banded_replay_is_bit_equal_to_one_full_solve(rng, monkeypatch, n,
     forbid(monkeypatch, "_integrate_factorized")
     calls = banded_calls(monkeypatch)
     data = simulate(sys_, bit_test_sampler, x0, v0, cfg, t0=t0)
-    assert calls == [60]
+    assert calls == [59]
     reference = reference_transition_replay(
         sys_, bit_test_sampler, x0, v0, cfg, t0, one_banded_solve)
-    assert_replay_bits(data, reference, n)
+    assert_replay_bits(data, reference)
     # The banded solve is another order of the same sums as the loop.
     loop = reference_transition_replay(
         sys_, bit_test_sampler, x0, v0, cfg, t0, step_by_step)[2]
-    assert np.max(np.abs(reference[2] - loop)) <= 1e-13 * np.max(np.abs(loop))
+    for got, ref in zip(reference[2], loop):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def window_steps(n):
-    return max(1, newmark._BANDED_WINDOW_COLUMNS // (3 * n) - 1)
+def window_steps(w):
+    return max(1, newmark._BANDED_WINDOW_COLUMNS // w - 1)
 
 
-@pytest.mark.parametrize("n", [2, newmark._BANDED_MAX_N, 16])
+@pytest.mark.parametrize("n", [2, 8, 16])
 @pytest.mark.parametrize("steps", [
     pytest.param(lambda w: 1, id="one-step"),
     pytest.param(lambda w: w - 1, id="inside-one-window"),
@@ -545,18 +603,44 @@ def window_steps(n):
 def test_banded_windows_are_bit_equal_to_one_full_solve(rng, monkeypatch, n,
                                                         steps):
     # Each window starts at the last state of the one before it; the
-    # horizon ends inside, or at the end of, a window.
-    banded_up_to(monkeypatch, n)
-    N = steps(window_steps(n))
+    # recurrence, one step shorter than the horizon, ends inside, or at
+    # the end of, a window.
+    banded_up_to(monkeypatch, n, 0.0)
+    N = steps(window_steps(2 * n)) + 1
     sys_ = random_stable_system(rng, n)
     cfg = IntegratorConfig(dt=0.01, t_end=N * 0.01)
     assert cfg.num_steps == N
     x0 = rng.standard_normal(n)
     calls = banded_calls(monkeypatch)
     data = simulate(sys_, bit_test_sampler, x0, None, cfg)
-    assert calls == [N]
+    assert calls == [N - 1]
     assert_replay_bits(data, reference_transition_replay(
-        sys_, bit_test_sampler, x0, np.zeros(n), cfg, 0.0, one_banded_solve), n)
+        sys_, bit_test_sampler, x0, np.zeros(n), cfg, 0.0, one_banded_solve))
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.1])
+@pytest.mark.parametrize("n", [4, 26])
+def test_one_step_horizon(rng, monkeypatch, n, alpha):
+    # A width that the band solves and one that the product form does:
+    # with N = 1 the recurrence has no step, and the one instant comes
+    # from z_0 alone.
+    sys_ = random_stable_system(rng, n)
+    cfg = IntegratorConfig(dt=0.01, t_end=0.01, alpha=alpha)
+    assert cfg.num_steps == 1
+    x0 = rng.standard_normal(n)
+    v0 = rng.standard_normal(n)
+    forbid(monkeypatch, "_integrate_factorized")
+    calls = banded_calls(monkeypatch)
+    data = simulate(sys_, bit_test_sampler, x0, v0, cfg, t0=0.37)
+    assert calls == []
+    expected = step_loop(sys_, bit_test_sampler, x0, v0, cfg, 0.37)
+    for got, ref in zip(
+        (data.displacement, data.velocity, data.acceleration), expected
+    ):
+        assert got.shape == ref.shape == (n, 1)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert_replay_bits(data, reference_transition_replay(
+        sys_, bit_test_sampler, x0, v0, cfg, 0.37, step_by_step))
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -582,18 +666,119 @@ def test_diverging_banded_replay_leaves_the_finite_range(monkeypatch):
     sys_ = SecondOrderSystem(np.eye(2), np.zeros((2, 2)), -1e8 * np.eye(2),
                              np.ones((2, 1)))
     cfg = IntegratorConfig(dt=1e-4, t_end=0.1)
-    T = newmark._transition(sys_, newmark._effective_solve(sys_, cfg), cfg)
-    assert np.max(np.abs(np.linalg.eigvals(T[:, :6]))) == pytest.approx(3.0)
+    A = newmark._transition(sys_, newmark._effective_solve(sys_, cfg), cfg)[0]
+    assert np.max(np.abs(np.linalg.eigvals(A))) == pytest.approx(3.0)
     calls = banded_calls(monkeypatch)
     x0 = np.array([1e-3, 0.0])
     data = simulate(sys_, zero_sampler, x0, None, cfg)
-    assert calls == [1000]
+    assert calls == [999]
     assert not np.all(np.isfinite(data.displacement))
     expected = step_loop(sys_, zero_sampler, x0, np.zeros(2),
                          dataclasses.replace(cfg, t_end=5e-3), 0.0)[0]
     assert expected.shape == (2, 50)
     got = data.displacement[:, :50]
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.1])
+@pytest.mark.parametrize("n", [2, BANDED_N[0.0] + 1])
+def test_diverging_replay_ends_in_nan(monkeypatch, n, alpha):
+    # The growing pair above, at a width the band solves and one the
+    # product form does at either alpha. From the first
+    # instant with an inf or NaN in any block on, every block holds NaN
+    # alone, so that lifting it raises no floating-point warning.
+    sys_ = SecondOrderSystem(np.eye(n), np.zeros((n, n)), -1e8 * np.eye(n),
+                             np.ones((n, 1)))
+    cfg = IntegratorConfig(dt=1e-4, t_end=0.1, alpha=alpha)
+    forbid(monkeypatch, "_integrate_factorized")
+    calls = banded_calls(monkeypatch)
+    data = simulate(sys_, zero_sampler, np.full(n, 1e-3), None, cfg)
+    assert calls == ([999] if banded(n, alpha) else [])
+    blocks = (data.displacement, data.velocity, data.acceleration)
+    finite = np.all([np.all(np.isfinite(B), axis=0) for B in blocks], axis=0)
+    first = int(np.argmin(finite))
+    assert 0 < first and np.all(finite[:first])
+    for B in blocks:
+        assert np.all(np.isnan(B[:, first:]))
+    assert np.all(np.isnan(np.ones((3, n)) @ data.displacement[:, first:]))
+
+
+def longdouble_step_loop(sys_, sampler, x0, cfg):
+    """Displacements of the scheme's step loop in numpy.longdouble, with
+    the effective matrix inverted by Gauss-Jordan elimination with
+    partial pivoting, from rest at x0. It starts from ``simulate``'s
+    initial acceleration, so that only the steps' rounding is compared:
+    the solve with a near-singular mass errs by as much."""
+    ld = np.longdouble
+
+    def inverse(M):
+        n = M.shape[0]
+        W = np.hstack([M.astype(ld), np.eye(n, dtype=ld)])
+        for j in range(n):
+            p = j + int(np.argmax(np.abs(W[j:, j])))
+            W[[j, p]] = W[[p, j]]
+            W[j] /= W[j, j]
+            for i in range(n):
+                if i != j:
+                    W[i] -= W[i, j] * W[j]
+        return W[:, n:]
+
+    dt, gamma, beta, alpha = (ld(v) for v in (cfg.dt, cfg.gamma, cfg.beta,
+                                              cfg.alpha))
+    M, C, K = (np.asarray(A).astype(ld) for A in (
+        sys_.mass, sys_.damping, sys_.stiffness))
+    c = 1 + alpha
+    S_inv = inverse(M + gamma * dt * c * C + beta * dt**2 * c * K)
+    times = cfg.dt * np.arange(cfg.num_steps + 1)
+    f = (sys_.input_map @ np.asarray(sampler(times), dtype=float)
+         .reshape(-1, times.size)).astype(ld)
+    x, v = x0.astype(ld), np.zeros_like(x0, dtype=ld)
+    a = initial_acceleration(sys_, x0, np.zeros_like(x0),
+                             f[:, 0].astype(float)).astype(ld)
+    out = []
+    for k in range(1, times.size):
+        px = x + dt * v + dt**2 * (ld(0.5) - beta) * a
+        pv = v + dt * (1 - gamma) * a
+        rhs = (c * f[:, k] - alpha * f[:, k - 1] - C @ (c * pv - alpha * v)
+               - K @ (c * px - alpha * x))
+        a_next = S_inv @ rhs
+        x, v, a = px + beta * dt**2 * a_next, pv + gamma * dt * a_next, a_next
+        out.append(x)
+    return np.column_stack(out)
+
+
+# Three times the error of the 3n (x, v, a) transition that this one
+# replaced: 9.65e-9 and 7.56e-13 at n = 8 (banded), 4.46e-9 and 5.43e-13
+# at n = 15 (one dgemv per step). The factorized step loop in doubles
+# errs as much here (9.9e-9, 8.4e-13, 6.1e-9, 7.0e-13): the fast mode of
+# the 1e-8 mass eigenvalue is not damped at alpha = 0.
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="numpy.longdouble is no wider than a double here")
+@pytest.mark.parametrize("n, alpha, bound", [
+    (8, 0.0, 2.9e-8), (8, -0.1, 2.3e-12),
+    (15, 0.0, 1.3e-8), (15, -0.1, 1.6e-12),
+])
+def test_near_singular_mass_replay_accuracy(n, alpha, bound):
+    # A mass with an eigenvalue on copinf's 1e-8 definiteness floor, as
+    # copinf's fit on `wide` has at some seeds, replayed banded (n = 8)
+    # and by the product form (n = 15): its error against a
+    # numpy.longdouble step loop, in the relative max norm of the
+    # displacement, stays within ``bound``.
+    rng = np.random.default_rng(3)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    mass = (Q * np.r_[1e-8, rng.uniform(0.5, 1.5, n - 1)]) @ Q.T
+    stiffness = 1e4 * random_spd(rng, n, eigmin=0.01, eigmax=4.0)
+    sys_ = SecondOrderSystem(
+        0.5 * (mass + mass.T), 0.01 * mass + 1e-4 * stiffness, stiffness,
+        rng.standard_normal((n, 1)))
+    cfg = IntegratorConfig(dt=1e-3, t_end=0.5, alpha=alpha)
+    sampler = lambda t: np.sin(20.0 * np.pi * t)
+    x0 = 1e-3 * rng.standard_normal(n)
+    data = simulate(sys_, sampler, x0, None, cfg)
+    exact = longdouble_step_loop(sys_, sampler, x0, cfg)
+    error = float(np.max(np.abs(data.displacement - exact))
+                  / np.max(np.abs(exact)))
+    assert error <= bound
 
 
 @pytest.mark.parametrize("n", [1, newmark._TRANSITION_MAX_N + 1])
@@ -606,20 +791,23 @@ def test_singular_effective_matrix_on_both_paths(n):
 
 
 def test_overflowing_transition_steps_by_solve():
-    # Operators near the largest double overflow the transition's
-    # intermediate sums, although the step itself stays finite: the
-    # model is stepped by the factorized solve and ends where ``step``
-    # does.
-    huge = 1.79e308
-    sys_ = scalar_system(1.0, huge, huge)
+    # A subnormal mass and stiffness: the step is a unit-frequency
+    # oscillator, but the inverse of the subnormal effective matrix
+    # overflows in the transition. The model is stepped by the
+    # factorized solve and ends where ``step`` does.
+    tiny = 1e-309
+    sys_ = scalar_system(tiny, 0.0, tiny)
     cfg = IntegratorConfig(dt=0.01, t_end=0.1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        T = newmark._transition(sys_, newmark._effective_solve(sys_, cfg), cfg)
-    assert not np.all(np.isfinite(T))
-    sampler = lambda t: np.array([np.sin(t)])
-    data = simulate(sys_, sampler, None, None, cfg)
-    expected = step_loop(sys_, sampler, np.zeros(1), np.zeros(1), cfg, 0.0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        transition = newmark._transition(
+            sys_, newmark._effective_solve(sys_, cfg), cfg)
+    assert not all(np.all(np.isfinite(M)) for M in transition)
+    x0 = np.ones(1)
+    data = simulate(sys_, zero_sampler, x0, None, cfg)
+    expected = step_loop(sys_, zero_sampler, x0, np.zeros(1), cfg, 0.0)
     assert np.all(np.isfinite(data.displacement))
+    assert data.displacement == pytest.approx(np.cos(data.times)[None],
+                                              rel=1e-3)
     assert np.array_equal(data.displacement, expected[0])
 
 

@@ -497,12 +497,13 @@ class TestReplayFailures:
         assert opinf._replay_error(rom, rdata) == float("inf")
 
     @pytest.mark.parametrize("rom, transition_finite", [
-        # Operators near the largest double overflow the transition's
-        # sums; the model is stepped by the factorized solve, whose first
-        # step from the validation state overflows as well.
+        # Operators near the largest double: the predictor transition is
+        # finite, but the replay from the validation state cancels to
+        # values whose error overflows (the factorized step overflows
+        # at once).
         (SecondOrderSystem([[1.0]], [[1.79e308]], [[1.79e308]], [[1.0]]),
-         False),
-        # A tiny mass: the transition is finite, but its force term g
+         True),
+        # A tiny mass: the transition is finite, but its force term
         # overflows once the input has grown tenfold in the window.
         (SecondOrderSystem([[1e-300]], [[0.0]], [[0.0]], [[1.67e9]]), True),
     ])
@@ -511,10 +512,11 @@ class TestReplayFailures:
         rdata = scalar_validation_data(t_end=0.1)
         config = IntegratorConfig(dt=rdata.dt, t_end=0.09)
         with np.errstate(over="ignore", invalid="ignore"):
-            T = newmark._transition(
+            transition = newmark._transition(
                 rom, newmark._effective_solve(rom, config), config
             )
-        assert np.all(np.isfinite(T)) == transition_finite
+        assert all(np.all(np.isfinite(M)) for M in transition) \
+            == transition_finite
         D, rhs = assemble_opinf_data(rdata)
         fit = opinf.infer
 
@@ -539,13 +541,14 @@ class TestReplayFailures:
         )
         rom = SecondOrderSystem([[1.0]], [[0.0]], [[-1e8]], [[1.0]])
         config = IntegratorConfig(dt=rdata.dt, t_end=0.1)
-        T = newmark._transition(rom, newmark._effective_solve(rom, config),
-                                config)
-        assert np.max(np.abs(np.linalg.eigvals(T[:, :3]))) > 1.0
-        assert rom.n <= newmark._BANDED_MAX_N
+        A = newmark._transition(rom, newmark._effective_solve(rom, config),
+                                config)[0]
+        assert np.max(np.abs(np.linalg.eigvals(A))) > 1.0
+        assert A.shape[0] <= newmark._BANDED_MAX_WIDTH
         calls = banded_calls(monkeypatch)
         assert opinf._replay_error(rom, rdata) == float("inf")
-        assert calls == [rdata.num_snapshots - 1]
+        # N - 1 recurrence steps for the N = num_snapshots - 1 instants.
+        assert calls == [rdata.num_snapshots - 2]
 
     def test_overflowing_initial_balance_scores_inf(self, monkeypatch):
         # The replay starts near x = 2, where K x overflows: simulate
