@@ -735,10 +735,17 @@ def run(cfg: ExperimentConfig, outdir) -> None:
     """
     timings = _run_stages(cfg, outdir, [name for name, _ in _STAGES])
 
+    # The system's files are recorded relative to the output directory,
+    # so the manifest does not depend on where the run was made.
+    config = cfg.manifest_dict()
+    system = config["system"]
+    for name in _FILES_KEYS:
+        if system[name] is not None:
+            system[name] = os.path.relpath(system[name], outdir)
     manifest = {
         "tool": "mechrom",
         "version": __version__,
-        "config": cfg.manifest_dict(),
+        "config": config,
         "environment": _environment(),
     }
     with open(os.path.join(outdir, "manifest.json"), "w", encoding="ascii",

@@ -21,6 +21,9 @@ decomposition. Each test and each decomposition is one direct LAPACK
 call on one block (``dpotrf``, ``dsyevd``). Besides the projection, an
 iteration costs two products (the cached ridge map, and the reduced
 data for the objective) and a few in-place updates of 3r x r buffers.
+The ridge map is built from the same compression of the data as the
+warm start and the objective, ``opinf.compress``, so the data are
+factored once per solve.
 
 The iteration stops for one of three reasons, reported as
 ``ConstrainedSolveReport.stop_reason``:
@@ -49,7 +52,7 @@ import scipy.linalg as la
 
 from .errors import InvalidInputError, InvalidParameterError
 from .model import SecondOrderSystem
-from .opinf import compress, pinv_filter, regression_arrays
+from .opinf import compress, regression_arrays, ridge_filter
 
 __all__ = [
     "ConstrainedSolveReport",
@@ -90,8 +93,7 @@ _STALL_WINDOW = 500
 _STALL_TOL = 1.5e-11
 
 # Called directly, not through numpy.linalg, whose per-call wrapper costs
-# more than the routine at small r. The ridge step uses the same dsyevd,
-# which keeps numpy's OpenBLAS copy of it out of resident memory.
+# more than the routine at small r.
 _potrf, _syevd = la.get_lapack_funcs(("potrf", "syevd"), dtype=np.float64)
 
 
@@ -211,28 +213,20 @@ def _norm(X) -> float:
     return math.sqrt(np.vdot(X, X))
 
 
-class _RidgeStep:
-    """The map X -> (2 G + rho I)^-1 X for a symmetric positive
-    semidefinite Gram matrix G.
+def _ridge_step(W, s, rhs_c, rho: float):
+    """``(step, offset)`` of the splitting iteration's ridge step on the
+    compression ``(W, s, rhs_c)`` of ``compress``: for every V, the
+    transposed minimizer of ||P D - rhs||^2 + rho / 2 ||P - V^T||^2 is
+    ``step @ V + offset``. That is the ridge filter at lam = rho / 2
+    applied to rhs - V^T D, which gives
 
-    G is factored once as V diag(lam) V^T, by the projection's
-    ``dsyevd``; a penalty change recomputes the matrix
-    V diag(1 / (2 lam + rho)) V^T, so a step is one product.
-    """
+        step = I - W diag(s^2 / (s^2 + rho / 2)) W^T,
+        offset = W diag(s / (s^2 + rho / 2)) rhs_c^T,
 
-    def __init__(self, gram, rho: float):
-        lam, self._V, info = _syevd(gram, lower=1)
-        if info:
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        self._twice_lam = 2.0 * np.maximum(lam, 0.0)
-        self.set_penalty(rho)
-
-    def set_penalty(self, rho: float) -> None:
-        gain = 1.0 / (self._twice_lam + rho)
-        self._map = (self._V * gain) @ self._V.T
-
-    def __call__(self, X, out=None) -> np.ndarray:
-        return np.matmul(self._map, X, out=out)
+    for a square W and for a thin one (fewer snapshots than rows)."""
+    filt = ridge_filter(s, 0.5 * rho)
+    step = np.eye(len(W)) - (W * (s * filt)) @ W.T
+    return step, (W * filt) @ rhs_c.T
 
 
 def infer_constrained(
@@ -308,31 +302,28 @@ def infer_constrained(
     shifts = np.array([omega * block_scale[0], 0.0, omega * block_scale[2]])
     shifted_eye = shifts[:, None, None] * np.eye(r)
 
+    # The compression of the scaled data, Ds = W diag(s) Qt, gives the
+    # ridge step, the warm start and the objective in reduced form
+    # (``compress``), whose tail^2 term is constant: no step of the
+    # iteration works over the N snapshots.
+    W, s, _, rhs_c, tail = compress(Ds, rhs)
+    rhs_tail = tail**2
+    rho = float(penalty)
+    step, offset = _ridge_step(W, s, rhs_c, rho)
+
     # The solver holds each iterate transposed, as the 3r x r stack
     # [M; E; K] of its blocks, so that the (3, r, r) stack it projects is
     # a view. The blocks it returns are exactly symmetric, so the layout
-    # does not show.
-    rho = float(penalty)
-    ridge = _RidgeStep(Ds @ Ds.T, rho)
-    rhs_data = 2.0 * (Ds @ rhs.T)
-
-    # The compression of the scaled data, Ds = W diag(s) Qt, gives the
-    # warm start and the objective in reduced form (``compress``), whose
-    # tail^2 term is constant: neither a traced step nor the stall test
-    # works over the N snapshots.
-    W, s, _, rhs_range, tail = compress(Ds, rhs)
-    rhs_tail = tail**2
-
-    # Warm start from the projected unconstrained minimizer. A block
-    # gets the Cholesky test only if the previous projection found it
-    # inside its cone; the warm start tests all three.
-    Z = W @ (rhs_range * pinv_filter(s)).T
+    # does not show. Warm start from the projected unconstrained
+    # minimizer. A block gets the Cholesky test only if the previous
+    # projection found it inside its cone; the warm start tests all three.
+    Z = W @ (rhs_c * ridge_filter(s)).T
     inside = np.ones(3, dtype=bool)
     _project_stack(Z.reshape(3, r, r), shifts, shifted_eye, inside)
     # The objective's operands, transposed as the iterate is; the
     # subtracted one in C order, as the product it is subtracted from.
     data_range = (W * s).T
-    rhs_range = np.ascontiguousarray(rhs_range.T)
+    rhs_range = np.ascontiguousarray(rhs_c.T)
 
     # Every iteration writes into these 3r x r buffers in place; Z and
     # Z_prev trade buffers each iteration.
@@ -355,11 +346,10 @@ def infer_constrained(
     last_adapt = 0
 
     for it in range(1, max_iter + 1):
-        # P = ridge(rhs_data + rho (Z - U))
+        # P = step (Z - U) + offset
         np.subtract(Z, U, out=work)
-        work *= rho
-        work += rhs_data
-        ridge(work, out=P)
+        np.matmul(step, work, out=P)
+        P += offset
         Z, Z_prev = Z_prev, Z
         # P_relaxed = alpha P + (1 - alpha) Z_prev, Z = proj(P_relaxed + U)
         np.multiply(P, _RELAX, out=P_relaxed)
@@ -390,12 +380,12 @@ def infer_constrained(
             if primal > _ADAPT_RATIO * dual and rho * _ADAPT_FACTOR <= _PENALTY_RANGE[1]:
                 rho *= _ADAPT_FACTOR
                 U /= _ADAPT_FACTOR
-                ridge.set_penalty(rho)
+                step, offset = _ridge_step(W, s, rhs_c, rho)
                 last_adapt = it
             elif dual > _ADAPT_RATIO * primal and rho / _ADAPT_FACTOR >= _PENALTY_RANGE[0]:
                 rho /= _ADAPT_FACTOR
                 U *= _ADAPT_FACTOR
-                ridge.set_penalty(rho)
+                step, offset = _ridge_step(W, s, rhs_c, rho)
                 last_adapt = it
 
     # Each block is a project_psd output divided by one scalar, so it is

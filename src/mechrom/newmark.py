@@ -442,7 +442,7 @@ def simulate(model, sampler, x0, v0, config: IntegratorConfig,
         transition = (_transition(model, solve, config)
                       if n <= _TRANSITION_MAX_N else None)
         if transition is not None and all(
-                M is None or np.all(np.isfinite(M)) for M in transition):
+                np.all(np.isfinite(M)) for M in transition):
             z0 = [*_predictors(x0, v0, a0, config)]
             if config.alpha:
                 z0.append(model.damping @ v0 + model.stiffness @ x0)

@@ -61,9 +61,9 @@ class SolveReport:
     """Diagnostics of one regression solve.
 
     ``rank_estimate`` counts the singular values of the data matrix that
-    ``pinv_filter`` keeps; a value below the number of data rows signals
-    rank deficiency (the returned model is then the minimum-norm
-    minimizer).
+    ``ridge_filter`` keeps at lam = 0; a value below the number of data
+    rows signals rank deficiency (the returned model is then the
+    minimum-norm minimizer).
     """
 
     residual: float
@@ -72,11 +72,14 @@ class SolveReport:
     lam: float
 
 
-def pinv_filter(s) -> np.ndarray:
-    """Filter factors of the minimum-norm pseudo-inverse for the
-    nonincreasing singular values ``s``: 1 / s_i where s_i exceeds
-    ``RANK_TOL`` times the largest, zero elsewhere."""
-    return np.where(s > RANK_TOL * s[0], 1.0, 0.0) / np.where(s > 0.0, s, 1.0)
+def ridge_filter(s, lam: float = 0.0) -> np.ndarray:
+    """Filter factors s_i / (s_i^2 + lam) of the ridge minimizer for the
+    nonincreasing singular values ``s``. At lam = 0 they are those of the
+    minimum-norm pseudo-inverse: 1 / s_i where s_i exceeds ``RANK_TOL``
+    times the largest, zero elsewhere."""
+    if lam == 0.0:
+        return np.where(s > RANK_TOL * s[0], 1.0, 0.0) / np.where(s > 0.0, s, 1.0)
+    return s / (s**2 + lam)
 
 
 def regression_arrays(D, rhs):
@@ -128,13 +131,9 @@ def ridge_lstsq(D, rhs, lam: float = 0.0):
         raise InvalidParameterError(f"lam must be finite and >= 0, got {lam}")
 
     W, s, _, rhs_c, _ = compress(D, rhs)
-    if lam == 0.0:
-        if s[0] == 0.0:
-            raise DegenerateInputError("data matrix is identically zero")
-        filt = pinv_filter(s)
-    else:
-        filt = s / (s**2 + lam)
-    P = (rhs_c * filt) @ W.T
+    if lam == 0.0 and s[0] == 0.0:
+        raise DegenerateInputError("data matrix is identically zero")
+    P = (rhs_c * ridge_filter(s, lam)) @ W.T
     return P, s
 
 
@@ -183,7 +182,7 @@ def infer(D, rhs, lam: float = 0.0):
     return rom, SolveReport(
         residual=residual,
         condition=condition,
-        rank_estimate=int(np.count_nonzero(pinv_filter(s))),
+        rank_estimate=int(np.count_nonzero(ridge_filter(s))),
         lam=lam,
     )
 

@@ -743,6 +743,22 @@ class TestPipeline:
                      "scipy_threads": cli._blas_threads(_flapack)},
         }
 
+    def test_manifest_paths_are_relative_to_the_output(self, tmp_path):
+        # Absolute system paths and two output directories whose paths
+        # differ in length give the same manifest bytes.
+        cfg = files_kind_config(tmp_path)
+        outs = [tmp_path / "a" / "out", tmp_path / "a_longer_name" / "out"]
+        for out in outs:
+            assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        first, second = ((out / "manifest.json").read_bytes() for out in outs)
+        assert first == second
+        system = json.loads(first)["config"]["system"]
+        for key, name in (("mass_path", "M.mtx"), ("damping_path", "E.mtx"),
+                          ("stiffness_path", "K.mtx"), ("input_path", "B.mtx")):
+            assert not os.path.isabs(system[key])
+            for out in outs:
+                assert os.path.samefile(out / system[key], tmp_path / name)
+
     def test_blas_thread_probe_reads_the_environment(self):
         # OpenBLAS takes its thread count from OPENBLAS_NUM_THREADS when it
         # loads; numpy's and scipy's copies each read it. The variable is

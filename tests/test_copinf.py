@@ -11,8 +11,8 @@ import scipy.linalg as la
 from mechrom import copinf
 from mechrom.copinf import (
     DEFAULT_OMEGA,
-    _RidgeStep,
     _project_stack,
+    _ridge_step,
     infer_constrained,
     project_psd,
 )
@@ -23,6 +23,7 @@ from mechrom.errors import (
 )
 from mechrom.model import build_mass_spring_chain
 from mechrom.newmark import IntegratorConfig, simulate
+from mechrom.opinf import compress
 from mechrom.pod import compute_basis
 from mechrom.snapshots import assemble_force_data, project
 
@@ -221,9 +222,6 @@ class TestCholeskyTest:
         monkeypatch.setattr(copinf, "_syevd", not_converged)
         with pytest.raises(np.linalg.LinAlgError, match="converge"):
             project_psd(-np.eye(3))
-        # The ridge step's decomposition of the Gram matrix, too.
-        with pytest.raises(np.linalg.LinAlgError, match="converge"):
-            infer_constrained(np.ones((3, 4)), np.ones((1, 4)))
 
 
 class TestInsideHints:
@@ -345,16 +343,20 @@ class TestTraceObjective:
 
 
 class TestRidgeStep:
+    """The step built from the compression solves the ridge step's normal
+    equations, with a square W (N >= 3r) and a thin one (N < 3r)."""
+
     @pytest.mark.parametrize("N", [30, 5])
     def test_matches_dense_solve_after_penalty_changes(self, rng, N):
         Ds = rng.standard_normal((9, N))
-        gram = Ds @ Ds.T
-        X = rng.standard_normal((9, 3))
-        step = _RidgeStep(gram, 1.0)
+        F = rng.standard_normal((3, N))
+        V = rng.standard_normal((9, 3))
+        W, s, _, rhs_c, _ = compress(Ds, F)
         for rho in (1.0, 2.0, 4.0, 0.5, 1e-3, 1e3):
-            step.set_penalty(rho)
-            want = la.solve(2.0 * gram + rho * np.eye(9), X)
-            got = step(X)
+            step, offset = _ridge_step(W, s, rhs_c, rho)
+            want = la.solve(2.0 * Ds @ Ds.T + rho * np.eye(9),
+                            2.0 * Ds @ F.T + rho * V)
+            got = step @ V + offset
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
@@ -680,13 +682,12 @@ class TestPenaltyBalancing:
         # balancing halves rho; the solve reaches the rho = 1 optimum.
         D, rhs = well_posed_problem(rng, 3, damping_sign=-1.0)
         penalties = []
-        set_penalty = _RidgeStep.set_penalty
 
-        def recording(self, rho):
+        def recording(W, s, rhs_c, rho):
             penalties.append(rho)
-            set_penalty(self, rho)
+            return _ridge_step(W, s, rhs_c, rho)
 
-        monkeypatch.setattr(_RidgeStep, "set_penalty", recording)
+        monkeypatch.setattr(copinf, "_ridge_step", recording)
         rom, report = infer_constrained(D, rhs, penalty=1e6)
         monkeypatch.undo()
         ref_rom, ref = infer_constrained(D, rhs, penalty=1.0)
