@@ -44,7 +44,7 @@ def _as_2d(name: str, A):
         A = values = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise InvalidInputError(f"{name} must be a 2-D array, got ndim={A.ndim}")
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
     return A
 
@@ -94,11 +94,12 @@ class SecondOrderSystem:
     label: str = ""
 
     def __post_init__(self):
-        n, cols = _as_2d("mass", self.mass).shape
+        mass = _as_2d("mass", self.mass)
+        n, cols = mass.shape
         if n == 0:
             raise InvalidInputError(f"mass must be at least 1x1, got 0x{cols}")
         for name in ("mass", "damping", "stiffness"):
-            A = _as_2d(name, getattr(self, name))
+            A = mass if name == "mass" else _as_2d(name, getattr(self, name))
             if A.shape != (n, n):
                 raise InvalidInputError(
                     f"{name} must be {n}x{n}, got {A.shape[0]}x{A.shape[1]}"

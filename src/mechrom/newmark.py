@@ -125,7 +125,7 @@ def _factor(A, name: str):
     sparse, dense LU otherwise. Non-finite entries raise InvalidInputError,
     a zero or non-finite pivot SingularOperatorError naming ``name``."""
     sparse = sp.issparse(A)
-    if not np.all(np.isfinite(A.data if sparse else A)):
+    if not np.isfinite(A.data if sparse else A).all():
         raise InvalidInputError(f"{name} has non-finite entries")
     if sparse:
         # Imported here: dense-only runs do not pay for scipy.sparse.linalg.
@@ -140,7 +140,7 @@ def _factor(A, name: str):
         lu, piv, _ = _getrf(A)
         solve = lambda rhs: _getrs(lu, piv, rhs)[0]
         pivots = np.diag(lu)
-    if np.any(pivots == 0.0) or not np.all(np.isfinite(pivots)):
+    if (pivots == 0.0).any() or not np.isfinite(pivots).all():
         raise SingularOperatorError(f"{name} is singular")
     return solve
 
@@ -163,15 +163,19 @@ def initial_acceleration(model, x0, v0, f0) -> np.ndarray:
     double can overflow it), and SingularOperatorError when M cannot be
     solved with.
     """
-    x0, v0, f0 = _vectors(model, x0, v0, f0)
+    return _initial_acceleration(model, *_vectors(model, x0, v0, f0))
+
+
+def _initial_acceleration(model, x0, v0, f0) -> np.ndarray:
+    """``initial_acceleration`` of vectors already checked by ``_vectors``."""
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = f0 - model.damping @ v0 - model.stiffness @ x0
-    if not np.all(np.isfinite(rhs)):
+    if not np.isfinite(rhs).all():
         raise InvalidInputError(
             "initial balance f0 - C v0 - K x0 is not finite"
         )
     a0 = _factor(model.mass, "mass matrix")(rhs)
-    if not np.all(np.isfinite(a0)):
+    if not np.isfinite(a0).all():
         raise SingularOperatorError("mass matrix is singular")
     return a0
 
@@ -358,7 +362,7 @@ def _nan_from_divergence(*blocks):
     one of them is not finite. A non-finite entry never turns finite
     again in a later step (a product with inf or NaN is inf or NaN, and
     so is a sum holding one), so a finite last instant clears them all."""
-    if all(np.all(np.isfinite(B[-1])) for B in blocks):
+    if all(np.isfinite(B[-1]).all() for B in blocks):
         return
     bad = np.zeros(blocks[0].shape[0], dtype=bool)
     for B in blocks:
@@ -438,11 +442,11 @@ def simulate(model, sampler, x0, v0, config: IntegratorConfig,
 
     with np.errstate(over="ignore", invalid="ignore"):
         forces = model.input_map @ samples
-        a0 = initial_acceleration(model, x0, v0, forces[:, 0])
+        a0 = _initial_acceleration(model, x0, v0, forces[:, 0])
         transition = (_transition(model, solve, config)
                       if n <= _TRANSITION_MAX_N else None)
         if transition is not None and all(
-                np.all(np.isfinite(M)) for M in transition):
+                np.isfinite(M).all() for M in transition):
             z0 = [*_predictors(x0, v0, a0, config)]
             if config.alpha:
                 z0.append(model.damping @ v0 + model.stiffness @ x0)

@@ -95,7 +95,7 @@ def regression_arrays(D, rhs):
         raise InvalidInputError(
             f"column counts disagree: data {D.shape[1]}, rhs {rhs.shape[1]}"
         )
-    if not (np.all(np.isfinite(D)) and np.all(np.isfinite(rhs))):
+    if not (np.isfinite(D).all() and np.isfinite(rhs).all()):
         raise InvalidInputError("regression data contains non-finite entries")
     if D.shape[1] == 0:
         raise InsufficientDataError("regression data has no snapshot columns")
@@ -126,7 +126,11 @@ def ridge_lstsq(D, rhs, lam: float = 0.0):
     svals : ndarray
         Singular values of D, for conditioning diagnostics.
     """
-    D, rhs = regression_arrays(D, rhs)
+    return _ridge(*regression_arrays(D, rhs), lam)
+
+
+def _ridge(D, rhs, lam):
+    """``ridge_lstsq`` of the checked ``regression_arrays``."""
     if lam < 0.0 or not np.isfinite(lam):
         raise InvalidParameterError(f"lam must be finite and >= 0, got {lam}")
 
@@ -170,7 +174,7 @@ def infer(D, rhs, lam: float = 0.0):
             stacklevel=2,
         )
 
-    P, s = ridge_lstsq(D, rhs, lam)
+    P, s = _ridge(D, rhs, lam)
     residual = float(np.linalg.norm(P @ D - rhs))
     condition = float(s[0] / s[-1]) if s[-1] > 0.0 else float("inf")
     rom = SecondOrderSystem(
@@ -198,23 +202,17 @@ class LambdaTrial:
 
 
 def _replay_error(rom: SecondOrderSystem, validation: TrajectoryData,
-                  scheme: IntegratorConfig | None = None) -> float:
-    """Worst relative displacement error of the model replaying the
-    validation window from its first snapshot, with the gamma, beta and
-    alpha of ``scheme`` when given. Returns inf when the replay, or its
-    error, leaves the finite range."""
-    # One step per gap: times uniform only to within the grid tolerance
-    # can floor to fewer steps over their span.
-    dt = validation.dt
-    config = IntegratorConfig(dt=dt, t_end=dt * (validation.num_snapshots - 1))
-    if scheme is not None:
-        config = replace(config, gamma=scheme.gamma, beta=scheme.beta,
-                         alpha=scheme.alpha)
+                  config: IntegratorConfig, denom: float) -> float:
+    """Worst displacement error, relative to ``denom``, of the model
+    replaying the validation window from its first snapshot with
+    ``config``. Returns inf when the replay, or its error, leaves the
+    finite range."""
+    X = validation.displacement
     try:
         replay = simulate(
             rom,
             lambda t: validation.input,
-            validation.displacement[:, 0],
+            X[:, 0],
             validation.velocity[:, 0],
             config,
             t0=float(validation.times[0]),
@@ -223,14 +221,12 @@ def _replay_error(rom: SecondOrderSystem, validation: TrajectoryData,
             FloatingPointError):
         return float("inf")
     Q = replay.displacement
-    if not np.all(np.isfinite(Q)):
-        return float("inf")
-    denom = np.linalg.norm(validation.displacement, axis=0).max()
-    if denom == 0.0 or not np.isfinite(denom):
+    # A replay that leaves the finite range is NaN from then on, so its
+    # last instant tells.
+    if not np.isfinite(Q[:, -1]).all():
         return float("inf")
     with np.errstate(over="ignore"):
-        return float(np.linalg.norm(Q - validation.displacement[:, 1:],
-                                    axis=0).max() / denom)
+        return float(np.linalg.norm(Q - X[:, 1:], axis=0).max() / denom)
 
 
 def select_lambda(D, rhs, grid, validation: TrajectoryData,
@@ -259,6 +255,9 @@ def select_lambda(D, rhs, grid, validation: TrajectoryData,
     MissingDataError
         If the validation window has no input or no velocity block,
         before any fit.
+    InvalidInputError, DegenerateInputError
+        If the validation displacement has a non-finite norm, or is
+        identically zero, before any fit.
     NoViableLambdaError
         If every candidate replay diverges.
     """
@@ -272,6 +271,18 @@ def select_lambda(D, rhs, grid, validation: TrajectoryData,
         )
 
     D, rhs = regression_arrays(D, rhs)
+    denom = np.linalg.norm(validation.displacement, axis=0).max()
+    if not np.isfinite(denom):
+        raise InvalidInputError("validation displacement has a non-finite norm")
+    if denom == 0.0:
+        raise DegenerateInputError("validation displacement is identically zero")
+    # One step per gap: times uniform only to within the grid tolerance
+    # can floor to fewer steps over their span.
+    dt = validation.dt
+    config = IntegratorConfig(dt=dt, t_end=dt * (validation.num_snapshots - 1))
+    if scheme is not None:
+        config = replace(config, gamma=scheme.gamma, beta=scheme.beta,
+                         alpha=scheme.alpha)
     _, _, Qt, rhs, tail = compress(D, rhs)
     D = D @ Qt.T
 
@@ -280,7 +291,7 @@ def select_lambda(D, rhs, grid, validation: TrajectoryData,
     best_err = float("inf")
     for lam in grid:
         rom, report = infer(D, rhs, lam)
-        err = _replay_error(rom, validation, scheme)
+        err = _replay_error(rom, validation, config, denom)
         # Operators near the largest double have an infinite norm here.
         with np.errstate(over="ignore"):
             norm = float(

@@ -66,14 +66,18 @@ def _check_times(times) -> np.ndarray:
     times = np.asarray(times, dtype=float).ravel()
     if times.size < 1:
         raise InvalidInputError("at least one snapshot is required")
-    if not np.all(np.isfinite(times)):
+    if not np.isfinite(times).all():
         raise InvalidInputError("snapshot times must be finite")
     if times.size > 1:
         gaps = np.diff(times)
-        if np.any(gaps <= 0.0):
+        low, high = gaps.min(), gaps.max()
+        if low <= 0.0:
             raise InvalidInputError("snapshot times must be strictly increasing")
+        # fl(g - dt) is monotone in g, so the gap farthest from the first
+        # is the smallest or the largest.
         dt = gaps[0]
-        if np.any(np.abs(gaps - dt) > _GRID_RTOL * max(abs(dt), 1.0)):
+        tol = _GRID_RTOL * max(abs(dt), 1.0)
+        if abs(high - dt) > tol or abs(low - dt) > tol:
             raise InvalidInputError("snapshot times must be uniformly spaced")
     return times
 

@@ -192,13 +192,16 @@ def _encode(x, seps):
     groups[:, 1] -= groups[:, 0] * 10**4
     groups[:, 2] = groups[:, 3] // 10**4
     groups[:, 3] -= groups[:, 2] * 10**4
-    # Significant digits shown: 17 less the trailing zeros of the digits.
+    # Significant digits shown: 17 less the trailing zeros of the digits,
+    # those of each group counting while every later group is zero. Only
+    # the fields whose last group is zero look past it.
     kept = 17 - t.trailing[groups[:, 3]]
-    for k in (2, 1, 0):
-        short = np.flatnonzero(kept == 5 + 4 * k)
-        if short.size == 0:
-            break
-        kept[short] -= t.trailing[groups[short, k]]
+    short = np.flatnonzero(groups[:, 3] == 0)
+    if short.size:
+        g = groups[short]
+        zeros, empty = t.trailing[g], g == 0
+        kept[short] -= zeros[:, 2] + empty[:, 2] * (
+            zeros[:, 1] + empty[:, 1] * zeros[:, 0])
     out = np.empty((x.size, _COLUMNS), dtype=np.uint8)
     words = out.view(np.uint64)
     words[:, 0] = t.head

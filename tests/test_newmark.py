@@ -245,9 +245,36 @@ def test_vectors_of_the_wrong_length_are_rejected():
         initial_acceleration(sys_, zeros, zeros, one)
     with pytest.raises(InvalidInputError, match="length 3, got 3, 1"):
         simulate(sys_, zero_sampler, None, one, cfg)
+    with pytest.raises(InvalidInputError, match="length 3, got 1, 3"):
+        simulate(sys_, zero_sampler, one, None, cfg)
 
 
 # ---------------------------------------------------------------- simulate
+
+
+@pytest.mark.parametrize("case, message", [
+    ("effective matrix", "effective matrix has non-finite entries"),
+    ("balance", "initial balance f0 - C v0 - K x0 is not finite"),
+    ("grid", "snapshot times must be uniformly spaced"),
+])
+def test_checks_made_once_keep_their_errors(case, message):
+    # The operators' and initial balance's finiteness and the grid's
+    # uniformity are each checked once per simulate call, with the error
+    # they always gave: here the effective matrix overflows, K x0
+    # overflows, and the instants from t0 = 1e12 round to gaps that
+    # differ by far more than the grid tolerance.
+    big = 1.7e308 * np.eye(3)
+    sys_ = SecondOrderSystem(big if case == "effective matrix" else np.eye(3),
+                             big, big, np.ones((3, 1)))
+    if case == "grid":
+        sys_ = build_mass_spring_chain(3, [1.0] * 3, [1.0] * 4, 0.0, 0.0, (0,))
+    dt = 1.0 if case == "effective matrix" else 1e-3
+    t0 = 1e12 if case == "grid" else 0.0
+    # The effective matrix's sum overflows before its check.
+    with np.errstate(over="ignore"), \
+            pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        simulate(sys_, zero_sampler, np.full(3, 2.0), None,
+                 IntegratorConfig(dt=dt, t_end=20 * dt), t0=t0)
 
 
 def test_simulate_column_count_and_times():

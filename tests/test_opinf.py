@@ -207,16 +207,65 @@ def seeded_validation_data():
     return project(data, identity_basis(3))
 
 
-def full_data_sweep(D, rhs, grid, validation):
-    """The sweep's table and choice with every candidate fit on the full
-    data: the smallest replay error wins, ties toward the larger weight."""
+def reference_replay_error(rom, validation, scheme=None):
+    """The sweep's score of one candidate, written out on its own: the
+    replay's config built from the window and ``scheme``, a finiteness
+    scan of the whole replay, and the largest displacement norm over
+    every snapshot as the denominator."""
+    dt = validation.dt
+    config = IntegratorConfig(dt=dt, t_end=dt * (validation.num_snapshots - 1))
+    if scheme is not None:
+        config = dataclasses.replace(config, gamma=scheme.gamma,
+                                     beta=scheme.beta, alpha=scheme.alpha)
+    try:
+        replay = simulate(rom, lambda t: validation.input,
+                          validation.displacement[:, 0],
+                          validation.velocity[:, 0], config,
+                          t0=float(validation.times[0]))
+    except (SingularOperatorError, InvalidInputError, np.linalg.LinAlgError,
+            FloatingPointError):
+        return float("inf")
+    Q = replay.displacement
+    if not np.all(np.isfinite(Q)):
+        return float("inf")
+    denom = np.linalg.norm(validation.displacement, axis=0).max()
+    if denom == 0.0 or not np.isfinite(denom):
+        return float("inf")
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(Q - validation.displacement[:, 1:],
+                                    axis=0).max() / denom)
+
+
+def replay_error(rom, validation):
+    """``opinf._replay_error`` with the config and denominator that
+    ``select_lambda`` hands it at the default scheme."""
+    dt = validation.dt
+    config = IntegratorConfig(dt=dt, t_end=dt * (validation.num_snapshots - 1))
+    denom = np.linalg.norm(validation.displacement, axis=0).max()
+    return opinf._replay_error(rom, validation, config, denom)
+
+
+def reference_sweep(D, rhs, grid, validation, scheme=None, compressed=False,
+                    fit=infer):
+    """The sweep's table and choice, each candidate scored by
+    ``reference_replay_error``: the smallest replay error wins, ties
+    toward the larger weight. Every candidate is fit by ``fit`` on the
+    full data, or with ``compressed`` on the data moved to the row space
+    of ``D`` as the sweep fits it, whose residuals the tail completes."""
+    tail = 0.0
+    if compressed:
+        _, _, Qt = la.svd(D, full_matrices=False)
+        rhs_c = rhs @ Qt.T
+        tail = float(np.linalg.norm(rhs - rhs_c @ Qt))
+        D, rhs = D @ Qt.T, rhs_c
     trials = []
     for lam in sorted(grid):
-        rom, report = infer(D, rhs, lam)
+        rom, report = fit(D, rhs, lam)
         norm = math.sqrt(sum(np.linalg.norm(A) ** 2 for A in (
             rom.damping, rom.stiffness, rom.input_map)))
-        trials.append(LambdaTrial(lam, report.residual,
-                                  opinf._replay_error(rom, validation), norm))
+        trials.append(LambdaTrial(
+            lam, math.hypot(report.residual, tail),
+            reference_replay_error(rom, validation, scheme), norm))
     best = min(trials, key=lambda t: (t.validation_error, -t.lam))
     return best.lam, trials
 
@@ -384,7 +433,7 @@ class TestSelectLambda:
         rhs = rhs + 3e-2 * np.abs(rhs).max() * noise
         grid = [0.0, 1e-9, 1e-6, 1e-3, 1e-1, 1.0, 10.0]
         lam, trials = select_lambda(D, rhs, grid, rdata)
-        ref_lam, ref_trials = full_data_sweep(D, rhs, grid, rdata)
+        ref_lam, ref_trials = reference_sweep(D, rhs, grid, rdata)
         assert lam == ref_lam == 1e-1
         for trial, ref in zip(trials, ref_trials):
             assert trial.lam == ref.lam
@@ -392,6 +441,68 @@ class TestSelectLambda:
                          "operator_norm"):
                 assert getattr(trial, name) == pytest.approx(
                     getattr(ref, name), rel=1e-12, abs=0.0), name
+
+    @pytest.mark.parametrize("scheme", [
+        None, IntegratorConfig(dt=1.0, t_end=1.0, alpha=-0.3)])
+    def test_table_is_bit_equal_to_the_reference(self, monkeypatch, scheme):
+        # Two candidates are swapped for a model whose replay overflows
+        # and a model whose effective matrix is zero; every column of the
+        # table and the choice agree bit for bit with the reference.
+        rdata = seeded_validation_data()
+        D, rhs = assemble_opinf_data(rdata)
+        noise = np.random.default_rng(5).standard_normal(rhs.shape)
+        rhs = rhs + 3e-2 * np.abs(rhs).max() * noise
+        # The window opens at its largest displacement, which a
+        # denominator that skipped the first snapshot would miss.
+        k = int(np.argmax(np.linalg.norm(rdata.displacement, axis=0)))
+        rdata = dataclasses.replace(
+            rdata, times=rdata.times[k:],
+            **{key: getattr(rdata, key)[:, k:] for key in (
+                "displacement", "velocity", "acceleration", "input",
+                "force")})
+        grid = [0.0, 1e-9, 1e-6, 1e-3, 1e-1, 1.0, 10.0]
+        eye, zero, ones = np.eye(3), np.zeros((3, 3)), np.ones((3, 2))
+        swapped = {
+            1e-6: SecondOrderSystem(eye, zero, -1e5 * eye, ones),
+            1.0: SecondOrderSystem(zero, zero, zero, ones),
+        }
+        fit = opinf.infer
+
+        def infer_with_bad_candidates(D, rhs, lam):
+            rom, report = fit(D, rhs, lam)
+            return swapped.get(lam, rom), report
+
+        monkeypatch.setattr(opinf, "infer", infer_with_bad_candidates)
+        lam, trials = select_lambda(D, rhs, grid, rdata, scheme=scheme)
+        ref_lam, ref_trials = reference_sweep(
+            D, rhs, grid, rdata, scheme=scheme, compressed=True,
+            fit=infer_with_bad_candidates)
+        assert lam == ref_lam
+        assert trials == ref_trials
+        errors = {t.lam: t.validation_error for t in trials}
+        assert errors[1e-6] == errors[1.0] == float("inf")
+        assert sum(np.isfinite(list(errors.values()))) == len(grid) - 2
+
+    @pytest.mark.parametrize("value, error, message", [
+        (0.0, DegenerateInputError, "is identically zero"),
+        (np.nan, InvalidInputError, "has a non-finite norm"),
+    ])
+    def test_bad_validation_window_fails_before_any_fit(
+            self, monkeypatch, value, error, message):
+        rdata = seeded_validation_data()
+        D, rhs = assemble_opinf_data(rdata)
+        window = dataclasses.replace(
+            rdata, times=rdata.times[:50], displacement=np.full((2, 50), value),
+            velocity=np.zeros((2, 50)), acceleration=None,
+            input=rdata.input[:, :50], force=None)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a candidate was fitted")
+
+        monkeypatch.setattr(opinf, "infer", no_fit)
+        with pytest.raises(error,
+                           match=f"^validation displacement {message}$"):
+            select_lambda(D, rhs, [0.0, 1e-3], window)
 
     def test_fewer_samples_than_rows(self):
         # With N < k the compressed data matrix keeps all N columns, and
@@ -410,7 +521,7 @@ class TestSelectLambda:
             lam, _ = select_lambda(D, rhs, grid, window)
         with warnings.catch_warnings(record=True) as expected:
             warnings.simplefilter("always")
-            ref_lam, _ = full_data_sweep(D, rhs, grid, window)
+            ref_lam, _ = reference_sweep(D, rhs, grid, window)
         assert lam == ref_lam
         messages = [(w.category, str(w.message)) for w in seen]
         assert messages == [(w.category, str(w.message)) for w in expected]
@@ -494,7 +605,7 @@ class TestReplayFailures:
             simulate(rom, lambda t: np.zeros(1),
                      rdata.displacement[:, 0], rdata.velocity[:, 0],
                      IntegratorConfig(dt=rdata.dt, t_end=0.05))
-        assert opinf._replay_error(rom, rdata) == float("inf")
+        assert replay_error(rom, rdata) == float("inf")
 
     @pytest.mark.parametrize("rom, transition_finite", [
         # Operators near the largest double: the predictor transition is
@@ -546,7 +657,7 @@ class TestReplayFailures:
         assert np.max(np.abs(np.linalg.eigvals(A))) > 1.0
         assert A.shape[0] <= newmark._BANDED_MAX_WIDTH
         calls = banded_calls(monkeypatch)
-        assert opinf._replay_error(rom, rdata) == float("inf")
+        assert replay_error(rom, rdata) == float("inf")
         # N - 1 recurrence steps for the N = num_snapshots - 1 instants.
         assert calls == [rdata.num_snapshots - 2]
 

@@ -5,7 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mechrom.errors import (
@@ -14,6 +14,7 @@ from mechrom.errors import (
     InvalidInputError,
     MissingDataError,
 )
+from mechrom import snapshots
 from mechrom.opinf import infer
 from mechrom.pod import PodBasis
 from mechrom.snapshots import (
@@ -74,6 +75,45 @@ class TestTrajectoryData:
                 velocity=np.zeros((2, 4)),
                 acceleration=np.zeros((2, 4)),
             )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        t0=st.floats(-10.0, 10.0),
+        dt=st.floats(1e-3, 4.0),
+        shifts=st.lists(
+            st.one_of(st.sampled_from([0.0, 0.999, 1.001, -0.999, -1.001]),
+                      st.floats(-3.0, 3.0)),
+            min_size=1, max_size=12),
+        kind=st.sampled_from(["perturbed", "decreasing", "repeated"]),
+    )
+    @example(t0=0.0, dt=1.0, shifts=[0.0, 0.999], kind="perturbed")
+    @example(t0=0.0, dt=1.0, shifts=[0.0, 1.001], kind="perturbed")
+    @example(t0=0.0, dt=1.0, shifts=[0.0, -1.001], kind="perturbed")
+    def test_grid_checks_match_the_gapwise_form(self, t0, dt, shifts, kind):
+        # Gaps of dt moved by multiples of the tolerance (some by just
+        # under or over one), reversed, or with one time repeated: the
+        # smallest and largest gap give the verdict of a test of every
+        # gap.
+        tol = snapshots._GRID_RTOL * max(dt, 1.0)
+        times = t0 + np.concatenate(([0.0], np.cumsum(dt + tol * np.array(shifts))))
+        if kind == "decreasing":
+            times = times[::-1]
+        elif kind == "repeated":
+            k = len(shifts) // 2
+            times = np.insert(times, k, times[k])
+        gaps = np.diff(times)
+        expected = None
+        if np.any(gaps <= 0.0):
+            expected = "snapshot times must be strictly increasing"
+        elif np.any(np.abs(gaps - gaps[0])
+                    > snapshots._GRID_RTOL * max(abs(gaps[0]), 1.0)):
+            expected = "snapshot times must be uniformly spaced"
+        try:
+            snapshots._check_times(times)
+            verdict = None
+        except InvalidInputError as exc:
+            verdict = str(exc)
+        assert verdict == expected
 
     @pytest.mark.parametrize("times", [[0.0, np.nan, 2.0], [0.0, np.inf],
                                        [np.nan], [-np.inf, 0.0]])
