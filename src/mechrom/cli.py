@@ -1,14 +1,14 @@
 """Command line driver for the reduction pipeline.
 
-Subcommands map to pipeline stages that exchange artifacts through an
+Subcommands map to pipeline stages that write their artifacts to an
 output directory. Every trajectory file, a ``fom/test`` block or a
-lifted replay, goes through ``snapshots.save_csv`` and ``load_csv``,
-and a stage reads only the blocks it needs. A stage run on its own
-parses the artifacts it reads; within ``run``, the later stages take
-what they read of the full-model run from memory, where the simulate
-stage left it. Both paths see the same doubles in the same layout and
-write the same bytes, so a chained stage-by-stage invocation
-reproduces a single ``run`` byte for byte:
+lifted replay, goes through ``snapshots.save_csv`` and ``load_csv``.
+The stages of one command pass each other their results in memory; a
+result that no stage of the command computed is parsed from the
+directory the first time a stage asks for it, so ``run`` parses nothing
+and a stage run on its own parses what it reads. Both paths see the
+same doubles in the same layout and write the same bytes, so a chained
+stage-by-stage invocation reproduces a single ``run`` byte for byte:
 
     simulate            integrate the full model, write snapshot CSVs
     basis               compute the orthogonal basis from training data
@@ -37,7 +37,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import scipy
@@ -49,14 +49,12 @@ from .errors import (
     DegenerateInputError,
     DivergenceError,
     FormatError,
-    IllConditionedModesError,
     InsufficientDataError,
     InvalidInputError,
     InvalidParameterError,
     MechromError,
     MissingDataError,
     NoViableLambdaError,
-    NotSeparableError,
     SingularOperatorError,
 )
 from .evaluate import (
@@ -468,70 +466,102 @@ def _train_columns(cfg: ExperimentConfig) -> int:
     return IntegratorConfig(dt=cfg.dt, t_end=cfg.train_t_end).num_steps
 
 
-def _load_fom(cfg: ExperimentConfig, outdir, handoff, blocks,
-              training=True) -> TrajectoryData:
-    """The full-model trajectory, of ``blocks`` only: its training window
-    (the first training columns) or, with ``training`` false, the whole
-    test window it was written over. It comes from ``handoff`` when this
-    call's simulate stage filled it, and otherwise from those of the
-    blocks' files that exist, through :func:`load_csv`; a block that is
-    needed and absent is reported where it is used."""
-    count = _train_columns(cfg) if training else None
-    if "times" in handoff:
-        data = TrajectoryData(times=handoff["times"][:count],
-                              **{key: handoff[key][:, :count] for key in blocks})
-    else:
-        base = os.path.join(outdir, "fom", "test")
-        paths = {key: os.path.join(base, CSV_NAMES[key]) for key in blocks}
-        data = load_csv({key: path for key, path in paths.items()
-                         if os.path.exists(path)}, max_rows=count)
-    if training and data.num_snapshots < count:
-        raise InvalidInputError(
-            f"the training window needs {count} snapshots, fom/test holds "
-            f"{data.num_snapshots}"
-        )
-    return data
-
-
-def _basis_dir(outdir):
-    return os.path.join(outdir, "basis")
-
-
-def _load_basis(outdir) -> PodBasis:
-    modes_path = os.path.join(_basis_dir(outdir), "modes.mtx")
-    svals_path = os.path.join(_basis_dir(outdir), "singular_values.csv")
-    if not (os.path.exists(modes_path) and os.path.exists(svals_path)):
-        raise MissingDataError(
-            f"no basis artifacts under {outdir}; run the basis stage first"
-        )
-    modes = load_matrix(modes_path)
-    table = read_table(svals_path, 2, messages=[("expected 'index,sigma'",
-                                                 "non-numeric sigma")])
-    if not table.shape[0]:
-        raise FormatError("no singular values: the file has no rows",
-                          path=svals_path)
-    return PodBasis(modes=modes, singular_values=table[:, 1])
-
-
-def _save_operators(directory, symmetric, **operators) -> None:
-    """Write each operator to ``<name>.mtx`` under ``directory``. The
-    input map is rectangular, so it is stored general in any case."""
+def _save_matrices(directory, result, names, symmetric=True):
+    """Write the matrices ``names`` of ``result``, a model or a basis, to
+    ``<name>.mtx`` under ``directory``; return ``result`` with them as
+    :func:`load_matrix` reads them back: C-ordered, with the exact zeros,
+    which the files leave out, positive (-0.0 + 0.0 is +0.0). ``input``,
+    the input map, is rectangular, so it is stored general in any case;
+    every producer's symmetric operators are exactly symmetric, so their
+    stored lower triangles read back whole."""
     os.makedirs(directory, exist_ok=True)
-    for name, A in operators.items():
+    parsed = {}
+    for name in names:
+        field = "input_map" if name == "input" else name
         symmetry = "symmetric" if symmetric and name != "input" else "general"
-        save_matrix(os.path.join(directory, f"{name}.mtx"), A,
-                    symmetry=symmetry)
+        save_matrix(os.path.join(directory, f"{name}.mtx"),
+                    getattr(result, field), symmetry=symmetry)
+        parsed[field] = np.add(getattr(result, field), 0.0, order="C")
+    return replace(result, **parsed)
 
 
-def _load_operators(directory, names, stage) -> dict:
-    """The operators ``names`` that ``stage`` wrote under ``directory``."""
-    paths = {name: os.path.join(directory, f"{name}.mtx") for name in names}
-    for name, path in paths.items():
-        if not os.path.exists(path):
-            raise MissingDataError(
-                f"no {name}.mtx under {directory}; run the {stage} stage first"
+class _Results(dict):
+    """What the stages of one command pass each other: ``system``,
+    ``train`` (the training window), ``test`` (the displacement of the
+    test window), ``basis``, ``projected`` (the training window on the
+    basis), ``opinf`` and ``copinf``.
+
+    A stage puts here what it computes, as its files read back: the same
+    doubles in the layout that the parsers return, so products with a
+    result round alike wherever it came from. A result that no stage of
+    the command has computed is loaded by its one loader,
+    ``_load_<name>``, the first time a stage asks for it, and kept.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, outdir):
+        super().__init__()
+        self.cfg, self.outdir = cfg, outdir
+
+    def __missing__(self, name):
+        result = self[name] = getattr(self, f"_load_{name}")()
+        return result
+
+    def _load_system(self) -> SecondOrderSystem:
+        return _build_system(self.cfg)
+
+    def _load_train(self) -> TrajectoryData:
+        """The first training columns of each ``fom/test`` block file."""
+        count = _train_columns(self.cfg)
+        data = load_csv(os.path.join(self.outdir, "fom", "test"),
+                        max_rows=count)
+        if data.num_snapshots < count:
+            raise InvalidInputError(
+                f"the training window needs {count} snapshots, fom/test "
+                f"holds {data.num_snapshots}"
             )
-    return {name: load_matrix(path) for name, path in paths.items()}
+        return data
+
+    def _load_test(self) -> TrajectoryData:
+        return load_csv({"displacement": self._artifact(
+            "simulate", "fom", "test", CSV_NAMES["displacement"])})
+
+    def _load_basis(self) -> PodBasis:
+        modes = load_matrix(self._artifact("basis", "basis", "modes.mtx"))
+        svals_path = self._artifact("basis", "basis", "singular_values.csv")
+        table = read_table(svals_path, 2, messages=[("expected 'index,sigma'",
+                                                     "non-numeric sigma")])
+        if not table.shape[0]:
+            raise FormatError("no singular values: the file has no rows",
+                              path=svals_path)
+        return PodBasis(modes=modes, singular_values=table[:, 1])
+
+    def _load_projected(self) -> TrajectoryData:
+        """Computed, not parsed: no stage writes it. Nothing else reads
+        the training window, whose blocks are the size of the full
+        model, so it goes."""
+        projected = project(self["train"], self["basis"])
+        del self["train"]
+        return projected
+
+    def _load_opinf(self) -> SecondOrderSystem:
+        damping, stiffness, input_map = (
+            load_matrix(self._artifact("infer", "opinf", f"{name}.mtx"))
+            for name in ("damping", "stiffness", "input"))
+        return SecondOrderSystem(np.eye(self["basis"].rank), damping,
+                                 stiffness, input_map)
+
+    def _load_copinf(self) -> SecondOrderSystem:
+        return SecondOrderSystem(*(
+            load_matrix(self._artifact("infer-constrained", "copinf",
+                                       f"{name}.mtx"))
+            for name in ("mass", "damping", "stiffness")))
+
+    def _artifact(self, stage, *parts):
+        """The path of the artifact ``parts`` that ``stage`` writes."""
+        path = os.path.join(self.outdir, *parts)
+        if not os.path.exists(path):
+            raise MissingDataError(f"no {path}; run the {stage} stage first")
+        return path
 
 
 # ---------------------------------------------------------------------------
@@ -539,29 +569,29 @@ def _load_operators(directory, names, stage) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def stage_simulate(cfg: ExperimentConfig, outdir, handoff) -> None:
-    system = _build_system(cfg)
+def stage_simulate(cfg: ExperimentConfig, outdir, results) -> None:
+    system = results["system"]
     x0, v0 = _initial_conditions(cfg, system.n)
     data = simulate(system, _waveform(cfg), x0, v0, _integrator(cfg))
     save_csv(data, os.path.join(outdir, "fom", "test"))
     count = _train_columns(cfg)
-    # What the later stages of this call read of the run. The file text
-    # round-trips every double, and each block takes the layout that
-    # load_csv returns, the transpose of a contiguous (N, n) copy, so
-    # products with it round as with the parsed block.
-    handoff.update(system=system, times=data.times,
-                   displacement=data.displacement.T.copy().T)
-    for key in ("velocity", "acceleration", "input", "force"):
-        handoff[key] = getattr(data, key)[:, :count].T.copy().T
+    # Each block takes the layout that load_csv returns, the transpose
+    # of a contiguous (N, n) copy. A column slice of the displacement
+    # has it too, so the training window holds no second copy of it.
+    X = data.displacement.T.copy().T
+    results["test"] = TrajectoryData(times=data.times, displacement=X)
+    results["train"] = TrajectoryData(
+        times=data.times[:count], displacement=X[:, :count],
+        **{key: getattr(data, key)[:, :count].T.copy().T
+           for key in ("velocity", "acceleration", "input", "force")})
     print(f"simulate: {count} training and {data.num_snapshots} test snapshots")
 
 
-def stage_basis(cfg: ExperimentConfig, outdir, handoff) -> None:
-    X = _load_fom(cfg, outdir, handoff, ("displacement",)).displacement
-    basis = compute_basis(X, rank=cfg.rank, tol=cfg.tol, energy=cfg.energy)
-    bdir = _basis_dir(outdir)
-    os.makedirs(bdir, exist_ok=True)
-    save_matrix(os.path.join(bdir, "modes.mtx"), basis.modes, symmetry="general")
+def stage_basis(cfg: ExperimentConfig, outdir, results) -> None:
+    basis = compute_basis(results["train"].displacement, rank=cfg.rank,
+                          tol=cfg.tol, energy=cfg.energy)
+    bdir = os.path.join(outdir, "basis")
+    results["basis"] = _save_matrices(bdir, basis, ("modes",), symmetric=False)
     s = basis.singular_values
     index = np.arange(1, s.size + 1)
     write_table(os.path.join(bdir, "singular_values.csv"), "index,sigma",
@@ -569,21 +599,17 @@ def stage_basis(cfg: ExperimentConfig, outdir, handoff) -> None:
     print(f"basis: selected rank r = {basis.rank}")
 
 
-def stage_infer(cfg: ExperimentConfig, outdir, handoff) -> None:
+def stage_infer(cfg: ExperimentConfig, outdir, results) -> None:
     if "opinf" not in cfg.methods:
         return
-    train = _load_fom(
-        cfg, outdir, handoff,
-        ("displacement", "velocity", "acceleration", "input"),
-    )
-    rdata = project(train, _load_basis(outdir))
+    rdata = results["projected"]
     D, rhs = assemble_opinf_data(rdata)
     lam, trials = select_lambda(D, rhs, cfg.lambda_grid, rdata,
                                 scheme=_integrator(cfg))
     rom, report = infer(D, rhs, lam)
     mdir = os.path.join(outdir, "opinf")
-    _save_operators(mdir, symmetric=False, damping=rom.damping,
-                    stiffness=rom.stiffness, input=rom.input_map)
+    results["opinf"] = _save_matrices(
+        mdir, rom, ("damping", "stiffness", "input"), symmetric=False)
     write_table(
         os.path.join(mdir, "lambda_table.csv"),
         "lambda,train_residual,validation_error,operator_norm",
@@ -608,18 +634,14 @@ _STOP_LABELS = {
 }
 
 
-def stage_infer_constrained(cfg: ExperimentConfig, outdir, handoff) -> None:
+def stage_infer_constrained(cfg: ExperimentConfig, outdir, results) -> None:
     if "copinf" not in cfg.methods:
         return
-    train = _load_fom(
-        cfg, outdir, handoff,
-        ("displacement", "velocity", "acceleration", "force"),
-    )
-    D, rhs = assemble_force_data(project(train, _load_basis(outdir)))
+    D, rhs = assemble_force_data(results["projected"])
     rom, report = infer_constrained(D, rhs, omega=cfg.omega)
     mdir = os.path.join(outdir, "copinf")
-    _save_operators(mdir, symmetric=True, mass=rom.mass, damping=rom.damping,
-                    stiffness=rom.stiffness)
+    results["copinf"] = _save_matrices(mdir, rom,
+                                        ("mass", "damping", "stiffness"))
     write_table(os.path.join(mdir, "trace.csv"),
                 "iteration,objective,primal_residual,dual_residual",
                 report.trace)
@@ -629,38 +651,22 @@ def stage_infer_constrained(cfg: ExperimentConfig, outdir, handoff) -> None:
     )
 
 
-def stage_evaluate(cfg: ExperimentConfig, outdir, handoff) -> None:
-    # Only the inference stages read the training blocks.
-    for key in set(handoff) - {"system", "times", "displacement"}:
-        del handoff[key]
-    system = handoff["system"] if "system" in handoff else _build_system(cfg)
-    basis = _load_basis(outdir)
+def stage_evaluate(cfg: ExperimentConfig, outdir, results) -> None:
+    system, basis = results["system"], results["basis"]
     V = basis.modes
-    fom = _load_fom(cfg, outdir, handoff, ("displacement",), training=False)
-    times, X = fom.times, fom.displacement
+    times, X = results["test"].times, results["test"].displacement
     x0, v0 = _initial_conditions(cfg, system.n)
 
     diverged = []
     for method in cfg.methods:
         if method == "pod":
             model = intrusive_reduce(system, basis)
-            _save_operators(
-                os.path.join(outdir, "pod"), symmetric=True,
-                mass=model.mass, damping=model.damping,
-                stiffness=model.stiffness, input=model.input_map,
-            )
-        elif method == "opinf":
-            ops = _load_operators(os.path.join(outdir, "opinf"),
-                                  ("damping", "stiffness", "input"), "infer")
-            model = SecondOrderSystem(np.eye(basis.rank), ops["damping"],
-                                      ops["stiffness"], ops["input"])
+            _save_matrices(os.path.join(outdir, "pod"), model,
+                            ("mass", "damping", "stiffness", "input"))
         else:
-            model = SecondOrderSystem(
-                **_load_operators(os.path.join(outdir, "copinf"),
-                                  ("mass", "damping", "stiffness"),
-                                  "infer-constrained"),
-                input_map=V.T @ system.input_map,
-            )
+            model = results[method]
+        if model.input_map is None:  # fitted to forces
+            model = replace(model, input_map=V.T @ system.input_map)
 
         # A diverged replay overflows quietly here; it is reported below,
         # once every method has written its artifacts.
@@ -703,20 +709,16 @@ _STAGES = [
 
 def _run_stages(cfg: ExperimentConfig, outdir, names) -> list:
     """Run the stages ``names`` in pipeline order into ``outdir``; return
-    each one's (name, seconds). An error is tagged with its stage.
-
-    The stages share one handoff dict, empty at the start of each call:
-    the simulate stage leaves in it what later stages read of the
-    full-model run, and they parse the files only when it is empty.
-    """
+    each one's (name, seconds). An error is tagged with its stage. The
+    stages share one :class:`_Results`, empty at the start of each call."""
     os.makedirs(outdir, exist_ok=True)
-    handoff = {}
+    results = _Results(cfg, outdir)
     timings = []
     for name, fn in _STAGES:
         if name in names:
             start = time.perf_counter()
             try:
-                fn(cfg, outdir, handoff)
+                fn(cfg, outdir, results)
             except (MechromError, OSError) as exc:
                 _tag_stage(exc, name)
                 raise
@@ -862,8 +864,6 @@ _DATA_ERRORS = (
 _NUMERICAL_ERRORS = (
     SingularOperatorError,
     DegenerateInputError,
-    NotSeparableError,
-    IllConditionedModesError,
     NoViableLambdaError,
     DivergenceError,
 )

@@ -149,9 +149,11 @@ def _effective_solve(model, config: IntegratorConfig):
     """Solve with M + gamma dt (1+alpha) C + beta dt^2 (1+alpha) K,
     factored once and reused for every step of a simulation."""
     c = 1.0 + config.alpha
-    return _factor(model.mass + config.gamma * config.dt * c * model.damping
-                   + config.beta * config.dt**2 * c * model.stiffness,
-                   "effective matrix")
+    # A sum that overflows is reported by _factor's finiteness check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = (model.mass + config.gamma * config.dt * c * model.damping
+             + config.beta * config.dt**2 * c * model.stiffness)
+    return _factor(A, "effective matrix")
 
 
 def initial_acceleration(model, x0, v0, f0) -> np.ndarray:

@@ -26,7 +26,7 @@ from mechrom.model import build_mass_spring_chain, load_matrix, save_matrix
 from mechrom.newmark import IntegratorConfig, simulate
 from mechrom.opinf import infer
 from mechrom.pod import compute_basis
-from mechrom.snapshots import assemble_opinf_data, load_csv, project
+from mechrom.snapshots import assemble_opinf_data, load_csv
 
 # A deliberately tiny experiment so full pipeline runs stay fast: a four
 # mass chain driven at the first node, ten training columns, twenty one
@@ -885,11 +885,7 @@ class TestPipeline:
         assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
         table = np.loadtxt(out / "opinf" / "lambda_table.csv", delimiter=",",
                            skiprows=1)
-        cfg = load_config(cfg_path)
-        train = cli._load_fom(
-            cfg, str(out), {},
-            ("displacement", "velocity", "acceleration", "input"))
-        rdata = project(train, cli._load_basis(str(out)))
+        rdata = cli._Results(load_config(cfg_path), str(out))["projected"]
         D, rhs = assemble_opinf_data(rdata)
         window = IntegratorConfig(dt=rdata.dt,
                                   t_end=rdata.times[-1] - rdata.times[0],
@@ -945,33 +941,29 @@ class TestPipeline:
         assert (whole / "manifest.json").exists()
 
 
-class TestHandoff:
-    """``run`` hands the full-model run to later stages in memory; a
-    stage run on its own parses the files."""
+class TestStageResults:
+    """The stages of a command pass each other their results in memory;
+    a result that no stage of the command computed is parsed from the
+    tree."""
 
-    def test_run_parses_no_full_model_block(self, tmp_path, monkeypatch):
-        parsed, built = [], []
-
-        def spy(fn, record):
-            def wrapper(*args, **kwargs):
-                record(args[0])
+    def test_run_parses_nothing(self, tmp_path, monkeypatch):
+        calls = {name: [] for name in ("load_csv", "load_matrix",
+                                       "read_table", "_build_system",
+                                       "project")}
+        for name, record in calls.items():
+            def spy(*args, fn=getattr(cli, name), record=record, **kwargs):
+                record.append((args[0], kwargs.get("max_rows")))
                 return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(cli, "load_csv",
-                            spy(cli.load_csv,
-                                lambda paths: parsed.extend(paths.values())))
-        monkeypatch.setattr(cli, "_build_system",
-                            spy(cli._build_system, built.append))
+            monkeypatch.setattr(cli, name, spy)
         cfg = config_file(tmp_path)
         out = tmp_path / "artifacts"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-        assert parsed == []
-        # evaluate replays against the model that simulate built
-        assert len(built) == 1
+        assert [len(calls[name]) for name in calls] == [0, 0, 0, 1, 1]
+        # basis alone parses the training window: every block's first
+        # ten rows
+        calls["load_csv"].clear()
         assert main(["basis", "--config", cfg, "--out", str(out)]) == 0
-        fom = out / "fom" / "test"
-        assert parsed == [str(fom / "displacement.csv")]
+        assert calls["load_csv"] == [(str(out / "fom" / "test"), 10)]
 
     def test_nothing_carries_over_between_commands(self, tmp_path, capsys):
         cfg = config_file(tmp_path)
@@ -988,33 +980,46 @@ class TestHandoff:
         assert "error in stage 'evaluate'" in err
         assert f"{path}:4: non-numeric field" in err
 
-    def test_held_blocks_are_the_parsed_blocks(self, tmp_path):
+    def test_held_results_are_the_parsed_results(self, tmp_path,
+                                                 monkeypatch):
+        # The .mtx files leave out exact zeros, so a -0.0 operator entry
+        # reads back as +0.0; opinf's input map is a column view of its
+        # fit. The held results must match the parsed ones all the same.
+        fit = cli.infer
+
+        def fit_with_negative_zero(D, rhs, lam):
+            rom, report = fit(D, rhs, lam)
+            damping = rom.damping.copy()
+            damping[0, 1] = -0.0
+            return dataclasses.replace(rom, damping=damping), report
+
+        monkeypatch.setattr(cli, "infer", fit_with_negative_zero)
         cfg = load_config(config_file(tmp_path))
         out = str(tmp_path / "artifacts")
-        handoff = {}
-        cli.stage_simulate(cfg, out, handoff)
-        selections = [
-            # basis's training displacement
-            (("displacement",), True),
-            # the two inference stages' training blocks
-            (("displacement", "velocity", "acceleration", "input"), True),
-            (("displacement", "velocity", "acceleration", "force"), True),
-            # evaluate's whole test window
-            (("displacement",), False),
-        ]
-        for blocks, training in selections:
-            held = cli._load_fom(cfg, out, handoff, blocks, training)
-            parsed = cli._load_fom(cfg, out, {}, blocks, training)
-            assert held.num_snapshots == (10 if training else 20)
-            for key in ("times", "displacement", "velocity", "acceleration",
-                        "input", "force"):
-                a, b = getattr(held, key), getattr(parsed, key)
-                if key != "times" and key not in blocks:
-                    assert a is None and b is None
-                    continue
-                assert a.dtype == b.dtype and a.shape == b.shape
-                assert a.strides == b.strides
-                assert a.tobytes() == b.tobytes()
+        results, held = cli._Results(cfg, out), {}
+        for _, stage in cli._STAGES:
+            stage(cfg, out, results)
+            # the training window goes once it is projected
+            held.update(results)
+        assert "train" not in results
+        parsed = cli._Results(cfg, out)
+        arrays = {
+            "train": ("times", "displacement", "velocity", "acceleration",
+                      "input", "force"),
+            "test": ("times", "displacement"),
+            "basis": ("modes", "singular_values"),
+            "opinf": ("mass", "damping", "stiffness", "input_map"),
+            "copinf": ("mass", "damping", "stiffness"),
+        }
+        assert not np.signbit(held["opinf"].damping[0, 1])
+        assert held["copinf"].input_map is parsed["copinf"].input_map is None
+        assert held["test"].velocity is parsed["test"].velocity is None
+        for key, names in arrays.items():
+            for name in names:
+                a, b = getattr(held[key], name), getattr(parsed[key], name)
+                assert a.dtype == b.dtype and a.shape == b.shape, (key, name)
+                assert a.strides == b.strides, (key, name)
+                assert a.tobytes() == b.tobytes(), (key, name)
 
     def test_evaluate_alone_loads_the_system(self, tmp_path, capsys):
         cfg = files_kind_config(tmp_path)
