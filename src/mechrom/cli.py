@@ -20,7 +20,10 @@ stage-by-stage invocation reproduces a single ``run`` byte for byte:
 Configuration lives in an INI file with one section per concern; each
 flag overrides one INI key and is parsed and checked as that key. All
 artifacts are plain text with 17 significant digits, so identical
-configuration produces identical bytes.
+configuration produces identical bytes when the BLAS thread count is
+the same too: at another count a threaded BLAS kernel may sum in another
+order. The manifest records the thread counts of numpy's and scipy's
+OpenBLAS.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 unreadable or
 inconsistent data, 3 numerical failure.

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
+import scipy.sparse as sp
 
 from .errors import (
     DegenerateInputError,
@@ -114,11 +115,10 @@ def pencil_spectrum(mass, damping, stiffness) -> np.ndarray:
     stiffness and mass blocks. Avoiding the explicit inverse of the mass
     matrix keeps near-imaginary eigenvalues of badly scaled but definite
     pencils from drifting across the axis. The mass matrix must be
-    invertible.
+    invertible. Sparse operators are densified.
     """
-    M = np.asarray(mass, dtype=float)
-    C = np.asarray(damping, dtype=float)
-    K = np.asarray(stiffness, dtype=float)
+    M, C, K = (np.asarray(A.toarray() if sp.issparse(A) else A, dtype=float)
+               for A in (mass, damping, stiffness))
     r = M.shape[0]
     for name, A in (("mass", M), ("damping", C), ("stiffness", K)):
         if A.shape != (r, r):

@@ -38,18 +38,20 @@ __all__ = [
 ]
 
 # Largest model dimension replayed by the precomputed transition; above
-# it the factorized solve is cheaper per step (timings in README.md).
+# it the factorized solve is cheaper per step (timings in README.md,
+# "The measurements behind the replay constants").
 _TRANSITION_MAX_N = 128
 
 # Largest state width (2n at alpha = 0, 3n otherwise) whose transition
 # replay is one banded triangular solve per window of steps; above it one
 # in-place matrix-vector product per step is cheaper, since the band
-# carries twice the useful products (timings in README.md).
+# carries twice the useful products (timings in README.md, as above).
 _BANDED_MAX_WIDTH = 28
 
 # Band columns per window of the banded replay, rounded down to whole
 # states: enough that the fixed cost of each solve call does not show,
-# few enough that the band stays in cache (timings in README.md).
+# few enough that the band stays in cache (timings in README.md, as
+# above).
 _BANDED_WINDOW_COLUMNS = 1536
 
 # Dense LU by direct LAPACK calls, without scipy's per-call checks.
@@ -302,7 +304,8 @@ def _integrate_transition(transition, z0, forces, alpha: float):
     to ``h_{k+1}``, which makes it ``a_{k+1}``, and one more adds
     ``U a_{k+1}`` to ``(pv, px)_k``, which makes it ``(v, x)_{k+1}``.
     Every BLAS call is scipy's: at two threads, numpy's OpenBLAS before
-    scipy's step loop slowed the replay fivefold (README.md)."""
+    scipy's step loop slowed the replay fourfold (BENCH_25.json,
+    ``simulate_threads``)."""
     A, Q, R, G, U = transition
     n, N = forces.shape[0], forces.shape[1] - 1
     w = A.shape[0]

@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as la
+import scipy.sparse as sp
 
 from .errors import (
     DegenerateInputError,
@@ -332,7 +333,8 @@ def separate_operators(rom: SecondOrderSystem) -> SecondOrderSystem:
 
     M is symmetric positive definite by construction and M^-1 K equals
     the stiffness map again, so the separated triple reproduces the
-    mass-normalized model exactly up to round-off.
+    mass-normalized model exactly up to round-off. Sparse operators are
+    densified.
 
     Raises
     ------
@@ -347,7 +349,9 @@ def separate_operators(rom: SecondOrderSystem) -> SecondOrderSystem:
         raise InvalidInputError(
             "separate_operators needs a mass-normalized model (identity mass)"
         )
-    w, Phi = la.eig(rom.stiffness)
+    C, K = (A.toarray() if sp.issparse(A) else A
+            for A in (rom.damping, rom.stiffness))
+    w, Phi = la.eig(K)
     if np.any(w.imag != 0.0):
         raise NotSeparableError(
             "stiffness map has complex eigenvalues", eigenvalues=w
@@ -371,7 +375,7 @@ def separate_operators(rom: SecondOrderSystem) -> SecondOrderSystem:
     mass = symmetric_part(Phi_inv.T @ Phi_inv)
     return SecondOrderSystem(
         mass=mass,
-        damping=mass @ rom.damping,
+        damping=mass @ C,
         stiffness=symmetric_part(Phi_inv.T @ np.diag(w) @ Phi_inv),
         input_map=None if rom.input_map is None else mass @ rom.input_map,
         label=rom.label,

@@ -8,6 +8,7 @@ operators.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,7 +113,8 @@ def compute_basis(X, rank: int | None = None, tol: float | None = None,
     Exactly one truncation selector must be given:
 
     rank
-        Keep exactly ``rank`` modes, 1 <= rank <= min(n, N).
+        Keep exactly ``rank`` modes, an integer (not a bool) with
+        1 <= rank <= min(n, N).
     tol
         Keep the smallest r whose first discarded singular value
         satisfies sigma_{r+1} <= tol * sigma_1; tol in (0, 1).
@@ -138,9 +140,10 @@ def compute_basis(X, rank: int | None = None, tol: float | None = None,
     V, s, _ = la.svd(X, full_matrices=False)
 
     if rank is not None:
-        if not 1 <= int(rank) <= s.size:
+        if (isinstance(rank, bool) or not isinstance(rank, numbers.Integral)
+                or not 1 <= rank <= s.size):
             raise InvalidParameterError(
-                f"rank must lie in [1, {s.size}], got {rank}"
+                f"rank must be an integer in [1, {s.size}], got {rank!r}"
             )
         r = int(rank)
     elif tol is not None:

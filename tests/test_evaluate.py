@@ -18,6 +18,7 @@ from mechrom.evaluate import (
     relative_error,
     save_error_series,
 )
+from mechrom.model import build_mass_spring_chain
 
 from tests._helpers import random_spd
 
@@ -139,6 +140,14 @@ class TestPencilSpectrum:
         K = random_spd(rng, 3)
         assert pencil_spectrum(M, E, K).shape == (6,)
         assert is_stable(M, E, K)
+
+    def test_sparse_operators_give_the_dense_bits(self):
+        chain = build_mass_spring_chain(4, np.ones(4), np.ones(5), 0.1, 0.01)
+        operators = (chain.mass, chain.damping, chain.stiffness)
+        np.testing.assert_array_equal(
+            pencil_spectrum(*operators),
+            pencil_spectrum(*(A.toarray() for A in operators)))
+        assert is_stable(*operators)
 
     def test_singular_mass(self):
         with pytest.raises(SingularOperatorError, match="singular"):

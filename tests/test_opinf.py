@@ -21,7 +21,7 @@ from mechrom.errors import (
     SingularOperatorError,
 )
 from mechrom import newmark, opinf
-from mechrom.model import SecondOrderSystem
+from mechrom.model import SecondOrderSystem, build_mass_spring_chain
 from mechrom.newmark import IntegratorConfig, simulate
 from mechrom.opinf import (
     LambdaTrial,
@@ -801,3 +801,13 @@ class TestSeparateOperators:
             separate_operators(sys3)
         separate_operators(mass_normalized(sys3))
 
+    def test_sparse_operators_give_the_dense_bits(self):
+        # A chain with unit masses is mass-normalized, and its operators
+        # are CSR.
+        chain = build_mass_spring_chain(4, np.ones(4), np.ones(5), 0.1, 0.01)
+        dense = SecondOrderSystem(chain.mass.toarray(), chain.damping.toarray(),
+                                  chain.stiffness.toarray(), chain.input_map)
+        ops, expected = separate_operators(chain), separate_operators(dense)
+        for name in ("mass", "damping", "stiffness", "input_map"):
+            np.testing.assert_array_equal(getattr(ops, name),
+                                          getattr(expected, name))

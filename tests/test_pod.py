@@ -118,6 +118,17 @@ class TestComputeBasis:
         with pytest.raises(InvalidParameterError):
             compute_basis(X, rank=4)
 
+    @pytest.mark.parametrize("rank", [2.5, 3.0, np.float64(3.0), True, "3"],
+                             ids=["2.5", "3.0", "float64", "True", "str"])
+    def test_rank_must_be_an_integer(self, rng, rank):
+        X = rng.standard_normal((4, 5))
+        with pytest.raises(InvalidParameterError, match="integer"):
+            compute_basis(X, rank=rank)
+
+    def test_numpy_integer_rank_accepted(self, rng):
+        X = rng.standard_normal((4, 5))
+        assert compute_basis(X, rank=np.int64(3)).rank == 3
+
     def test_tol_out_of_range(self, rng):
         X = rng.standard_normal((3, 5))
         for tol in (0.0, 1.0, -0.1):
