@@ -264,7 +264,7 @@ def load_config(path, overrides=None) -> ExperimentConfig:
             parser.read_file(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise UsageError(f"malformed config {path}: {exc}")
     overrides = overrides or {}
     if any(s == "basis" for s, _ in overrides) and parser.has_section("basis"):
@@ -415,7 +415,7 @@ def _build_system(cfg: ExperimentConfig) -> SecondOrderSystem:
                 beta_r=cfg.beta_r, input_nodes=cfg.input_nodes,
             )
         return load_system(cfg.mass_path, cfg.damping_path,
-                           cfg.stiffness_path, cfg.input_path, label="files")
+                           cfg.stiffness_path, cfg.input_path)
     except (MechromError, OSError) as exc:
         _tag_stage(exc, "build_system" if chain else "load_system")
         raise

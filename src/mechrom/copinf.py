@@ -61,22 +61,24 @@ __all__ = [
 ]
 
 DEFAULT_OMEGA = 1e-8
-DEFAULT_PENALTY = 1.0
-DEFAULT_TOL_ABS = 1e-9
-DEFAULT_TOL_REL = 1e-4
 DEFAULT_MAX_ITER = 50000
+
+# Initial penalty; absolute and relative residual tolerances (§3.3.1).
+_PENALTY = 1.0
+_TOL_ABS = 1e-9
+_TOL_REL = 1e-4
 
 # Residual balancing: grow or shrink the penalty by _ADAPT_FACTOR when
 # one residual exceeds the other by _ADAPT_RATIO, at most once per
 # _ADAPT_EVERY iterations. Balancing only runs during the first
 # _ADAPT_CUTOFF iterations; afterwards the penalty is frozen so the
 # fixed-penalty iteration can contract without being kicked off the
-# converging trajectory by late rescalings of the dual variable.
+# converging trajectory by late rescalings of the dual variable. At most
+# 20 rescalings keep the penalty within _ADAPT_FACTOR ** 20 of _PENALTY.
 _ADAPT_RATIO = 10.0
 _ADAPT_FACTOR = 2.0
 _ADAPT_EVERY = 25
 _ADAPT_CUTOFF = 500
-_PENALTY_RANGE = (1e-8, 1e8)
 
 # Over-relaxation factor alpha in (0, 2): the cone projection and the
 # dual update see alpha * P + (1 - alpha) * Z_prev in place of P. At 1.8
@@ -233,9 +235,6 @@ def infer_constrained(
     D,
     rhs,
     omega: float = DEFAULT_OMEGA,
-    penalty: float = DEFAULT_PENALTY,
-    tol_abs: float = DEFAULT_TOL_ABS,
-    tol_rel: float = DEFAULT_TOL_REL,
     max_iter: int = DEFAULT_MAX_ITER,
 ):
     """Fit symmetric definite operators to reduced snapshot data.
@@ -250,12 +249,10 @@ def infer_constrained(
     omega : float
         Definiteness margin for the mass and stiffness blocks, > 0. The
         damping block is constrained with margin zero.
-    penalty, tol_abs, tol_rel, max_iter
-        Splitting iteration controls: the initial penalty, the absolute
-        and relative residual tolerances (positive and finite) and the
-        iteration limit. The iteration stops at the first of residual
-        convergence, an objective stall and ``max_iter``; the report
-        says which.
+    max_iter : int
+        Iteration limit, >= 1. The iteration stops at the first of
+        residual convergence, an objective stall and ``max_iter``; the
+        report says which.
 
     Returns
     -------
@@ -272,12 +269,6 @@ def infer_constrained(
         )
     if omega <= 0.0 or not np.isfinite(omega):
         raise InvalidParameterError(f"omega must be positive, got {omega}")
-    for name, value in (("penalty", penalty), ("tol_abs", tol_abs),
-                        ("tol_rel", tol_rel)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise InvalidParameterError(
-                f"{name} must be positive and finite, got {value}"
-            )
     if (isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral)
             or max_iter < 1):
         raise InvalidParameterError(
@@ -308,7 +299,7 @@ def infer_constrained(
     # iteration works over the N snapshots.
     W, s, _, rhs_c, tail = compress(Ds, rhs)
     rhs_tail = tail**2
-    rho = float(penalty)
+    rho = _PENALTY
     step, offset = _ridge_step(W, s, rhs_c, rho)
 
     # The solver holds each iterate transposed, as the 3r x r stack
@@ -365,8 +356,8 @@ def infer_constrained(
         objective = objective_in_range(Z)
         trace.append((it, objective + rhs_tail, primal, dual))
 
-        eps_pri = scale * tol_abs + tol_rel * max(_norm(P), _norm(Z))
-        eps_dual = scale * tol_abs + tol_rel * rho * _norm(U)
+        eps_pri = scale * _TOL_ABS + _TOL_REL * max(_norm(P), _norm(Z))
+        eps_dual = scale * _TOL_ABS + _TOL_REL * rho * _norm(U)
         if primal <= eps_pri and dual <= eps_dual:
             stop_reason = "converged"
             break
@@ -377,12 +368,12 @@ def infer_constrained(
             stall_ref = objective
 
         if it <= _ADAPT_CUTOFF and it - last_adapt >= _ADAPT_EVERY:
-            if primal > _ADAPT_RATIO * dual and rho * _ADAPT_FACTOR <= _PENALTY_RANGE[1]:
+            if primal > _ADAPT_RATIO * dual:
                 rho *= _ADAPT_FACTOR
                 U /= _ADAPT_FACTOR
                 step, offset = _ridge_step(W, s, rhs_c, rho)
                 last_adapt = it
-            elif dual > _ADAPT_RATIO * primal and rho / _ADAPT_FACTOR >= _PENALTY_RANGE[0]:
+            elif dual > _ADAPT_RATIO * primal:
                 rho /= _ADAPT_FACTOR
                 U *= _ADAPT_FACTOR
                 step, offset = _ridge_step(W, s, rhs_c, rho)

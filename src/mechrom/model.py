@@ -82,9 +82,8 @@ class SecondOrderSystem:
         fitted to force data, which is given an input map with
         ``dataclasses.replace`` to be replayed.
     label : str
-        Free-form tag for the caller, such as ``chain-n200`` or
-        ``files``; reductions extend it with the rank. No artifact
-        records it.
+        Free-form tag for the caller. mechrom neither sets nor reads
+        it, and no artifact records it.
     """
 
     mass: np.ndarray
@@ -232,7 +231,7 @@ def build_mass_spring_chain(
     B = np.zeros((n, len(input_nodes)))
     for j, node in enumerate(input_nodes):
         B[int(node), j] = 1.0
-    return SecondOrderSystem(M, C, K, B, label=f"chain-n{n}")
+    return SecondOrderSystem(M, C, K, B)
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +361,8 @@ def save_system(system: SecondOrderSystem, mass_path, damping_path,
     save_matrix(input_path, system.input_map, symmetry="general")
 
 
-def load_system(mass_path, damping_path, stiffness_path, input_path,
-                label: str = "") -> SecondOrderSystem:
+def load_system(mass_path, damping_path, stiffness_path,
+                input_path) -> SecondOrderSystem:
     """Assemble a full model from four operator files.
 
     Mass, damping, and stiffness come back as CSR arrays built straight
@@ -383,7 +382,6 @@ def load_system(mass_path, damping_path, stiffness_path, input_path,
     system = SecondOrderSystem(
         _read_coordinates(mass_path), _read_coordinates(damping_path),
         _read_coordinates(stiffness_path), load_matrix(input_path),
-        label=label,
     )
     return replace(
         system, mass=symmetric_part(system.mass),

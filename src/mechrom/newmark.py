@@ -97,6 +97,10 @@ class IntegratorConfig:
             )
         object.__setattr__(self, "gamma", float(gamma))
         object.__setattr__(self, "beta", float(beta))
+        if not math.isfinite(self.t_end / self.dt):
+            raise InvalidParameterError(
+                f"t_end / dt overflows: {self.t_end} / {self.dt}"
+            )
         if self.num_steps < 1:
             raise InvalidParameterError(
                 f"horizon {self.t_end} shorter than one step {self.dt}"

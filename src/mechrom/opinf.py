@@ -87,7 +87,7 @@ def regression_arrays(D, rhs):
     """The data matrix and right-hand side of a regression as float
     arrays; InvalidInputError unless both are 2-D with equal column
     counts and finite entries, InsufficientDataError when they have no
-    column."""
+    column, InvalidInputError when the data matrix has no row."""
     D = np.asarray(D, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     if D.ndim != 2 or rhs.ndim != 2:
@@ -100,6 +100,8 @@ def regression_arrays(D, rhs):
         raise InvalidInputError("regression data contains non-finite entries")
     if D.shape[1] == 0:
         raise InsufficientDataError("regression data has no snapshot columns")
+    if D.shape[0] == 0:
+        raise InvalidInputError("data matrix has no rows")
     return D, rhs
 
 
@@ -378,6 +380,5 @@ def separate_operators(rom: SecondOrderSystem) -> SecondOrderSystem:
         damping=mass @ C,
         stiffness=symmetric_part(Phi_inv.T @ np.diag(w) @ Phi_inv),
         input_map=None if rom.input_map is None else mass @ rom.input_map,
-        label=rom.label,
     )
 

@@ -37,8 +37,8 @@ class PodBasis:
         Orthonormal columns spanning the reduced subspace.
     singular_values : (min(n, N),) ndarray
         Every singular value of the snapshot matrix the basis was cut
-        from, nonincreasing. Kept in full so truncation diagnostics do
-        not require the original data.
+        from, finite and nonincreasing. Kept in full so truncation
+        diagnostics do not require the original data.
     """
 
     modes: np.ndarray
@@ -60,9 +60,10 @@ class PodBasis:
             )
         if s.size < 1:
             raise InvalidInputError("singular value spectrum is empty")
-        if np.any(s < 0.0) or np.any(np.diff(s) > 0.0):
+        if not (np.isfinite(s).all() and np.all(s >= 0.0)
+                and np.all(np.diff(s) <= 0.0)):
             raise InvalidInputError(
-                "singular values must be nonnegative and nonincreasing"
+                "singular values must be finite, nonnegative and nonincreasing"
             )
         object.__setattr__(self, "modes", V)
         object.__setattr__(self, "singular_values", s)
@@ -188,6 +189,5 @@ def intrusive_reduce(system: SecondOrderSystem, basis: PodBasis) -> SecondOrderS
         damping=symmetric_part(V.T @ system.damping @ V),
         stiffness=symmetric_part(V.T @ system.stiffness @ V),
         input_map=None if system.input_map is None else V.T @ system.input_map,
-        label=(system.label + "-r%d" % basis.rank).lstrip("-"),
     )
 

@@ -4,8 +4,10 @@ operator files.
 Each is ASCII with ``\\n`` line ends: a header of one or more lines, then
 one row per line, its fields separated by a comma (CSV) or whitespace
 (``.mtx``), every number at 17 significant digits. On reading, empty
-lines are skipped and every other line is a row. Callers name and check
-the header and what the numbers mean.
+lines are skipped and every other line is a row; a byte outside ASCII
+is decoded as a lone surrogate, which fails the header's check or the
+row's number parse. Callers name and check the header and what the
+numbers mean.
 
 Writing produces the bytes of ``"%.17g" % value`` for every field, from
 a numpy kernel rather than one ``%`` call per value. Each finite nonzero
@@ -315,9 +317,11 @@ def _tables():
 
 def read_header(path) -> str | None:
     """The first line of a text artifact without its line end; None for
-    an empty file."""
-    with open(path, "r", encoding="ascii") as fh:
+    an empty file. FormatError when the line is not ASCII."""
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         line = fh.readline()
+    if not line.isascii():
+        raise FormatError("header is not ASCII text", path=path, line=1)
     return line.rstrip("\n") if line else None
 
 
@@ -334,7 +338,7 @@ def read_table(path, width, delimiter=",", max_rows=None,
     last pair serves every later row. ``loadtxt`` reads the file, and
     only a file it rejects is scanned line by line for the bad row.
     """
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         fh.readline()
         try:
             with warnings.catch_warnings():
@@ -369,7 +373,7 @@ def read_table(path, width, delimiter=",", max_rows=None,
 def _rows(path, delimiter):
     """``(line number, line)`` of every row after the header line, then
     ``(number of lines in the file, None)``."""
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         lines = fh.read().splitlines()
     for lineno, line in enumerate(lines[1:], start=2):
         if line.split(delimiter) not in ([], [""]):

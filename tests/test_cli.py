@@ -607,6 +607,20 @@ class TestInvocationErrors:
         assert code == 1
         assert "cannot read config" in capsys.readouterr().err
 
+    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "exp.ini"
+        path.write_bytes(b"[system]\nkind = chain\n# \xff\n")
+        assert main(["run", "--config", str(path)]) == 1
+        assert f"malformed config {path}" in capsys.readouterr().err
+
+    def test_uncountable_step_count_is_usage_error(self, tmp_path, capsys):
+        # t_end / dt overflows to inf.
+        cfg = config_file(tmp_path, {"integrator": {"dt": "1e-320"}})
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+        assert "[integrator] t_end / dt overflows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "mechrom", "--version"],
@@ -1184,6 +1198,26 @@ class TestStageFailures:
         err = capsys.readouterr().err
         assert "error in stage 'infer'" in err
         assert f"{path}: no singular values: the file has no rows" in err
+
+    @pytest.mark.parametrize("row, message", [
+        (b"2,nan\n", "singular values must be finite"),
+        (b"2,\xff\n", ":3: non-numeric sigma"),
+    ], ids=["nan", "non-ascii"])
+    def test_bad_singular_values_are_data_error(self, tmp_path, capsys, row,
+                                                message):
+        cfg = config_file(tmp_path, {"inference": {"methods": "opinf"}})
+        out = tmp_path / "artifacts"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["basis", "--config", cfg, "--out", str(out)]) == 0
+        path = out / "basis" / "singular_values.csv"
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:2]) + row + b"".join(lines[3:]))
+        capsys.readouterr()
+        code = main(["infer", "--config", cfg, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error in stage 'infer'" in err
+        assert message in err
 
     def test_zero_motion_data_is_numerical_error(self, tmp_path, capsys):
         cfg = config_file(tmp_path, {"input": {"amplitude": "0.0"}})

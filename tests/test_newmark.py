@@ -84,6 +84,12 @@ def test_config_rejects_non_finite_scheme_parameters(name, value):
         IntegratorConfig(dt=0.1, t_end=1.0, **{name: value})
 
 
+def test_config_rejects_uncountable_step_count():
+    # 1.0 / 5e-324 overflows to inf, which has no step count.
+    with pytest.raises(InvalidParameterError, match="t_end / dt overflows"):
+        IntegratorConfig(dt=5e-324, t_end=1.0)
+
+
 def test_step_count_contract():
     cfg = IntegratorConfig(dt=0.1, t_end=1.0)
     assert cfg.num_steps == 10

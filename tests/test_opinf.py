@@ -95,6 +95,10 @@ class TestRidgeKernel:
         with pytest.raises(InvalidInputError, match="non-finite"):
             ridge_lstsq(D, np.ones((1, 4)))
 
+    def test_data_without_rows_rejected(self):
+        with pytest.raises(InvalidInputError, match="no rows"):
+            ridge_lstsq(np.zeros((0, 5)), np.zeros((1, 5)))
+
     def test_negative_lambda_rejected(self):
         with pytest.raises(InvalidParameterError, match="lam"):
             ridge_lstsq(np.ones((2, 3)), np.ones((1, 3)), lam=-1.0)

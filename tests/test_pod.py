@@ -50,6 +50,12 @@ class TestPodBasisType:
         with pytest.raises(InvalidInputError):
             PodBasis(modes=np.eye(2), singular_values=[1.0, -0.5])
 
+    @pytest.mark.parametrize("sigma", [[1.0, np.nan, 0.5], [np.inf, 1.0, 0.5]],
+                             ids=["nan", "inf"])
+    def test_sigma_must_be_finite(self, sigma):
+        with pytest.raises(InvalidInputError, match="finite"):
+            PodBasis(modes=np.eye(3)[:, :2], singular_values=sigma)
+
     def test_rank_and_n(self):
         basis = PodBasis(modes=np.eye(3)[:, :2], singular_values=[3.0, 1.0, 0.5])
         assert basis.n == 3

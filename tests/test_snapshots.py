@@ -589,6 +589,18 @@ class TestCsvErrors:
             load_csv(tmp_path)
         assert ":3:" in str(exc.value)
 
+    @pytest.mark.parametrize("text, line, message", [
+        (b"t,x_\xff\n0,1\n", 1, "header is not ASCII text"),
+        (b"t,x_1\n0,1\n1,\xff\n", 3, "non-numeric field"),
+    ], ids=["header", "row"])
+    def test_non_ascii_byte_names_file_and_line(self, tmp_path, text, line,
+                                                message):
+        path = tmp_path / "displacement.csv"
+        path.write_bytes(text)
+        with pytest.raises(FormatError, match=message) as exc:
+            load_csv(tmp_path)
+        assert (exc.value.path, exc.value.line) == (str(path), line)
+
     def test_bad_header(self, rng, tmp_path):
         self.write_all(tmp_path, rng)
         path = tmp_path / "displacement.csv"
