@@ -26,7 +26,8 @@ order. The manifest records the thread counts of numpy's and scipy's
 OpenBLAS.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 unreadable or
-inconsistent data, 3 numerical failure.
+inconsistent data, or data that does not fit in memory, 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -76,9 +77,8 @@ from .model import (
 from .newmark import IntegratorConfig, simulate
 from .opinf import infer, select_lambda
 from .copinf import DEFAULT_OMEGA, infer_constrained
-from .pod import PodBasis, compute_basis, intrusive_reduce
+from .pod import PodBasis, _check_selector, compute_basis, intrusive_reduce
 from .snapshots import (
-    CSV_NAMES,
     TrajectoryData,
     assemble_force_data,
     assemble_opinf_data,
@@ -249,6 +249,15 @@ _CHAIN_KEYS = ("n", "masses", "stiffnesses", "input_nodes")
 _FILES_KEYS = ("mass_path", "damping_path", "stiffness_path", "input_path")
 
 
+def _check_section(section, check, *args) -> None:
+    """Run ``check(*args)``; its InvalidParameterError becomes a usage
+    error that names ``[section]``."""
+    try:
+        check(*args)
+    except InvalidParameterError as exc:
+        raise UsageError(f"[{section}] {exc}") from exc
+
+
 def load_config(path, overrides=None) -> ExperimentConfig:
     """Parse and validate an INI configuration file.
 
@@ -260,7 +269,8 @@ def load_config(path, overrides=None) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=("#", ";"))
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig: a leading byte-order mark is not part of the text.
+        with open(path, "r", encoding="utf-8-sig") as fh:
             parser.read_file(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}")
@@ -339,34 +349,17 @@ def load_config(path, overrides=None) -> ExperimentConfig:
         if cfg.sweep_time <= 0.0:
             raise UsageError("[input] sweep_time must be positive")
 
-    # horizons
-    if cfg.train_t_end < cfg.dt:
-        raise UsageError("[training] t_end must cover at least one step")
     if cfg.test_t_end < cfg.train_t_end:
         raise UsageError(
             f"[testing] t_end ({cfg.test_t_end}) must be >= "
             f"[training] t_end ({cfg.train_t_end})"
         )
 
-    # integrator: the scheme's own checks, run here so that every command
-    # fails before its first stage
-    try:
-        _integrator(cfg)
-    except InvalidParameterError as exc:
-        raise UsageError(f"[integrator] {exc}") from exc
-
-    # basis
-    given = sum(v is not None for v in (cfg.rank, cfg.tol, cfg.energy))
-    if given != 1:
-        raise UsageError(
-            "[basis] exactly one of rank, tol, energy must be set"
-        )
-    if cfg.rank is not None and cfg.rank < 1:
-        raise UsageError(f"[basis] rank must be >= 1, got {cfg.rank}")
-    if cfg.tol is not None and not 0.0 < cfg.tol < 1.0:
-        raise UsageError(f"[basis] tol must lie in (0, 1), got {cfg.tol}")
-    if cfg.energy is not None and not 0.0 < cfg.energy < 1.0:
-        raise UsageError(f"[basis] energy must lie in (0, 1), got {cfg.energy}")
+    # The rules of the code that uses these settings, run here so that
+    # every command fails before its first stage.
+    _check_section("integrator", _integrator, cfg)
+    _check_section("training", _train_columns, cfg)
+    _check_section("basis", _check_selector, cfg.rank, cfg.tol, cfg.energy)
 
     # inference
     if not cfg.methods:
@@ -416,7 +409,7 @@ def _build_system(cfg: ExperimentConfig) -> SecondOrderSystem:
             )
         return load_system(cfg.mass_path, cfg.damping_path,
                            cfg.stiffness_path, cfg.input_path)
-    except (MechromError, OSError) as exc:
+    except (MechromError, OSError, MemoryError) as exc:
         _tag_stage(exc, "build_system" if chain else "load_system")
         raise
 
@@ -515,7 +508,7 @@ class _Results(dict):
     def _load_train(self) -> TrajectoryData:
         """The first training columns of each ``fom/test`` block file."""
         count = _train_columns(self.cfg)
-        data = load_csv(os.path.join(self.outdir, "fom", "test"),
+        data = load_csv(self._artifact("simulate", "fom", "test"),
                         max_rows=count)
         if data.num_snapshots < count:
             raise InvalidInputError(
@@ -525,8 +518,8 @@ class _Results(dict):
         return data
 
     def _load_test(self) -> TrajectoryData:
-        return load_csv({"displacement": self._artifact(
-            "simulate", "fom", "test", CSV_NAMES["displacement"])})
+        return load_csv(self._artifact("simulate", "fom", "test"),
+                        ["displacement"])
 
     def _load_basis(self) -> PodBasis:
         modes = load_matrix(self._artifact("basis", "basis", "modes.mtx"))
@@ -573,6 +566,7 @@ class _Results(dict):
 
 
 def stage_simulate(cfg: ExperimentConfig, outdir, results) -> None:
+    """Integrate the full model and write the snapshot CSVs."""
     system = results["system"]
     x0, v0 = _initial_conditions(cfg, system.n)
     data = simulate(system, _waveform(cfg), x0, v0, _integrator(cfg))
@@ -591,6 +585,7 @@ def stage_simulate(cfg: ExperimentConfig, outdir, results) -> None:
 
 
 def stage_basis(cfg: ExperimentConfig, outdir, results) -> None:
+    """Compute the orthogonal basis from the training snapshots."""
     basis = compute_basis(results["train"].displacement, rank=cfg.rank,
                           tol=cfg.tol, energy=cfg.energy)
     bdir = os.path.join(outdir, "basis")
@@ -603,6 +598,7 @@ def stage_basis(cfg: ExperimentConfig, outdir, results) -> None:
 
 
 def stage_infer(cfg: ExperimentConfig, outdir, results) -> None:
+    """Fit the mass-normalized reduced model."""
     if "opinf" not in cfg.methods:
         return
     rdata = results["projected"]
@@ -638,6 +634,7 @@ _STOP_LABELS = {
 
 
 def stage_infer_constrained(cfg: ExperimentConfig, outdir, results) -> None:
+    """Fit the symmetric definite reduced model."""
     if "copinf" not in cfg.methods:
         return
     D, rhs = assemble_force_data(results["projected"])
@@ -655,6 +652,7 @@ def stage_infer_constrained(cfg: ExperimentConfig, outdir, results) -> None:
 
 
 def stage_evaluate(cfg: ExperimentConfig, outdir, results) -> None:
+    """Replay the reduced models and write the error series."""
     system, basis = results["system"], results["basis"]
     V = basis.modes
     times, X = results["test"].times, results["test"].displacement
@@ -722,7 +720,7 @@ def _run_stages(cfg: ExperimentConfig, outdir, names) -> list:
             start = time.perf_counter()
             try:
                 fn(cfg, outdir, results)
-            except (MechromError, OSError) as exc:
+            except (MechromError, OSError, MemoryError) as exc:
                 _tag_stage(exc, name)
                 raise
             timings.append((name, time.perf_counter() - start))
@@ -821,16 +819,10 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="mechrom", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "simulate": "integrate the full model and write snapshot CSVs",
-        "basis": "compute the orthogonal basis from training snapshots",
-        "infer": "fit the mass-normalized reduced model",
-        "infer-constrained": "fit the symmetric definite reduced model",
-        "evaluate": "replay reduced models and write error series",
-        "run": "run the whole pipeline and write the manifest",
-    }
-    for name, help_text in commands.items():
-        p = sub.add_parser(name, help=help_text)
+    # Each command's help is the first line of its function's docstring.
+    for name, fn in [*_STAGES, ("run", run)]:
+        p = sub.add_parser(name.replace("_", "-"),
+                           help=(fn.__doc__ or "").partition("\n")[0])
         p.add_argument("--config", required=True, help="INI configuration file")
         p.add_argument("--out", help="artifact directory ([output] directory)")
         p.add_argument("--method", action="append",
@@ -863,6 +855,7 @@ _DATA_ERRORS = (
     MissingDataError,
     InsufficientDataError,
     OSError,
+    MemoryError,
 )
 _NUMERICAL_ERRORS = (
     SingularOperatorError,
@@ -900,8 +893,9 @@ def main(argv=None) -> int:
         error, code = exc, EXIT_DATA
     else:
         return EXIT_OK
-    print(f"error in stage '{getattr(error, 'stage', stage)}': {error}",
-          file=sys.stderr)
+    # A MemoryError that Python raises itself carries no message.
+    print(f"error in stage '{getattr(error, 'stage', stage)}': "
+          f"{str(error) or 'out of memory'}", file=sys.stderr)
     return code
 
 

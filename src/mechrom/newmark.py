@@ -105,6 +105,13 @@ class IntegratorConfig:
             raise InvalidParameterError(
                 f"horizon {self.t_end} shorter than one step {self.dt}"
             )
+        # numpy refuses an array of more bytes than np.intp counts, so
+        # the grid's num_steps + 1 doubles must stay within that.
+        if (self.num_steps + 1) * 8 > np.iinfo(np.intp).max:
+            raise InvalidParameterError(
+                f"t_end / dt gives {self.num_steps:.3g} steps, more than "
+                f"an array can hold"
+            )
 
     @property
     def num_steps(self) -> int:

@@ -95,7 +95,6 @@ def _rank_from_tol(s: np.ndarray, tol: float) -> int:
         trailing = s[r] if r < s.size else 0.0
         if trailing <= tol * s[0]:
             return r
-    return s.size
 
 
 def _rank_from_energy(s: np.ndarray, energy: float) -> int:
@@ -104,7 +103,24 @@ def _rank_from_energy(s: np.ndarray, energy: float) -> int:
     for r in range(1, s.size + 1):
         if totals[r - 1] >= energy * totals[-1]:
             return r
-    return s.size
+
+
+def _check_selector(rank, tol, energy) -> None:
+    """Raise InvalidParameterError unless exactly one truncation selector
+    is given and it is in range: ``rank`` an integer (not a bool) >= 1,
+    ``tol`` or ``energy`` in (0, 1)."""
+    if sum(v is not None for v in (rank, tol, energy)) != 1:
+        raise InvalidParameterError(
+            "exactly one of rank, tol, energy must be given"
+        )
+    if rank is not None and (isinstance(rank, bool)
+                             or not isinstance(rank, numbers.Integral)
+                             or rank < 1):
+        raise InvalidParameterError(f"rank must be an integer >= 1, got {rank!r}")
+    for name, value in (("tol", tol), ("energy", energy)):
+        if value is not None and not 0.0 < value < 1.0:
+            raise InvalidParameterError(
+                f"{name} must lie in (0, 1), got {value}")
 
 
 def compute_basis(X, rank: int | None = None, tol: float | None = None,
@@ -123,41 +139,30 @@ def compute_basis(X, rank: int | None = None, tol: float | None = None,
         Keep the smallest r whose retained squared singular values
         reach the fraction ``energy`` of the total; energy in (0, 1).
 
-    The mode signs are fixed so that each column's largest-magnitude
-    entry is nonnegative.
+    The selector is checked before the decomposition. The mode signs
+    are fixed so that each column's largest-magnitude entry is
+    nonnegative.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.size == 0:
         raise InvalidInputError("snapshot matrix must be 2-D and nonempty")
     if not np.all(np.isfinite(X)):
         raise InvalidInputError("snapshot matrix contains non-finite entries")
-    if sum(v is not None for v in (rank, tol, energy)) != 1:
+    _check_selector(rank, tol, energy)
+    if rank is not None and rank > min(X.shape):
         raise InvalidParameterError(
-            "exactly one of rank, tol, energy must be given"
+            f"rank must be an integer in [1, {min(X.shape)}], got {rank!r}"
         )
     if not np.any(X):
         raise DegenerateInputError("snapshot matrix is identically zero")
 
     V, s, _ = la.svd(X, full_matrices=False)
-
     if rank is not None:
-        if (isinstance(rank, bool) or not isinstance(rank, numbers.Integral)
-                or not 1 <= rank <= s.size):
-            raise InvalidParameterError(
-                f"rank must be an integer in [1, {s.size}], got {rank!r}"
-            )
         r = int(rank)
     elif tol is not None:
-        if not 0.0 < tol < 1.0:
-            raise InvalidParameterError(f"tol must lie in (0, 1), got {tol}")
         r = _rank_from_tol(s, tol)
     else:
-        if not 0.0 < energy < 1.0:
-            raise InvalidParameterError(
-                f"energy must lie in (0, 1), got {energy}"
-            )
         r = _rank_from_energy(s, energy)
-
     return PodBasis(modes=_fix_signs(V[:, :r]), singular_values=s)
 
 

@@ -278,37 +278,33 @@ def save_csv(data: TrajectoryData, directory) -> list:
     return written
 
 
-def load_csv(source, max_rows=None) -> TrajectoryData:
-    """Read a trajectory back from CSV files.
+def load_csv(directory, blocks=tuple(CSV_NAMES),
+             max_rows=None) -> TrajectoryData:
+    """Read back the trajectory that :func:`save_csv` wrote into
+    ``directory``.
 
-    ``source`` is either a directory written by :func:`save_csv` or a
-    mapping from block name (displacement, velocity, acceleration,
-    input, force) to file path. Only the displacement block is
-    required, and the blocks without a file are absent; time columns
-    must agree exactly across files. With ``max_rows``, only the first
+    ``blocks`` names the blocks to read (displacement, velocity,
+    acceleration, input, force); the displacement is required, and a
+    named block without a file is absent. Time columns must agree
+    exactly across files. With ``max_rows``, only the first
     ``max_rows`` snapshots are read.
     """
-    if isinstance(source, (str, os.PathLike)):
-        paths = {}
-        for key, name in CSV_NAMES.items():
-            candidate = os.path.join(source, name)
-            if os.path.exists(candidate):
-                paths[key] = candidate
-    else:
-        paths = dict(source)
-
+    paths = {}
+    for key in blocks:
+        path = os.path.join(directory, CSV_NAMES[key])
+        if os.path.exists(path):
+            paths[key] = path
     if "displacement" not in paths:
-        raise MissingDataError("no displacement file to load")
+        raise MissingDataError(f"no displacement file in {directory}")
 
     times = None
-    blocks = {}
+    data = {}
     for key, path in paths.items():
-        t, A = _read_block(path, max_rows)
+        t, data[key] = _read_block(path, max_rows)
         if times is None:
             times = t
         elif t.shape != times.shape or np.any(t != times):
             raise InvalidInputError(
                 f"{path}: time column disagrees with other blocks"
             )
-        blocks[key] = A
-    return TrajectoryData(times=times, **blocks)
+    return TrajectoryData(times=times, **data)

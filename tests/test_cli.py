@@ -162,6 +162,14 @@ class TestLoadConfig:
                            match=r"unknown key 'springiness' in section \[system\]"):
             load_config(path)
 
+    def test_byte_order_mark_is_not_text(self, tmp_path):
+        # Some editors start a UTF-8 file with the mark EF BB BF.
+        plain = config_file(tmp_path)
+        marked = tmp_path / "marked.ini"
+        with open(plain, "rb") as fh:
+            marked.write_bytes(b"\xef\xbb\xbf" + fh.read())
+        assert load_config(marked) == load_config(plain)
+
     def test_text_without_section_is_malformed(self, tmp_path):
         path = tmp_path / "broken.ini"
         path.write_text("dt = 0.1\n", encoding="ascii")
@@ -288,7 +296,8 @@ class TestLoadConfig:
 
     def test_training_window_covers_a_step(self, tmp_path):
         path = config_file(tmp_path, {"training": {"t_end": "0.001"}})
-        with pytest.raises(UsageError, match="must cover at least one step"):
+        with pytest.raises(UsageError, match=r"\[training\] horizon 0.001 "
+                                             r"shorter than one step 0.02"):
             load_config(path)
 
     def test_testing_window_not_shorter_than_training(self, tmp_path):
@@ -306,15 +315,17 @@ class TestLoadConfig:
 
     def test_selector_ranges(self, tmp_path):
         bad_rank = config_file(tmp_path, {"basis": {"rank": "0"}})
-        with pytest.raises(UsageError, match="rank must be >= 1"):
+        with pytest.raises(UsageError,
+                           match=r"\[basis\] rank must be an integer >= 1"):
             load_config(bad_rank)
         bad_tol = config_file(tmp_path, {"basis": {"tol": "1.5"}},
                               drop=[("basis", "rank")])
-        with pytest.raises(UsageError, match=r"tol must lie in \(0, 1\)"):
+        with pytest.raises(UsageError, match=r"\[basis\] tol must lie in \(0, 1\)"):
             load_config(bad_tol)
         bad_energy = config_file(tmp_path, {"basis": {"energy": "1.0"}},
                                  drop=[("basis", "rank")])
-        with pytest.raises(UsageError, match=r"energy must lie in \(0, 1\)"):
+        with pytest.raises(UsageError,
+                           match=r"\[basis\] energy must lie in \(0, 1\)"):
             load_config(bad_energy)
 
     def test_methods_parsed_and_validated(self, tmp_path):
@@ -620,6 +631,38 @@ class TestInvocationErrors:
         assert main(["run", "--config", cfg, "--out", str(out)]) == 1
         assert "[integrator] t_end / dt overflows" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_step_count_beyond_any_array_is_usage_error(self, tmp_path,
+                                                         capsys):
+        # 4e300 steps: finite, but no array holds the time grid.
+        cfg = config_file(tmp_path, {"integrator": {"dt": "1e-300"},
+                                     "training": {"t_end": "2"},
+                                     "testing": {"t_end": "4"}})
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+        assert ("error in stage 'configure': [integrator] t_end / dt gives "
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["basis", "infer", "infer-constrained"])
+    def test_stage_before_simulate_names_the_stage_to_run(
+            self, tmp_path, capsys, command):
+        cfg = config_file(tmp_path)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        stage = command.replace("-", "_")
+        assert capsys.readouterr().err == (
+            f"error in stage '{stage}': no {out / 'fom' / 'test'}; run the "
+            f"simulate stage first\n")
+
+    def test_command_help_is_the_stage_docstring(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        help_text = capsys.readouterr().out
+        for name, fn in [*cli._STAGES, ("run", cli.run)]:
+            line = fn.__doc__.partition("\n")[0]
+            assert name.replace("_", "-") in help_text
+            assert line in " ".join(help_text.split())
 
     def test_module_entry_point(self):
         proc = subprocess.run(
@@ -1035,6 +1078,39 @@ class TestStageResults:
                 assert a.strides == b.strides, (key, name)
                 assert a.tobytes() == b.tobytes(), (key, name)
 
+    def test_staged_commands_match_run_on_negative_zeros(self, tmp_path,
+                                                         monkeypatch):
+        # A chain long enough, and a training window short enough, that
+        # the far masses stay at rest: their displacements underflow to
+        # exact zeros and the basis holds negative zeros, as on the
+        # n = 1000 benchmark chain. On such data a held result that does
+        # not keep the layout and zero signs of the parsed one moves bytes.
+        cfg = config_file(tmp_path, {
+            "system": {"n": "160", "stiffnesses": "1e4", "alpha_r": "0.01",
+                       "beta_r": "1e-4"},
+            "integrator": {"dt": "1e-3"},
+            "input": {"frequency": "10.0"},
+            "training": {"t_end": "0.04"},
+            "testing": {"t_end": "0.08"},
+        })
+        bases = []
+
+        def recorded(*args, **kwargs):
+            bases.append(compute_basis(*args, **kwargs))
+            return bases[-1]
+
+        monkeypatch.setattr(cli, "compute_basis", recorded)
+        staged, whole = tmp_path / "staged", tmp_path / "whole"
+        for command in ("simulate", "basis", "infer", "infer-constrained",
+                        "evaluate"):
+            assert main([command, "--config", cfg, "--out", str(staged)]) == 0
+        assert main(["run", "--config", cfg, "--out", str(whole)]) == 0
+        for basis in bases:
+            modes = basis.modes
+            assert np.any((modes == 0.0) & np.signbit(modes))
+        assert tree_bytes(staged) == tree_bytes(
+            whole, skip={"manifest.json", "timings.csv"})
+
     def test_evaluate_alone_loads_the_system(self, tmp_path, capsys):
         cfg = files_kind_config(tmp_path)
         out = tmp_path / "artifacts"
@@ -1109,6 +1185,30 @@ class TestStageFailures:
         code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 2
         assert "error in stage 'load_system'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, target, stage", [
+        ("chain", "simulate", "simulate"),
+        ("files", "load_system", "load_system"),
+    ])
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 7.28 TiB", "Unable to allocate 7.28 TiB"),
+        ("", "out of memory"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_names_its_stage(self, tmp_path, capsys, monkeypatch,
+                                           kind, target, stage, message,
+                                           shown):
+        # Raised, not provoked: a real allocation that large could succeed
+        # under overcommit and be killed later.
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, target, exhausted)
+        cfg = (files_kind_config(tmp_path) if kind == "files"
+               else config_file(tmp_path))
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error in stage '{stage}': {shown}\n")
 
     def test_files_kind_loads_saved_matrices(self, tmp_path):
         cfg = files_kind_config(tmp_path)

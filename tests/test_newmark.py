@@ -90,6 +90,18 @@ def test_config_rejects_uncountable_step_count():
         IntegratorConfig(dt=5e-324, t_end=1.0)
 
 
+@pytest.mark.parametrize("dt, t_end", [(1e-300, 4.0), (1.0, 2.0**60)])
+def test_config_rejects_a_grid_no_array_holds(dt, t_end):
+    # Finite step counts whose grid of doubles numpy cannot allocate;
+    # nothing is allocated here.
+    with pytest.raises(InvalidParameterError, match="more than an array"):
+        IntegratorConfig(dt=dt, t_end=t_end)
+
+
+def test_config_accepts_a_grid_an_array_holds():
+    assert IntegratorConfig(dt=1.0, t_end=2.0**59).num_steps == 2**59
+
+
 def test_step_count_contract():
     cfg = IntegratorConfig(dt=0.1, t_end=1.0)
     assert cfg.num_steps == 10

@@ -9,6 +9,7 @@ from mechrom.errors import (
     InvalidInputError,
     InvalidParameterError,
 )
+from mechrom import pod
 from mechrom.model import SecondOrderSystem, build_mass_spring_chain
 from mechrom.pod import (
     PodBasis,
@@ -140,6 +141,19 @@ class TestComputeBasis:
         for tol in (0.0, 1.0, -0.1):
             with pytest.raises(InvalidParameterError):
                 compute_basis(X, tol=tol)
+
+    @pytest.mark.parametrize("selector", [
+        {}, {"rank": 0}, {"rank": 6}, {"rank": 2.0}, {"tol": 1.0},
+        {"energy": 0.0}, {"rank": 2, "energy": 0.5},
+    ])
+    def test_selector_checked_before_the_decomposition(self, rng, monkeypatch,
+                                                       selector):
+        def decomposed(*args, **kwargs):
+            raise AssertionError("the selector was checked after the SVD")
+
+        monkeypatch.setattr(pod.la, "svd", decomposed)
+        with pytest.raises(InvalidParameterError):
+            compute_basis(rng.standard_normal((5, 7)), **selector)
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(DegenerateInputError, match="zero"):

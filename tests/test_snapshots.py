@@ -499,24 +499,25 @@ class TestCsvRoundTrip:
                               displacement=rng.standard_normal((3, 7)))
         assert save_csv(data, tmp_path) == [str(tmp_path / "displacement.csv")]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["displacement.csv"]
-        for source in (tmp_path, {"displacement": tmp_path / "displacement.csv"}):
-            back = load_csv(source)
+        for blocks in (("displacement",), ("displacement", "velocity")):
+            back = load_csv(tmp_path, blocks)
             np.testing.assert_array_equal(back.times, data.times)
             np.testing.assert_array_equal(back.displacement, data.displacement)
             for name in ("velocity", "acceleration", "input", "force"):
                 assert getattr(back, name) is None
 
-    def test_load_from_mapping(self, rng, tmp_path):
+    def test_load_chosen_blocks(self, rng, tmp_path):
         data = make_trajectory(rng, n=2, N=4, with_force=False)
         save_csv(data, tmp_path)
-        back = load_csv(
-            {
-                "displacement": tmp_path / "displacement.csv",
-                "velocity": tmp_path / "velocity.csv",
-                "acceleration": tmp_path / "acceleration.csv",
-            }
-        )
-        np.testing.assert_allclose(back.displacement, data.displacement)
+        # a block left out is not read, even when its file is malformed
+        (tmp_path / "input.csv").write_text("not a block\n")
+        back = load_csv(tmp_path, ["displacement", "velocity", "acceleration"])
+        for name in ("displacement", "velocity", "acceleration"):
+            np.testing.assert_array_equal(getattr(back, name),
+                                          getattr(data, name))
+        assert back.input is None and back.force is None
+        with pytest.raises(MissingDataError, match="no displacement file"):
+            load_csv(tmp_path, ["velocity"])
 
     def test_max_rows_reads_a_column_prefix(self, rng, tmp_path):
         save_csv(make_trajectory(rng, n=3, N=9, m=2), tmp_path)
@@ -534,8 +535,7 @@ class TestCsvRoundTrip:
                      "force"):
             np.testing.assert_array_equal(getattr(back, name),
                                           getattr(full, name)[:, :4])
-        more = load_csv({"displacement": tmp_path / "displacement.csv"},
-                        max_rows=20)
+        more = load_csv(tmp_path, ["displacement"], max_rows=20)
         np.testing.assert_array_equal(more.displacement, full.displacement)
 
 
