@@ -79,6 +79,7 @@ from .opinf import infer, select_lambda
 from .copinf import DEFAULT_OMEGA, infer_constrained
 from .pod import PodBasis, _check_selector, compute_basis, intrusive_reduce
 from .snapshots import (
+    CSV_NAMES,
     TrajectoryData,
     assemble_force_data,
     assemble_opinf_data,
@@ -483,9 +484,10 @@ def _save_matrices(directory, result, names, symmetric=True):
 
 class _Results(dict):
     """What the stages of one command pass each other: ``system``,
-    ``train`` (the training window), ``test`` (the displacement of the
-    test window), ``basis``, ``projected`` (the training window on the
-    basis), ``opinf`` and ``copinf``.
+    ``train`` (the training window), ``train_displacement`` (its
+    displacement block), ``test`` (the displacement of the test window),
+    ``basis``, ``projected`` (the training window on the basis),
+    ``opinf`` and ``copinf``.
 
     A stage puts here what it computes, as its files read back: the same
     doubles in the layout that the parsers return, so products with a
@@ -505,10 +507,11 @@ class _Results(dict):
     def _load_system(self) -> SecondOrderSystem:
         return _build_system(self.cfg)
 
-    def _load_train(self) -> TrajectoryData:
-        """The first training columns of each ``fom/test`` block file."""
+    def _load_train(self, blocks=tuple(CSV_NAMES)) -> TrajectoryData:
+        """The first training columns of the ``fom/test`` block files
+        ``blocks`` (all by default)."""
         count = _train_columns(self.cfg)
-        data = load_csv(self._artifact("simulate", "fom", "test"),
+        data = load_csv(self._artifact("simulate", "fom", "test"), blocks,
                         max_rows=count)
         if data.num_snapshots < count:
             raise InvalidInputError(
@@ -516,6 +519,14 @@ class _Results(dict):
                 f"holds {data.num_snapshots}"
             )
         return data
+
+    def _load_train_displacement(self) -> np.ndarray:
+        """The displacement of ``train`` when a stage has put it here;
+        else only that block is parsed, since nothing else of the window
+        is needed."""
+        if "train" in self:
+            return self["train"].displacement
+        return self._load_train(["displacement"]).displacement
 
     def _load_test(self) -> TrajectoryData:
         return load_csv(self._artifact("simulate", "fom", "test"),
@@ -586,7 +597,7 @@ def stage_simulate(cfg: ExperimentConfig, outdir, results) -> None:
 
 def stage_basis(cfg: ExperimentConfig, outdir, results) -> None:
     """Compute the orthogonal basis from the training snapshots."""
-    basis = compute_basis(results["train"].displacement, rank=cfg.rank,
+    basis = compute_basis(results["train_displacement"], rank=cfg.rank,
                           tol=cfg.tol, energy=cfg.energy)
     bdir = os.path.join(outdir, "basis")
     results["basis"] = _save_matrices(bdir, basis, ("modes",), symmetric=False)

@@ -13,7 +13,7 @@ import scipy
 from numpy.linalg import _umath_linalg
 from scipy.linalg import _flapack
 
-from mechrom import __version__, cli, newmark
+from mechrom import __version__, cli, copinf, newmark, snapshots
 from mechrom.cli import (
     _KNOWN_KEYS,
     DEFAULT_LAMBDA_GRID,
@@ -716,8 +716,11 @@ class TestPipeline:
     def test_constrained_line_names_stop_reason(self, tmp_path, capsys,
                                                 monkeypatch, max_iter,
                                                 ending):
-        # The test experiment is fitted almost exactly, so its solve
-        # stops on the objective stall; a low cap stops it at the limit.
+        # The test experiment is fitted almost exactly. With the residual
+        # tolerances at zero only the objective stall stops its solve; a
+        # low cap stops it at the limit.
+        monkeypatch.setattr(copinf, "_TOL_ABS", 0.0)
+        monkeypatch.setattr(copinf, "_TOL_REL", 0.0)
         if max_iter is not None:
             solve = cli.infer_constrained
             monkeypatch.setattr(
@@ -731,6 +734,16 @@ class TestPipeline:
                  if line.startswith("infer-constrained: ")]
         assert len(lines) == 1
         assert lines[0].endswith(ending)
+
+    def test_constrained_line_reports_convergence(self, tmp_path, capsys):
+        # At the default tolerances the test experiment's solve converges.
+        cfg = config_file(tmp_path)
+        out = tmp_path / "artifacts"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("infer-constrained: ")]
+        assert len(lines) == 1
+        assert lines[0].endswith("iterations (converged)")
 
     def test_run_writes_expected_tree(self, small_run):
         _, out = small_run
@@ -1016,11 +1029,27 @@ class TestStageResults:
         out = tmp_path / "artifacts"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 0
         assert [len(calls[name]) for name in calls] == [0, 0, 0, 1, 1]
-        # basis alone parses the training window: every block's first
-        # ten rows
+        # basis alone parses the training window's displacement: its
+        # first ten rows
         calls["load_csv"].clear()
         assert main(["basis", "--config", cfg, "--out", str(out)]) == 0
         assert calls["load_csv"] == [(str(out / "fom" / "test"), 10)]
+
+    def test_basis_parses_the_displacement_alone(self, tmp_path,
+                                                 monkeypatch):
+        cfg = config_file(tmp_path)
+        out = tmp_path / "artifacts"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        parsed = []
+        read_block = snapshots._read_block
+
+        def recording(path, max_rows=None):
+            parsed.append((os.path.relpath(path, out), max_rows))
+            return read_block(path, max_rows)
+
+        monkeypatch.setattr(snapshots, "_read_block", recording)
+        assert main(["basis", "--config", cfg, "--out", str(out)]) == 0
+        assert parsed == [(os.path.join("fom", "test", "displacement.csv"), 10)]
 
     def test_nothing_carries_over_between_commands(self, tmp_path, capsys):
         cfg = config_file(tmp_path)
@@ -1060,6 +1089,9 @@ class TestStageResults:
             held.update(results)
         assert "train" not in results
         parsed = cli._Results(cfg, out)
+        # basis took the training window's displacement from train
+        a, b = held["train_displacement"], parsed["train_displacement"]
+        assert a.strides == b.strides and a.tobytes() == b.tobytes()
         arrays = {
             "train": ("times", "displacement", "velocity", "acceleration",
                       "input", "force"),

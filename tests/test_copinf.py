@@ -628,12 +628,22 @@ def well_posed_problem(rng, r, damping_sign=1.0):
     return D, operators @ D + 0.1 * rng.standard_normal((r, N))
 
 
+def zero_tolerances(monkeypatch):
+    """Set the residual tolerances to zero, so that only the stall rule
+    or the iteration limit can stop a solve."""
+    monkeypatch.setattr(copinf, "_TOL_ABS", 0.0)
+    monkeypatch.setattr(copinf, "_TOL_REL", 0.0)
+
+
 class TestStopReasons:
     """The report says why the iteration stopped: residual convergence,
     an objective that stopped moving, or the iteration limit."""
 
-    def test_exact_fit_problem_stalls(self):
+    def test_exact_fit_problem_stalls(self, monkeypatch):
+        # With the residual tolerances at zero only the stall rule can stop
+        # the solve of a problem that definite operators fit almost exactly.
         D, rhs = cli_problem()
+        zero_tolerances(monkeypatch)
         rom, report = infer_constrained(D, rhs)
         assert report.stop_reason == "stalled"
         assert not report.converged
@@ -643,11 +653,12 @@ class TestStopReasons:
         assert np.linalg.eigvalsh(rom.stiffness).min() >= DEFAULT_OMEGA - 1e-10
         assert np.linalg.eigvalsh(rom.damping).min() >= -1e-10
 
-    def test_multi_window_solve_converges(self):
-        # This solve still lowers its objective by about 1e-9 ||F||^2 per
-        # window when the residual test fires, so the stall test must
-        # let it run on through several windows.
+    def test_multi_window_solve_converges(self, monkeypatch):
+        # At a fixed penalty this solve still lowers its objective by
+        # about 1e-9 ||F||^2 per window when the residual test fires, so
+        # the stall test must let it run on through several windows.
         D, rhs = chain_problem(60, 20, 0.5)
+        monkeypatch.setattr(copinf, "_ADAPT_CUTOFF", 0)
         _, report = infer_constrained(D, rhs)
         assert report.stop_reason == "converged"
         assert report.iterations > 3 * copinf._STALL_WINDOW
@@ -657,9 +668,11 @@ class TestStopReasons:
         ("cli", copinf.DEFAULT_MAX_ITER, "stalled"),
         ("random", 5, "cap"),
     ])
-    def test_trace_has_one_row_per_iteration(self, rng, problem, max_iter,
-                                             reason):
+    def test_trace_has_one_row_per_iteration(self, rng, monkeypatch, problem,
+                                             max_iter, reason):
         D, rhs = cli_problem() if problem == "cli" else well_posed_problem(rng, 3)
+        if reason == "stalled":
+            zero_tolerances(monkeypatch)
         _, report = infer_constrained(D, rhs, max_iter=max_iter)
         assert report.stop_reason == reason
         np.testing.assert_array_equal(
@@ -667,10 +680,59 @@ class TestStopReasons:
         )
 
 
+def recorded_penalties(monkeypatch):
+    """The list that each ridge step's penalty is appended to, in order,
+    from here on."""
+    penalties = []
+
+    def recording(W, s, rhs_c, rho):
+        penalties.append(rho)
+        return _ridge_step(W, s, rhs_c, rho)
+
+    monkeypatch.setattr(copinf, "_ridge_step", recording)
+    return penalties
+
+
 class TestPenaltyBalancing:
     """Residual balancing moves a badly chosen initial penalty by factors
     of two, and the solve still reaches the optimum of the default
-    penalty."""
+    penalty. It compares each residual relative to its own scale, the
+    one the stop test measures it by."""
+
+    def test_balancing_on_relative_residuals_speeds_the_solve(
+            self, monkeypatch):
+        # The raw residuals of this solve stay within a factor of ten of
+        # each other, so balancing them kept the penalty at 1 and took
+        # 1,793 iterations. Relative to their scales the dual residual
+        # is the larger, so the penalty is lowered.
+        D, rhs = chain_problem(60, 20, 0.5)
+        penalties = recorded_penalties(monkeypatch)
+        rom, report = infer_constrained(D, rhs)
+        assert penalties[0] == copinf._PENALTY
+        assert min(penalties) < copinf._PENALTY
+        assert report.converged
+        assert report.iterations <= 1200
+        assert np.linalg.eigvalsh(rom.mass).min() >= DEFAULT_OMEGA - 1e-10
+        assert np.linalg.eigvalsh(rom.stiffness).min() >= DEFAULT_OMEGA - 1e-10
+        assert np.linalg.eigvalsh(rom.damping).min() >= -1e-10
+
+    def test_zero_dual_scale_leaves_the_penalty(self, rng, monkeypatch):
+        # At r = 1 an iterate inside its cones is its own projection to
+        # the bit, so the scaled dual variable U stays exactly zero: every
+        # balancing check meets ||U|| = 0, which gives no evidence on the
+        # dual side. Zero tolerances keep the solve running through many
+        # checks.
+        D = rng.standard_normal((3, 20))
+        rhs = np.array([[2.0, 0.3, 1.5]]) @ D + 0.01 * rng.standard_normal((1, 20))
+        zero_tolerances(monkeypatch)
+        penalties = recorded_penalties(monkeypatch)
+        rom, report = infer_constrained(D, rhs)
+        assert penalties == [copinf._PENALTY]
+        assert report.iterations >= copinf._ADAPT_CUTOFF
+        assert report.stop_reason == "stalled"
+        assert rom.mass[0, 0] >= DEFAULT_OMEGA
+        assert rom.stiffness[0, 0] >= DEFAULT_OMEGA
+        assert rom.damping[0, 0] >= 0.0
 
     def balanced_solve(self, rng, monkeypatch, penalty):
         """Solve from initial penalty ``penalty``, check that the solve
@@ -678,13 +740,7 @@ class TestPenaltyBalancing:
         its ridge steps were built at."""
         D, rhs = well_posed_problem(rng, 3, damping_sign=-1.0)
         ref_rom, ref = infer_constrained(D, rhs)
-        penalties = []
-
-        def recording(W, s, rhs_c, rho):
-            penalties.append(rho)
-            return _ridge_step(W, s, rhs_c, rho)
-
-        monkeypatch.setattr(copinf, "_ridge_step", recording)
+        penalties = recorded_penalties(monkeypatch)
         monkeypatch.setattr(copinf, "_PENALTY", penalty)
         rom, report = infer_constrained(D, rhs)
         assert penalties[0] == penalty

@@ -16,8 +16,8 @@ def readme_block(heading, language):
 
 
 def test_library_usage_block_converges():
-    # The README experiment: a constrained solve at r = 26, about 5 s at
-    # one BLAS thread. It must converge, not stall or stop at the cap.
+    # The README experiment: a constrained solve at r = 26, about 0.5 s
+    # at one BLAS thread. It must converge, not stall or stop at the cap.
     block = readme_block("## Library usage", "python")
     scope = {"__name__": "__main__"}
     exec(compile(block, "README.md, Library usage", "exec"), scope)
