@@ -79,7 +79,6 @@ from .opinf import infer, select_lambda
 from .copinf import DEFAULT_OMEGA, infer_constrained
 from .pod import PodBasis, _check_selector, compute_basis, intrusive_reduce
 from .snapshots import (
-    CSV_NAMES,
     TrajectoryData,
     assemble_force_data,
     assemble_opinf_data,
@@ -507,12 +506,13 @@ class _Results(dict):
     def _load_system(self) -> SecondOrderSystem:
         return _build_system(self.cfg)
 
-    def _load_train(self, blocks=tuple(CSV_NAMES)) -> TrajectoryData:
+    def _load_train(self, *blocks) -> TrajectoryData:
         """The first training columns of the ``fom/test`` block files
-        ``blocks`` (all by default)."""
+        named in ``blocks``, or of each one when none is named."""
         count = _train_columns(self.cfg)
-        data = load_csv(self._artifact("simulate", "fom", "test"), blocks,
-                        max_rows=count)
+        directory = self._artifact("simulate", "fom", "test")
+        data = (load_csv(directory, blocks, max_rows=count) if blocks
+                else load_csv(directory, max_rows=count))
         if data.num_snapshots < count:
             raise InvalidInputError(
                 f"the training window needs {count} snapshots, fom/test "
@@ -526,7 +526,7 @@ class _Results(dict):
         is needed."""
         if "train" in self:
             return self["train"].displacement
-        return self._load_train(["displacement"]).displacement
+        return self._load_train("displacement").displacement
 
     def _load_test(self) -> TrajectoryData:
         return load_csv(self._artifact("simulate", "fom", "test"),
