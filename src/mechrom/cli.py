@@ -18,12 +18,14 @@ stage-by-stage invocation reproduces a single ``run`` byte for byte:
     run                 all of the above plus manifest and timings
 
 Configuration lives in an INI file with one section per concern; each
-flag overrides one INI key and is parsed and checked as that key. All
-artifacts are plain text with 17 significant digits, so identical
-configuration produces identical bytes when the BLAS thread count is
-the same too: at another count a threaded BLAS kernel may sum in another
-order. The manifest records the thread counts of numpy's and scipy's
-OpenBLAS.
+flag overrides one INI key and is parsed and checked as that key. Every
+setting is checked before the first stage, by the rule of the code that
+uses it, except the length of x0 and v0 under kind = files: the system
+files give the dimension. All artifacts are plain text with 17
+significant digits, so identical configuration produces identical bytes
+when the BLAS thread count is the same too: at another count a threaded
+BLAS kernel may sum in another order. The manifest records the thread
+counts of numpy's and scipy's OpenBLAS.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 unreadable or
 inconsistent data, or data that does not fit in memory, 3 numerical
@@ -69,6 +71,7 @@ from .evaluate import (
 )
 from .model import (
     SecondOrderSystem,
+    _check_chain,
     build_mass_spring_chain,
     load_matrix,
     load_system,
@@ -76,7 +79,7 @@ from .model import (
 )
 from .newmark import IntegratorConfig, simulate
 from .opinf import infer, select_lambda
-from .copinf import DEFAULT_OMEGA, infer_constrained
+from .copinf import DEFAULT_OMEGA, _check_omega, infer_constrained
 from .pod import PodBasis, _check_selector, compute_basis, intrusive_reduce
 from .snapshots import (
     TrajectoryData,
@@ -162,12 +165,14 @@ def _parse_grid(section, key, raw):
     return _parse_float_list(section, key, raw)
 
 
-def _option(section, parse, default=None, *, key=None, factory=None):
-    """A config field read from ``[section] key`` by ``parse``; the key
-    is the field name unless given."""
-    metadata = {"section": section, "key": key, "parse": parse}
-    if factory is not None:
-        return field(default_factory=factory, metadata=metadata)
+def _option(section, parse, default=None, *, key=None, kind=None,
+            required=False):
+    """A config field read from ``[section] key`` by ``parse``, the key
+    being the field name unless given; a list default is copied per config."""
+    metadata = {"section": section, "key": key, "parse": parse,
+                "kind": kind, "required": required}
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata=metadata)
     return field(default=default, metadata=metadata)
 
 
@@ -176,24 +181,30 @@ class ExperimentConfig:
     """Fully resolved pipeline configuration; every field has its final
     value, defaults included, so the manifest can dump it verbatim.
 
-    Each field declares the INI section and key it is read from and the
-    parser of its value; this table is the only list of config keys.
+    Each field declares the INI section and key it is read from, the
+    parser of its value, whether it is required, and the system kind, if
+    any, under which alone it is read. This table is the only list of
+    config keys; ``kind`` comes first, as the fields read depend on it.
     """
 
     kind: str = _option("system", _parse_str, "chain")
-    n: int | None = _option("system", _parse_int)
-    masses: list = _option("system", _parse_float_list, factory=list)
-    stiffnesses: list = _option("system", _parse_float_list, factory=list)
+    n: int | None = _option("system", _parse_int, kind="chain", required=True)
+    masses: list = _option("system", _parse_float_list, [], kind="chain")
+    stiffnesses: list = _option("system", _parse_float_list, [], kind="chain")
     alpha_r: float = _option("system", _parse_float, 0.0)
     beta_r: float = _option("system", _parse_float, 0.0)
-    input_nodes: list = _option("system", _parse_int_list, factory=lambda: [0])
-    x0: list = _option("system", _parse_float_list, factory=list)
-    v0: list = _option("system", _parse_float_list, factory=list)
-    mass_path: str | None = _option("system", _parse_str)
-    damping_path: str | None = _option("system", _parse_str)
-    stiffness_path: str | None = _option("system", _parse_str)
-    input_path: str | None = _option("system", _parse_str)
-    dt: float = _option("integrator", _parse_float, 0.0)
+    input_nodes: list = _option("system", _parse_int_list, [0], kind="chain")
+    x0: list = _option("system", _parse_float_list, [])
+    v0: list = _option("system", _parse_float_list, [])
+    mass_path: str | None = _option("system", _parse_str, kind="files",
+                                    required=True)
+    damping_path: str | None = _option("system", _parse_str, kind="files",
+                                       required=True)
+    stiffness_path: str | None = _option("system", _parse_str, kind="files",
+                                         required=True)
+    input_path: str | None = _option("system", _parse_str, kind="files",
+                                     required=True)
+    dt: float = _option("integrator", _parse_float, 0.0, required=True)
     gamma: float | None = _option("integrator", _parse_float)
     beta: float | None = _option("integrator", _parse_float)
     alpha: float = _option("integrator", _parse_float, 0.0)
@@ -206,15 +217,15 @@ class ExperimentConfig:
     f0: float | None = _option("input", _parse_float)
     f1: float | None = _option("input", _parse_float)
     sweep_time: float | None = _option("input", _parse_float)
-    train_t_end: float = _option("training", _parse_float, 0.0, key="t_end")
-    test_t_end: float = _option("testing", _parse_float, 0.0, key="t_end")
+    train_t_end: float = _option("training", _parse_float, 0.0, key="t_end",
+                                 required=True)
+    test_t_end: float = _option("testing", _parse_float, 0.0, key="t_end",
+                                required=True)
     rank: int | None = _option("basis", _parse_int)
     tol: float | None = _option("basis", _parse_float)
     energy: float | None = _option("basis", _parse_float)
-    methods: list = _option("inference", _parse_str_list,
-                            factory=lambda: list(_METHODS))
-    lambda_grid: list = _option("inference", _parse_grid,
-                                factory=lambda: list(DEFAULT_LAMBDA_GRID))
+    methods: list = _option("inference", _parse_str_list, list(_METHODS))
+    lambda_grid: list = _option("inference", _parse_grid, DEFAULT_LAMBDA_GRID)
     omega: float = _option("inference", _parse_float, DEFAULT_OMEGA)
     directory: str = _option("output", _parse_str, "")
     seed: int = _option("output", _parse_int, 0)
@@ -242,11 +253,6 @@ _KNOWN_KEYS = {
     section: {k for s, k in _INI_KEYS.values() if s == section}
     for section, _ in _INI_KEYS.values()
 }
-
-# [system] keys read under one kind only; the other kind leaves them at
-# their defaults.
-_CHAIN_KEYS = ("n", "masses", "stiffnesses", "input_nodes")
-_FILES_KEYS = ("mass_path", "damping_path", "stiffness_path", "input_path")
 
 
 def _check_section(section, check, *args) -> None:
@@ -290,46 +296,19 @@ def load_config(path, overrides=None) -> ExperimentConfig:
             if key not in _KNOWN_KEYS[section]:
                 raise UsageError(f"unknown key {key!r} in section [{section}]")
 
-    def get(section, key, default=None):
-        if parser.has_option(section, key):
-            return parser.get(section, key).strip()
-        return default
-
     cfg = ExperimentConfig()
-    cfg.kind = get("system", "kind", cfg.kind)
-    if cfg.kind not in ("chain", "files"):
-        raise UsageError(f"[system] kind must be chain or files, got {cfg.kind!r}")
-    if cfg.kind == "chain":
-        skipped = _FILES_KEYS
-        # a single value broadcasts to every mass or spring below
-        cfg.masses, cfg.stiffnesses = [1.0], [1.0]
-    else:
-        skipped = _CHAIN_KEYS
     for f in fields(cfg):
         section, key = _INI_KEYS[f.name]
-        raw = get(section, key)
-        if raw is not None and f.name not in skipped:
-            setattr(cfg, f.name, f.metadata["parse"](section, key, raw))
-
-    # system
-    if cfg.kind == "chain":
-        if cfg.n is None:
-            raise UsageError("[system] n is required for kind = chain")
-        if cfg.n < 1:
-            raise UsageError(f"[system] n must be >= 1, got {cfg.n}")
-        if len(cfg.masses) == 1:
-            cfg.masses = cfg.masses * cfg.n
-        if len(cfg.stiffnesses) == 1:
-            cfg.stiffnesses = cfg.stiffnesses * (cfg.n + 1)
-    else:
-        for key in _FILES_KEYS:
-            if getattr(cfg, key) is None:
-                raise UsageError(f"[system] {key} is required for kind = files")
-
-    for section, key in (("integrator", "dt"), ("training", "t_end"),
-                         ("testing", "t_end")):
-        if get(section, key) is None:
-            raise UsageError(f"[{section}] {key} is required")
+        kind, raw = f.metadata["kind"], parser.get(section, key, fallback=None)
+        if kind not in (None, cfg.kind):
+            continue
+        if raw is not None:
+            setattr(cfg, f.name, f.metadata["parse"](section, key, raw.strip()))
+        elif f.metadata["required"]:
+            raise UsageError(f"[{section}] {key} is required"
+                             + (f" for kind = {kind}" if kind else ""))
+    if cfg.kind not in ("chain", "files"):
+        raise UsageError(f"[system] kind must be chain or files, got {cfg.kind!r}")
 
     # input signal
     if cfg.waveform not in _WAVEFORMS:
@@ -357,6 +336,20 @@ def load_config(path, overrides=None) -> ExperimentConfig:
 
     # The rules of the code that uses these settings, run here so that
     # every command fails before its first stage.
+    if cfg.kind == "chain":
+        # One value, 1.0 where the key is unset, is every mass or spring.
+        for name, count in (("masses", cfg.n), ("stiffnesses", cfg.n + 1)):
+            given = parser.has_option("system", name)
+            values = getattr(cfg, name) if given else [1.0]
+            if len(values) == 1:
+                setattr(cfg, name, values * count)
+        _check_section("system", _check_chain, cfg.n, cfg.masses,
+                       cfg.stiffnesses, cfg.alpha_r, cfg.beta_r,
+                       cfg.input_nodes)
+        try:
+            _initial_conditions(cfg, cfg.n)
+        except InvalidInputError as exc:
+            raise UsageError(str(exc)) from exc
     _check_section("integrator", _integrator, cfg)
     _check_section("training", _train_columns, cfg)
     _check_section("basis", _check_selector, cfg.rank, cfg.tol, cfg.energy)
@@ -383,8 +376,7 @@ def load_config(path, overrides=None) -> ExperimentConfig:
             "[inference] lambda_grid values must be distinct, got "
             + ", ".join(str(g) for g in cfg.lambda_grid)
         )
-    if cfg.omega <= 0.0:
-        raise UsageError(f"[inference] omega must be positive, got {cfg.omega}")
+    _check_section("inference", _check_omega, cfg.omega)
     return cfg
 
 
@@ -753,9 +745,9 @@ def run(cfg: ExperimentConfig, outdir) -> None:
     # so the manifest does not depend on where the run was made.
     config = cfg.manifest_dict()
     system = config["system"]
-    for name in _FILES_KEYS:
-        if system[name] is not None:
-            system[name] = os.path.relpath(system[name], outdir)
+    for f in fields(cfg):
+        if f.metadata["kind"] == "files" and system[f.name] is not None:
+            system[f.name] = os.path.relpath(system[f.name], outdir)
     manifest = {
         "tool": "mechrom",
         "version": __version__,

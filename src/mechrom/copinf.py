@@ -239,6 +239,11 @@ def _ridge_step(W, s, rhs_c, rho: float):
     return step, (W * filt) @ rhs_c.T
 
 
+def _check_omega(omega) -> None:
+    if omega <= 0.0 or not np.isfinite(omega):
+        raise InvalidParameterError(f"omega must be positive, got {omega}")
+
+
 def infer_constrained(
     D,
     rhs,
@@ -275,8 +280,7 @@ def infer_constrained(
         raise InvalidInputError(
             f"data matrix must have 3 x {r} rows, got {D.shape[0]}"
         )
-    if omega <= 0.0 or not np.isfinite(omega):
-        raise InvalidParameterError(f"omega must be positive, got {omega}")
+    _check_omega(omega)
     if (isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral)
             or max_iter < 1):
         raise InvalidParameterError(

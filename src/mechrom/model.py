@@ -152,12 +152,14 @@ def rayleigh_damping(mass, stiffness, alpha_r: float, beta_r: float):
             f"mass and stiffness must be square with equal shape, "
             f"got {M.shape} and {K.shape}"
         )
-    if alpha_r < 0.0 or beta_r < 0.0:
-        raise InvalidParameterError(
-            f"damping coefficients must be nonnegative, got "
-            f"alpha_r={alpha_r}, beta_r={beta_r}"
-        )
+    _check_rayleigh(alpha_r, beta_r)
     return alpha_r * M + beta_r * K
+
+
+def _check_rayleigh(alpha_r, beta_r) -> None:
+    if alpha_r < 0.0 or beta_r < 0.0:
+        raise InvalidParameterError("alpha_r and beta_r must be nonnegative, "
+                                    f"got alpha_r={alpha_r}, beta_r={beta_r}")
 
 
 def build_mass_spring_chain(
@@ -197,30 +199,10 @@ def build_mass_spring_chain(
     SecondOrderSystem
         Sparse mass, damping and stiffness, dense (n, m) input map.
     """
-    if n < 1:
-        raise InvalidParameterError(f"chain needs at least one mass, got n={n}")
     masses = np.asarray(masses, dtype=float).ravel()
     stiffnesses = np.asarray(stiffnesses, dtype=float).ravel()
-    if masses.shape != (n,):
-        raise InvalidParameterError(
-            f"expected {n} masses, got {masses.shape[0]}"
-        )
-    if stiffnesses.shape != (n + 1,):
-        raise InvalidParameterError(
-            f"expected {n + 1} spring constants, got {stiffnesses.shape[0]}"
-        )
-    if np.any(masses <= 0.0):
-        raise InvalidParameterError("all masses must be positive")
-    if np.any(stiffnesses <= 0.0):
-        raise InvalidParameterError("all spring constants must be positive")
     input_nodes = list(input_nodes)
-    if len(input_nodes) == 0:
-        raise InvalidParameterError("at least one input node is required")
-    for node in input_nodes:
-        if not 0 <= int(node) < n:
-            raise InvalidParameterError(
-                f"input node {node} outside range [0, {n - 1}]"
-            )
+    _check_chain(n, masses, stiffnesses, alpha_r, beta_r, input_nodes)
 
     M = sp.csr_array(sp.diags(masses))
     coupling = -stiffnesses[1:-1]
@@ -232,6 +214,27 @@ def build_mass_spring_chain(
     for j, node in enumerate(input_nodes):
         B[int(node), j] = 1.0
     return SecondOrderSystem(M, C, K, B)
+
+
+def _check_chain(n, masses, stiffnesses, alpha_r, beta_r, input_nodes) -> None:
+    """Raise InvalidParameterError unless the arguments describe a chain
+    for :func:`build_mass_spring_chain`; ``input_nodes`` is a sequence."""
+    if n < 1:
+        raise InvalidParameterError(f"n must be >= 1, got {n}")
+    for name, values, count in (("masses", masses, n),
+                                ("stiffnesses", stiffnesses, n + 1)):
+        if np.size(values) != count:
+            raise InvalidParameterError(
+                f"expected {count} {name}, got {np.size(values)}")
+        if np.any(np.less_equal(values, 0.0)):
+            raise InvalidParameterError(f"all {name} must be positive")
+    if len(input_nodes) == 0:
+        raise InvalidParameterError("input_nodes must not be empty")
+    for node in input_nodes:
+        if not 0 <= int(node) < n:
+            raise InvalidParameterError(
+                f"input_nodes entry {node} outside range [0, {n - 1}]")
+    _check_rayleigh(alpha_r, beta_r)
 
 
 # ---------------------------------------------------------------------------

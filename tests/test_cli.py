@@ -204,6 +204,15 @@ class TestLoadConfig:
                            match="damping_path is required for kind = files"):
             load_config(path)
 
+    def test_keys_of_the_other_kind_are_ignored(self, tmp_path):
+        chain = load_config(config_file(
+            tmp_path, {"system": {"mass_path": "nowhere.mtx"}}))
+        assert chain.mass_path is None
+        files = load_config(config_file(
+            tmp_path, {"system": {**FILES_SYSTEM, "n": "abc"}}))
+        assert files.n is None
+        assert files.manifest_dict()["system"]["n"] is None
+
     def test_dt_required(self, tmp_path):
         path = config_file(tmp_path, drop=[("integrator", "dt")])
         with pytest.raises(UsageError, match=r"\[integrator\] dt is required"):
@@ -599,6 +608,37 @@ class TestInvocationErrors:
         assert main([command, "--config", cfg, "--out", str(out)]) == 1
         assert "error in stage 'configure': [integrator] alpha must lie in " \
             "[-1/3, 0], got 0.5" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "basis", "infer",
+                                         "infer-constrained", "evaluate",
+                                         "run"])
+    @pytest.mark.parametrize("updates, message", [
+        ({"system": {"n": "0"}}, "[system] n must be >= 1, got 0"),
+        ({"system": {"masses": "-1"}}, "[system] all masses must be positive"),
+        ({"system": {"masses": "1, 1, 1"}},
+         "[system] expected 4 masses, got 3"),
+        ({"system": {"stiffnesses": "0"}},
+         "[system] all stiffnesses must be positive"),
+        ({"system": {"input_nodes": "7"}},
+         "[system] input_nodes entry 7 outside range [0, 3]"),
+        ({"system": {"input_nodes": ""}},
+         "[system] input_nodes must not be empty"),
+        ({"system": {"alpha_r": "-1"}},
+         "[system] alpha_r and beta_r must be nonnegative"),
+        ({"system": {"x0": "0.1, 0.2"}},
+         "[system] x0 has 2 entries for dimension 4"),
+        ({"inference": {"omega": "0"}},
+         "[inference] omega must be positive, got 0.0"),
+    ], ids=["n", "masses", "mass-count", "stiffnesses", "input-node",
+            "no-input-node", "alpha_r", "x0", "omega"])
+    def test_bad_setting_fails_every_command_at_configure(
+            self, tmp_path, capsys, command, updates, message):
+        cfg = config_file(tmp_path, updates)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert f"error in stage 'configure': {message}" in \
+            capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_flag_exits_with_usage_code(self, tmp_path):
@@ -1352,12 +1392,29 @@ class TestStageFailures:
         assert "identically zero" in err
 
     def test_initial_condition_length_mismatch(self, tmp_path, capsys):
+        # A chain's dimension is a setting, so this is a configuration
+        # error, found before any stage runs.
         cfg = config_file(tmp_path, {"system": {"x0": "0.1, 0.2"}})
+        out = tmp_path / "o"
+        code = main(["simulate", "--config", cfg, "--out", str(out)])
+        assert code == 1
+        assert "error in stage 'configure': [system] x0 has 2 entries " \
+            "for dimension 4" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_initial_condition_length_mismatch_with_system_files(
+            self, tmp_path, capsys):
+        # The system files give the dimension: the first stage that reads
+        # them finds the mismatch.
+        cfg = files_kind_config(tmp_path)
+        with open(cfg, "r+", encoding="ascii") as fh:
+            text = fh.read().replace("[system]\n", "[system]\nx0 = 0.1, 0.2\n")
+            fh.seek(0)
+            fh.write(text)
         code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 2
-        err = capsys.readouterr().err
-        assert "x0 has 2 entries for dimension 4" in err
-        assert "error in stage 'simulate'" in err
+        assert "error in stage 'simulate': [system] x0 has 2 entries for " \
+            "dimension 3" in capsys.readouterr().err
 
     def test_diverging_replay_is_numerical_error(self, tmp_path, capsys):
         # At dt = 1e-4 the trapezoidal rule maps the unstable pair +-1e4 of
