@@ -44,6 +44,7 @@ import platform
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
+from typing import get_args
 
 import numpy as np
 import scipy
@@ -99,7 +100,6 @@ EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
 _METHODS = ("pod", "opinf", "copinf")
-_WAVEFORMS = ("sine", "constant", "chirp")
 
 # Default regularization sweep: no regularization plus a log-spaced
 # ladder from 1e-12 to 1.
@@ -115,61 +115,39 @@ class UsageError(MechromError):
 # ---------------------------------------------------------------------------
 
 
-def _parse_str(section, key, raw):
-    return raw
+# What a bad value of a type must be instead, alone and in a comma list.
+_TYPE_WORDS = {
+    int: ("an integer, got {raw!r}", "a comma list of ints"),
+    float: ("a number, got {raw!r}", "a comma-separated number list"),
+}
 
 
-def _parse_float(section, key, raw):
-    try:
-        value = float(raw)
-    except ValueError:
-        raise UsageError(f"[{section}] {key} must be a number, got {raw!r}")
-    if not math.isfinite(value):
-        raise UsageError(f"[{section}] {key} must be finite, got {raw!r}")
-    return value
-
-
-def _parse_int(section, key, raw):
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"[{section}] {key} must be an integer, got {raw!r}")
-
-
-def _parse_float_list(section, key, raw):
-    try:
-        values = [float(p) for p in raw.split(",") if p.strip()]
-    except ValueError:
-        raise UsageError(
-            f"[{section}] {key} must be a comma-separated number list"
-        )
-    if not all(math.isfinite(v) for v in values):
-        raise UsageError(f"[{section}] {key} must be finite, got {raw!r}")
-    return values
-
-
-def _parse_int_list(section, key, raw):
-    try:
-        return [int(p) for p in raw.split(",") if p.strip()]
-    except ValueError:
-        raise UsageError(f"[{section}] {key} must be a comma list of ints")
-
-
-def _parse_str_list(section, key, raw):
-    return [p.strip() for p in raw.split(",") if p.strip()]
-
-
-def _parse_grid(section, key, raw):
-    if raw == "default":
+def _parse(section, key, raw, type):
+    """``raw`` read as a value of ``type``: ``str``, ``int``, ``float`` or
+    a comma list of one of them (``list[float]``, say). ``lambda_grid``'s
+    word ``default`` is the default grid."""
+    if key == "lambda_grid" and raw == "default":
         return list(DEFAULT_LAMBDA_GRID)
-    return _parse_float_list(section, key, raw)
+    (item,) = get_args(type) or (type,)
+    listed = item is not type
+    texts = ([t.strip() for t in raw.split(",") if t.strip()] if listed
+             else [raw])
+    try:
+        values = [item(text) for text in texts]
+    except ValueError:
+        words = _TYPE_WORDS[item][listed].format(raw=raw)
+        raise UsageError(f"[{section}] {key} must be {words}")
+    if item is float and not all(math.isfinite(v) for v in values):
+        raise UsageError(f"[{section}] {key} must be finite, got {raw!r}")
+    return values if listed else values[0]
 
 
-def _option(section, parse, default=None, *, key=None, kind=None,
+def _option(section, type, default=None, *, key=None, kind=None,
             required=False):
-    """A config field read from ``[section] key`` by ``parse``, the key
-    being the field name unless given; a list default is copied per config."""
-    metadata = {"section": section, "key": key, "parse": parse,
+    """A config field of value ``type`` (see :func:`_parse`) read from
+    ``[section] key``, the key being the field name unless given; a list
+    default is copied per config."""
+    metadata = {"section": section, "key": key, "type": type,
                 "kind": kind, "required": required}
     if isinstance(default, list):
         return field(default_factory=lambda: list(default), metadata=metadata)
@@ -182,53 +160,53 @@ class ExperimentConfig:
     value, defaults included, so the manifest can dump it verbatim.
 
     Each field declares the INI section and key it is read from, the
-    parser of its value, whether it is required, and the system kind, if
+    type of its value, whether it is required, and the system kind, if
     any, under which alone it is read. This table is the only list of
     config keys; ``kind`` comes first, as the fields read depend on it.
     """
 
-    kind: str = _option("system", _parse_str, "chain")
-    n: int | None = _option("system", _parse_int, kind="chain", required=True)
-    masses: list = _option("system", _parse_float_list, [], kind="chain")
-    stiffnesses: list = _option("system", _parse_float_list, [], kind="chain")
-    alpha_r: float = _option("system", _parse_float, 0.0)
-    beta_r: float = _option("system", _parse_float, 0.0)
-    input_nodes: list = _option("system", _parse_int_list, [0], kind="chain")
-    x0: list = _option("system", _parse_float_list, [])
-    v0: list = _option("system", _parse_float_list, [])
-    mass_path: str | None = _option("system", _parse_str, kind="files",
+    kind: str = _option("system", str, "chain")
+    n: int | None = _option("system", int, kind="chain", required=True)
+    masses: list = _option("system", list[float], [], kind="chain")
+    stiffnesses: list = _option("system", list[float], [], kind="chain")
+    alpha_r: float = _option("system", float, 0.0, kind="chain")
+    beta_r: float = _option("system", float, 0.0, kind="chain")
+    input_nodes: list = _option("system", list[int], [0], kind="chain")
+    x0: list = _option("system", list[float], [])
+    v0: list = _option("system", list[float], [])
+    mass_path: str | None = _option("system", str, kind="files",
                                     required=True)
-    damping_path: str | None = _option("system", _parse_str, kind="files",
+    damping_path: str | None = _option("system", str, kind="files",
                                        required=True)
-    stiffness_path: str | None = _option("system", _parse_str, kind="files",
+    stiffness_path: str | None = _option("system", str, kind="files",
                                          required=True)
-    input_path: str | None = _option("system", _parse_str, kind="files",
+    input_path: str | None = _option("system", str, kind="files",
                                      required=True)
-    dt: float = _option("integrator", _parse_float, 0.0, required=True)
-    gamma: float | None = _option("integrator", _parse_float)
-    beta: float | None = _option("integrator", _parse_float)
-    alpha: float = _option("integrator", _parse_float, 0.0)
-    waveform: str = _option("input", _parse_str, "sine")
-    amplitude: float = _option("input", _parse_float, 1.0)
-    frequency: float | None = _option("input", _parse_float)
-    angular_frequency: float | None = _option("input", _parse_float)
-    phase: float = _option("input", _parse_float, 0.0)
-    value: float = _option("input", _parse_float, 1.0)
-    f0: float | None = _option("input", _parse_float)
-    f1: float | None = _option("input", _parse_float)
-    sweep_time: float | None = _option("input", _parse_float)
-    train_t_end: float = _option("training", _parse_float, 0.0, key="t_end",
+    dt: float = _option("integrator", float, 0.0, required=True)
+    gamma: float | None = _option("integrator", float)
+    beta: float | None = _option("integrator", float)
+    alpha: float = _option("integrator", float, 0.0)
+    waveform: str = _option("input", str, "sine")
+    amplitude: float = _option("input", float, 1.0)
+    frequency: float | None = _option("input", float)
+    angular_frequency: float | None = _option("input", float)
+    phase: float = _option("input", float, 0.0)
+    value: float = _option("input", float, 1.0)
+    f0: float | None = _option("input", float)
+    f1: float | None = _option("input", float)
+    sweep_time: float | None = _option("input", float)
+    train_t_end: float = _option("training", float, 0.0, key="t_end",
                                  required=True)
-    test_t_end: float = _option("testing", _parse_float, 0.0, key="t_end",
+    test_t_end: float = _option("testing", float, 0.0, key="t_end",
                                 required=True)
-    rank: int | None = _option("basis", _parse_int)
-    tol: float | None = _option("basis", _parse_float)
-    energy: float | None = _option("basis", _parse_float)
-    methods: list = _option("inference", _parse_str_list, list(_METHODS))
-    lambda_grid: list = _option("inference", _parse_grid, DEFAULT_LAMBDA_GRID)
-    omega: float = _option("inference", _parse_float, DEFAULT_OMEGA)
-    directory: str = _option("output", _parse_str, "")
-    seed: int = _option("output", _parse_int, 0)
+    rank: int | None = _option("basis", int)
+    tol: float | None = _option("basis", float)
+    energy: float | None = _option("basis", float)
+    methods: list = _option("inference", list[str], list(_METHODS))
+    lambda_grid: list = _option("inference", list[float], DEFAULT_LAMBDA_GRID)
+    omega: float = _option("inference", float, DEFAULT_OMEGA)
+    directory: str = _option("output", str, "")
+    seed: int = _option("output", int, 0)
 
     def manifest_dict(self) -> dict:
         """The configuration by INI section and key, with the gamma and
@@ -303,31 +281,15 @@ def load_config(path, overrides=None) -> ExperimentConfig:
         if kind not in (None, cfg.kind):
             continue
         if raw is not None:
-            setattr(cfg, f.name, f.metadata["parse"](section, key, raw.strip()))
+            setattr(cfg, f.name,
+                    _parse(section, key, raw.strip(), f.metadata["type"]))
         elif f.metadata["required"]:
             raise UsageError(f"[{section}] {key} is required"
                              + (f" for kind = {kind}" if kind else ""))
     if cfg.kind not in ("chain", "files"):
         raise UsageError(f"[system] kind must be chain or files, got {cfg.kind!r}")
 
-    # input signal
-    if cfg.waveform not in _WAVEFORMS:
-        raise UsageError(
-            f"[input] waveform must be one of {', '.join(_WAVEFORMS)}, "
-            f"got {cfg.waveform!r}"
-        )
-    if cfg.waveform == "sine":
-        given = (cfg.frequency is not None) + (cfg.angular_frequency is not None)
-        if given != 1:
-            raise UsageError(
-                "[input] sine needs exactly one of frequency, angular_frequency"
-            )
-    if cfg.waveform == "chirp":
-        if cfg.f0 is None or cfg.f1 is None or cfg.sweep_time is None:
-            raise UsageError("[input] chirp needs f0, f1, and sweep_time")
-        if cfg.sweep_time <= 0.0:
-            raise UsageError("[input] sweep_time must be positive")
-
+    _check_section("input", _waveform, cfg)
     if cfg.test_t_end < cfg.train_t_end:
         raise UsageError(
             f"[testing] t_end ({cfg.test_t_end}) must be >= "
@@ -407,7 +369,12 @@ def _build_system(cfg: ExperimentConfig) -> SecondOrderSystem:
 
 
 def _waveform(cfg: ExperimentConfig):
+    """The input signal that ``[input]`` names, a function of time;
+    InvalidParameterError where its keys name none."""
     if cfg.waveform == "sine":
+        if (cfg.frequency is None) == (cfg.angular_frequency is None):
+            raise InvalidParameterError(
+                "sine needs exactly one of frequency, angular_frequency")
         w = (
             cfg.angular_frequency
             if cfg.angular_frequency is not None
@@ -416,7 +383,14 @@ def _waveform(cfg: ExperimentConfig):
         return lambda t: cfg.amplitude * np.sin(w * t + cfg.phase)
     if cfg.waveform == "constant":
         return lambda t: cfg.value
+    if cfg.waveform != "chirp":
+        raise InvalidParameterError("waveform must be one of sine, constant, "
+                                    f"chirp, got {cfg.waveform!r}")
     f0, f1, sweep = cfg.f0, cfg.f1, cfg.sweep_time
+    if None in (f0, f1, sweep):
+        raise InvalidParameterError("chirp needs f0, f1, and sweep_time")
+    if sweep <= 0.0:
+        raise InvalidParameterError("sweep_time must be positive")
 
     def chirp(t):
         return cfg.amplitude * np.sin(
@@ -827,30 +801,21 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name.replace("_", "-"),
                            help=(fn.__doc__ or "").partition("\n")[0])
         p.add_argument("--config", required=True, help="INI configuration file")
-        p.add_argument("--out", help="artifact directory ([output] directory)")
-        p.add_argument("--method", action="append",
+        p.add_argument("--out", dest="directory",
+                       help="artifact directory ([output] directory)")
+        p.add_argument("--method", dest="methods", action="append",
                        help="methods ([inference] methods; repeatable, "
                             "comma lists allowed)")
         selector = p.add_mutually_exclusive_group()
         selector.add_argument("--rank", help="basis rank ([basis] rank)")
         selector.add_argument("--tol",
                               help="basis truncation tolerance ([basis] tol)")
-        p.add_argument("--lambda", dest="lam",
+        p.add_argument("--lambda", dest="lambda_grid",
                        help="regularization grid ([inference] lambda_grid)")
         p.add_argument("--omega",
                        help="definiteness margin ([inference] omega)")
     return parser
 
-
-# Each flag's destination and the INI key it overrides.
-_FLAG_KEYS = {
-    "out": ("output", "directory"),
-    "method": ("inference", "methods"),
-    "rank": ("basis", "rank"),
-    "tol": ("basis", "tol"),
-    "lam": ("inference", "lambda_grid"),
-    "omega": ("inference", "omega"),
-}
 
 _DATA_ERRORS = (
     FormatError,
@@ -872,12 +837,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     stage = "configure"
     try:
+        # Each flag's destination is the field whose key it overrides.
         overrides = {}
-        for dest, key in _FLAG_KEYS.items():
-            value = getattr(args, dest)
-            if value is not None:
+        for name, value in vars(args).items():
+            if name in _INI_KEYS and value is not None:
                 # repeated --method values join into one comma list
-                overrides[key] = ",".join(value) if dest == "method" else value
+                overrides[_INI_KEYS[name]] = (
+                    ",".join(value) if name == "methods" else value)
         cfg = load_config(args.config, overrides)
         if not cfg.directory:
             raise UsageError("no output directory: set [output] directory "

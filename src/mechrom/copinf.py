@@ -389,14 +389,14 @@ def infer_constrained(
                 and primal_scale > 0.0 and dual_scale > 0.0):
             primal_rel = primal / primal_scale
             dual_rel = dual / dual_scale
-            if primal_rel > _ADAPT_RATIO * dual_rel:
-                rho *= _ADAPT_FACTOR
-                U /= _ADAPT_FACTOR
-                step, offset = _ridge_step(W, s, rhs_c, rho)
-                last_adapt = it
-            elif dual_rel > _ADAPT_RATIO * primal_rel:
-                rho /= _ADAPT_FACTOR
-                U *= _ADAPT_FACTOR
+            # The scaled dual U = y / rho moves against the penalty. The
+            # factor is a power of two, so both scalings are exact.
+            factor = (_ADAPT_FACTOR if primal_rel > _ADAPT_RATIO * dual_rel
+                      else 1.0 / _ADAPT_FACTOR
+                      if dual_rel > _ADAPT_RATIO * primal_rel else 1.0)
+            if factor != 1.0:
+                rho *= factor
+                U /= factor
                 step, offset = _ridge_step(W, s, rhs_c, rho)
                 last_adapt = it
 

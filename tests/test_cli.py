@@ -208,10 +208,14 @@ class TestLoadConfig:
         chain = load_config(config_file(
             tmp_path, {"system": {"mass_path": "nowhere.mtx"}}))
         assert chain.mass_path is None
-        files = load_config(config_file(
-            tmp_path, {"system": {**FILES_SYSTEM, "n": "abc"}}))
-        assert files.n is None
-        assert files.manifest_dict()["system"]["n"] is None
+        # Rayleigh damping is the chain builder's; the files give the
+        # damping matrix.
+        files = load_config(config_file(tmp_path, {"system": {
+            **FILES_SYSTEM, "n": "abc", "alpha_r": "-1", "beta_r": "-1"}}))
+        assert (files.n, files.alpha_r, files.beta_r) == (None, 0.0, 0.0)
+        system = files.manifest_dict()["system"]
+        assert (system["n"], system["alpha_r"], system["beta_r"]) == \
+            (None, 0.0, 0.0)
 
     def test_dt_required(self, tmp_path):
         path = config_file(tmp_path, drop=[("integrator", "dt")])
@@ -227,6 +231,18 @@ class TestLoadConfig:
         path = config_file(tmp_path, {"integrator": {"dt": "fast"}})
         with pytest.raises(UsageError, match="dt must be a number, got 'fast'"):
             load_config(path)
+
+    @pytest.mark.parametrize("section, key, raw, message", [
+        ("basis", "rank", "", "[basis] rank must be an integer, got ''"),
+        ("system", "masses", "1, x",
+         "[system] masses must be a comma-separated number list"),
+    ])
+    def test_value_not_of_its_kind_rejected(self, tmp_path, section, key,
+                                            raw, message):
+        path = config_file(tmp_path, {section: {key: raw}})
+        with pytest.raises(UsageError) as excinfo:
+            load_config(path)
+        assert str(excinfo.value) == message
 
     def test_rank_must_be_integer(self, tmp_path):
         path = config_file(tmp_path, {"basis": {"rank": "2.5"}})
@@ -860,6 +876,19 @@ class TestPipeline:
             assert not os.path.isabs(system[key])
             for out in outs:
                 assert os.path.samefile(out / system[key], tmp_path / name)
+
+    def test_manifest_without_blas_build_dicts(self, tmp_path, monkeypatch):
+        # numpy before 1.25 has no show_config(mode=...); it only prints
+        # its build configuration, so the BLAS name and version are unknown.
+        monkeypatch.setattr(np, "show_config", lambda: None)
+        out = tmp_path / "o"
+        assert main(["run", "--config", config_file(tmp_path),
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text("ascii"))
+        assert manifest["environment"]["blas"] == {
+            "name": None, "version": None,
+            "threads": cli._blas_threads(_umath_linalg),
+            "scipy_threads": cli._blas_threads(_flapack)}
 
     def test_blas_thread_probe_reads_the_environment(self):
         # OpenBLAS takes its thread count from OPENBLAS_NUM_THREADS when it

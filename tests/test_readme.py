@@ -29,3 +29,11 @@ def test_configuration_block_loads(tmp_path):
     path.write_text(readme_block("### Configuration", "ini"), encoding="utf-8")
     cfg = cli.load_config(path)
     assert (cfg.n, cfg.tol, cfg.methods) == (200, 1e-2, ["pod", "opinf", "copinf"])
+
+
+def test_configuration_section_names_every_key():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n### Configuration\n", 1)[1].split("\n### ", 1)[0]
+    missing = sorted({key for _, key in cli._INI_KEYS.values()
+                      if not re.search(rf"\b{key}\b", section)})
+    assert not missing
