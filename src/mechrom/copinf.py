@@ -16,14 +16,12 @@ Penalty Parameter Selection by Residual Balancing", arXiv:1704.06209,
 2017): it balances the primal and dual residuals, each relative to the
 scale that the stop test measures it by. The projection leaves a block
 that a Cholesky factorization shows to be inside its cone as it is,
-and eigendecomposes only the others; near
-the solution that is usually the damping block alone. Within one solve
-a block gets that test only if the previous projection found it
-inside, so a block that stays outside its cone goes straight to the
-decomposition. Each test and each decomposition is one direct LAPACK
-call on one block (``dpotrf``, ``dsyevd``). Besides the projection, an
-iteration costs two products (the cached ridge map, and the reduced
-data for the objective) and a few in-place updates of 3r x r buffers.
+and eigendecomposes only the others; near the solution that is usually
+the damping block alone. Every projection tests every block, and each
+test and each decomposition is one direct LAPACK call on one block
+(``dpotrf``, ``dsyevd``). Besides the projection, an iteration costs
+two products (the cached ridge map, and the reduced data for the
+objective) and a few in-place updates of 3r x r buffers.
 The ridge map is built from the same compression of the data as the
 warm start and the objective, ``opinf.compress``, so the data are
 factored once per solve.
@@ -147,7 +145,7 @@ def project_psd(A, shift=0.0) -> np.ndarray:
     A Cholesky factorization of the symmetric part minus ``shift * I``
     tells whether it already lies in its cone; such a matrix is its own
     projection and is returned as it is. Only the matrices that fail
-    this test are eigendecomposed. Every call tests every matrix.
+    this test are eigendecomposed.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
@@ -164,28 +162,21 @@ def project_psd(A, shift=0.0) -> np.ndarray:
     stack = A.reshape((count,) + A.shape[-2:]).copy()
     shifts = np.broadcast_to(shift, A.shape[:-2]).reshape(count)
     shifted_eye = shifts[:, None, None] * np.eye(A.shape[-1])
-    _project_stack(stack, shifts, shifted_eye, np.ones(count, dtype=bool))
+    _project_stack(stack, shifts, shifted_eye)
     return stack.reshape(A.shape)
 
 
-def _project_stack(A, shifts, shifted_eye, inside) -> None:
+def _project_stack(A, shifts, shifted_eye) -> None:
     """``project_psd`` of an ``(m, r, r)`` stack with one shift per
     matrix, in place, for callers that have checked the shape and the
     shifts. ``shifted_eye`` is the stack ``shifts[:, None, None] * I``,
     which a caller that projects many times forms once.
 
-    ``inside`` is a boolean array with one entry per matrix. On entry it
-    says which matrices get the Cholesky test; the others go straight to
-    the eigendecomposition, which projects a matrix inside its cone too,
-    only with other rounding. On return it says which matrices were
-    found inside: those that factored, and those whose decomposition
-    raised no eigenvalue.
-
-    Each matrix due a test is factored by one ``dpotrf`` call, and each
-    matrix to decompose by one ``dsyevd`` call, both on the lower
-    triangle as ``numpy.linalg.cholesky`` and ``eigh`` use it; one
-    product then applies the raised eigenvalues to the decomposed
-    matrix in place.
+    Each matrix is factored by one ``dpotrf`` call, and each matrix
+    that fails to factor is decomposed by one ``dsyevd`` call, both on
+    the lower triangle as ``numpy.linalg.cholesky`` and ``eigh`` use
+    it; one product then applies the raised eigenvalues to the
+    decomposed matrix in place.
 
     Raises InvalidInputError when ``A`` has a non-finite entry: a
     Cholesky factorization of a NaN matrix returns NaNs instead of
@@ -202,7 +193,7 @@ def _project_stack(A, shifts, shifted_eye, inside) -> None:
     r = A.shape[-1]
     lwork, liwork = 1 + 6 * r + 2 * r * r, 3 + 5 * r
     for i, block in enumerate(A):
-        if inside[i] and _potrf((block - shifted_eye[i]).T, 1, 0, 1)[1] == 0:
+        if _potrf((block - shifted_eye[i]).T, 1, 0, 1)[1] == 0:
             continue
         # dsyevd(a, compute_v=1, lower=1, lwork, liwork, overwrite_a=1),
         # with the minimal workspace for eigenvectors (the wrapper's
@@ -211,7 +202,6 @@ def _project_stack(A, shifts, shifted_eye, inside) -> None:
         w, _, info = _syevd(block.T, 1, 1, lwork, liwork, 1)
         if info:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        inside[i] = w[0] >= shifts[i]
         np.maximum(w, shifts[i], out=w)
         S = (block.T * w) @ block
         np.add(S, S.T, out=block)
@@ -318,11 +308,9 @@ def infer_constrained(
     # [M; E; K] of its blocks, so that the (3, r, r) stack it projects is
     # a view. The blocks it returns are exactly symmetric, so the layout
     # does not show. Warm start from the projected unconstrained
-    # minimizer. A block gets the Cholesky test only if the previous
-    # projection found it inside its cone; the warm start tests all three.
+    # minimizer.
     Z = W @ (rhs_c * ridge_filter(s)).T
-    inside = np.ones(3, dtype=bool)
-    _project_stack(Z.reshape(3, r, r), shifts, shifted_eye, inside)
+    _project_stack(Z.reshape(3, r, r), shifts, shifted_eye)
     # The objective's operands, transposed as the iterate is; the
     # subtracted one in C order, as the product it is subtracted from.
     data_range = (W * s).T
@@ -359,7 +347,7 @@ def infer_constrained(
         np.multiply(Z_prev, 1.0 - _RELAX, out=work)
         P_relaxed += work
         np.add(P_relaxed, U, out=Z)
-        _project_stack(Z.reshape(3, r, r), shifts, shifted_eye, inside)
+        _project_stack(Z.reshape(3, r, r), shifts, shifted_eye)
         U += P_relaxed
         U -= Z
 

@@ -50,13 +50,16 @@ def write_table(path, header, rows, delimiter=",", labels=None) -> None:
     """Write ``header`` (lines joined by ``\\n``), then one line per row
     of the 2-D array ``rows``, every number at :data:`FLOAT_FORMAT`.
     ``labels``, one string per row, is appended to each row as its last
-    field. ``delimiter`` is one character.
+    field. ``delimiter`` is one character, and ``rows`` has at least one
+    column.
 
     The bytes are those of ``FLOAT_FORMAT % value`` field by field (see
     the module notes for how they are made).
     """
     rows = np.asarray(rows, dtype=float)
     n_rows, width = rows.shape
+    if width == 0:
+        raise ValueError("a table needs at least one column")
     if labels is not None:
         labels = [str(label) for label in labels]
         if len(labels) != n_rows:
@@ -66,11 +69,9 @@ def write_table(path, header, rows, delimiter=",", labels=None) -> None:
         raise ValueError(f"delimiter must be one character, got {delimiter!r}")
     # Each row's trailing run of +0.0 (all bits clear), which never
     # takes in the first field.
-    run = np.zeros(n_rows, dtype=np.intp)
-    if width:
-        formatted = rows.view(np.uint64) != 0
-        formatted[:, 0] = True
-        run = np.argmax(formatted[:, ::-1], axis=1)
+    formatted = rows.view(np.uint64) != 0
+    formatted[:, 0] = True
+    run = np.argmax(formatted[:, ::-1], axis=1)
     # A chunk is the rows whose first formatted field falls in one span
     # of _CHUNK_FIELDS of them; a row with more goes alone.
     kept = width - run
@@ -90,8 +91,6 @@ def _row_text(block, run, sep, tails):
     of ``run`` fields of +0.0, which goes in as a literal; ``tails[i]``,
     if given, ends row ``i`` before its line end."""
     n_rows, width = block.shape
-    if width == 0:
-        return b"".join(tail + b"\n" for tail in tails or [b""] * n_rows)
     seps = np.full(block.shape, sep[0], dtype=np.uint8)
     seps[np.arange(n_rows), width - 1 - run] = ord("\n")
     if run.any():

@@ -646,8 +646,10 @@ class TestInvocationErrors:
          "[system] x0 has 2 entries for dimension 4"),
         ({"inference": {"omega": "0"}},
          "[inference] omega must be positive, got 0.0"),
+        ({"inference": {"lambda_grid": ","}},
+         "[inference] lambda_grid must not be empty"),
     ], ids=["n", "masses", "mass-count", "stiffnesses", "input-node",
-            "no-input-node", "alpha_r", "x0", "omega"])
+            "no-input-node", "alpha_r", "x0", "omega", "no-lambda"])
     def test_bad_setting_fails_every_command_at_configure(
             self, tmp_path, capsys, command, updates, message):
         cfg = config_file(tmp_path, updates)
@@ -889,6 +891,18 @@ class TestPipeline:
             "name": None, "version": None,
             "threads": cli._blas_threads(_umath_linalg),
             "scipy_threads": cli._blas_threads(_flapack)}
+
+    @pytest.mark.parametrize("library", ["unloadable", "no getter"])
+    def test_blas_thread_probe_without_openblas(self, monkeypatch, library):
+        # Another BLAS, or a loader that cannot open the extension by its
+        # path: the thread count is unknown.
+        def load(path):
+            if library == "unloadable":
+                raise OSError(f"cannot load {path}")
+            return object()
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", load)
+        assert cli._blas_threads(_umath_linalg) is None
 
     def test_blas_thread_probe_reads_the_environment(self):
         # OpenBLAS takes its thread count from OPENBLAS_NUM_THREADS when it

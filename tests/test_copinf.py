@@ -132,11 +132,10 @@ class TestProjectPsd:
             project_psd(np.stack([np.eye(2), np.eye(2)]), shift)
 
 
-def eigh_projection(A, shifts, shifted_eye=None, inside=None):
+def eigh_projection(A, shifts, shifted_eye=None):
     """The projection with every matrix eigendecomposed, as a reference;
     it takes ``_project_stack``'s arguments, projects ``A`` in place as
-    the kernel does, and needs neither the shifted identity nor the
-    hints."""
+    the kernel does, and does not need the shifted identity."""
     if not np.all(np.isfinite(A)):
         raise InvalidInputError("matrix contains non-finite entries")
     B = 0.5 * (A + np.swapaxes(A, -1, -2))
@@ -164,7 +163,8 @@ def counting(monkeypatch, name):
 class TestCholeskyTest:
     """A block that a Cholesky factorization shows to be inside its
     shifted cone is returned as its symmetric part; only the others are
-    eigendecomposed."""
+    eigendecomposed. Every projection, in a solve or not, factors every
+    block by one ``dpotrf`` call of its own."""
 
     def test_interior_stack_skips_eigh(self, rng, monkeypatch):
         A = np.stack([random_spd(rng, 5, eigmin=1.0) for _ in range(3)])
@@ -210,8 +210,7 @@ class TestCholeskyTest:
         # must not take it for a matrix inside its cone.
         A = np.full((1, 3, 3), np.nan)
         with pytest.raises(InvalidInputError, match="non-finite"):
-            _project_stack(A, np.zeros(1), np.zeros((1, 3, 3)),
-                           np.ones(1, dtype=bool))
+            _project_stack(A, np.zeros(1), np.zeros((1, 3, 3)))
 
     def test_failed_decomposition_raises(self, monkeypatch):
         # dsyevd reports a decomposition that did not converge through
@@ -223,44 +222,6 @@ class TestCholeskyTest:
         with pytest.raises(np.linalg.LinAlgError, match="converge"):
             project_psd(-np.eye(3))
 
-
-class TestInsideHints:
-    """Inside the solver a block gets the Cholesky test only if the
-    previous projection found it inside its cone; ``project_psd`` tests
-    every block of every call. Each block due a test is factored by one
-    ``dpotrf`` call of its own."""
-
-    def test_block_back_inside_is_tested_again(self, rng, monkeypatch):
-        shift = 0.5
-        inside = random_spd(rng, 4, eigmin=1.0)
-        inside += 1e-3 * rng.standard_normal((4, 4))
-        outside = inside - 3.0 * np.eye(4)
-        shifts = np.array([shift])
-        shifted_eye = shift * np.eye(4)[None]
-        hint = np.ones(1, dtype=bool)
-        chol = counting(monkeypatch, "_potrf")
-        eigh = counting(monkeypatch, "_syevd")
-
-        def project(block):
-            chol.clear()
-            eigh.clear()
-            A = block[None].copy()
-            _project_stack(A, shifts, shifted_eye, hint)
-            return A[0], bool(chol), len(eigh), bool(hint[0])
-
-        # Tested, fails, decomposed with eigenvalues raised.
-        _, tested, decomposed, found_inside = project(outside)
-        assert (tested, decomposed, found_inside) == (True, 1, False)
-        # Back inside: not tested, decomposed, nothing raised.
-        S, tested, decomposed, found_inside = project(inside)
-        assert (tested, decomposed, found_inside) == (False, 1, True)
-        np.testing.assert_allclose(S, 0.5 * (inside + inside.T),
-                                   rtol=0.0, atol=1e-12)
-        # Tested again, factors, and comes back as its symmetric part.
-        S, tested, decomposed, found_inside = project(inside)
-        assert (tested, decomposed, found_inside) == (True, 0, True)
-        np.testing.assert_array_equal(S, 0.5 * (inside + inside.T))
-
     def test_project_psd_tests_every_block(self, rng, monkeypatch):
         inside = np.stack([random_spd(rng, 3, eigmin=1.0) for _ in range(3)])
         outside = inside.copy()
@@ -271,35 +232,36 @@ class TestInsideHints:
         # One factorization per block; only the failing one is decomposed.
         assert chol == [(3, 3)] * 3
         assert eigh == [(3, 3)]
-        # A later call keeps no hint from the earlier one.
+        # A later call tests every block again.
         chol.clear()
         S = project_psd(inside, 0.5)
         assert (chol, len(eigh)) == ([(3, 3)] * 3, 1)
         np.testing.assert_array_equal(
             S, 0.5 * (inside + np.swapaxes(inside, -1, -2)))
 
-    def test_solver_passes_each_projection_its_hints(self, rng, monkeypatch):
+    def test_each_projection_in_a_solve_tests_every_block(
+            self, rng, monkeypatch):
         # A damping pushed onto its cone's boundary leaves that block
-        # outside while the others stay inside.
+        # outside while the others stay inside: a block that failed the
+        # test in one projection is tested again in the next.
         D, rhs = well_posed_problem(rng, 4, damping_sign=-1.0)
         chol = counting(monkeypatch, "_potrf")
+        eigh = counting(monkeypatch, "_syevd")
         kernel = copinf._project_stack
         seen = []
 
-        def recording(A, shifts, shifted_eye, inside):
-            before = inside.copy()
+        def recording(A, *args):
             chol.clear()
-            kernel(A, shifts, shifted_eye, inside)
-            seen.append((before, chol[:], inside.copy()))
+            eigh.clear()
+            kernel(A, *args)
+            seen.append((chol[:], len(eigh)))
 
         monkeypatch.setattr(copinf, "_project_stack", recording)
-        infer_constrained(D, rhs)
-        assert seen[0][0].all()
-        for (_, _, after), (before, tested, _) in zip(seen, seen[1:]):
-            np.testing.assert_array_equal(before, after)
-            assert tested == [(4, 4)] * int(before.sum())
-        assert any(not before.all() for before, _, _ in seen[1:])
-        assert any(before.any() for before, _, _ in seen[1:])
+        _, report = infer_constrained(D, rhs)
+        assert len(seen) == report.iterations + 1
+        assert all(tested == [(4, 4)] * 3 for tested, _ in seen)
+        assert any(decomposed for _, decomposed in seen[1:])
+        assert any(decomposed < 3 for _, decomposed in seen[1:])
 
 
 def direct_objective(rom, D, rhs):

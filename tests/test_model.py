@@ -267,6 +267,17 @@ def test_save_matrix_bytes_match_the_entry_loop(rng, tmp_path, symmetry, cols):
     assert read("messy.mtx") == read("ref.mtx")
 
 
+@pytest.mark.parametrize("A, symmetry, message", [
+    (np.eye(2), "banded", "unknown symmetry tag 'banded'"),
+    (np.ones((2, 3)), "symmetric", "symmetric storage requires a square matrix"),
+], ids=["banded", "2x3 symmetric"])
+def test_save_matrix_rejects_bad_storage(tmp_path, A, symmetry, message):
+    path = os.path.join(tmp_path, "A.mtx")
+    with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+        save_matrix(path, A, symmetry=symmetry)
+    assert not os.path.exists(path)
+
+
 def test_matrix_duplicate_entries_summed(tmp_path):
     path = os.path.join(tmp_path, "d.mtx")
     with open(path, "w") as fh:

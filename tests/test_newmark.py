@@ -249,6 +249,13 @@ def test_singular_effective_matrix():
         step(sys_, zero, zero, zero, zero, zero, cfg)
 
 
+def test_simulate_needs_an_input_map():
+    sys_ = SecondOrderSystem(np.eye(2), np.zeros((2, 2)), np.eye(2))
+    with pytest.raises(InvalidInputError, match="^model has no input map$"):
+        simulate(sys_, zero_sampler, None, None,
+                 IntegratorConfig(dt=0.1, t_end=1.0))
+
+
 def test_vectors_of_the_wrong_length_are_rejected():
     # A length-1 force would broadcast to every node, a length-1 state
     # would reach the sparse product; both are the caller's error.

@@ -99,6 +99,13 @@ class TestRidgeKernel:
         with pytest.raises(InvalidInputError, match="no rows"):
             ridge_lstsq(np.zeros((0, 5)), np.zeros((1, 5)))
 
+    @pytest.mark.parametrize("D, rhs", [
+        (np.ones(5), np.ones((1, 5))), (np.ones((2, 5)), np.ones(5)),
+    ], ids=["data", "rhs"])
+    def test_one_dimensional_data_rejected(self, D, rhs):
+        with pytest.raises(InvalidInputError, match="must be 2-D"):
+            ridge_lstsq(D, rhs)
+
     def test_negative_lambda_rejected(self):
         with pytest.raises(InvalidParameterError, match="lam"):
             ridge_lstsq(np.ones((2, 3)), np.ones((1, 3)), lam=-1.0)

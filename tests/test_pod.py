@@ -57,6 +57,11 @@ class TestPodBasisType:
         with pytest.raises(InvalidInputError, match="finite"):
             PodBasis(modes=np.eye(3)[:, :2], singular_values=sigma)
 
+    def test_more_modes_than_rows_rejected(self):
+        with pytest.raises(InvalidParameterError,
+                           match="^rank 3 exceeds state dimension 2$"):
+            PodBasis(modes=np.ones((2, 3)), singular_values=np.ones(3))
+
     def test_rank_and_n(self):
         basis = PodBasis(modes=np.eye(3)[:, :2], singular_values=[3.0, 1.0, 0.5])
         assert basis.n == 3
@@ -158,6 +163,14 @@ class TestComputeBasis:
     def test_zero_matrix_rejected(self):
         with pytest.raises(DegenerateInputError, match="zero"):
             compute_basis(np.zeros((4, 4)), rank=1)
+
+    @pytest.mark.parametrize("X", [np.ones(4), np.empty((3, 0)),
+                                   np.empty((0, 3))],
+                             ids=["1-D", "no columns", "no rows"])
+    def test_snapshot_matrix_must_be_2d_and_nonempty(self, X):
+        with pytest.raises(InvalidInputError,
+                           match="^snapshot matrix must be 2-D and nonempty$"):
+            compute_basis(X, rank=1)
 
     def test_non_finite_rejected(self):
         X = np.ones((3, 3))

@@ -162,6 +162,19 @@ class TestTrajectoryData:
             TrajectoryData(times=[0.1, 0.2, 0.3], displacement=np.zeros((2, 3)),
                            **{name: np.zeros((3, 3))})
 
+    @pytest.mark.parametrize("times, blocks, message", [
+        ([0.1, 0.2, 0.3], {"displacement": np.zeros(3)},
+         "displacement must be 2-D, got ndim=1"),
+        ([0.1, 0.2, 0.3], {"displacement": np.zeros((2, 3)),
+                           "input": np.zeros(3)},
+         "input must be 2-D, got ndim=1"),
+        ([], {"displacement": np.zeros((2, 0))},
+         "at least one snapshot is required"),
+    ], ids=["1-D displacement", "1-D input", "no times"])
+    def test_blocks_and_times_checked(self, times, blocks, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            TrajectoryData(times=times, **blocks)
+
     def test_require_names_the_first_absent_block(self, rng):
         data = TrajectoryData(times=[0.1, 0.2], displacement=np.ones((2, 2)),
                               acceleration=np.ones((2, 2)))
@@ -421,6 +434,11 @@ class TestFiniteDifferences:
     def test_too_few_snapshots(self):
         with pytest.raises(InsufficientDataError, match="at least 5"):
             finite_difference_derivatives(np.ones((2, 4)), 0.1)
+
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(InvalidInputError,
+                           match="^displacement must be 2-D$"):
+            finite_difference_derivatives(np.ones(6), 0.1)
 
     def test_nonpositive_dt(self):
         with pytest.raises(InvalidInputError, match="dt"):

@@ -315,3 +315,12 @@ def test_write_table_rejects_bad_arguments(tmp_path, kwargs, message):
     with pytest.raises(ValueError, match=message):
         write_table(tmp_path / "table.csv", "h", np.zeros((3, 2)), **kwargs)
     assert not (tmp_path / "table.csv").exists()
+
+
+@pytest.mark.parametrize("labels", [None, ["a", "b", "c"]])
+def test_write_table_rejects_a_table_without_columns(tmp_path, labels):
+    # A row of no fields has no text: labelled it would start with a
+    # separator, unlabelled it would be a blank line that no reader keeps.
+    with pytest.raises(ValueError, match="^a table needs at least one column$"):
+        write_table(tmp_path / "table.csv", "h", np.zeros((3, 0)), labels=labels)
+    assert not (tmp_path / "table.csv").exists()
