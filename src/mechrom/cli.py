@@ -79,7 +79,7 @@ from .model import (
     save_matrix,
 )
 from .newmark import IntegratorConfig, simulate
-from .opinf import infer, select_lambda
+from .opinf import _check_grid, infer, select_lambda
 from .copinf import DEFAULT_OMEGA, _check_omega, infer_constrained
 from .pod import PodBasis, _check_selector, compute_basis, intrusive_reduce
 from .snapshots import (
@@ -329,15 +329,7 @@ def load_config(path, overrides=None) -> ExperimentConfig:
         raise UsageError(
             f"[inference] methods must be distinct, got {', '.join(cfg.methods)}"
         )
-    if not cfg.lambda_grid:
-        raise UsageError("[inference] lambda_grid must not be empty")
-    if any(g < 0.0 for g in cfg.lambda_grid):
-        raise UsageError("[inference] lambda_grid values must be >= 0")
-    if len(set(cfg.lambda_grid)) != len(cfg.lambda_grid):
-        raise UsageError(
-            "[inference] lambda_grid values must be distinct, got "
-            + ", ".join(str(g) for g in cfg.lambda_grid)
-        )
+    _check_section("inference", _check_grid, cfg.lambda_grid)
     _check_section("inference", _check_omega, cfg.omega)
     return cfg
 

@@ -224,12 +224,21 @@ def _replay_error(rom: SecondOrderSystem, validation: TrajectoryData,
             FloatingPointError):
         return float("inf")
     Q = replay.displacement
-    # A replay that leaves the finite range is NaN from then on, so its
-    # last instant tells.
-    if not np.isfinite(Q[:, -1]).all():
-        return float("inf")
     with np.errstate(over="ignore"):
-        return float(np.linalg.norm(Q - X[:, 1:], axis=0).max() / denom)
+        err = float(np.linalg.norm(Q - X[:, 1:], axis=0).max() / denom)
+    return err if np.isfinite(err) else float("inf")
+
+
+def _check_grid(grid) -> None:
+    if not grid:
+        raise InvalidParameterError("lambda_grid must not be empty")
+    if not all(math.isfinite(g) for g in grid):
+        raise InvalidParameterError("lambda_grid values must be finite")
+    if any(g < 0.0 for g in grid):
+        raise InvalidParameterError("lambda_grid values must be >= 0")
+    if len(set(grid)) != len(grid):  # as numbers: 0.0 and -0.0 are one
+        raise InvalidParameterError("lambda_grid values must be distinct, "
+                                    f"got {', '.join(map(str, grid))}")
 
 
 def select_lambda(D, rhs, grid, validation: TrajectoryData,
@@ -255,6 +264,8 @@ def select_lambda(D, rhs, grid, validation: TrajectoryData,
 
     Raises
     ------
+    InvalidParameterError
+        Before any fit: no weight, or one not finite, negative or repeated.
     MissingDataError
         If the validation window has no input or no velocity block,
         before any fit.
@@ -264,9 +275,8 @@ def select_lambda(D, rhs, grid, validation: TrajectoryData,
     NoViableLambdaError
         If every candidate replay diverges.
     """
-    grid = sorted(float(g) for g in grid)
-    if not grid:
-        raise InvalidParameterError("the regularization grid is empty")
+    grid = [float(g) for g in grid]
+    _check_grid(grid)
     validation.require("input", "velocity")
     if validation.num_snapshots < 2:
         raise InsufficientDataError(
@@ -292,7 +302,7 @@ def select_lambda(D, rhs, grid, validation: TrajectoryData,
     trials = []
     best_lam = None
     best_err = float("inf")
-    for lam in grid:
+    for lam in sorted(grid):
         rom, report = infer(D, rhs, lam)
         err = _replay_error(rom, validation, config, denom)
         # Operators near the largest double have an infinite norm here.

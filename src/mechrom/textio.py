@@ -3,11 +3,13 @@ operator files.
 
 Each is ASCII with ``\\n`` line ends: a header of one or more lines, then
 one row per line, its fields separated by a comma (CSV) or whitespace
-(``.mtx``), every number at 17 significant digits. On reading, empty
-lines are skipped and every other line is a row; a byte outside ASCII
-is decoded as a lone surrogate, which fails the header's check or the
-row's number parse. Callers name and check the header and what the
-numbers mean.
+(``.mtx``), every number at 17 significant digits. On reading, a line
+ends at ``\\n`` (a text-mode handle reads ``\\r\\n`` and ``\\r`` as one),
+not at the other breaks of ``str.splitlines`` such as a form feed, and
+an error's line number counts these lines. Empty lines are skipped and
+every other line is a row; a byte outside ASCII is decoded as a lone
+surrogate, which fails the header's check or the row's number parse.
+Callers name and check the header and what the numbers mean.
 
 Writing produces the bytes of ``"%.17g" % value`` for every field, from
 a numpy kernel rather than one ``%`` call per value. Each finite nonzero
@@ -51,7 +53,9 @@ def write_table(path, header, rows, delimiter=",", labels=None) -> None:
     of the 2-D array ``rows``, every number at :data:`FLOAT_FORMAT`.
     ``labels``, one string per row, is appended to each row as its last
     field. ``delimiter`` is one character, and ``rows`` has at least one
-    column.
+    column. The header is ASCII, and so is every label, holding neither
+    the delimiter nor a line end; any other argument raises ValueError
+    before the file is opened.
 
     The bytes are those of ``FLOAT_FORMAT % value`` field by field (see
     the module notes for how they are made).
@@ -60,13 +64,24 @@ def write_table(path, header, rows, delimiter=",", labels=None) -> None:
     n_rows, width = rows.shape
     if width == 0:
         raise ValueError("a table needs at least one column")
+    sep = delimiter.encode("ascii")
+    if len(sep) != 1:
+        raise ValueError(f"delimiter must be one character, got {delimiter!r}")
+    if not header.isascii():
+        raise ValueError(f"header {header!r} is not ASCII")
+    head = (header + "\n").encode("ascii")
+    tails = None
     if labels is not None:
         labels = [str(label) for label in labels]
         if len(labels) != n_rows:
             raise ValueError(f"{len(labels)} labels for {n_rows} rows")
-    sep = delimiter.encode("ascii")
-    if len(sep) != 1:
-        raise ValueError(f"delimiter must be one character, got {delimiter!r}")
+        # A label is one field, the last of its row's line.
+        for label in dict.fromkeys(labels):
+            if not label.isascii() or any(c in label
+                                          for c in (delimiter, "\n", "\r")):
+                raise ValueError(f"label {label!r} is not ASCII, or holds "
+                                 "the delimiter or a line end")
+        tails = [sep + label.encode("ascii") for label in labels]
     # Each row's trailing run of +0.0 (all bits clear), which never
     # takes in the first field.
     formatted = rows.view(np.uint64) != 0
@@ -79,11 +94,10 @@ def write_table(path, header, rows, delimiter=",", labels=None) -> None:
     cut = (span[1:] != span[:-1]) | (kept[1:] > _CHUNK_FIELDS)
     starts = [0, *(cut.nonzero()[0] + 1).tolist()][:n_rows]
     with open(path, "wb") as fh:
-        fh.write((header + "\n").encode("ascii"))
+        fh.write(head)
         for start, stop in zip(starts, starts[1:] + [n_rows]):
-            tails = None if labels is None else [
-                sep + label.encode("ascii") for label in labels[start:stop]]
-            fh.write(_row_text(rows[start:stop], run[start:stop], sep, tails))
+            fh.write(_row_text(rows[start:stop], run[start:stop], sep,
+                               None if tails is None else tails[start:stop]))
 
 
 def _row_text(block, run, sep, tails):
@@ -93,13 +107,10 @@ def _row_text(block, run, sep, tails):
     n_rows, width = block.shape
     seps = np.full(block.shape, sep[0], dtype=np.uint8)
     seps[np.arange(n_rows), width - 1 - run] = ord("\n")
-    if run.any():
-        kept = np.arange(width) < (width - run)[:, None]
-        text = _encode(block[kept], seps[kept])
-    else:
-        text = _encode(block.ravel(), seps.ravel())
-        if tails is None:
-            return text
+    kept = np.arange(width) < (width - run)[:, None]
+    text = _encode(block[kept], seps[kept])
+    if tails is None and not run.any():
+        return text
     # Each row's zero run and tail go in before its line end, which is
     # the separator of its last formatted field. The pieces are bytes:
     # thousands of live memoryviews, which the garbage collector tracks,
@@ -371,9 +382,9 @@ def read_table(path, width, delimiter=",", max_rows=None,
 
 def _rows(path, delimiter):
     """``(line number, line)`` of every row after the header line, then
-    ``(number of lines in the file, None)``."""
+    ``(number of lines in the file, None)``, lines ending at ``\\n``."""
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        lines = fh.read().splitlines()
+        lines = [line.removesuffix("\n") for line in fh]
     for lineno, line in enumerate(lines[1:], start=2):
         if line.split(delimiter) not in ([], [""]):
             yield lineno, line

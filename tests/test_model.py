@@ -296,8 +296,9 @@ def test_matrix_parse_errors_carry_line_numbers(tmp_path):
         ("general", "1 0 1.0", r"index \(1, 0\) outside 2x2"),
         ("symmetric", "1 2 1.0", "upper-triangle entry"),
     ]
-    # Empty lines before the bad entry are skipped but still counted.
-    for gap in ("", "\n", "\n  \n"):
+    # Empty lines before the bad entry are skipped but still counted; a
+    # form feed is inside its line, as the reader sees it.
+    for gap in ("", "\n", "\n  \n", "\x0c\n"):
         line = 4 + gap.count("\n")
         for symmetry, entry, message in cases:
             with open(path, "w") as fh:

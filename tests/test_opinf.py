@@ -591,6 +591,33 @@ class TestSelectLambda:
                            match="^velocity block is required and absent$"):
             select_lambda(D, rhs, [0.0, 1.0], bare)
 
+    @pytest.mark.parametrize("grid, message", [
+        ([], "^lambda_grid must not be empty$"),
+        ([float("nan"), 1e-3], "^lambda_grid values must be finite$"),
+        ([1e-3, float("inf")], "^lambda_grid values must be finite$"),
+        ([-1.0, 0.0], "^lambda_grid values must be >= 0$"),
+        ([1e-6, 1e-6],
+         "^lambda_grid values must be distinct, got 1e-06, 1e-06$"),
+        # compared as numbers: 0.0 and -0.0 are one weight
+        ([0.0, -0.0], "^lambda_grid values must be distinct, got 0.0, -0.0$"),
+    ], ids=["empty", "nan", "inf", "negative", "repeated", "signed-zeros"])
+    def test_bad_grid_fails_before_anything_else(self, monkeypatch, grid,
+                                                 message):
+        # The grid is checked first: before the validation window, which
+        # lacks its velocity here, and before the data are compressed or
+        # any candidate is fitted.
+        rdata = scalar_validation_data(t_end=0.1)
+        D, rhs = assemble_opinf_data(rdata)
+        bare = dataclasses.replace(rdata, velocity=None)
+
+        def no_call(*args, **kwargs):
+            raise AssertionError("the sweep went past its grid check")
+
+        monkeypatch.setattr(opinf, "compress", no_call)
+        monkeypatch.setattr(opinf, "infer", no_call)
+        with pytest.raises(InvalidParameterError, match=message):
+            select_lambda(D, rhs, grid, bare)
+
     def test_validation_needs_two_snapshots(self, rng):
         D, rhs = synthesize(rng, 0.1, 1.0, 1.0, N=10)
         single = make_constant_trajectory(np.array([0.5]), value=1.0)

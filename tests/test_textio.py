@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mechrom import textio
+from mechrom.errors import FormatError
 from mechrom.evaluate import ErrorSeries, save_error_series
 from mechrom.model import save_matrix
 from mechrom.snapshots import _write_block
@@ -224,8 +225,10 @@ class TestLayout:
         (wave_front, False),
         (force_like, False),
         (error_series_rows, True),
+        (lambda rng: values(rng, (_CHUNK_FIELDS // 41 + 1, 41)), True),
     ], ids=["row-past-chunk", "row-wider-than-chunk", "rows-wider-than-chunk",
-            "wave-front", "force-like", "labelled-error-series"])
+            "wave-front", "force-like", "labelled-error-series",
+            "labelled-row-past-chunk"])
     def test_chunk_edges(self, rng, tmp_path, make, labelled):
         rows = make(rng)
         labels = (np.where(rows[:, 0] <= 0.5, "train", "test") if labelled
@@ -315,6 +318,38 @@ def test_write_table_rejects_bad_arguments(tmp_path, kwargs, message):
     with pytest.raises(ValueError, match=message):
         write_table(tmp_path / "table.csv", "h", np.zeros((3, 2)), **kwargs)
     assert not (tmp_path / "table.csv").exists()
+
+
+@pytest.mark.parametrize("header, labels, message", [
+    ("t,\u03b5", None, "^header 't,\u03b5' is not ASCII$"),
+    ("t,eps", ["train", "\u00e9t\u00e9", "test"],
+     "'\u00e9t\u00e9' is not ASCII"),
+    ("t,eps", ["a,b", "a", "b"], "'a,b' is not ASCII, or holds the delimiter"),
+    ("t,eps", ["a", "b\nc", "d"], "holds the delimiter or a line end"),
+    ("t,eps", ["a", "b", "c\r"], "holds the delimiter or a line end"),
+], ids=["header", "label", "label-delimiter", "label-line-feed",
+        "label-carriage-return"])
+def test_write_table_rejects_bad_text_before_opening(tmp_path, header, labels,
+                                                      message):
+    # Opening the target would empty it: an existing file keeps its bytes.
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"t,eps\n1,2\n")
+    with pytest.raises(ValueError, match=message):
+        write_table(path, header, np.ones((3, 2)), labels=labels)
+    assert path.read_bytes() == b"t,eps\n1,2\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("a,b\n1,2\x0c3,4\n", 2, "expected 2 fields, found 3"),
+    ("a,b\n1,2\x0c\n1,x\n", 3, "non-numeric field"),
+], ids=["wrong-width", "after-a-form-feed"])
+def test_read_table_lines_end_at_line_feeds(tmp_path, text, line, message):
+    # A form feed is inside its line, as the reader sees it.
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    with pytest.raises(FormatError) as exc:
+        textio.read_table(path, 2)
+    assert str(exc.value) == f"{path}:{line}: {message}"
 
 
 @pytest.mark.parametrize("labels", [None, ["a", "b", "c"]])
