@@ -1,9 +1,11 @@
 """Orthogonal bases from snapshot data and projection-based reduction.
 
 The basis of rank r collects the r leading left singular vectors of the
-displacement snapshot matrix. Reduction is a congruence with the mode
-matrix, which keeps symmetry and definiteness of the structural
-operators.
+displacement snapshot matrix, decomposed with every entry below 2**-511
+times its largest magnitude zeroed: far below the SVD's own rounding,
+such entries would only hold LAPACK in subnormal arithmetic. Reduction
+is a congruence with the mode matrix, which keeps symmetry and
+definiteness of the structural operators.
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ __all__ = [
 ]
 
 _ORTHONORMALITY_TOL = 1e-10
+# Entries of a snapshot matrix below this fraction of its largest
+# magnitude are zeroed before the SVD: 2**-511, the square root of the
+# smallest normal double.
+_FLUSH = np.sqrt(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -139,9 +145,12 @@ def compute_basis(X, rank: int | None = None, tol: float | None = None,
         Keep the smallest r whose retained squared singular values
         reach the fraction ``energy`` of the total; energy in (0, 1).
 
-    The selector is checked before the decomposition. The mode signs
-    are fixed so that each column's largest-magnitude entry is
-    nonnegative.
+    The selector is checked before the decomposition. The decomposed
+    matrix is a copy of ``X`` with every entry of magnitude below
+    2**-511 times the largest set to zero, which keeps LAPACK out of
+    subnormal arithmetic and moves no singular value by more than
+    sqrt(nN) 2**-511 sigma_1. The mode signs are fixed so that each
+    column's largest-magnitude entry is nonnegative.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.size == 0:
@@ -156,7 +165,10 @@ def compute_basis(X, rank: int | None = None, tol: float | None = None,
     if not np.any(X):
         raise DegenerateInputError("snapshot matrix is identically zero")
 
-    V, s, _ = la.svd(X, full_matrices=False)
+    flushed = np.array(X, order="F")
+    magnitude = np.abs(flushed)
+    flushed[magnitude < _FLUSH * magnitude.max()] = 0.0
+    V, s, _ = la.svd(flushed, full_matrices=False, overwrite_a=True)
     if rank is not None:
         r = int(rank)
     elif tol is not None:

@@ -70,18 +70,23 @@ def write_table(path, header, rows, delimiter=",", labels=None) -> None:
     if not header.isascii():
         raise ValueError(f"header {header!r} is not ASCII")
     head = (header + "\n").encode("ascii")
-    tails = None
+    ends = None
     if labels is not None:
-        labels = [str(label) for label in labels]
+        if isinstance(labels, np.ndarray):
+            labels = labels.tolist()
         if len(labels) != n_rows:
             raise ValueError(f"{len(labels)} labels for {n_rows} rows")
-        # A label is one field, the last of its row's line.
+        # A label is one field, the last of its row's line: each distinct
+        # one is checked and encoded once, with its line end.
+        encoded = {}
         for label in dict.fromkeys(labels):
-            if not label.isascii() or any(c in label
+            field = str(label)
+            if not field.isascii() or any(c in field
                                           for c in (delimiter, "\n", "\r")):
-                raise ValueError(f"label {label!r} is not ASCII, or holds "
+                raise ValueError(f"label {field!r} is not ASCII, or holds "
                                  "the delimiter or a line end")
-        tails = [sep + label.encode("ascii") for label in labels]
+            encoded[label] = sep + field.encode("ascii") + b"\n"
+        ends = [encoded[label] for label in labels]
     # Each row's trailing run of +0.0 (all bits clear), which never
     # takes in the first field.
     formatted = rows.view(np.uint64) != 0
@@ -97,36 +102,42 @@ def write_table(path, header, rows, delimiter=",", labels=None) -> None:
         fh.write(head)
         for start, stop in zip(starts, starts[1:] + [n_rows]):
             fh.write(_row_text(rows[start:stop], run[start:stop], sep,
-                               None if tails is None else tails[start:stop]))
+                               None if ends is None else ends[start:stop]))
 
 
-def _row_text(block, run, sep, tails):
+def _row_text(block, run, sep, ends):
     """The text of the rows of ``block``, less each row's trailing run
-    of ``run`` fields of +0.0, which goes in as a literal; ``tails[i]``,
-    if given, ends row ``i`` before its line end."""
+    of ``run`` fields of +0.0, which goes in as a literal; ``ends[i]``,
+    if given, replaces the line end of row ``i``."""
     n_rows, width = block.shape
     seps = np.full(block.shape, sep[0], dtype=np.uint8)
     seps[np.arange(n_rows), width - 1 - run] = ord("\n")
     kept = np.arange(width) < (width - run)[:, None]
     text = _encode(block[kept], seps[kept])
-    if tails is None and not run.any():
+    if ends is None and not run.any():
         return text
-    # Each row's zero run and tail go in before its line end, which is
-    # the separator of its last formatted field. The pieces are bytes:
-    # thousands of live memoryviews, which the garbage collector tracks,
-    # set off its full collections.
-    line_ends = np.flatnonzero(np.frombuffer(text, dtype=np.uint8)
-                               == ord("\n")).tolist()
+    # A row's line end, the separator of its last formatted field, gives
+    # way to its zero run and its end: every row's, split at once, when
+    # ends are given, else only those of the rows with a zero run, each
+    # segment of the text running up to one of them. The pieces are
+    # bytes: thousands of live memoryviews, which the garbage collector
+    # tracks, set off its full collections.
     zero_run = (sep + b"0") * width
-    pieces = []
-    begin = 0
-    for row in range(n_rows) if tails else np.flatnonzero(run).tolist():
-        end = line_ends[row]
-        pieces += (text[begin:end], zero_run[:2 * run[row]],
-                   tails[row] if tails else b"")
-        begin = end
-    pieces.append(text[begin:])
-    return b"".join(pieces)
+    if ends is None:
+        rows = np.flatnonzero(run)
+        stops = np.flatnonzero(np.frombuffer(text, dtype=np.uint8)
+                               == ord("\n"))[rows].tolist()
+        segments = [text[start + 1:stop]
+                    for start, stop in zip([-1, *stops], stops)]
+        segments.append(text[stops[-1] + 1:])
+        ends = [zero_run[:2 * r] + b"\n" for r in run[rows].tolist()]
+    else:
+        segments = text.split(b"\n")
+        ends = ends.copy()
+        for row in np.flatnonzero(run).tolist():
+            ends[row] = zero_run[:2 * run[row]] + ends[row]
+    return b"".join([piece for pair in zip(segments, ends) for piece in pair]
+                    + segments[-1:])
 
 
 # Fields formatted at once by one _encode call, trailing +0.0 runs not

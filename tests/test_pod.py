@@ -11,6 +11,7 @@ from mechrom.errors import (
 )
 from mechrom import pod
 from mechrom.model import SecondOrderSystem, build_mass_spring_chain
+from mechrom.newmark import IntegratorConfig, simulate
 from mechrom.pod import (
     PodBasis,
     compute_basis,
@@ -177,6 +178,57 @@ class TestComputeBasis:
         X[1, 1] = np.nan
         with pytest.raises(InvalidInputError, match="non-finite"):
             compute_basis(X, rank=1)
+
+
+@pytest.fixture(scope="module")
+def chain_snapshots():
+    """Displacement snapshots of a 300-mass chain driven at its first
+    node from rest for 250 steps, as in the n = 1000 benchmark run: the
+    wave has reached few nodes, and its front holds subnormal entries."""
+    chain = build_mass_spring_chain(300, np.ones(300), np.full(301, 1e4),
+                                    0.01, 1e-4)
+    return simulate(chain, lambda t: np.sin(20.0 * np.pi * t), None, None,
+                    IntegratorConfig(dt=1e-3, t_end=0.25)).displacement
+
+
+def flushed(X):
+    """``X`` with every entry below 2**-511 times its largest magnitude
+    set to zero."""
+    return np.where(np.abs(X) < 2.0**-511 * np.abs(X).max(), 0.0, X)
+
+
+class TestSubPrecisionFlush:
+    def test_basis_is_that_of_the_flushed_snapshots(self, chain_snapshots):
+        X = chain_snapshots
+        assert np.count_nonzero((X != 0.0) & (np.abs(X) < np.finfo(float).tiny))
+        basis = compute_basis(X, rank=8)
+        oracle = compute_basis(flushed(X), rank=8)
+        assert basis.modes.tobytes() == oracle.modes.tobytes()
+        assert basis.singular_values.tobytes() == oracle.singular_values.tobytes()
+
+    @pytest.mark.parametrize("entry, kept", [
+        (2.0**-511, 1.4916681462400413e-154),
+        (np.nextafter(2.0**-511, 0.0), 0.0),
+    ], ids=["at the threshold", "one ulp below"])
+    def test_threshold_is_two_to_the_minus_511(self, entry, kept):
+        basis = compute_basis(np.array([[1.0], [entry]]), rank=1)
+        assert basis.modes[1, 0] == kept
+        assert basis.modes[0, 0] == 1.0
+
+    def test_spectrum_and_modes_match_the_unflushed_svd(self, chain_snapshots):
+        X = chain_snapshots
+        basis = compute_basis(X, rank=8)
+        U, s, _ = np.linalg.svd(X, full_matrices=False)
+        np.testing.assert_allclose(basis.singular_values, s, rtol=0.0,
+                                   atol=1e-14 * s[0])
+        np.testing.assert_allclose(basis.modes, pod._fix_signs(U[:, :8]),
+                                   rtol=0.0, atol=1e-13)
+
+    def test_caller_array_unchanged(self, chain_snapshots):
+        # Fortran order is the layout the SVD could otherwise overwrite.
+        X = np.array(chain_snapshots, order="F")
+        compute_basis(X, rank=8)
+        assert X.tobytes() == chain_snapshots.tobytes()
 
 
 class TestProjectionError:
