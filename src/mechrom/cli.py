@@ -43,7 +43,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from typing import get_args
 
 import numpy as np
@@ -566,30 +566,37 @@ def stage_basis(cfg: ExperimentConfig, outdir, results) -> None:
     print(f"basis: selected rank r = {basis.rank}")
 
 
+def _write_lambda_table(directory, trials) -> None:
+    """Write the lambda sweep's trials, one row each, to
+    ``lambda_table.csv``; the header names a trial's fields in order."""
+    os.makedirs(directory, exist_ok=True)
+    write_table(os.path.join(directory, "lambda_table.csv"),
+                "lambda,train_residual,validation_error,operator_norm",
+                [astuple(t) for t in trials])
+
+
 def stage_infer(cfg: ExperimentConfig, outdir, results) -> None:
     """Fit the mass-normalized reduced model."""
     if "opinf" not in cfg.methods:
         return
     rdata = results["projected"]
     D, rhs = assemble_opinf_data(rdata)
-    lam, trials = select_lambda(D, rhs, cfg.lambda_grid, rdata,
-                                scheme=_integrator(cfg))
-    rom, report = infer(D, rhs, lam)
     mdir = os.path.join(outdir, "opinf")
+    try:
+        lam, trials = select_lambda(D, rhs, cfg.lambda_grid, rdata,
+                                    scheme=_integrator(cfg))
+    except NoViableLambdaError as exc:  # a sweep that failed keeps its table
+        _write_lambda_table(mdir, exc.table)
+        raise
+    rom, report = infer(D, rhs, lam)
     results["opinf"] = _save_matrices(
         mdir, rom, ("damping", "stiffness", "input"), symmetric=False)
-    write_table(
-        os.path.join(mdir, "lambda_table.csv"),
-        "lambda,train_residual,validation_error,operator_norm",
-        [(t.lam, t.train_residual, t.validation_error, t.operator_norm)
-         for t in trials],
-    )
+    _write_lambda_table(mdir, trials)
     print(f"infer: selected lambda = {FLOAT_FORMAT % lam} "
           f"(residual {report.residual:.3e})")
     # Stability is reported only; the selection does not consider it.
     # One QZ: the test of ``is_stable`` on the largest real part.
-    growth = float(pencil_spectrum(rom.mass, rom.damping,
-                                   rom.stiffness).real.max())
+    growth = float(pencil_spectrum(rom).real.max())
     print(f"infer: largest real part of the pencil spectrum {growth:+.3e}"
           + ("" if growth <= STABILITY_TOL else " (unstable)"))
 
@@ -649,19 +656,17 @@ def stage_evaluate(cfg: ExperimentConfig, outdir, results) -> None:
                     f"replay produced {lifted.shape[1]} snapshots, test data "
                     f"has {times.size}"
                 )
-            series = relative_error(
-                X, lifted, times=times,
-                phase_split=times[_train_columns(cfg) - 1],
-            )
+            eps = relative_error(X, lifted)
         save_csv(TrajectoryData(times=times, displacement=lifted),
                  os.path.join(outdir, f"rom_{method}"))
-        save_error_series(series, os.path.join(outdir, f"errors_{method}.csv"))
-        print(f"evaluate: {method} max relative error {series.max_eps:.6e}")
+        save_error_series(os.path.join(outdir, f"errors_{method}.csv"),
+                          times, eps, _train_columns(cfg))
+        print(f"evaluate: {method} max relative error {eps.max():.6e}")
         # The largest error decides: a non-finite replay entry makes its
         # instant's error non-finite, and the maximum keeps a NaN. A finite
         # replay can still overflow its error: the predictor state of
         # operators near the largest double cancels to values of 1e287.
-        if not np.isfinite(series.max_eps):
+        if not np.isfinite(eps.max()):
             diverged.append(method)
     if diverged:
         raise DivergenceError(

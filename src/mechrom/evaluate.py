@@ -1,58 +1,27 @@
-"""Error metrics and stability checks."""
+"""Error metrics and stability checks: a replay's error is an array with
+one value per instant, and the pencil functions take the model."""
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from .errors import (
-    DegenerateInputError,
-    InsufficientDataError,
-    InvalidInputError,
-    SingularOperatorError,
-)
+from .errors import (DegenerateInputError, InsufficientDataError,
+                     InvalidInputError, SingularOperatorError)
+from .model import SecondOrderSystem
 from .textio import write_table
 
-__all__ = [
-    "ErrorSeries",
-    "relative_error",
-    "pencil_spectrum",
-    "is_stable",
-    "save_error_series",
-]
+__all__ = ["relative_error", "pencil_spectrum", "is_stable",
+           "save_error_series"]
 
 # Largest real part of a pencil eigenvalue that still counts as stable.
 STABILITY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class ErrorSeries:
-    """Pointwise relative state error over a test window.
-
-    ``phase_split`` marks the end of the training horizon; instants at
-    or before it belong to the train phase, later ones to the test
-    phase. None means the whole window is test phase.
-    """
-
-    times: np.ndarray
-    eps: np.ndarray
-    max_eps: float
-    phase_split: float | None = None
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float).ravel()
-        eps = np.asarray(self.eps, dtype=float).ravel()
-        if times.shape != eps.shape:
-            raise InvalidInputError("times and eps must have equal length")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "eps", eps)
-
-
-def relative_error(X_ref, X_approx, times=None, phase_split=None) -> ErrorSeries:
+def relative_error(X_ref, X_approx) -> np.ndarray:
     """Columnwise relative error of an approximate trajectory.
 
     For each instant, the Euclidean distance of the state columns is
@@ -60,8 +29,9 @@ def relative_error(X_ref, X_approx, times=None, phase_split=None) -> ErrorSeries
 
         eps_i = ||x_ref_i - x_approx_i|| / max_j ||x_ref_j||.
 
-    A non-finite approximation (a diverged replay) gets non-finite
-    errors at its non-finite instants.
+    Returns the (N,) array of ``eps_i``. A non-finite approximation (a
+    diverged replay) gets non-finite errors at its non-finite instants,
+    and ``eps.max()`` keeps a NaN.
 
     Raises
     ------
@@ -84,28 +54,14 @@ def relative_error(X_ref, X_approx, times=None, phase_split=None) -> ErrorSeries
         raise InsufficientDataError("trajectories have no snapshots")
     if not np.all(np.isfinite(X_ref)):
         raise InvalidInputError("reference trajectory has non-finite entries")
-    norms = np.linalg.norm(X_ref, axis=0)
-    denom = norms.max()
+    denom = np.linalg.norm(X_ref, axis=0).max()
     if denom == 0.0:
         raise DegenerateInputError("reference trajectory is identically zero")
-    eps = np.linalg.norm(X_ref - X_approx, axis=0) / denom
-    if times is None:
-        times = np.arange(X_ref.shape[1], dtype=float)
-    times = np.asarray(times, dtype=float).ravel()
-    if times.shape[0] != X_ref.shape[1]:
-        raise InvalidInputError(
-            f"got {times.shape[0]} times for {X_ref.shape[1]} snapshots"
-        )
-    return ErrorSeries(
-        times=times,
-        eps=eps,
-        max_eps=float(eps.max()),
-        phase_split=phase_split,
-    )
+    return np.linalg.norm(X_ref - X_approx, axis=0) / denom
 
 
-def pencil_spectrum(mass, damping, stiffness) -> np.ndarray:
-    """Eigenvalues of the quadratic pencil s^2 M + s E + K.
+def pencil_spectrum(model: SecondOrderSystem) -> np.ndarray:
+    """Eigenvalues of the model's quadratic pencil s^2 M + s E + K.
 
     Solved as the generalized eigenproblem of the companion pair
 
@@ -117,21 +73,15 @@ def pencil_spectrum(mass, damping, stiffness) -> np.ndarray:
     pencils from drifting across the axis. The mass matrix must be
     invertible. Sparse operators are densified.
     """
-    M, C, K = (np.asarray(A.toarray() if sp.issparse(A) else A, dtype=float)
-               for A in (mass, damping, stiffness))
-    r = M.shape[0]
-    for name, A in (("mass", M), ("damping", C), ("stiffness", K)):
-        if A.shape != (r, r):
-            raise InvalidInputError(f"{name} must be {r}x{r}, got {A.shape}")
-        if not np.all(np.isfinite(A)):
-            raise InvalidInputError(f"{name} has non-finite entries")
+    M, C, K = (A.toarray() if sp.issparse(A) else A
+               for A in (model.mass, model.damping, model.stiffness))
     norm_m = np.linalg.norm(M)
     norm_k = np.linalg.norm(K)
     if norm_m == 0.0:
         raise SingularOperatorError("mass matrix is singular")
     scale = float(np.sqrt(norm_k / norm_m)) if norm_k > 0.0 else 1.0
-    eye = np.eye(r)
-    zero = np.zeros((r, r))
+    eye = np.eye(model.n)
+    zero = np.zeros_like(eye)
     lhs = np.block([[zero, eye], [-K, -scale * C]])
     rhs = np.block([[eye, zero], [zero, scale**2 * M]])
     with warnings.catch_warnings():
@@ -144,16 +94,24 @@ def pencil_spectrum(mass, damping, stiffness) -> np.ndarray:
     return scale * w
 
 
-def is_stable(mass, damping, stiffness) -> bool:
+def is_stable(model: SecondOrderSystem) -> bool:
     """True when every pencil eigenvalue has real part <= STABILITY_TOL."""
-    return bool(np.all(pencil_spectrum(mass, damping, stiffness).real
-                       <= STABILITY_TOL))
+    return bool(np.all(pencil_spectrum(model).real <= STABILITY_TOL))
 
 
-def save_error_series(series: ErrorSeries, path) -> None:
-    """Write an error series as CSV rows (t, eps, phase)."""
-    split = series.phase_split
-    train = (np.zeros(series.times.shape, dtype=bool) if split is None else
-             series.times <= split + 1e-9 * max(1.0, abs(split)))
-    write_table(path, "t,eps,phase", np.column_stack([series.times, series.eps]),
-                labels=np.where(train, "train", "test"))
+def save_error_series(path, times, eps, train: int) -> None:
+    """Write CSV rows (t, eps, phase) whose first ``train`` rows, the
+    fitted training columns, are ``train`` and the rest ``test``.
+
+    Raises InvalidInputError if ``times`` and ``eps`` differ in length,
+    or ``train`` lies outside [0, N] for their length N.
+    """
+    times, eps = (np.asarray(a, dtype=float).ravel() for a in (times, eps))
+    if times.shape != eps.shape:
+        raise InvalidInputError("times and eps must have equal length, "
+                                f"got {times.size} and {eps.size}")
+    if not 0 <= train <= times.size:
+        raise InvalidInputError(
+            f"train must lie in [0, {times.size}], got {train}")
+    write_table(path, "t,eps,phase", np.column_stack([times, eps]),
+                labels=["train"] * train + ["test"] * (times.size - train))

@@ -13,7 +13,7 @@ import scipy
 from numpy.linalg import _umath_linalg
 from scipy.linalg import _flapack
 
-from mechrom import __version__, cli, copinf, newmark, snapshots
+from mechrom import __version__, cli, copinf, newmark, opinf, snapshots
 from mechrom.cli import (
     _KNOWN_KEYS,
     DEFAULT_LAMBDA_GRID,
@@ -22,7 +22,12 @@ from mechrom.cli import (
     main,
 )
 from mechrom.evaluate import is_stable, pencil_spectrum
-from mechrom.model import build_mass_spring_chain, load_matrix, save_matrix
+from mechrom.model import (
+    SecondOrderSystem,
+    build_mass_spring_chain,
+    load_matrix,
+    save_matrix,
+)
 from mechrom.newmark import IntegratorConfig, simulate
 from mechrom.opinf import infer
 from mechrom.pod import compute_basis
@@ -758,9 +763,9 @@ class TestPipeline:
                  if line.startswith("infer: largest real part")]
         damping = load_matrix(out / "opinf" / "damping.mtx")
         stiffness = load_matrix(out / "opinf" / "stiffness.mtx")
-        eye = np.eye(damping.shape[0])
-        growth = pencil_spectrum(eye, damping, stiffness).real.max()
-        assert is_stable(eye, damping, stiffness) is not unstable
+        rom = SecondOrderSystem(np.eye(damping.shape[0]), damping, stiffness)
+        growth = pencil_spectrum(rom).real.max()
+        assert is_stable(rom) is not unstable
         assert lines == [
             f"infer: largest real part of the pencil spectrum {growth:+.3e}"
             + (" (unstable)" if unstable else "")
@@ -959,6 +964,21 @@ class TestPipeline:
         lines = read_lines(os.path.join(out, "errors_pod.csv"))
         phases = [ln.split(",")[2] for ln in lines[1:]]
         assert phases == ["train"] * 9 + ["test"] * 11
+
+    def test_train_rows_at_a_tiny_step(self, tmp_path):
+        # At dt = 1e-10 the fitted columns are counted, not found by time:
+        # a time tolerance of 1e-9 would take ten test instants as train.
+        cfg = config_file(tmp_path, {
+            "integrator": {"dt": "1e-10"},
+            "training": {"t_end": "1e-7"},
+            "testing": {"t_end": "2e-7"},
+            "inference": {"methods": "pod"},
+        })
+        out = tmp_path / "artifacts"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        lines = read_lines(os.path.join(out, "errors_pod.csv"))
+        phases = [ln.split(",")[2] for ln in lines[1:]]
+        assert phases == ["train"] * 1000 + ["test"] * 1000
 
     @pytest.mark.parametrize("wave, closed_form", [
         ({"waveform": "constant", "value": "2.5"},
@@ -1511,6 +1531,26 @@ class TestStageFailures:
         err = capsys.readouterr().err
         assert "error in stage 'evaluate'" in err
         assert "opinf" in err and "pod" not in err
+
+    def test_all_diverged_sweep_keeps_its_table(self, tmp_path, capsys,
+                                                monkeypatch):
+        # Every candidate's replay diverges: the run stops in infer, and
+        # the table shows each weight with its infinite validation error.
+        monkeypatch.setattr(opinf, "_replay_error",
+                            lambda *args: float("inf"))
+        cfg = config_file(tmp_path, {"inference": {"methods": "opinf"}})
+        out = tmp_path / "artifacts"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "error in stage 'infer'" in err
+        assert "every regularization weight" in err
+        lines = read_lines(os.path.join(out, "opinf", "lambda_table.csv"))
+        assert lines[0] == "lambda,train_residual,validation_error,operator_norm"
+        rows = [ln.split(",") for ln in lines[1:]]
+        assert [float(row[0]) for row in rows] == pytest.approx(
+            sorted(DEFAULT_LAMBDA_GRID))
+        assert [row[2] for row in rows] == ["inf"] * len(DEFAULT_LAMBDA_GRID)
+        assert not (out / "opinf" / "stiffness.mtx").exists()
 
     @pytest.mark.parametrize("x0, damping, stiffness, input_scale", [
         # Operators near the largest double: the predictor transition is

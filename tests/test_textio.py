@@ -6,7 +6,7 @@ import pytest
 
 from mechrom import textio
 from mechrom.errors import FormatError
-from mechrom.evaluate import ErrorSeries, save_error_series
+from mechrom.evaluate import save_error_series
 from mechrom.model import save_matrix
 from mechrom.snapshots import _write_block
 from mechrom.textio import _CHUNK_FIELDS, write_table
@@ -92,16 +92,17 @@ def test_table_bytes_match_savetxt(rng, tmp_path, shape, labelled):
 
 @pytest.mark.parametrize("split", [None, 0.5])
 def test_error_series_bytes_match_the_value_loop(rng, tmp_path, split):
+    # ``split`` is the share of rows in the training phase; None gives
+    # none.
     times = np.concatenate([SPECIAL, np.linspace(0.1, 1.0, 10)])
     eps = values(rng, times.size)
-    save_error_series(ErrorSeries(times, eps, float(np.nanmax(eps)), split),
-                      tmp_path / "errors.csv")
+    train = 0 if split is None else int(split * times.size)
+    save_error_series(tmp_path / "errors.csv", times, eps, train)
     with open(tmp_path / "ref.csv", "w", encoding="ascii", newline="\n") as fh:
         fh.write("t,eps,phase\n")
-        for t, e in zip(times, eps):
-            train = split is not None and t <= split + 1e-9 * max(1.0, abs(split))
+        for i, (t, e) in enumerate(zip(times, eps)):
             fh.write(f"{'%.17g' % t},{'%.17g' % e},"
-                     f"{'train' if train else 'test'}\n")
+                     f"{'train' if i < train else 'test'}\n")
     assert read(tmp_path / "errors.csv") == read(tmp_path / "ref.csv")
 
 
@@ -288,13 +289,14 @@ class TestLayout:
         eps = values(rng, times.size)
         eps[::7] = 0.0
         eps[1::11] = -0.0
-        save_error_series(ErrorSeries(times, eps, 1.0, 0.5),
-                          tmp_path / "errors.csv")
+        # The training rows end past the first chunk.
+        train = _CHUNK_FIELDS + 1
+        save_error_series(tmp_path / "errors.csv", times, eps, train)
         with open(tmp_path / "ref.csv", "w", encoding="ascii",
                   newline="\n") as fh:
             fh.write("t,eps,phase\n")
-            for t, e in zip(times, eps):
-                phase = "train" if t <= 0.5 + 1e-9 else "test"
+            for i, (t, e) in enumerate(zip(times, eps)):
+                phase = "train" if i < train else "test"
                 fh.write(f"{'%.17g' % t},{'%.17g' % e},{phase}\n")
         assert read(tmp_path / "errors.csv") == read(tmp_path / "ref.csv")
 
