@@ -79,7 +79,7 @@ from .model import (
     save_matrix,
 )
 from .newmark import IntegratorConfig, simulate
-from .opinf import _check_grid, infer, select_lambda
+from .opinf import _check_grid, select_lambda
 from .copinf import DEFAULT_OMEGA, _check_omega, infer_constrained
 from .pod import PodBasis, _check_selector, compute_basis, intrusive_reduce
 from .snapshots import (
@@ -563,7 +563,12 @@ def stage_basis(cfg: ExperimentConfig, outdir, results) -> None:
     index = np.arange(1, s.size + 1)
     write_table(os.path.join(bdir, "singular_values.csv"), "index,sigma",
                 np.column_stack([index, s]))
-    print(f"basis: selected rank r = {basis.rank}")
+    # The numerical rank: the count of s_i above max(n, N) eps s_1.
+    r = basis.rank
+    floor = max(results["train_displacement"].shape) * np.finfo(float).eps
+    print(f"basis: selected rank r = {r} (sigma_r/sigma_1 {s[r - 1] / s[0]:.3e}, "
+          f"sigma_r+1/sigma_1 {(s[r] if r < s.size else 0.0) / s[0]:.3e}, "
+          f"numerical rank {np.count_nonzero(s > floor * s[0])})")
 
 
 def _write_lambda_table(directory, trials) -> None:
@@ -583,17 +588,17 @@ def stage_infer(cfg: ExperimentConfig, outdir, results) -> None:
     D, rhs = assemble_opinf_data(rdata)
     mdir = os.path.join(outdir, "opinf")
     try:
-        lam, trials = select_lambda(D, rhs, cfg.lambda_grid, rdata,
-                                    scheme=_integrator(cfg))
+        lam, rom, trials = select_lambda(D, rhs, cfg.lambda_grid, rdata,
+                                         scheme=_integrator(cfg))
     except NoViableLambdaError as exc:  # a sweep that failed keeps its table
         _write_lambda_table(mdir, exc.table)
         raise
-    rom, report = infer(D, rhs, lam)
     results["opinf"] = _save_matrices(
         mdir, rom, ("damping", "stiffness", "input"), symmetric=False)
     _write_lambda_table(mdir, trials)
+    residual = next(t.train_residual for t in trials if t.lam == lam)
     print(f"infer: selected lambda = {FLOAT_FORMAT % lam} "
-          f"(residual {report.residual:.3e})")
+          f"(residual {residual:.3e})")
     # Stability is reported only; the selection does not consider it.
     # One QZ: the test of ``is_stable`` on the largest real part.
     growth = float(pencil_spectrum(rom).real.max())

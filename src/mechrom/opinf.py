@@ -129,19 +129,50 @@ def ridge_lstsq(D, rhs, lam: float = 0.0):
     svals : ndarray
         Singular values of D, for conditioning diagnostics.
     """
-    return _ridge(*regression_arrays(D, rhs), lam)
+    W, s, _, rhs_c, _ = compress(*regression_arrays(D, rhs))
+    return _solve(W, s, rhs_c, lam), s
 
 
-def _ridge(D, rhs, lam):
-    """``ridge_lstsq`` of the checked ``regression_arrays``."""
+def _solve(W, s, rhs_c, lam):
+    """The ridge minimizer P = (rhs_c ridge_filter(s, lam)) W^T of the
+    compression ``(W, s, _, rhs_c, _)`` of a regression."""
     if lam < 0.0 or not np.isfinite(lam):
         raise InvalidParameterError(f"lam must be finite and >= 0, got {lam}")
-
-    W, s, _, rhs_c, _ = compress(D, rhs)
     if lam == 0.0 and s[0] == 0.0:
         raise DegenerateInputError("data matrix is identically zero")
-    P = (rhs_c * ridge_filter(s, lam)) @ W.T
-    return P, s
+    return (rhs_c * ridge_filter(s, lam)) @ W.T
+
+
+def _fit(W, s, rhs_c, tail, lam):
+    """``(model, residual)`` at weight ``lam`` from the compression
+    ``(W, s, _, rhs_c, tail)`` of checked ``_opinf_arrays``: the
+    mass-normalized model whose damping, stiffness and input map are
+    -P[:, :r], -P[:, r:2r] and P[:, 2r:] for the ridge minimizer P, and
+    ||P D - rhs||_F as hypot(||P W diag(s) - rhs_c||_F, tail)."""
+    P = _solve(W, s, rhs_c, lam)
+    r = P.shape[0]
+    residual = math.hypot(float(np.linalg.norm((P @ W) * s - rhs_c)), tail)
+    return SecondOrderSystem(np.eye(r), -P[:, :r], -P[:, r:2 * r],
+                             P[:, 2 * r:]), residual
+
+
+def _opinf_arrays(D, rhs):
+    """``regression_arrays`` of a stacked [velocity; displacement; input]
+    data matrix: InvalidInputError unless its rows hold two r-row state
+    blocks and at least one input row, for r the rows of ``rhs``; a
+    UserWarning, reported at the caller's caller, when it has fewer
+    columns than rows."""
+    D, rhs = regression_arrays(D, rhs)
+    r = rhs.shape[0]
+    if r < 1 or D.shape[0] - 2 * r < 1:
+        raise InvalidInputError(f"data matrix with {D.shape[0]} rows cannot "
+                                f"hold two {r}-row state blocks and at least "
+                                "one input row")
+    if D.shape[1] < D.shape[0]:
+        warnings.warn(f"regression has fewer samples ({D.shape[1]}) than "
+                      f"unknowns per row ({D.shape[0]}); expect rank "
+                      "deficiency", UserWarning, stacklevel=3)
+    return D, rhs
 
 
 def infer(D, rhs, lam: float = 0.0):
@@ -161,37 +192,11 @@ def infer(D, rhs, lam: float = 0.0):
     (SecondOrderSystem, SolveReport)
         The model has the identity as its mass.
     """
-    D, rhs = regression_arrays(D, rhs)
-    r = rhs.shape[0]
-    m = D.shape[0] - 2 * r
-    if r < 1 or m < 1:
-        raise InvalidInputError(
-            f"data matrix with {D.shape[0]} rows cannot hold two {r}-row "
-            "state blocks and at least one input row"
-        )
-    if D.shape[1] < D.shape[0]:
-        warnings.warn(
-            f"regression has fewer samples ({D.shape[1]}) than unknowns per "
-            f"row ({D.shape[0]}); expect rank deficiency",
-            UserWarning,
-            stacklevel=2,
-        )
-
-    P, s = _ridge(D, rhs, lam)
-    residual = float(np.linalg.norm(P @ D - rhs))
+    W, s, _, rhs_c, tail = compress(*_opinf_arrays(D, rhs))
+    rom, residual = _fit(W, s, rhs_c, tail, lam)
     condition = float(s[0] / s[-1]) if s[-1] > 0.0 else float("inf")
-    rom = SecondOrderSystem(
-        mass=np.eye(r),
-        damping=-P[:, :r],
-        stiffness=-P[:, r:2 * r],
-        input_map=P[:, 2 * r:],
-    )
-    return rom, SolveReport(
-        residual=residual,
-        condition=condition,
-        rank_estimate=int(np.count_nonzero(ridge_filter(s))),
-        lam=lam,
-    )
+    return rom, SolveReport(residual, condition,
+                            int(np.count_nonzero(ridge_filter(s))), lam)
 
 
 @dataclass(frozen=True)
@@ -254,13 +259,14 @@ def select_lambda(D, rhs, grid, validation: TrajectoryData,
     grid; its ``dt`` and ``t_end`` are not read.
 
     The data are compressed once (``compress``), and each candidate is
-    fit to (D Qt^T, rhs Qt^T), a k x min(k, N) regression with the same
-    ridge minimizers. The table's ``train_residual`` is the residual on
-    the full data, the compressed fit's and the tail combined.
+    one product with that compression, the model ``infer`` returns at
+    its weight; the table's ``train_residual`` is that model's residual
+    on the full data.
 
     Returns
     -------
-    (best_lam, trials) : (float, list of LambdaTrial)
+    (best_lam, rom, trials) : (float, SecondOrderSystem, list of LambdaTrial)
+        The chosen weight, the model its table row scores, and the table.
 
     Raises
     ------
@@ -283,7 +289,6 @@ def select_lambda(D, rhs, grid, validation: TrajectoryData,
             "validation replay needs at least two snapshots"
         )
 
-    D, rhs = regression_arrays(D, rhs)
     denom = np.linalg.norm(validation.displacement, axis=0).max()
     if not np.isfinite(denom):
         raise InvalidInputError("validation displacement has a non-finite norm")
@@ -296,41 +301,28 @@ def select_lambda(D, rhs, grid, validation: TrajectoryData,
     if scheme is not None:
         config = replace(config, gamma=scheme.gamma, beta=scheme.beta,
                          alpha=scheme.alpha)
-    _, _, Qt, rhs, tail = compress(D, rhs)
-    D = D @ Qt.T
+    W, s, _, rhs_c, tail = compress(*_opinf_arrays(D, rhs))
 
     trials = []
-    best_lam = None
+    best = None
     best_err = float("inf")
     for lam in sorted(grid):
-        rom, report = infer(D, rhs, lam)
+        rom, residual = _fit(W, s, rhs_c, tail, lam)
         err = _replay_error(rom, validation, config, denom)
         # Operators near the largest double have an infinite norm here.
         with np.errstate(over="ignore"):
-            norm = float(
-                np.sqrt(
-                    np.linalg.norm(rom.damping) ** 2
-                    + np.linalg.norm(rom.stiffness) ** 2
-                    + np.linalg.norm(rom.input_map) ** 2
-                )
-            )
-        trials.append(
-            LambdaTrial(
-                lam=lam,
-                train_residual=math.hypot(report.residual, tail),
-                validation_error=err,
-                operator_norm=norm,
-            )
-        )
+            norm = math.sqrt(sum(np.linalg.norm(A) ** 2 for A in (
+                rom.damping, rom.stiffness, rom.input_map)))
+        trials.append(LambdaTrial(lam, residual, err, norm))
         if np.isfinite(err) and err <= best_err:
-            best_lam = lam
+            best = lam, rom
             best_err = err
-    if best_lam is None:
+    if best is None:
         raise NoViableLambdaError(
             "every regularization weight produced a diverging model",
             table=trials,
         )
-    return best_lam, trials
+    return *best, trials
 
 
 def separate_operators(rom: SecondOrderSystem) -> SecondOrderSystem:

@@ -148,9 +148,8 @@ def test_stiff_cluster_chain_stays_under_one_percent():
 
     rtrain = project(train, basis)
     D, rhs = assemble_opinf_data(rtrain)
-    lam, _ = select_lambda(D, rhs, [0.0] + list(np.logspace(-12, 0, 13)),
-                           rtrain)
-    rom, _ = infer(D, rhs, lam)
+    _, rom, _ = select_lambda(D, rhs, [0.0] + list(np.logspace(-12, 0, 13)),
+                              rtrain)
     replay = simulate(rom, sampler, None, None, config)
     errors["opinf"] = relative_error(
         test.displacement, basis.modes @ replay.displacement

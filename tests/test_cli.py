@@ -1070,6 +1070,67 @@ class TestPipeline:
                         / np.linalg.norm(Q, axis=0).max())
             assert error == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("rank", ["2", "4"])
+    def test_basis_line_reports_the_spectrum(self, tmp_path, capsys, rank):
+        # sigma_r / sigma_1, sigma_r+1 / sigma_1 (zero past the last
+        # singular value) and the count of singular values above
+        # max(n, N) eps sigma_1, for the 4 x 10 training snapshots.
+        cfg = config_file(tmp_path, {"basis": {"rank": rank}})
+        out = tmp_path / "artifacts"
+        for command in ("simulate", "basis"):
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        s = np.loadtxt(out / "basis" / "singular_values.csv", delimiter=",",
+                       skiprows=1)[:, 1]
+        r = int(rank)
+        trailing = s[r] if r < s.size else 0.0
+        numerical = np.count_nonzero(s > 10 * np.finfo(float).eps * s[0])
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"basis: selected rank r = {r} (sigma_r/sigma_1 "
+            f"{s[r - 1] / s[0]:.3e}, sigma_r+1/sigma_1 {trailing / s[0]:.3e}, "
+            f"numerical rank {numerical})")
+
+    def test_chosen_row_scores_the_written_model(self, tmp_path, capsys):
+        # The chosen row's validation error is the replay error of the
+        # operators in opinf/*.mtx, bit for bit: the stage writes the
+        # model that the row scored.
+        cfg_path = config_file(tmp_path, {
+            "integrator": {"alpha": "-0.3"},
+            "inference": {"methods": "opinf"},
+        })
+        out = tmp_path / "artifacts"
+        assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        lam = float(stdout.split("infer: selected lambda = ", 1)[1].split()[0])
+        table = np.loadtxt(out / "opinf" / "lambda_table.csv", delimiter=",",
+                           skiprows=1, ndmin=2)
+        [row] = table[table[:, 0] == lam]
+        cfg = load_config(cfg_path)
+        parsed = cli._Results(cfg, str(out))
+        rdata, scheme = parsed["projected"], cli._integrator(cfg)
+        window = IntegratorConfig(
+            dt=rdata.dt, t_end=rdata.dt * (rdata.num_snapshots - 1),
+            gamma=scheme.gamma, beta=scheme.beta, alpha=scheme.alpha)
+        denom = np.linalg.norm(rdata.displacement, axis=0).max()
+        assert row[2] == opinf._replay_error(parsed["opinf"], rdata, window,
+                                             denom)
+
+    def test_infer_stage_factors_its_data_once(self, tmp_path, monkeypatch):
+        # One SVD of the regression data serves every candidate of the
+        # sweep and the model the stage writes.
+        cfg = config_file(tmp_path, {"inference": {"methods": "opinf"}})
+        out = str(tmp_path / "artifacts")
+        for command in ("simulate", "basis"):
+            assert main([command, "--config", cfg, "--out", out]) == 0
+        shapes, svd = [], opinf.la.svd
+
+        def spy_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(opinf.la, "svd", spy_svd)
+        assert main(["infer", "--config", cfg, "--out", out]) == 0
+        assert len(shapes) == 1
+
     def test_repeat_run_is_byte_identical(self, tmp_path):
         cfg = config_file(tmp_path, {"output": {"seed": "3"}})
         out = tmp_path / "artifacts"
@@ -1166,15 +1227,15 @@ class TestStageResults:
         # The .mtx files leave out exact zeros, so a -0.0 operator entry
         # reads back as +0.0; opinf's input map is a column view of its
         # fit. The held results must match the parsed ones all the same.
-        fit = cli.infer
+        sweep = cli.select_lambda
 
-        def fit_with_negative_zero(D, rhs, lam):
-            rom, report = fit(D, rhs, lam)
+        def sweep_with_negative_zero(*args, **kwargs):
+            lam, rom, trials = sweep(*args, **kwargs)
             damping = rom.damping.copy()
             damping[0, 1] = -0.0
-            return dataclasses.replace(rom, damping=damping), report
+            return lam, dataclasses.replace(rom, damping=damping), trials
 
-        monkeypatch.setattr(cli, "infer", fit_with_negative_zero)
+        monkeypatch.setattr(cli, "select_lambda", sweep_with_negative_zero)
         cfg = load_config(config_file(tmp_path))
         out = str(tmp_path / "artifacts")
         results, held = cli._Results(cfg, out), {}
@@ -1291,7 +1352,7 @@ class TestStationProtocol:
         assert code == 0
         stdout = capsys.readouterr().out
         assert "basis: selected rank r = " in stdout
-        rank = int(stdout.rsplit("=", 1)[1])
+        rank = int(stdout.split("r = ", 1)[1].split()[0])
         assert rank >= 1
         lines = read_lines(os.path.join(out, "basis", "singular_values.csv"))
         assert lines[0] == "index,sigma"
@@ -1510,14 +1571,14 @@ class TestStageFailures:
         # The same growing pair as above, now as the model that `run`
         # fits: its rank-2 replay goes through the banded solve, whose
         # overflow ends the run as a numerical error.
-        fit = cli.infer
+        sweep = cli.select_lambda
 
-        def diverging_fit(D, rhs, lam):
-            rom, report = fit(D, rhs, lam)
-            return dataclasses.replace(rom, stiffness=-1e8 * np.eye(rom.n)), \
-                report
+        def diverging_sweep(*args, **kwargs):
+            lam, rom, trials = sweep(*args, **kwargs)
+            return lam, dataclasses.replace(
+                rom, stiffness=-1e8 * np.eye(rom.n)), trials
 
-        monkeypatch.setattr(cli, "infer", diverging_fit)
+        monkeypatch.setattr(cli, "select_lambda", diverging_sweep)
         cfg = config_file(tmp_path, {
             "integrator": {"dt": "1e-4"},
             "training": {"t_end": "0.001"},

@@ -166,6 +166,20 @@ class TestInfer:
         assert report.condition >= 1.0
         assert report.lam == 1e-4
 
+    @pytest.mark.parametrize("lam", [0.0, 1e-3, 1.0])
+    def test_residual_is_that_of_the_returned_operators(self, rng, lam):
+        # ||P D - rhs||_F of P = [-C, -K, B], on noisy data whose residual
+        # lies mostly outside the row space of D.
+        D, rhs = synthesize(rng, random_spd(rng, 3, eigmin=0.0),
+                            random_spd(rng, 3), rng.standard_normal((3, 2)),
+                            N=200)
+        rhs = rhs + 0.1 * rng.standard_normal(rhs.shape)
+        rom, report = infer(D, rhs, lam)
+        P = np.hstack([-rom.damping, -rom.stiffness, rom.input_map])
+        direct = float(np.linalg.norm(P @ D - rhs))
+        assert opinf.compress(D, rhs)[4] > 0.5 * direct
+        assert report.residual == pytest.approx(direct, rel=1e-12, abs=0.0)
+
     def test_few_samples_warn(self, rng):
         D, rhs = synthesize(rng, 0.1, 1.0, 1.0, N=2)
         with pytest.warns(UserWarning, match="fewer samples"):
@@ -256,36 +270,28 @@ def replay_error(rom, validation):
     return opinf._replay_error(rom, validation, config, denom)
 
 
-def reference_sweep(D, rhs, grid, validation, scheme=None, compressed=False,
-                    fit=infer):
-    """The sweep's table and choice, each candidate scored by
-    ``reference_replay_error``: the smallest replay error wins, ties
-    toward the larger weight. Every candidate is fit by ``fit`` on the
-    full data, or with ``compressed`` on the data moved to the row space
-    of ``D`` as the sweep fits it, whose residuals the tail completes."""
-    tail = 0.0
-    if compressed:
-        _, _, Qt = la.svd(D, full_matrices=False)
-        rhs_c = rhs @ Qt.T
-        tail = float(np.linalg.norm(rhs - rhs_c @ Qt))
-        D, rhs = D @ Qt.T, rhs_c
-    trials = []
+def reference_sweep(D, rhs, grid, validation, scheme=None):
+    """The sweep's choice, chosen model and table, each candidate fit by
+    ``infer`` on the full data and scored by ``reference_replay_error``:
+    the smallest replay error wins, ties toward the larger weight."""
+    trials, models = [], {}
     for lam in sorted(grid):
-        rom, report = fit(D, rhs, lam)
+        rom, report = infer(D, rhs, lam)
         norm = math.sqrt(sum(np.linalg.norm(A) ** 2 for A in (
             rom.damping, rom.stiffness, rom.input_map)))
         trials.append(LambdaTrial(
-            lam, math.hypot(report.residual, tail),
+            lam, report.residual,
             reference_replay_error(rom, validation, scheme), norm))
+        models[lam] = rom
     best = min(trials, key=lambda t: (t.validation_error, -t.lam))
-    return best.lam, trials
+    return best.lam, models[best.lam], trials
 
 
 class TestSelectLambda:
     def test_single_zero_grid(self):
         rdata = scalar_validation_data()
         D, rhs = assemble_opinf_data(rdata)
-        lam, trials = select_lambda(D, rhs, [0.0], rdata)
+        lam, _, trials = select_lambda(D, rhs, [0.0], rdata)
         assert lam == 0.0
         assert len(trials) == 1
         assert isinstance(trials[0], LambdaTrial)
@@ -295,7 +301,7 @@ class TestSelectLambda:
         rdata = scalar_validation_data()
         D, rhs = assemble_opinf_data(rdata)
         grid = [0.0, 1e-6, 1e-3, 1.0]
-        lam, trials = select_lambda(D, rhs, grid, rdata)
+        lam, _, trials = select_lambda(D, rhs, grid, rdata)
         err_zero = next(t.validation_error for t in trials if t.lam == 0.0)
         best = min(t.validation_error for t in trials)
         assert best <= err_zero + 1e-8
@@ -310,7 +316,7 @@ class TestSelectLambda:
             simulate_free_constant(N),
             identity_basis(1),
         )
-        lam, trials = select_lambda(D, rhs, [1e-4, 1e-2], validation)
+        lam, _, trials = select_lambda(D, rhs, [1e-4, 1e-2], validation)
         assert lam == 1e-2
         errs = [t.validation_error for t in trials]
         assert errs[0] == errs[1]
@@ -396,7 +402,7 @@ class TestSelectLambda:
             return replays[-1]
 
         monkeypatch.setattr(opinf, "simulate", recording_simulate)
-        _, trials = select_lambda(D, rhs, [0.0, 1e-6], jittered)
+        _, _, trials = select_lambda(D, rhs, [0.0, 1e-6], jittered)
         X = rdata.displacement
         for replay, trial in zip(replays, trials):
             assert np.array_equal(replay.input, rdata.input[:, 1:])
@@ -410,7 +416,7 @@ class TestSelectLambda:
         rdata = seeded_validation_data()
         D, rhs = assemble_opinf_data(rdata)
         grid = [0.0, 1e-9, 1e-6, 1e-3, 1.0]
-        _, trials = select_lambda(D, rhs, grid, rdata)
+        _, _, trials = select_lambda(D, rhs, grid, rdata)
         U, t0, dt = rdata.input, float(rdata.times[0]), rdata.dt
 
         def rounding_sampler(t):
@@ -419,39 +425,43 @@ class TestSelectLambda:
         config = IntegratorConfig(dt=dt, t_end=float(rdata.times[-1] - t0))
         X = rdata.displacement
         denom = np.linalg.norm(X, axis=0).max()
-        # The reference models are fit as the sweep fits them, on the data
-        # compressed to the row space of D, so that the comparison below
-        # is exact.
-        _, _, Qt = la.svd(D, full_matrices=False)
-        rhs_c = rhs @ Qt.T
-        tail = float(np.linalg.norm(rhs - rhs_c @ Qt))
         for lam, trial in zip(grid, trials):
-            rom, report = infer(D @ Qt.T, rhs_c, lam)
+            rom, report = infer(D, rhs, lam)
             Q = simulate(rom, rounding_sampler, X[:, 0], rdata.velocity[:, 0],
                          config, t0=t0).displacement
             err = float(np.linalg.norm(Q - X[:, 1:], axis=0).max() / denom)
             assert (trial.lam, trial.train_residual, trial.validation_error) \
-                == (lam, math.hypot(report.residual, tail), err)
+                == (lam, report.residual, err)
 
     def test_table_matches_fits_on_the_full_data(self):
-        # Each candidate is fit to the compressed data, which has the
-        # full-data minimizer; noise in the accelerations gives every
-        # column of the table a value well above rounding.
+        # Each candidate is the model infer fits to the full data at its
+        # weight, and the sweep returns the one its chosen row scores;
+        # noise in the accelerations gives every column of the table a
+        # value well above rounding.
         rdata = seeded_validation_data()
         D, rhs = assemble_opinf_data(rdata)
         assert D.shape[1] > 50 * D.shape[0] and np.linalg.cond(D) < 1e3
         noise = np.random.default_rng(5).standard_normal(rhs.shape)
         rhs = rhs + 3e-2 * np.abs(rhs).max() * noise
         grid = [0.0, 1e-9, 1e-6, 1e-3, 1e-1, 1.0, 10.0]
-        lam, trials = select_lambda(D, rhs, grid, rdata)
-        ref_lam, ref_trials = reference_sweep(D, rhs, grid, rdata)
+        lam, rom, trials = select_lambda(D, rhs, grid, rdata)
+        ref_lam, ref_rom, ref_trials = reference_sweep(D, rhs, grid, rdata)
         assert lam == ref_lam == 1e-1
-        for trial, ref in zip(trials, ref_trials):
-            assert trial.lam == ref.lam
-            for name in ("train_residual", "validation_error",
-                         "operator_norm"):
-                assert getattr(trial, name) == pytest.approx(
-                    getattr(ref, name), rel=1e-12, abs=0.0), name
+        assert trials == ref_trials
+        for name in ("mass", "damping", "stiffness", "input_map"):
+            assert np.array_equal(getattr(rom, name), getattr(ref_rom, name))
+        chosen = next(t for t in trials if t.lam == lam)
+        assert replay_error(rom, rdata) == chosen.validation_error
+        # The residual column, against ||P D - rhs|| of each candidate's
+        # operators; most of it lies outside the row space of D.
+        tail = opinf.compress(D, rhs)[4]
+        for trial in trials:
+            fit, _ = infer(D, rhs, trial.lam)
+            P = np.hstack([-fit.damping, -fit.stiffness, fit.input_map])
+            direct = float(np.linalg.norm(P @ D - rhs))
+            assert tail > 0.5 * direct
+            assert trial.train_residual == pytest.approx(direct, rel=1e-12,
+                                                          abs=0.0)
 
     @pytest.mark.parametrize("scheme", [
         None, IntegratorConfig(dt=1.0, t_end=1.0, alpha=-0.3)])
@@ -477,17 +487,18 @@ class TestSelectLambda:
             1e-6: SecondOrderSystem(eye, zero, -1e5 * eye, ones),
             1.0: SecondOrderSystem(zero, zero, zero, ones),
         }
-        fit = opinf.infer
+        fit = opinf._fit
 
-        def infer_with_bad_candidates(D, rhs, lam):
-            rom, report = fit(D, rhs, lam)
-            return swapped.get(lam, rom), report
+        def fit_with_bad_candidates(W, s, rhs_c, tail, lam):
+            rom, residual = fit(W, s, rhs_c, tail, lam)
+            return swapped.get(lam, rom), residual
 
-        monkeypatch.setattr(opinf, "infer", infer_with_bad_candidates)
-        lam, trials = select_lambda(D, rhs, grid, rdata, scheme=scheme)
-        ref_lam, ref_trials = reference_sweep(
-            D, rhs, grid, rdata, scheme=scheme, compressed=True,
-            fit=infer_with_bad_candidates)
+        # infer fits through the same helper, so the reference's
+        # candidates are swapped too.
+        monkeypatch.setattr(opinf, "_fit", fit_with_bad_candidates)
+        lam, _, trials = select_lambda(D, rhs, grid, rdata, scheme=scheme)
+        ref_lam, _, ref_trials = reference_sweep(D, rhs, grid, rdata,
+                                                 scheme=scheme)
         assert lam == ref_lam
         assert trials == ref_trials
         errors = {t.lam: t.validation_error for t in trials}
@@ -510,14 +521,14 @@ class TestSelectLambda:
         def no_fit(*args, **kwargs):
             raise AssertionError("a candidate was fitted")
 
-        monkeypatch.setattr(opinf, "infer", no_fit)
+        monkeypatch.setattr(opinf, "_fit", no_fit)
         with pytest.raises(error,
                            match=f"^validation displacement {message}$"):
             select_lambda(D, rhs, [0.0, 1e-3], window)
 
     def test_fewer_samples_than_rows(self):
-        # With N < k the compressed data matrix keeps all N columns, and
-        # every candidate's fit warns as a fit on the full data does.
+        # With N < k the sweep warns once, as one fit on the same data
+        # does, and chooses as fits on the full data do.
         rdata = seeded_validation_data()
         window = dataclasses.replace(
             rdata, times=rdata.times[:6],
@@ -529,40 +540,42 @@ class TestSelectLambda:
         grid = [0.0, 1e-6, 1e-3, 1.0]
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
-            lam, _ = select_lambda(D, rhs, grid, window)
+            lam, _, _ = select_lambda(D, rhs, grid, window)
         with warnings.catch_warnings(record=True) as expected:
             warnings.simplefilter("always")
-            ref_lam, _ = reference_sweep(D, rhs, grid, window)
+            infer(D, rhs, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ref_lam, _, _ = reference_sweep(D, rhs, grid, window)
         assert lam == ref_lam
         messages = [(w.category, str(w.message)) for w in seen]
         assert messages == [(w.category, str(w.message)) for w in expected]
-        assert messages == len(grid) * [(UserWarning, (
+        assert messages == [(UserWarning, (
             f"regression has fewer samples ({D.shape[1]}) than unknowns "
             f"per row ({D.shape[0]}); expect rank deficiency"))]
 
     def test_one_factorization_of_the_data_per_sweep(self, monkeypatch):
-        # The N-column data matrix is factored once; each candidate fits
-        # a k x k matrix, through one call of infer.
+        # The data matrix is factored once, and each candidate is one
+        # product with that factorization.
         rdata = seeded_validation_data()
         D, rhs = assemble_opinf_data(rdata)
-        k, N = D.shape
-        svd_shapes, fit_shapes = [], []
-        svd, fit = la.svd, opinf.infer
+        svd_shapes, fit_weights = [], []
+        svd, fit = la.svd, opinf._fit
 
         def spy_svd(a, *args, **kwargs):
             svd_shapes.append(np.shape(a))
             return svd(a, *args, **kwargs)
 
-        def spy_infer(D, rhs, lam=0.0):
-            fit_shapes.append(np.shape(D))
-            return fit(D, rhs, lam)
+        def spy_fit(W, s, rhs_c, tail, lam):
+            fit_weights.append(lam)
+            return fit(W, s, rhs_c, tail, lam)
 
         monkeypatch.setattr(opinf.la, "svd", spy_svd)
-        monkeypatch.setattr(opinf, "infer", spy_infer)
+        monkeypatch.setattr(opinf, "_fit", spy_fit)
         grid = [0.0, 1e-9, 1e-6, 1e-3, 1.0]
         select_lambda(D, rhs, grid, rdata)
-        assert [shape for shape in svd_shapes if shape[1] == N] == [(k, N)]
-        assert fit_shapes == len(grid) * [(k, k)]
+        assert svd_shapes == [D.shape]
+        assert fit_weights == grid
 
     def test_empty_grid(self):
         rdata = scalar_validation_data(t_end=0.1)
@@ -586,7 +599,7 @@ class TestSelectLambda:
         def no_fit(*args, **kwargs):
             raise AssertionError("a candidate was fitted")
 
-        monkeypatch.setattr(opinf, "infer", no_fit)
+        monkeypatch.setattr(opinf, "_fit", no_fit)
         with pytest.raises(MissingDataError,
                            match="^velocity block is required and absent$"):
             select_lambda(D, rhs, [0.0, 1.0], bare)
@@ -614,7 +627,7 @@ class TestSelectLambda:
             raise AssertionError("the sweep went past its grid check")
 
         monkeypatch.setattr(opinf, "compress", no_call)
-        monkeypatch.setattr(opinf, "infer", no_call)
+        monkeypatch.setattr(opinf, "_fit", no_call)
         with pytest.raises(InvalidParameterError, match=message):
             select_lambda(D, rhs, grid, bare)
 
@@ -667,14 +680,14 @@ class TestReplayFailures:
         assert all(np.all(np.isfinite(M)) for M in transition) \
             == transition_finite
         D, rhs = assemble_opinf_data(rdata)
-        fit = opinf.infer
+        fit = opinf._fit
 
-        def infer_with_bad_candidate(D, rhs, lam):
-            fitted, report = fit(D, rhs, lam)
-            return (rom if lam == 1.0 else fitted), report
+        def fit_with_bad_candidate(W, s, rhs_c, tail, lam):
+            fitted, residual = fit(W, s, rhs_c, tail, lam)
+            return (rom if lam == 1.0 else fitted), residual
 
-        monkeypatch.setattr(opinf, "infer", infer_with_bad_candidate)
-        lam, trials = select_lambda(D, rhs, [0.0, 1.0], rdata)
+        monkeypatch.setattr(opinf, "_fit", fit_with_bad_candidate)
+        lam, _, trials = select_lambda(D, rhs, [0.0, 1.0], rdata)
         assert lam == 0.0
         assert trials[0].validation_error <= 1e-8
         assert trials[1].validation_error == float("inf")
@@ -707,14 +720,14 @@ class TestReplayFailures:
         assert rdata.displacement[0, 0] > 1.79
         rom = SecondOrderSystem([[1.0]], [[0.0]], [[1e308]], [[1.0]])
         D, rhs = assemble_opinf_data(rdata)
-        fit = opinf.infer
+        fit = opinf._fit
 
-        def infer_with_bad_candidate(D, rhs, lam):
-            fitted, report = fit(D, rhs, lam)
-            return (rom if lam == 1.0 else fitted), report
+        def fit_with_bad_candidate(W, s, rhs_c, tail, lam):
+            fitted, residual = fit(W, s, rhs_c, tail, lam)
+            return (rom if lam == 1.0 else fitted), residual
 
-        monkeypatch.setattr(opinf, "infer", infer_with_bad_candidate)
-        lam, trials = select_lambda(D, rhs, [0.0, 1.0], rdata)
+        monkeypatch.setattr(opinf, "_fit", fit_with_bad_candidate)
+        lam, _, trials = select_lambda(D, rhs, [0.0, 1.0], rdata)
         assert lam == 0.0
         assert trials[0].validation_error <= 1e-8
         assert trials[1].validation_error == float("inf")
